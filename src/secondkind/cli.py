@@ -18,6 +18,7 @@ from .correspondence import BranchMatching, bolza_match
 from .curves import (
     HyperellipticCurve,
     branch_points,
+    branch_scale,
     curve_from_branch_points,
     curve_from_coefficients,
 )
@@ -25,19 +26,19 @@ from .errors import SecondKindError
 from .expansion import DEFAULT_ORDER, RESIDUAL_TOL, expansion_match
 from .identities import (
     IdentityEntry,
+    identity_entry,
     jacobi_inversion_check,
     kappa_report,
     omega_a_period,
     omega_algebraic,
     omega_consistency,
-    relative_defect,
     rosenhain_defects,
     rosenhain_gamma_pairs,
     thomae_defects,
     thomae_genus1_defect,
     weierstrass_eta,
 )
-from .periods import DEFAULT_QUAD_TOL, compute_periods
+from .periods import DEFAULT_QUAD_TOL, compute_periods, gate_tolerances
 from .theta import DEFAULT_THETA_TOL, half_period, theta_table
 
 DEFAULT_IDENTITY_TOL = 1e-8
@@ -105,12 +106,6 @@ def _error_dict(label: str, ex: Exception) -> dict:
         "status": "fail",
         "error": f"{type(ex).__name__}: {ex}",
     }
-
-
-def _identity(label: str, lhs, rhs, tol: float) -> IdentityEntry:
-    lhs, rhs = complex(lhs), complex(rhs)
-    d = relative_defect(lhs, rhs)
-    return IdentityEntry(label, lhs, rhs, d, None, "pass" if d < tol else "fail")
 
 
 def _scalar(label: str, value: float, tol: float) -> IdentityEntry:
@@ -255,11 +250,15 @@ def _match_report(m: BranchMatching) -> dict:
     return {"gamma": _char_ints(m.gamma), "pairs": pairs}
 
 
+def _kappa_gap(ex: dict, bundle) -> float:
+    return float(np.max(np.abs(ex["kappa"] - bundle.kappa)))
+
+
 def _kappa_report_g2(curve, bundle, tt, m, order) -> dict:
     rep = kappa_report(curve, bundle, tt, m)
     ex = expansion_match(curve, bundle, tt, m, order=order)
     defects = dict(rep.defect_table)
-    defects["expansion"] = float(np.max(np.abs(ex["kappa"] - bundle.kappa)))
+    defects["expansion"] = _kappa_gap(ex, bundle)
     return {
         "kappa_direct": _mat(rep.kappa_direct),
         "kappa_even_pair": {f"{i}{j}": _mat(v) for (i, j), v in sorted(rep.kappa_by_even_pair.items())},
@@ -278,7 +277,7 @@ def _kappa_report_g1(curve, bundle, tt, order) -> dict:
     return {
         "kappa_direct": _mat(bundle.kappa),
         "kappa_expansion": _mat(ex["kappa"]),
-        "defects": {"expansion": float(np.max(np.abs(ex["kappa"] - bundle.kappa)))},
+        "defects": {"expansion": _kappa_gap(ex, bundle)},
         "identities": checks,
     }
 
@@ -308,22 +307,31 @@ def _expand_report(curve, bundle, tt, m, order) -> dict:
 
 # -------------------------------------------------------------- verify suite
 
-def _gate_entries(bundle, quad_tol: float) -> list:
-    lg_tol = max(1e-9, 1e3 * quad_tol)
-    sym_tol = max(1e-10, 100.0 * quad_tol)
+def _gate_entries(bundle) -> list:
+    sym_tol, lg_tol = gate_tolerances(bundle.quad_tol)
     eig = float(bundle.im_tau_min_eig)
-    out = [
-        _scalar("gate_legendre", bundle.legendre_defect, lg_tol),
+    return [
+        _scalar("gate_legendre", bundle.legendre_defect, bundle.legendre_gate),
         _scalar("gate_tau_asymmetry", bundle.tau_asymmetry, sym_tol),
         IdentityEntry("gate_im_tau_positive", complex(eig), 0j,
                       max(0.0, -eig), None, "pass" if eig > 0 else "fail"),
         _scalar("gate_eta_prime_consistency", bundle.eta_prime_consistency, lg_tol),
     ]
-    return out
+
+
+def _expansion_checks(curve, bundle, tt, m, order: int) -> list:
+    try:
+        ex = expansion_match(curve, bundle, tt, m, order=order)
+    except SecondKindError as exn:
+        return [_error_dict("kappa_route_expansion", exn)]
+    return [
+        _entry_dict(_scalar("kappa_route_expansion", _kappa_gap(ex, bundle), KAPPA_ROUTE_TOL)),
+        _entry_dict(_scalar("expansion_residual", ex["residual"], RESIDUAL_TOL)),
+    ]
 
 
 def _omega_points(rng: np.random.Generator, curve: HyperellipticCurve):
-    scale = max(1.0, max(abs(e) for e in curve.branch_points))
+    scale = branch_scale(curve.branch_points)
     for _ in range(500):
         x1 = scale * (rng.uniform(-2.0, 2.0) + 1j * rng.uniform(-2.0, 2.0))
         x2 = scale * (rng.uniform(-2.0, 2.0) + 1j * rng.uniform(-2.0, 2.0))
@@ -342,7 +350,7 @@ def _battery_genus2(curve, args, rng, omega_pairs: int) -> list:
     tol = args.tol
     checks: list = []
     bundle = compute_periods(curve, args.quad_tol)
-    checks.extend(_entry_dict(e) for e in _gate_entries(bundle, args.quad_tol))
+    checks.extend(_entry_dict(e) for e in _gate_entries(bundle))
     tt = theta_table(bundle, tol=args.theta_tol)
     m = bolza_match(tt, curve)
     checks.append(_entry_dict(_scalar("gate_matching_residual", max(m.residuals), 1e-6)))
@@ -350,14 +358,7 @@ def _battery_genus2(curve, args, rng, omega_pairs: int) -> list:
     rep = kappa_report(curve, bundle, tt, m)
     for name, d in rep.defect_table.items():
         checks.append(_entry_dict(_scalar(f"kappa_route_{name}", d, KAPPA_ROUTE_TOL)))
-    try:
-        ex = expansion_match(curve, bundle, tt, m, order=args.order)
-        checks.append(_entry_dict(_scalar(
-            "kappa_route_expansion",
-            float(np.max(np.abs(ex["kappa"] - bundle.kappa))), KAPPA_ROUTE_TOL)))
-        checks.append(_entry_dict(_scalar("expansion_residual", ex["residual"], RESIDUAL_TOL)))
-    except SecondKindError as exn:
-        checks.append(_error_dict("kappa_route_expansion", exn))
+    checks.extend(_expansion_checks(curve, bundle, tt, m, args.order))
 
     checks.extend(_entry_dict(e) for e in thomae_defects(curve, bundle, tt, m, tol).entries)
 
@@ -384,7 +385,7 @@ def _battery_genus2(curve, args, rng, omega_pairs: int) -> list:
         for idx in range(1, omega_pairs + 1):
             q, r = _omega_points(rng, curve)
             r_last = r
-            checks.append(_entry_dict(_identity(
+            checks.append(_entry_dict(identity_entry(
                 f"omega_symmetry_{idx}",
                 omega_algebraic(curve, bundle, q, r),
                 omega_algebraic(curve, bundle, r, q), 1e-12)))
@@ -395,25 +396,18 @@ def _battery_genus2(curve, args, rng, omega_pairs: int) -> list:
                 checks.append(_error_dict(f"omega_stencil_{idx}", exn))
         for j in (1, 2):
             ap = omega_a_period(curve, bundle, j, r_last)
-            checks.append(_entry_dict(_identity(f"omega_a_period_{j}", ap, 0.0, 1e-8)))
+            checks.append(_entry_dict(identity_entry(f"omega_a_period_{j}", ap, 0.0, 1e-8)))
     return checks
 
 
 def _battery_genus1(curve, args) -> list:
     checks: list = []
     bundle = compute_periods(curve, args.quad_tol)
-    checks.extend(_entry_dict(e) for e in _gate_entries(bundle, args.quad_tol))
+    checks.extend(_entry_dict(e) for e in _gate_entries(bundle))
     tt = theta_table(bundle, tol=args.theta_tol)
     checks.extend(_entry_dict(e) for e in weierstrass_eta(curve, bundle, tt).entries)
     checks.append(_entry_dict(thomae_genus1_defect(tt)))
-    try:
-        ex = expansion_match(curve, bundle, tt, None, order=args.order)
-        checks.append(_entry_dict(_scalar(
-            "kappa_route_expansion",
-            float(np.max(np.abs(ex["kappa"] - bundle.kappa))), KAPPA_ROUTE_TOL)))
-        checks.append(_entry_dict(_scalar("expansion_residual", ex["residual"], RESIDUAL_TOL)))
-    except SecondKindError as exn:
-        checks.append(_error_dict("kappa_route_expansion", exn))
+    checks.extend(_expansion_checks(curve, bundle, tt, None, args.order))
     return checks
 
 

@@ -1,5 +1,6 @@
-"""Plane curve data: hyperelliptic coefficients, branch points, differential
-bases, the symmetric 2-polar, and the projective connection term.
+"""Plane curve data: hyperelliptic coefficients, branch points, the
+second-kind numerators, the symmetric 2-polar, and the polynomial T of the
+local parameter at infinity.
 
 A hyperelliptic curve of genus g is stored in the normalization
 
@@ -7,10 +8,7 @@ A hyperelliptic curve of genus g is stored in the normalization
 
 so the leading coefficient is always 4 and the degree is odd: there is a
 single point at infinity.  Coefficients are kept in ascending order
-(lam[0] = lam_0).  More general (n, s) shapes appear only through
-:class:`NSCurveShape`, which carries the coefficient polynomials of
-
-    f(x, y) = y^n - a_{n-1}(x) y^(n-1) - ... - a_1(x) y - a_0(x).
+(lam[0] = lam_0).
 """
 
 from __future__ import annotations
@@ -21,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import (
-    AtBranchPoint,
-    DegenerateCurve,
-    InvalidPair,
-    RootFindingFailure,
-    UnsupportedDegree,
-)
+from .errors import DegenerateCurve, InvalidPair, RootFindingFailure
 
 #: Relative separation below which two branch points count as coincident.
 DEGENERACY_TOL = 1e-10
@@ -90,13 +82,14 @@ class CurvePoint:
     sheet: int = 1
 
 
-def _branch_scale(points) -> float:
+def branch_scale(points) -> float:
+    """max(1, max |e|): the length scale every relative gate is measured against."""
     return max(1.0, max(abs(e) for e in points))
 
 
 def _check_separation(points, tol: float) -> None:
     pts = list(points)
-    scale = _branch_scale(pts)
+    scale = branch_scale(pts)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if abs(pts[i] - pts[j]) < tol * scale:
@@ -213,112 +206,15 @@ def second_kind_numerators(curve: HyperellipticCurve):
     return out
 
 
-def differential_basis(curve: HyperellipticCurve, point: CurvePoint):
-    """Values of the basis integrands at a point, as (first kind, second kind).
+def t_coefficients(curve: HyperellipticCurve) -> np.ndarray:
+    """Ascending coefficients of the even polynomial T(xi) with unit constant term.
 
-    First kind:   u_i = x^(i-1) dx / y,            i = 1..g
-    Second kind:  r_j = q_j(x) dx / (4y),          j = 1..g
-
-    Returns the two length-g arrays of dx-coefficients.  The second-kind
-    basis has a pole only at infinity, of order matching the gap sequence.
+    With x = xi^-2 the curve reads y^2 = 4 x^(2g+1) T(xi), where
+    T(xi) = 1 + sum_k lam_k xi^(2(2g+1-k)) / 4.
     """
-    x, y = point.x, point.y
-    scale = 2.0 * (1.0 + abs(x)) ** (curve.genus + 0.5)
-    if abs(y) < 1e-10 * scale:
-        raise AtBranchPoint(f"y = {y:.3e} at x = {x:.6g}")
-    g = curve.genus
-    u = np.array([x ** (i - 1) / y for i in range(1, g + 1)], dtype=complex)
-    r = np.array(
-        [npoly.polyval(x, q) / (4 * y) for q in second_kind_numerators(curve)],
-        dtype=complex,
-    )
-    return u, r
-
-
-@dataclass(frozen=True)
-class NSCurveShape:
-    """Coefficient data of f(x, y) = y^n - sum_{m<n} a_m(x) y^m.
-
-    ``coeff_polys`` holds the ascending coefficient tuples of a_0..a_{n-1}.
-    """
-
-    n: int
-    s: int
-    coeff_polys: tuple
-
-    def a_poly(self, m: int) -> np.ndarray:
-        return np.asarray(self.coeff_polys[m], dtype=complex)
-
-
-def ns_shape(n: int, s: int, coeff_polys) -> NSCurveShape:
-    if n < 2 or s <= n or math.gcd(n, s) != 1:
-        raise InvalidPair(f"(n, s) = ({n}, {s}) needs 2 <= n < s and gcd 1")
-    polys = tuple(tuple(complex(c) for c in p) for p in coeff_polys)
-    if len(polys) != n:
-        raise ValueError(f"need exactly n = {n} coefficient polynomials a_0..a_{n-1}")
-    return NSCurveShape(n, s, polys)
-
-
-def hyperelliptic_shape(curve: HyperellipticCurve) -> NSCurveShape:
-    """The (2, 2g+1) shape of a hyperelliptic curve: a_1 = 0, a_0 = y^2 polynomial."""
-    return NSCurveShape(2, 2 * curve.genus + 1, (tuple(curve.coeffs), (0.0 + 0.0j,)))
-
-
-def psi_phi_vectors(shape: NSCurveShape, point: CurvePoint):
-    """Polar decomposition vectors at a point.
-
-    psi_k(x, y) = [f(x, y) / y^(n-k)]_+  (polynomial part), k = 0..n-1, and
-    phi = (y^(n-1), ..., y, 1), satisfying
-
-        phi(x, y)^T psi(x, Y) = (f(x, Y) - f(x, y)) / (Y - y).
-    """
-    n = shape.n
-    x, y = point.x, point.y
-    psi = np.zeros(n, dtype=complex)
+    n = 2 * curve.genus + 1
+    coeffs = np.zeros(2 * n + 1, dtype=complex)
+    coeffs[0] = 1.0
     for k in range(n):
-        v = y ** k
-        for m in range(n - k, n):
-            v -= npoly.polyval(x, shape.a_poly(m)) * y ** (m - (n - k))
-        psi[k] = v
-    phi = np.array([y ** (n - 1 - k) for k in range(n)], dtype=complex)
-    return psi, phi
-
-
-def shape_eval(shape: NSCurveShape, x, y):
-    """Evaluate f(x, y) = y^n - sum a_m(x) y^m."""
-    v = y ** shape.n
-    for m in range(shape.n):
-        v -= npoly.polyval(x, shape.a_poly(m)) * y ** m
-    return v
-
-
-def projective_T(shape: NSCurveShape, point: CurvePoint, yprime: complex, ydoubleprime: complex) -> complex:
-    """Curve-dependent term of the projective connection, as a dx^2 coefficient.
-
-    T = -(1 / (2 f_y)) [3 y'' f_yy + 2 y'^2 f_yyy + 6 y' f_yyx + 6 f_yxx]
-
-    evaluated at the point with the supplied derivatives of y along the curve.
-    """
-    n = shape.n
-    if n > 5:
-        raise UnsupportedDegree(f"n = {n} > 5")
-    x, y = point.x, point.y
-
-    def a(m: int, dx: int = 0) -> complex:
-        p = shape.a_poly(m)
-        for _ in range(dx):
-            p = npoly.polyder(p)
-        return complex(npoly.polyval(x, p)) if len(p) else 0.0 + 0.0j
-
-    f_y = n * y ** (n - 1) - sum(m * a(m) * y ** (m - 1) for m in range(1, n))
-    f_yy = n * (n - 1) * y ** (n - 2) - sum(
-        m * (m - 1) * a(m) * y ** (m - 2) for m in range(2, n)
-    )
-    f_yyy = n * (n - 1) * (n - 2) * y ** (n - 3) - sum(
-        m * (m - 1) * (m - 2) * a(m) * y ** (m - 3) for m in range(3, n)
-    )
-    f_yyx = -sum(m * (m - 1) * a(m, 1) * y ** (m - 2) for m in range(2, n))
-    f_yxx = -sum(m * a(m, 2) * y ** (m - 1) for m in range(1, n))
-    if f_y == 0:
-        raise AtBranchPoint(f"f_y = 0 at x = {x:.6g}")
-    return -(3 * ydoubleprime * f_yy + 2 * yprime ** 2 * f_yyy + 6 * yprime * f_yyx + 6 * f_yxx) / (2 * f_y)
+        coeffs[2 * (n - k)] += curve.lam_at(k) / 4.0
+    return coeffs

@@ -12,7 +12,7 @@ class SecondKindError(Exception):
     """Base class for all library errors."""
 
 
-# curve construction and point handling
+# curve construction
 
 class DegenerateCurve(SecondKindError):
     """Two branch points coincide (or nearly coincide) at the working tolerance."""
@@ -24,14 +24,6 @@ class RootFindingFailure(SecondKindError):
 
 class InvalidPair(SecondKindError):
     """(n, s) is not a valid curve signature: needs 2 <= n < s, gcd(n, s) = 1."""
-
-
-class AtBranchPoint(SecondKindError):
-    """Operation undefined at a Weierstrass point (y = 0)."""
-
-
-class UnsupportedDegree(SecondKindError):
-    """Projective connection term only implemented for n <= 5."""
 
 
 # periods and path integration

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import HyperellipticCurve, second_kind_numerators
+from .curves import HyperellipticCurve, second_kind_numerators, t_coefficients
 from .errors import GammaCharacteristic, IncompatibleSystem
 from .periods import PeriodBundle
 from .series import TruncatedSeries, schwarzian
@@ -27,18 +27,9 @@ from .theta import Characteristic, ThetaTable
 #: Default truncation order for connection expansions.
 DEFAULT_ORDER = 12
 
-#: Relative residual gate for the affine coefficient system.
+#: Relative residual gate for the affine coefficient system; it also bounds
+#: the roundoff cond(A) * eps that the least-squares solve may amplify.
 RESIDUAL_TOL = 1e-6
-
-
-def _t_polynomial(curve: HyperellipticCurve) -> TruncatedSeries:
-    """T(xi) with y^2 = 4 x^(2g+1) T(xi), an even exact polynomial."""
-    g = curve.genus
-    coeffs = np.zeros(2 * (2 * g + 1) + 1, dtype=complex)
-    coeffs[0] = 1.0
-    for k in range(2 * g + 1):
-        coeffs[2 * (2 * g + 1 - k)] += curve.lam_at(k) / 4.0
-    return TruncatedSeries.exact(0, coeffs)
 
 
 def local_frame(curve: HyperellipticCurve, order: int) -> dict:
@@ -50,7 +41,7 @@ def local_frame(curve: HyperellipticCurve, order: int) -> dict:
     work = order + 4 * g + 8
     x = TruncatedSeries.exact(-2, [1.0])
     xp = x.diff()
-    t = _t_polynomial(curve).truncate(work)
+    t = TruncatedSeries.exact(0, t_coefficients(curve)).truncate(work)
     sqrt_t = t.sqrt()
     y = 2.0 * TruncatedSeries.exact(-(2 * g + 1), [1.0]) * sqrt_t
     inv_sqrt_t = sqrt_t.reciprocal()
@@ -162,8 +153,8 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     Equations are collected at even exponents from xi^-2 up to the
     truncation order, across every admissible odd characteristic, and
     solved by least squares.  Returns the base and kappa-basis series, the
-    theta-side series per characteristic, the solved kappa and the relative
-    residual, without gating.
+    theta-side series per characteristic, the solved kappa, the relative
+    residual and the condition number of the system, without gating.
     """
     g = curve.genus
     base, basis = skw_series(curve, kappa=None, order=order)
@@ -192,6 +183,7 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
         "theta_side": sides,
         "kappa": kappa,
         "residual": resid / scale,
+        "condition": float(np.linalg.cond(a)),
         "order": order,
     }
 
@@ -201,11 +193,18 @@ def kappa_from_expansion(curve: HyperellipticCurve, bundle: PeriodBundle, tt: Th
     """Solve for kappa by matching the two connection expansions.
 
     IncompatibleSystem when the relative least-squares residual exceeds the
-    gate (signals an upstream inconsistency, not a roundoff issue).
+    gate (signals an upstream inconsistency, not a roundoff issue), or when
+    the system is so ill-conditioned that roundoff alone, cond * eps, could
+    exceed it: a small residual then certifies nothing about kappa.
     """
     out = expansion_match(curve, bundle, tt, m, order=order)
     if out["residual"] > RESIDUAL_TOL:
         raise IncompatibleSystem(
             f"expansion matching residual {out['residual']:.2e} exceeds {RESIDUAL_TOL:.0e}"
+        )
+    if out["condition"] * np.finfo(float).eps > RESIDUAL_TOL:
+        raise IncompatibleSystem(
+            f"expansion system condition number {out['condition']:.2e} "
+            f"leaves no certified digits at {RESIDUAL_TOL:.0e}"
         )
     return out["kappa"]

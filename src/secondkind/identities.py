@@ -17,16 +17,16 @@ plain z-derivatives of theta at z = 0 with the winding vectors (columns of
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurvePoint, HyperellipticCurve, kleinian_polar
+from .curves import CurvePoint, HyperellipticCurve, branch_scale, kleinian_polar
 from .errors import GammaCharacteristic, StencilDegenerate
 from .correspondence import BranchMatching, even_char_for_pair
 from .paths import PATH_CLEARANCE
 from .periods import PeriodBundle, a_cycle_integral, abel_map
-from .theta import Characteristic, ThetaTable, char, char_add, half_period
+from .theta import Characteristic, ThetaTable, char, char_add, theta_eval
 
 #: Below this magnitude on both sides a defect is reported absolutely.
 ABSOLUTE_FLOOR = 1e-6
@@ -86,7 +86,8 @@ class KappaReport:
     defect_table: dict
 
 
-def _entry(label, lhs, rhs, tol, sign=None, applicable=True) -> IdentityEntry:
+def identity_entry(label, lhs, rhs, tol, sign=None, applicable=True) -> IdentityEntry:
+    """Entry comparing two sides by relative_defect; status n/a when not applicable."""
     lhs, rhs = complex(lhs), complex(rhs)
     d = relative_defect(lhs, rhs)
     if not applicable:
@@ -96,8 +97,32 @@ def _entry(label, lhs, rhs, tol, sign=None, applicable=True) -> IdentityEntry:
     return IdentityEntry(label, lhs, rhs, d, sign, status)
 
 
-def _pair_complement(i: int, j: int):
-    return tuple(k for k in range(1, 6) if k not in (i, j))
+def _signed_entry(label, lhs, rhs, tol) -> IdentityEntry:
+    """Entry for lhs = +/- rhs, with the sign that fits better recorded."""
+    sign = 1 if abs(lhs - rhs) <= abs(-lhs - rhs) else -1
+    return identity_entry(label, sign * lhs, rhs, tol, sign=sign)
+
+
+def _branch_pair(bundle: PeriodBundle, i: int, j: int):
+    """e_i, e_j and the symmetric function e_i e_j (k + m + n) + k m n of the pair.
+
+    k, m, n are the three remaining branch points.
+    """
+    e = bundle.canonical_points
+    ei, ej = e[i - 1], e[j - 1]
+    k, mm, n = (e[t - 1] for t in range(1, 6) if t not in (i, j))
+    return ei, ej, ei * ej * (k + mm + n) + k * mm * n
+
+
+def _odd_ratio_sums(tt: ThetaTable, m: BranchMatching):
+    """(s112, s122, s222): sums of Theta_abc / Theta_2 over the admissible odds."""
+    s112 = s122 = s222 = 0.0 + 0.0j
+    for ch in m.chars:
+        t2 = tt.D(ch, "2")
+        s112 += tt.D(ch, "112") / t2
+        s122 += tt.D(ch, "122") / t2
+        s222 += tt.D(ch, "222") / t2
+    return s112, s122, s222
 
 
 def kappa_even_pair(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
@@ -107,15 +132,8 @@ def kappa_even_pair(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     Uses the plain z-Hessian of theta conjugated by (2 omega)^{-1}, so the
     route is independent of the directional table.
     """
-    e = bundle.canonical_points
-    ei, ej = e[i - 1], e[j - 1]
-    k, mm, n = (e[t - 1] for t in _pair_complement(i, j))
-    sym = np.array(
-        [
-            [ei * ej * (k + mm + n) + k * mm * n, -ei * ej],
-            [-ei * ej, ei + ej],
-        ]
-    )
+    ei, ej, sym11 = _branch_pair(bundle, i, j)
+    sym = np.array([[sym11, -ei * ej], [-ei * ej, ei + ej]])
     eps = even_char_for_pair(m, i, j)
     ent = tt.entry(eps)
     hess = ent.hess_arr() / ent.value
@@ -182,12 +200,7 @@ def kappa_odd_sum(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTabl
                   m: BranchMatching) -> np.ndarray:
     """kappa from sums of third-derivative ratios over the 5 admissible odds."""
     lam2, lam3, lam4 = (curve.lam_at(k) for k in (2, 3, 4))
-    s222 = s122 = s112 = 0.0 + 0.0j
-    for ch in m.chars:
-        t2 = tt.D(ch, "2")
-        s222 += tt.D(ch, "222") / t2
-        s122 += tt.D(ch, "122") / t2
-        s112 += tt.D(ch, "112") / t2
+    s112, s122, s222 = _odd_ratio_sums(tt, m)
     k22 = lam4 / 20.0 - s222 / 30.0
     k12 = lam3 / 40.0 - lam4 ** 2 / 800.0 - s122 / 20.0 + lam4 * s222 / 1200.0
     k11 = (
@@ -262,18 +275,15 @@ def thomae_defects(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTab
     require lam4 = 0 and are reported n/a otherwise.
     """
     lam2, lam3, lam4 = (curve.lam_at(k) for k in (2, 3, 4))
-    scale = max(1.0, max(abs(e) for e in bundle.canonical_points))
-    lam4_zero = abs(lam4) < 1e-10 * scale
-    s222 = sum(tt.D(ch, "222") / tt.D(ch, "2") for ch in m.chars)
-    s122 = sum(tt.D(ch, "122") / tt.D(ch, "2") for ch in m.chars)
-    s112 = sum(tt.D(ch, "112") / tt.D(ch, "2") for ch in m.chars)
+    lam4_zero = abs(lam4) < 1e-10 * branch_scale(bundle.canonical_points)
+    s112, s122, s222 = _odd_ratio_sums(tt, m)
     e22 = sum(tt.D(eps, "22") / tt.value(eps) for eps in tt.even)
     e12 = sum(tt.D(eps, "12") / tt.value(eps) for eps in tt.even)
     e11 = sum(tt.D(eps, "11") / tt.value(eps) for eps in tt.even)
     entries = (
-        _entry("thomae_222", s222, 1.5 * e22, tol),
-        _entry("thomae_122", 4.0 * s122 - 4.0 * e12, lam3, tol, applicable=lam4_zero),
-        _entry("thomae_112", 4.0 * s112 - 2.0 * e11, lam2, tol, applicable=lam4_zero),
+        identity_entry("thomae_222", s222, 1.5 * e22, tol),
+        identity_entry("thomae_122", 4.0 * s122 - 4.0 * e12, lam3, tol, applicable=lam4_zero),
+        identity_entry("thomae_112", 4.0 * s112 - 2.0 * e11, lam2, tol, applicable=lam4_zero),
     )
     return IdentityDefects(entries)
 
@@ -285,7 +295,7 @@ def thomae_genus1_defect(tt: ThetaTable, tol: float = 1e-10) -> IdentityEntry:
     odd = tt.odd[0]
     lhs = tt.d(odd, 0, 0, 0) / tt.d(odd, 0)
     rhs = sum(tt.d(eps, 0, 0) / tt.value(eps) for eps in tt.even)
-    return _entry("thomae_genus1", lhs, rhs, tol)
+    return identity_entry("thomae_genus1", lhs, rhs, tol)
 
 
 def _odd_labels(m: BranchMatching):
@@ -325,19 +335,12 @@ def rosenhain_defects(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching,
             for eps in evens:
                 prod *= tt.value(eps)
 
-            rhs_cl = tt.d(di, 0) * tt.d(dj, 1) - tt.d(di, 1) * tt.d(dj, 0)
-            lhs_cl = np.pi ** 2 * prod
-            sign_cl = 1 if abs(lhs_cl - rhs_cl) <= abs(-lhs_cl - rhs_cl) else -1
-            entries.append(
-                _entry(f"rosenhain_classical_{i}{j}", sign_cl * lhs_cl, rhs_cl, tol, sign=sign_cl)
-            )
-
-            rhs_hi = tt.D(di, "222") * tt.D(dj, "2") - tt.D(dj, "222") * tt.D(di, "2")
-            lhs_hi = np.pi ** 2 * det_w * prod
-            sign_hi = 1 if abs(lhs_hi - rhs_hi) <= abs(-lhs_hi - rhs_hi) else -1
-            entries.append(
-                _entry(f"rosenhain_higher_{i}{j}", sign_hi * lhs_hi, rhs_hi, tol, sign=sign_hi)
-            )
+            entries.append(_signed_entry(
+                f"rosenhain_classical_{i}{j}", np.pi ** 2 * prod,
+                tt.d(di, 0) * tt.d(dj, 1) - tt.d(di, 1) * tt.d(dj, 0), tol))
+            entries.append(_signed_entry(
+                f"rosenhain_higher_{i}{j}", np.pi ** 2 * det_w * prod,
+                tt.D(di, "222") * tt.D(dj, "2") - tt.D(dj, "222") * tt.D(di, "2"), tol))
     return IdentityDefects(tuple(entries))
 
 
@@ -381,10 +384,8 @@ def rosenhain_gamma_pairs(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatchin
             if k == i:
                 continue
             prod *= tt.value(char_add(di, char_add(m.gamma, labels[k])))
-        lhs = 2.0 * np.pi ** 2 * det_w * prod
-        rhs = tt.D(m.gamma, "222") * tt.D(di, "2")
-        sign = 1 if abs(lhs - rhs) <= abs(-lhs - rhs) else -1
-        entries.append(_entry(f"rosenhain_gamma_{i}6", sign * lhs, rhs, tol, sign=sign))
+        entries.append(_signed_entry(f"rosenhain_gamma_{i}6", 2.0 * np.pi ** 2 * det_w * prod,
+                                     tt.D(m.gamma, "222") * tt.D(di, "2"), tol))
     return IdentityDefects(tuple(entries))
 
 
@@ -398,17 +399,16 @@ def weierstrass_eta(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     if curve.genus != 1:
         raise ValueError("genus-1 curve required")
     lam2 = curve.lam_at(2)
-    scale = max(1.0, max(abs(e) for e in curve.branch_points))
-    lam2_zero = abs(lam2) < 1e-10 * scale
+    lam2_zero = abs(lam2) < 1e-10 * branch_scale(curve.branch_points)
     w = bundle.omega[0, 0]
     eta = bundle.eta[0, 0]
     odd = tt.odd[0]
     ratio3 = tt.d(odd, 0, 0, 0) / tt.d(odd, 0)
     sum2 = sum(tt.d(eps, 0, 0) / tt.value(eps) for eps in tt.even)
     entries = (
-        _entry("weierstrass_kappa", eta / (2.0 * w), lam2 / 24.0 - ratio3 / (24.0 * w ** 2), tol),
-        _entry("weierstrass_eta_sum", eta, -sum2 / (12.0 * w), tol, applicable=lam2_zero),
-        _entry("weierstrass_eta_third", eta, -ratio3 / (12.0 * w), tol, applicable=lam2_zero),
+        identity_entry("weierstrass_kappa", eta / (2.0 * w), lam2 / 24.0 - ratio3 / (24.0 * w ** 2), tol),
+        identity_entry("weierstrass_eta_sum", eta, -sum2 / (12.0 * w), tol, applicable=lam2_zero),
+        identity_entry("weierstrass_eta_third", eta, -ratio3 / (12.0 * w), tol, applicable=lam2_zero),
     )
     return IdentityDefects(entries)
 
@@ -420,22 +420,19 @@ def jacobi_inversion_check(curve: HyperellipticCurve, bundle: PeriodBundle, tt: 
     p_ab = -2 kappa_ab - Theta_ab[eps_ij]/Theta[eps_ij]; compared against
     the symmetric functions of e_i, e_j and against the two-point polar.
     """
-    e = bundle.canonical_points
-    ei, ej = e[i - 1], e[j - 1]
-    k, mm, n = (e[t - 1] for t in _pair_complement(i, j))
+    ei, ej, sym11 = _branch_pair(bundle, i, j)
     eps = even_char_for_pair(m, i, j)
     th = tt.value(eps)
     kap = bundle.kappa
     p22 = -2.0 * kap[1, 1] - tt.D(eps, "22") / th
     p12 = -2.0 * kap[0, 1] - tt.D(eps, "12") / th
     p11 = -2.0 * kap[0, 0] - tt.D(eps, "11") / th
-    sym11 = ei * ej * (k + mm + n) + k * mm * n
     polar11 = kleinian_polar(curve, ei, ej) / (4.0 * (ei - ej) ** 2)
     entries = (
-        _entry(f"jacobi_p22_{i}{j}", p22, ei + ej, tol),
-        _entry(f"jacobi_p12_{i}{j}", p12, -ei * ej, tol),
-        _entry(f"jacobi_p11_{i}{j}", p11, sym11, tol),
-        _entry(f"jacobi_p11_polar_{i}{j}", p11, polar11, tol),
+        identity_entry(f"jacobi_p22_{i}{j}", p22, ei + ej, tol),
+        identity_entry(f"jacobi_p12_{i}{j}", p12, -ei * ej, tol),
+        identity_entry(f"jacobi_p11_{i}{j}", p11, sym11, tol),
+        identity_entry(f"jacobi_p11_polar_{i}{j}", p11, polar11, tol),
     )
     return IdentityDefects(entries)
 
@@ -488,23 +485,17 @@ def omega_consistency(curve: HyperellipticCurve, bundle: PeriodBundle, tt: Theta
     dr = {1: abel_map(curve, bundle, r, rp, quad_tol=leg_tol),
           -1: abel_map(curve, bundle, r, rm, quad_tol=leg_tol)}
 
+    zero = char((0,) * tt.genus, (0,) * tt.genus)
     vals = {}
     for sq in (1, -1):
         for sr in (1, -1):
             z = a_vec + base + dq[sq] - dr[sr]
-            vals[(sq, sr)] = complex(_theta_plain(tt, z))
+            vals[(sq, sr)] = complex(theta_eval(z, tt.tau, zero, tol=tt.tol))
     ref = vals[(1, 1)]
     logs = {k: cmath.log(v / ref) for k, v in vals.items()}
     mixed = (logs[(1, 1)] - logs[(1, -1)] - logs[(-1, 1)] + logs[(-1, -1)]) / (4.0 * step * step)
     alg = omega_algebraic(curve, bundle, q, r)
     return relative_defect(alg, mixed)
-
-
-def _theta_plain(tt: ThetaTable, z: np.ndarray) -> complex:
-    from .theta import theta_eval, char
-
-    zero = char((0,) * tt.genus, (0,) * tt.genus)
-    return theta_eval(z, tt.tau, zero, tol=tt.tol)
 
 
 def omega_a_period(curve: HyperellipticCurve, bundle: PeriodBundle, j: int,

@@ -58,14 +58,20 @@ def _refine(f, a, b, whole, tol_density, depth):
     )
 
 
-def _segment_distance(z0: complex, z1: complex, p: complex) -> float:
+def _segment_foot(z0: complex, z1: complex, p: complex) -> complex:
+    """Point of the segment [z0, z1] closest to p."""
     d = z1 - z0
     L2 = abs(d) ** 2
     if L2 == 0:
-        return abs(p - z0)
+        return z0
     t = ((p - z0) * d.conjugate()).real / L2
     t = min(1.0, max(0.0, t))
-    return abs(p - (z0 + t * d))
+    return z0 + t * d
+
+
+def segment_distance(z0: complex, z1: complex, p: complex) -> float:
+    """Distance from p to the segment [z0, z1]."""
+    return abs(p - _segment_foot(z0, z1, p))
 
 
 def polyline_with_clearance(z0, z1, obstacles, clearance: float, _depth: int = 0):
@@ -82,17 +88,13 @@ def polyline_with_clearance(z0, z1, obstacles, clearance: float, _depth: int = 0
         e = complex(e)
         if abs(e - z0) < 2 * clearance or abs(e - z1) < 2 * clearance:
             continue
-        dist = _segment_distance(z0, z1, e)
+        dist = segment_distance(z0, z1, e)
         if dist < wdist:
             worst, wdist = e, dist
     if worst is None or wdist >= clearance:
         return (z0, z1)
     d = z1 - z0
-    L2 = abs(d) ** 2
-    t = ((worst - z0) * d.conjugate()).real / L2
-    t = min(1.0, max(0.0, t))
-    foot = z0 + t * d
-    away = foot - worst
+    away = _segment_foot(z0, z1, worst) - worst
     if abs(away) < 1e-14 * max(1.0, abs(worst)):
         away = 1j * d / abs(d)  # path runs through the point: detour left
     waypoint = worst + away / abs(away) * 2 * clearance

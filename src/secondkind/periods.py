@@ -26,12 +26,19 @@ the product of the continued square roots of the remaining linear factors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curves import CurvePoint, HyperellipticCurve, canonical_branch_order, second_kind_numerators
+from .curves import (
+    CurvePoint,
+    HyperellipticCurve,
+    branch_scale,
+    canonical_branch_order,
+    second_kind_numerators,
+    t_coefficients,
+)
 from .errors import HomologyConstructionFailure, PathThroughBranchPoint
 from .paths import (
     PATH_CLEARANCE,
@@ -39,12 +46,28 @@ from .paths import (
     integrate_rows_along,
     integrate_rows_to_branch_point,
     polyline_with_clearance,
+    segment_distance,
 )
 
 #: Default quadrature tolerance.
 DEFAULT_QUAD_TOL = 1e-12
 
 _QUAD_TOL_RANGE = (1e-14, 1e-6)
+
+#: Ceiling of the scaled Legendre gate.  A wrong chain orientation moves the
+#: right-hand side of the relation by a multiple of pi/2, so the gate must
+#: stay far below that whatever the period scale.
+LEGENDRE_GATE_CAP = 1e-3
+
+
+def gate_tolerances(quad_tol: float) -> tuple:
+    """(tau symmetry gate, base Legendre gate) at a quadrature tolerance.
+
+    The tau symmetry gate is relative to max |tau|.  The Legendre gate is
+    scaled by the period magnitudes in compute_periods; the base value also
+    bounds the eta' consistency.
+    """
+    return max(1e-10, 100.0 * quad_tol), max(1e-9, 1000.0 * quad_tol)
 
 
 @dataclass(frozen=True)
@@ -99,6 +122,7 @@ class PeriodBundle:
     kappa: np.ndarray
     winding: tuple | None
     legendre_defect: float
+    legendre_gate: float
     tau_asymmetry: float
     kappa_asymmetry: float
     im_tau_min_eig: float
@@ -114,10 +138,6 @@ class PeriodBundle:
     @property
     def two_omega(self) -> np.ndarray:
         return 2.0 * self.omega
-
-    @property
-    def two_omega_prime(self) -> np.ndarray:
-        return 2.0 * self.omega_prime
 
     @property
     def inv_two_omega(self) -> np.ndarray:
@@ -218,14 +238,14 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
     if g not in (1, 2):
         raise ValueError("periods implemented for genus 1 and 2 only")
     pts = canonical_branch_order(curve.branch_points)
-    scale = max(1.0, max(abs(e) for e in pts))
+    scale = branch_scale(pts)
     n_chains = 2 * g
     for k in range(n_chains):
         seg_a, seg_b = pts[k], pts[k + 1]
         for j, e in enumerate(pts):
             if j in (k, k + 1):
                 continue
-            d = _seg_dist(seg_a, seg_b, e)
+            d = segment_distance(seg_a, seg_b, e)
             if d < 1e-6 * scale:
                 raise HomologyConstructionFailure(
                     f"branch point {j} sits on segment ({k}, {k + 1}) (distance {d:.2e})"
@@ -235,8 +255,7 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
         [2.0 * segment_integral(curve, pts, k, k + 1, rows, quad_tol) for k in range(n_chains)]
     )
 
-    sym_gate = max(1e-10, 100.0 * quad_tol)
-    leg_gate = max(1e-9, 1000.0 * quad_tol)
+    sym_gate, leg_base = gate_tolerances(quad_tol)
 
     for signs in _sign_patterns(n_chains):
         cyc = chains * np.asarray(signs, dtype=float)[None, :]
@@ -257,6 +276,11 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
         if eig_min <= 0.0:
             continue
         defect = _block_legendre_defect(two_w / 2, two_wp / 2, two_e / 2, two_ep / 2)
+        # the relation is bilinear in (omega, omega') and (eta, eta'), so its
+        # roundoff grows with the product of their magnitudes
+        w_hat = 0.5 * float(np.max(np.abs(np.hstack([two_w, two_wp]))))
+        e_hat = 0.5 * float(np.max(np.abs(np.hstack([two_e, two_ep]))))
+        leg_gate = min(leg_base * max(1.0, w_hat * e_hat), LEGENDRE_GATE_CAP)
         if defect > leg_gate:
             continue
 
@@ -284,6 +308,7 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
             kappa=kappa,
             winding=winding,
             legendre_defect=defect,
+            legendre_gate=leg_gate,
             tau_asymmetry=tau_asym,
             kappa_asymmetry=kappa_asym,
             im_tau_min_eig=eig_min,
@@ -308,13 +333,6 @@ def lattice_distance(v: np.ndarray, tau: np.ndarray) -> float:
     m = np.block([[np.eye(g), tau.real], [np.zeros((g, g)), tau.imag]])
     ab = np.linalg.solve(m, np.concatenate([v.real, v.imag]))
     return float(np.max(np.abs(ab - np.round(ab))))
-
-
-def _seg_dist(z0: complex, z1: complex, p: complex) -> float:
-    d = z1 - z0
-    t = ((p - z0) * d.conjugate()).real / abs(d) ** 2
-    t = min(1.0, max(0.0, t))
-    return abs(p - (z0 + t * d))
 
 
 def _u_rows(curve: HyperellipticCurve):
@@ -345,7 +363,7 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint,
     _check_point(curve, frm)
     _check_point(curve, to)
     rows = _u_rows(curve)
-    scale = max(1.0, max(abs(e) for e in curve.branch_points))
+    scale = branch_scale(curve.branch_points)
 
     def is_branch(p: CurvePoint):
         if abs(p.y) > 1e-8 * scale:
@@ -429,14 +447,9 @@ def abel_from_infinity(curve: HyperellipticCurve, bundle: PeriodBundle,
     """
     tol = bundle.quad_tol if quad_tol is None else quad_tol
     g = curve.genus
-    scale = max(1.0, max(abs(e) for e in curve.branch_points))
-    x_far = 40.0 * scale ** 2 * np.exp(1j * np.pi / 7)
+    x_far = 40.0 * branch_scale(curve.branch_points) ** 2 * np.exp(1j * np.pi / 7)
     xi_far = 1.0 / np.sqrt(x_far)  # principal; fixes the sheet at infinity
-
-    tpoly = np.zeros(2 * (2 * g + 1) + 1, dtype=complex)
-    tpoly[0] = 1.0
-    for k in range(2 * g + 1):
-        tpoly[2 * (2 * g + 1 - k)] += curve.lam_at(k) / 4.0
+    tpoly = t_coefficients(curve)
 
     def rows_xi(t):
         xi = xi_far * t

@@ -135,15 +135,21 @@ def _pick_radius(lam_min: float, tol: float) -> int:
     raise RuntimeError("theta truncation radius exceeds 2000; tau unusable")
 
 
-def _lattice(eps: np.ndarray, center: np.ndarray, radius: int) -> np.ndarray:
-    g = len(eps)
+def _terms(eps: np.ndarray, shift: np.ndarray, tau: np.ndarray, center: np.ndarray,
+           radius: int):
+    """Lattice points q = n + eps of the box around center, and their terms.
+
+    The term of q is exp(i pi q^T tau q + 2 i pi q^T shift).
+    """
     ranges = [np.arange(c - radius, c + radius + 1) for c in center]
-    if g == 1:
+    if len(eps) == 1:
         n = ranges[0][:, None]
     else:
         a, b = np.meshgrid(ranges[0], ranges[1], indexing="ij")
         n = np.column_stack([a.ravel(), b.ravel()])
-    return n + eps[None, :]
+    q = n + eps[None, :]
+    phase = 1j * np.pi * np.einsum("ni,ij,nj->n", q, tau, q) + 2j * np.pi * q @ shift
+    return q, np.exp(phase)
 
 
 def theta_raw(z, tau, eps, eps_prime, deriv=(), tol: float = DEFAULT_THETA_TOL,
@@ -169,12 +175,7 @@ def theta_raw(z, tau, eps, eps_prime, deriv=(), tol: float = DEFAULT_THETA_TOL,
     # recentre the summation box on the maximum of the Gaussian envelope
     c = np.linalg.solve(y, z.imag)
     center = np.rint(-eps - c).astype(int)
-    q = _lattice(eps, center, radius)
-    phase = (
-        1j * np.pi * np.einsum("ni,ij,nj->n", q, tau, q)
-        + 2j * np.pi * q @ (z + eps_prime)
-    )
-    terms = np.exp(phase)
+    q, terms = _terms(eps, z + eps_prime, tau, center, radius)
     factor = np.ones(len(q), dtype=complex)
     for axis, power in enumerate(deriv):
         if power:
@@ -269,12 +270,9 @@ class ThetaTable:
         return self.directional[ch][key]
 
 
-def _entry_for(ch_eps, ch_eps_prime, tau, lam_min, tol, g):
+def _entry_for(ch_eps, ch_eps_prime, tau, lam_min, tol):
     radius = _pick_radius(lam_min, tol)
-    center = np.rint(-ch_eps).astype(int)
-    q = _lattice(ch_eps, center, radius)
-    phase = 1j * np.pi * np.einsum("ni,ij,nj->n", q, tau, q) + 2j * np.pi * q @ ch_eps_prime
-    terms = np.exp(phase)
+    q, terms = _terms(ch_eps, ch_eps_prime, tau, np.rint(-ch_eps).astype(int), radius)
     qf = 2j * np.pi * q
     value = complex(np.sum(terms))
     grad = np.einsum("n,ni->i", terms, qf)
@@ -303,7 +301,7 @@ def theta_table(bundle_or_tau, tol: float = DEFAULT_THETA_TOL, winding=None) -> 
         u = np.asarray(winding[0], dtype=complex)
         v = np.asarray(winding[1], dtype=complex)
     for ch in all_characteristics(g):
-        value, grad, hess, third, radius = _entry_for(ch.eps, ch.eps_prime, tau, lam_min, tol, g)
+        value, grad, hess, third, radius = _entry_for(ch.eps, ch.eps_prime, tau, lam_min, tol)
         entries[ch] = CharEntry(
             ch,
             value,

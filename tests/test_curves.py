@@ -10,6 +10,7 @@ from secondkind.curves import (
     canonical_branch_order,
     kleinian_polar,
     second_kind_numerators,
+    t_coefficients,
 )
 from secondkind.errors import DegenerateCurve
 
@@ -92,6 +93,18 @@ def test_second_kind_numerators_standard_curve(standard_curve):
     q1, q2 = second_kind_numerators(standard_curve)
     np.testing.assert_allclose(q1, [0.0, -20.0, 0.0, 12.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(q2, [0.0, 0.0, 4.0, 0.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("fixture", ["generic_g1_curve", "skew_curve"])
+def test_t_coefficients_give_the_curve_at_infinity(fixture, request):
+    # y^2 = 4 x^(2g+1) T(xi) with xi = x^(-1/2); T is even, so either root works
+    curve = request.getfixturevalue(fixture)
+    n = 2 * curve.genus + 1
+    t = t_coefficients(curve)
+    assert t[0] == 1.0 and not np.any(t[1::2])
+    for x in (0.7 + 0.4j, -1.9 + 0.2j, 3.1 - 2.5j, 40.0):
+        rhs = 4.0 * x ** n * np.polynomial.polynomial.polyval(x ** -0.5, t)
+        assert abs(curve.y_squared(x) - rhs) < 1e-12 * 4.0 * abs(x) ** n * np.sum(np.abs(t))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,13 +1,19 @@
 """Connection expansions at infinity and the kappa coefficient match."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from secondkind import (
+    bolza_match,
+    compute_periods,
+    curve_from_branch_points,
     expansion_match,
     kappa_from_expansion,
     sfw_series,
     skw_series,
+    theta_table,
 )
 from secondkind.errors import GammaCharacteristic, IncompatibleSystem
 from secondkind.expansion import local_frame, _x_power
@@ -125,6 +131,7 @@ def test_match_report_contents(standard_curve, standard_bundle, standard_table,
     out = expansion_match(standard_curve, standard_bundle, standard_table,
                           standard_matching)
     assert out["residual"] < 1e-10
+    assert out["condition"] < 1e4
     assert set(out["basis"]) == {(1, 1), (1, 2), (2, 2)}
     assert out["kappa"].shape == (2, 2)
     assert np.max(np.abs(out["kappa"] - out["kappa"].T)) < 1e-12
@@ -144,3 +151,20 @@ def test_inconsistent_inputs_are_refused(standard_curve, standard_bundle,
     with pytest.raises(IncompatibleSystem):
         kappa_from_expansion(standard_curve, standard_bundle, skew_table,
                              skew_matching)
+
+
+@pytest.mark.parametrize("points", [
+    (-2000.0, -1000.0, 0.0, 1000.0, 2000.0),
+    (-100.0, -1.0, 0.0, 1.0, 100.0),
+])
+def test_ill_conditioned_system_is_refused(points):
+    # both residuals pass the gate (3e-9 and 1.4e-13) while the solved kappa
+    # is wrong by 100%: cond(A) is 4.5e14 and 5.8e15
+    curve = curve_from_branch_points(points)
+    bundle = compute_periods(curve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small Im tau is flagged, not refused
+        tt = theta_table(bundle)
+    m = bolza_match(tt, curve)
+    with pytest.raises(IncompatibleSystem, match="condition number"):
+        kappa_from_expansion(curve, bundle, tt, m)

@@ -14,7 +14,8 @@ from secondkind import (
     lattice_distance,
     legendre_defect,
 )
-from secondkind.periods import a_cycle_integral, chain_intersection_matrix
+from secondkind.cli import random_curve
+from secondkind.periods import LEGENDRE_GATE_CAP, a_cycle_integral, chain_intersection_matrix
 
 
 # y^2 = 4x^3 - 4x has square symmetry: tau = i and the real half-period
@@ -67,6 +68,23 @@ def test_seeded_random_curves_certify(rng):
         b = compute_periods(curve, quad_tol=1e-11)
         assert b.legendre_defect < 1e-8
         assert b.im_tau_min_eig > 0.0
+
+
+def test_legendre_gate_follows_the_period_scale(standard_curve, standard_bundle):
+    # a shift leaves tau and the chain orientation unchanged but multiplies
+    # |eta|, and with it the Legendre roundoff (1.2e-7 at +50); an absolute
+    # gate refused the standard curve from +21.5 and most random ones at +20
+    rng = np.random.default_rng(0)
+    cases = [(standard_bundle, tuple(e + c for e in standard_curve.branch_points))
+             for c in (30.0, 50.0, 1000.0)]
+    for _ in range(3):
+        curve = random_curve(rng)
+        cases.append((compute_periods(curve), tuple(e + 20.0 for e in curve.branch_points)))
+    for ref, shifted in cases:
+        b = compute_periods(curve_from_branch_points(shifted))
+        assert b.homology.chain_signs == ref.homology.chain_signs
+        assert np.max(np.abs(b.tau - ref.tau)) < 1e-10
+        assert b.legendre_defect <= b.legendre_gate <= LEGENDRE_GATE_CAP
 
 
 def test_a_cycle_recovers_first_kind_columns(standard_curve, standard_bundle):
