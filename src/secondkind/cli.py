@@ -308,14 +308,14 @@ def _expand_report(curve, bundle, tt, m, order) -> dict:
 # -------------------------------------------------------------- verify suite
 
 def _gate_entries(bundle) -> list:
-    sym_tol, lg_tol = gate_tolerances(bundle.quad_tol)
+    sym_tol, _ = gate_tolerances(bundle.quad_tol)
     eig = float(bundle.im_tau_min_eig)
     return [
         _scalar("gate_legendre", bundle.legendre_defect, bundle.legendre_gate),
         _scalar("gate_tau_asymmetry", bundle.tau_asymmetry, sym_tol),
         IdentityEntry("gate_im_tau_positive", complex(eig), 0j,
                       max(0.0, -eig), None, "pass" if eig > 0 else "fail"),
-        _scalar("gate_eta_prime_consistency", bundle.eta_prime_consistency, lg_tol),
+        _scalar("gate_eta_prime_consistency", bundle.eta_prime_consistency, bundle.eta_prime_gate),
     ]
 
 

@@ -1,12 +1,24 @@
 """Local expansions at infinity and recovery of kappa by series matching.
 
 The local parameter at the infinite point is xi with x = 1/xi^2, under
-which y = 2 xi^-(2g+1) sqrt(T(xi)) for an even polynomial T with unit
-constant term.  Both projective-connection representations are expanded in
-xi: the algebraic side (Schwarzian of x, the y''/y term, the Baker pairing,
-and the kappa quadratic form) and the theta side (built from H, Q, T
-contractions of theta derivatives with the normalized differentials).
-Equating coefficients yields an affine system for the kappa entries.
+which y = 2 xi^-(2g+1) S(xi), S = sqrt(T), for an even polynomial T with
+unit constant term.  Both projective-connection representations are
+expanded in xi: the algebraic side (Schwarzian of x, the y''/y term, the
+Baker pairing, and the kappa quadratic form) and the theta side (built from
+H, Q, T contractions of theta derivatives with the normalized
+differentials).  Equating coefficients yields an affine system for the
+kappa entries.
+
+``local_frame`` is built once per curve and order.  It holds dense
+coefficient arrays on the window xi^0..xi^(order+2): S, s = 1/S, the
+differentials g_a = u_a/dxi = -xi^(2(g-a)) s stacked as G, their products
+g_a g_b and g_a g_b g_c, and the Baker pairing.  Every quantity is a power
+series there, so products and reciprocals are known on the whole window;
+the Laurent factors xi^-2 are exact, and the two derivatives of H cost the
+two extra orders.  The theta side takes all admissible characteristics at
+once: H, Q, T are matrix products of the contracted derivative tensors with
+G, GG, GGG, and 1/H is one row-wise reciprocal.  Only the returned series
+are ``TruncatedSeries``, each truncated to ``order``.
 
 The branch of y at infinity is fixed to the + square root.  Flipping it
 negates every g_a and h_a simultaneously, which leaves both connection
@@ -21,7 +33,7 @@ import numpy as np
 from .curves import HyperellipticCurve, second_kind_numerators, t_coefficients
 from .errors import GammaCharacteristic, IncompatibleSystem
 from .periods import PeriodBundle
-from .series import TruncatedSeries, schwarzian
+from .series import TruncatedSeries, mul_rows, reciprocal_rows, sqrt_coeffs
 from .theta import Characteristic, ThetaTable
 
 #: Default truncation order for connection expansions.
@@ -32,35 +44,54 @@ DEFAULT_ORDER = 12
 RESIDUAL_TOL = 1e-6
 
 
-def local_frame(curve: HyperellipticCurve, order: int) -> dict:
-    """Series of x, y and the integrands of u_i and r_j at infinity.
+def _fit(c: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
+    """xi^shift c on the window xi^0..xi^(n-1)."""
+    out = np.zeros(n, dtype=complex)
+    c = c[: max(n - shift, 0)]
+    out[shift : shift + len(c)] = c
+    return out
 
-    g[a] is u_(a+1)/dxi and h[a] is r_(a+1)/dxi, both to the working order.
+
+def local_frame(curve: HyperellipticCurve, order: int) -> dict:
+    """Dense power series at infinity on xi^0..xi^(order+2).
+
+    "S" is sqrt(T) and "s" its reciprocal; "g" stacks g_a = u_a/dxi, "gg"
+    and "ggg" the products g_a g_b and g_a g_b g_c (row-major in a, b, c),
+    and "gh" is xi^2 sum_a g_a h_a with h_a = r_a/dxi.
     """
     g = curve.genus
-    work = order + 4 * g + 8
-    x = TruncatedSeries.exact(-2, [1.0])
-    xp = x.diff()
-    t = TruncatedSeries.exact(0, t_coefficients(curve)).truncate(work)
-    sqrt_t = t.sqrt()
-    y = 2.0 * TruncatedSeries.exact(-(2 * g + 1), [1.0]) * sqrt_t
-    inv_sqrt_t = sqrt_t.reciprocal()
-    gs = [
-        -TruncatedSeries.exact(2 * (g - a), [1.0]) * inv_sqrt_t
-        for a in range(1, g + 1)
-    ]
-    hs = []
-    for q in second_kind_numerators(curve):
-        qx = TruncatedSeries.constant(0.0)
-        for k, coef in enumerate(q):
-            if coef != 0:
-                qx = qx + complex(coef) * _x_power(k)
-        hs.append(qx * xp / (4.0 * y))
-    return {"x": x, "xp": xp, "y": y, "g": gs, "h": hs, "order": order}
+    n = order + 3
+    big_s = sqrt_coeffs(_fit(t_coefficients(curve), n))
+    s = reciprocal_rows(big_s)
+    gs = np.stack([-_fit(s, n, 2 * (g - a)) for a in range(1, g + 1)])
+    gg = mul_rows(gs[:, None], gs[None, :]).reshape(g * g, n)
+    ggg = mul_rows(gg[:, None], gs[None, :]).reshape(g ** 3, n)
+    # g_a h_a = xi^-2 Q_a s^2 / 4 with Q_a(xi) = xi^(4g-2a) q_a(xi^-2), a
+    # polynomial because the top entry of q_a carries lam_(2g+2) = 0
+    q_sum = np.zeros(4 * g + 1, dtype=complex)
+    for a, q in enumerate(second_kind_numerators(curve), start=1):
+        q_sum[: 2 * (2 * g - a) + 1 : 2] += q[2 * g - a :: -1]
+    gh = 0.25 * mul_rows(_fit(q_sum, n), mul_rows(s, s))
+    return {"S": big_s, "s": s, "g": gs, "gg": gg, "ggg": ggg, "gh": gh, "order": order}
 
 
-def _x_power(k: int) -> TruncatedSeries:
-    return TruncatedSeries.exact(-2 * k, [1.0])
+def _skw_rows(fr: dict):
+    """Base and kappa basis of the algebraic side on xi^-2..xi^order.
+
+    With y = 2 xi^-m S, m = 2g+1, and the Euler operator E = xi d/dxi:
+    {x, xi} = -3/2 xi^-2 and (y_xx / y) x'^2 = xi^-2 [(E+2-m)(E-m) S] / S.
+    """
+    g = fr["g"].shape[0]
+    k = np.arange(len(fr["S"]))
+    m = 2 * g + 1
+    base = 6.0 * fr["gh"] - 1.5 * mul_rows((k + 2 - m) * (k - m) * fr["S"], fr["s"])
+    base[0] -= 1.5
+    basis = {}
+    for a in range(1, g + 1):
+        for b in range(a, g + 1):
+            mult = 12.0 if a == b else 24.0
+            basis[(a, b)] = _fit(mult * fr["gg"][(a - 1) * g + b - 1], len(k), 2)
+    return base, basis
 
 
 def skw_series(curve: HyperellipticCurve, kappa=None, order: int = DEFAULT_ORDER):
@@ -72,78 +103,58 @@ def skw_series(curve: HyperellipticCurve, kappa=None, order: int = DEFAULT_ORDER
     xi^-2 coefficients of the base cancel between the three terms; the
     cancellation is left in place as a numerical structural check.
     """
-    g = curve.genus
-    fr = local_frame(curve, order)
-    x, xp, y, gs, hs = fr["x"], fr["xp"], fr["y"], fr["g"], fr["h"]
-
-    sx = schwarzian(x)
-    y_x = y.diff() / xp
-    y_xx = y_x.diff() / xp
-    base = sx - 1.5 * (y_xx / y) * (xp * xp)
-    for a in range(g):
-        base = base + 6.0 * gs[a] * hs[a]
-    base = base.truncate(order)
-
-    basis = {}
-    for a in range(1, g + 1):
-        for b in range(a, g + 1):
-            mult = 12.0 if a == b else 24.0
-            basis[(a, b)] = (mult * gs[a - 1] * gs[b - 1]).truncate(order)
+    base, basis = _skw_rows(local_frame(curve, order))
     if kappa is None:
-        return base, basis
+        return (TruncatedSeries.make(-2, base, order),
+                {key: TruncatedSeries.make(-2, c, order) for key, c in basis.items()})
     kappa = np.asarray(kappa)
-    out = base
-    for (a, b), s in basis.items():
-        out = out + complex(kappa[a - 1, b - 1]) * s
-    return out.truncate(order)
+    for (a, b), c in basis.items():
+        base = base + complex(kappa[a - 1, b - 1]) * c
+    return TruncatedSeries.make(-2, base, order)
+
+
+def _sfw_rows(fr: dict, bundle: PeriodBundle, tt: ThetaTable, chars) -> np.ndarray:
+    """Theta-side connection on xi^0..xi^order, one row per characteristic.
+
+    H, Q, T are the degree-1..3 contractions of the theta derivatives at the
+    half-period of each characteristic with the normalized differential
+    frame, and the connection is H''/H - 3/2 (H'/H)^2 + 3/2 (Q/H)^2 - 2 T/H.
+    """
+    w = bundle.inv_two_omega
+    ents = [tt.entry(ch) for ch in chars]
+    grad = np.einsum("ci,ia->ca", np.stack([e.grad_arr() for e in ents]), w)
+    hess = np.einsum("cij,ia,jb->cab", np.stack([e.hess_arr() for e in ents]), w, w)
+    third = np.einsum("cijk,ia,jb,kd->cabd", np.stack([e.third_arr() for e in ents]), w, w, w)
+
+    big = np.max(np.abs(grad), axis=1)
+    if np.any(np.abs(grad[:, -1]) < 1e-8 * np.maximum(big, 1e-300)):
+        raise GammaCharacteristic("leading H coefficient vanishes; characteristic inadmissible")
+
+    n = fr["order"] + 1
+    # einsum, not @: at these sizes a complex BLAS call costs resident memory, not time
+    h = np.einsum("ca,ak->ck", grad, fr["g"])
+    q = np.einsum("ca,ak->ck", hess.reshape(len(ents), -1), fr["gg"])
+    t3 = np.einsum("ca,ak->ck", third.reshape(len(ents), -1), fr["ggg"])
+    k = np.arange(1, h.shape[1])
+    h1 = h[:, 1:] * k
+    h2 = h1[:, 1:] * k[:-1]
+    ratio, q_h, rest = mul_rows(np.stack([h1[:, :n], q[:, :n], h2 - 2.0 * t3[:, :n]]),
+                                reciprocal_rows(h)[:, :n])
+    sq = mul_rows(np.stack([ratio, q_h]), np.stack([ratio, q_h]))
+    return rest - 1.5 * sq[0] + 1.5 * sq[1]
 
 
 def sfw_series(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
                m, odd_char: Characteristic, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Theta-side projective connection expanded at infinity.
 
-    H, Q, T are degree-1..3 contractions of the theta derivatives at the
-    half-period of odd_char with the normalized differential frame.  The
-    characteristic must satisfy the admissibility condition (H does not
+    The characteristic must satisfy the admissibility condition (H does not
     vanish at infinity); gamma violates it.
     """
     if m is not None and odd_char == getattr(m, "gamma", None):
         raise GammaCharacteristic("H vanishes at infinity for the Riemann-constant characteristic")
-    g = curve.genus
-    fr = local_frame(curve, order)
-    gs = fr["g"]
-    w = bundle.inv_two_omega
-    ent = tt.entry(odd_char)
-    grad_w = w.T @ ent.grad_arr()
-    hess_w = w.T @ ent.hess_arr() @ w
-    third_w = np.einsum("ijk,ia,jb,kc->abc", ent.third_arr(), w, w, w)
-
-    big = float(np.max(np.abs(grad_w)))
-    if abs(grad_w[-1]) < 1e-8 * max(big, 1e-300):
-        raise GammaCharacteristic("leading H coefficient vanishes; characteristic inadmissible")
-
-    h = TruncatedSeries.constant(0.0)
-    for a in range(g):
-        h = h + complex(grad_w[a]) * gs[a]
-    q = TruncatedSeries.constant(0.0)
-    t3 = TruncatedSeries.constant(0.0)
-    for a in range(g):
-        for b in range(g):
-            q = q + complex(hess_w[a, b]) * gs[a] * gs[b]
-            for c in range(g):
-                t3 = t3 + complex(third_w[a, b, c]) * gs[a] * gs[b] * gs[c]
-
-    h1 = h.diff()
-    h2 = h1.diff()
-    ratio = h1 / h
-    out = h2 / h - 1.5 * (ratio * ratio) + 1.5 * (q / h) * (q / h) - 2.0 * (t3 / h)
-    return out.truncate(order)
-
-
-def _admissible_chars(tt: ThetaTable, m) -> list:
-    if tt.genus == 1:
-        return list(tt.odd)
-    return [ch for ch in m.chars]
+    rows = _sfw_rows(local_frame(curve, order), bundle, tt, [odd_char])
+    return TruncatedSeries.make(0, rows[0], order)
 
 
 def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
@@ -154,23 +165,20 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     truncation order, across every admissible odd characteristic, and
     solved by least squares.  Returns the base and kappa-basis series, the
     theta-side series per characteristic, the solved kappa, the relative
-    residual and the condition number of the system, without gating.
+    residual, and the rank and condition number of the system, without
+    gating.
     """
     g = curve.genus
-    base, basis = skw_series(curve, kappa=None, order=order)
+    fr = local_frame(curve, order)
+    base, basis = _skw_rows(fr)
     keys = sorted(basis.keys())
-    rows = []
-    rhs = []
-    sides = {}
-    for ch in _admissible_chars(tt, m):
-        sfw = sfw_series(curve, bundle, tt, m, ch, order=order)
-        sides[ch] = sfw
-        for n in range(-2, order + 1, 2):
-            rows.append([basis[k].coeff(n) for k in keys])
-            rhs.append(sfw.coeff(n) - base.coeff(n))
-    a = np.asarray(rows)
-    b = np.asarray(rhs)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    chars = list(tt.odd) if g == 1 else list(m.chars)
+    sides = _sfw_rows(fr, bundle, tt, chars)
+    # even exponents xi^-2, xi^0, ..., xi^order; the theta side has no xi^-2 term
+    even = slice(0, None, 2)
+    a = np.tile(np.stack([basis[k][even] for k in keys], axis=1), (len(chars), 1))
+    b = (np.pad(sides, ((0, 0), (2, 0)))[:, even] - base[even]).ravel()
+    sol, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
     resid = float(np.max(np.abs(a @ sol - b)))
     scale = max(1.0, float(np.max(np.abs(b))))
     kappa = np.zeros((g, g), dtype=complex)
@@ -178,12 +186,13 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
         kappa[aa - 1, bb - 1] = sol[k]
         kappa[bb - 1, aa - 1] = sol[k]
     return {
-        "base": base,
-        "basis": basis,
-        "theta_side": sides,
+        "base": TruncatedSeries.make(-2, base, order),
+        "basis": {key: TruncatedSeries.make(-2, c, order) for key, c in basis.items()},
+        "theta_side": {ch: TruncatedSeries.make(0, row, order) for ch, row in zip(chars, sides)},
         "kappa": kappa,
         "residual": resid / scale,
-        "condition": float(np.linalg.cond(a)),
+        "condition": float(sv[0] / sv[-1]),
+        "rank": int(rank),
         "order": order,
     }
 

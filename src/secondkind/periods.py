@@ -54,20 +54,25 @@ DEFAULT_QUAD_TOL = 1e-12
 
 _QUAD_TOL_RANGE = (1e-14, 1e-6)
 
-#: Ceiling of the scaled Legendre gate.  A wrong chain orientation moves the
-#: right-hand side of the relation by a multiple of pi/2, so the gate must
-#: stay far below that whatever the period scale.
+#: Ceiling of the scaled Legendre and eta' gates.  A wrong chain orientation
+#: moves the right-hand side of the relation by a multiple of pi/2, so the
+#: gate must stay far below that whatever the period scale.
 LEGENDRE_GATE_CAP = 1e-3
 
 
 def gate_tolerances(quad_tol: float) -> tuple:
     """(tau symmetry gate, base Legendre gate) at a quadrature tolerance.
 
-    The tau symmetry gate is relative to max |tau|.  The Legendre gate is
-    scaled by the period magnitudes in compute_periods; the base value also
-    bounds the eta' consistency.
+    The tau symmetry gate is relative to max |tau|.  The base Legendre gate
+    is scaled by the magnitudes it checks (``_scaled_gate``) for the
+    Legendre relation and the eta' consistency.
     """
     return max(1e-10, 100.0 * quad_tol), max(1e-9, 1000.0 * quad_tol)
+
+
+def _scaled_gate(base: float, magnitude: float) -> float:
+    """The base gate grown with the magnitude of what it checks, capped."""
+    return min(base * max(1.0, magnitude), LEGENDRE_GATE_CAP)
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,7 @@ class PeriodBundle:
     winding: tuple | None
     legendre_defect: float
     legendre_gate: float
+    eta_prime_gate: float
     tau_asymmetry: float
     kappa_asymmetry: float
     im_tau_min_eig: float
@@ -280,7 +286,7 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
         # roundoff grows with the product of their magnitudes
         w_hat = 0.5 * float(np.max(np.abs(np.hstack([two_w, two_wp]))))
         e_hat = 0.5 * float(np.max(np.abs(np.hstack([two_e, two_ep]))))
-        leg_gate = min(leg_base * max(1.0, w_hat * e_hat), LEGENDRE_GATE_CAP)
+        leg_gate = _scaled_gate(leg_base, w_hat * e_hat)
         if defect > leg_gate:
             continue
 
@@ -290,6 +296,9 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
         kappa = 0.5 * (kappa_raw + kappa_raw.T)
         eta_p_pred = kappa @ two_wp - 1j * np.pi * inv_two_w.T
         eta_p_cons = float(np.max(np.abs(eta_p_pred - two_ep / 2)))
+        # the roundoff of the consistency grows with |eta'| as the
+        # Legendre roundoff grows with the products of the periods
+        eta_p_gate = _scaled_gate(leg_base, 0.5 * float(np.max(np.abs(two_ep))))
         winding = None
         if g == 2:
             winding = (inv_two_w[:, 0].copy(), inv_two_w[:, 1].copy())
@@ -309,6 +318,7 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
             winding=winding,
             legendre_defect=defect,
             legendre_gate=leg_gate,
+            eta_prime_gate=eta_p_gate,
             tau_asymmetry=tau_asym,
             kappa_asymmetry=kappa_asym,
             im_tau_min_eig=eig_min,

@@ -192,13 +192,8 @@ class TruncatedSeries:
             if len(c) == 1:
                 return TruncatedSeries(-self.e0, (1.0 / c[0],), INF_ORDER)
             raise ValueError("reciprocal of an exact polynomial is not polynomial; truncate() first")
-        n = len(c)
-        d = np.zeros(n, dtype=complex)
-        d[0] = 1.0 / c[0]
-        for k in range(1, n):
-            d[k] = -np.dot(c[1 : k + 1], d[k - 1 :: -1]) / c[0]
         # b = xi^L (c0 + ...), known to order T: 1/b known on [-L, T - 2L]
-        return TruncatedSeries.make(-self.e0, d, self.order - 2 * self.e0)
+        return TruncatedSeries.make(-self.e0, reciprocal_rows(c), self.order - 2 * self.e0)
 
     def sqrt(self) -> "TruncatedSeries":
         """Principal square root; needs even valuation and nonzero lead."""
@@ -211,13 +206,7 @@ class TruncatedSeries:
             if len(c) == 1:
                 return TruncatedSeries(self.e0 // 2, (complex(np.sqrt(c[0])),), INF_ORDER)
             raise ValueError("sqrt of an exact polynomial is not polynomial; truncate() first")
-        n = len(c)
-        s = np.zeros(n, dtype=complex)
-        s[0] = np.sqrt(c[0])
-        for k in range(1, n):
-            acc = c[k] - np.dot(s[1:k], s[k - 1 : 0 : -1])
-            s[k] = acc / (2 * s[0])
-        return TruncatedSeries.make(self.e0 // 2, s, self.order - self.e0 // 2)
+        return TruncatedSeries.make(self.e0 // 2, sqrt_coeffs(c), self.order - self.e0 // 2)
 
     def diff(self) -> "TruncatedSeries":
         ks = self.e0 + np.arange(len(self.coeffs))
@@ -256,6 +245,38 @@ class TruncatedSeries:
         if order != INF_ORDER:
             acc = acc.truncate(min(acc.order, order)) if acc.order != INF_ORDER else acc.truncate(order)
         return acc
+
+
+# -- dense power series ------------------------------------------------------
+# c[..., k] is the coefficient of xi^k; a product, reciprocal or root of series
+# known on xi^0..xi^(n-1) is known there too, so the kernels keep the length.
+
+
+def mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise product a * b on the common window; leading axes broadcast."""
+    n = a.shape[-1]
+    lag = np.subtract.outer(np.arange(n), np.arange(n))  # lag[k, i] = k - i
+    toeplitz = np.where(lag >= 0, b[..., np.maximum(lag, 0)], 0.0)
+    # einsum, not @: at these sizes a complex BLAS call costs resident memory, not time
+    return np.einsum("...ki,...i->...k", toeplitz, a)
+
+
+def reciprocal_rows(c: np.ndarray) -> np.ndarray:
+    """Row-wise 1/c by the triangular recurrence; needs c[..., 0] != 0."""
+    d = np.zeros_like(c)
+    d[..., 0] = 1.0 / c[..., 0]
+    for k in range(1, c.shape[-1]):
+        d[..., k] = -np.sum(c[..., 1 : k + 1] * d[..., k - 1 :: -1], axis=-1) / c[..., 0]
+    return d
+
+
+def sqrt_coeffs(c: np.ndarray) -> np.ndarray:
+    """Principal square root of one power series; needs c[0] != 0."""
+    s = np.zeros(len(c), dtype=complex)
+    s[0] = np.sqrt(c[0])
+    for k in range(1, len(c)):
+        s[k] = (c[k] - np.dot(s[1:k], s[k - 1 : 0 : -1])) / (2 * s[0])
+    return s
 
 
 def _coerce(v) -> TruncatedSeries:

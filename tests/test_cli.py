@@ -113,6 +113,17 @@ def test_verify_full_seeded(capsys):
     assert any(n.startswith("random_genus1") for n in names)
 
 
+def test_eta_prime_gate_follows_the_period_scale(capsys):
+    # max|eta'| is about 1.7e5 on this translate of the standard curve and
+    # the consistency defect 1.4e-9, over the absolute base gate of 1e-9
+    curve = json.dumps({"branch_points": [48, 49, 50, 51, 52]})
+    _, rep = _run_json(capsys, ["verify", "--curve", curve])
+    entry, = [c for c in rep["curves"][0]["checks"]
+              if c["identity"] == "gate_eta_prime_consistency"]
+    assert entry["defect"] > 1e-9
+    assert entry["status"] == "pass"
+
+
 # ----------------------------------------------------------- bad input
 
 def test_degenerate_curve_is_reported(capsys):

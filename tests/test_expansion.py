@@ -15,8 +15,11 @@ from secondkind import (
     skw_series,
     theta_table,
 )
+from secondkind import expansion
+from secondkind.curves import second_kind_numerators, t_coefficients
 from secondkind.errors import GammaCharacteristic, IncompatibleSystem
-from secondkind.expansion import local_frame, _x_power
+from secondkind.expansion import local_frame
+from secondkind.series import TruncatedSeries, mul_rows, schwarzian
 
 
 def _coeff_map(series, lo, hi):
@@ -55,18 +58,15 @@ def test_no_pole_in_connection(standard_curve, standard_bundle):
 
 
 def test_local_frame_reproduces_curve(standard_curve):
+    # y = 2 xi^-5 S, so y^2 = 4 xi^-10 S^2 must equal sum_k lam_k xi^-2k
+    # on the whole window of the frame
     fr = local_frame(standard_curve, 10)
-    y = fr["y"]
-    lhs = y * y
-    rhs = None
-    for k in range(6):
-        lam = standard_curve.lam_at(k)
-        if lam == 0:
-            continue
-        term = lam * _x_power(k)
-        rhs = term if rhs is None else rhs + term
-    for k in range(-10, 5):
-        assert abs(lhs.coeff(k) - rhs.coeff(k)) < 1e-12
+    y2 = 4.0 * mul_rows(fr["S"], fr["S"])
+    assert len(y2) == 13
+    for j, c in enumerate(y2):
+        k = 5 - j // 2
+        want = standard_curve.lam_at(k) if j % 2 == 0 and k >= 0 else 0.0
+        assert abs(c - want) < 1e-12, j
 
 
 # ----------------------------------------------------------- theta side
@@ -114,6 +114,7 @@ def test_kappa_recovery_genus1(fixture_prefix, request):
     tt = request.getfixturevalue(f"{fixture_prefix}_table")
     kap = kappa_from_expansion(curve, bundle, tt)
     assert np.max(np.abs(kap - bundle.kappa)) < 1e-10
+    assert expansion_match(curve, bundle, tt)["rank"] == 1
 
 
 @pytest.mark.parametrize("fixture_prefix", ["standard", "skew"])
@@ -132,6 +133,7 @@ def test_match_report_contents(standard_curve, standard_bundle, standard_table,
                           standard_matching)
     assert out["residual"] < 1e-10
     assert out["condition"] < 1e4
+    assert out["rank"] == 3
     assert set(out["basis"]) == {(1, 1), (1, 2), (2, 2)}
     assert out["kappa"].shape == (2, 2)
     assert np.max(np.abs(out["kappa"] - out["kappa"].T)) < 1e-12
@@ -168,3 +170,113 @@ def test_ill_conditioned_system_is_refused(points):
     m = bolza_match(tt, curve)
     with pytest.raises(IncompatibleSystem, match="condition number"):
         kappa_from_expansion(curve, bundle, tt, m)
+
+
+# ------------------------------------------- the dense kernel, by oracle
+
+def _reference_match(curve, bundle, tt, chars, order):
+    """Both connection sides built object by object from TruncatedSeries.
+
+    The construction the dense kernel replaced: every intermediate is a
+    series with its own pessimistic order bookkeeping.
+    """
+    g = curve.genus
+    work = order + 4 * g + 8
+    x = TruncatedSeries.exact(-2, [1.0])
+    xp = x.diff()
+    sqrt_t = TruncatedSeries.exact(0, t_coefficients(curve)).truncate(work).sqrt()
+    y = 2.0 * TruncatedSeries.exact(-(2 * g + 1), [1.0]) * sqrt_t
+    gs = [-TruncatedSeries.exact(2 * (g - a), [1.0]) * sqrt_t.reciprocal()
+          for a in range(1, g + 1)]
+    base = schwarzian(x) - 1.5 * ((y.diff() / xp).diff() / xp / y) * (xp * xp)
+    for a, q in enumerate(second_kind_numerators(curve)):
+        qx = TruncatedSeries.constant(0.0)
+        for k, coef in enumerate(q):
+            qx = qx + complex(coef) * TruncatedSeries.exact(-2 * k, [1.0])
+        base = base + 6.0 * gs[a] * (qx * xp / (4.0 * y))
+    basis = {(a, b): ((12.0 if a == b else 24.0) * gs[a - 1] * gs[b - 1]).truncate(order)
+             for a in range(1, g + 1) for b in range(a, g + 1)}
+    w = bundle.inv_two_omega
+    sides = {}
+    for ch in chars:
+        ent = tt.entry(ch)
+        grad_w = w.T @ ent.grad_arr()
+        hess_w = w.T @ ent.hess_arr() @ w
+        third_w = np.einsum("ijk,ia,jb,kc->abc", ent.third_arr(), w, w, w)
+        h = q = t3 = TruncatedSeries.constant(0.0)
+        for a in range(g):
+            h = h + complex(grad_w[a]) * gs[a]
+            for b in range(g):
+                q = q + complex(hess_w[a, b]) * gs[a] * gs[b]
+                for c in range(g):
+                    t3 = t3 + complex(third_w[a, b, c]) * gs[a] * gs[b] * gs[c]
+        ratio = h.diff() / h
+        out = (h.diff().diff() / h - 1.5 * (ratio * ratio)
+               + 1.5 * (q / h) * (q / h) - 2.0 * (t3 / h))
+        sides[ch] = out.truncate(order)
+    return base.truncate(order), basis, sides
+
+
+_CURVES = [("standard", True), ("skew", True), ("lemniscatic", False),
+           ("generic_g1", False)]
+
+
+def _pipeline(prefix, genus2, request):
+    curve = request.getfixturevalue(f"{prefix}_curve")
+    bundle = request.getfixturevalue(f"{prefix}_bundle")
+    tt = request.getfixturevalue(f"{prefix}_table")
+    m = request.getfixturevalue(f"{prefix}_matching") if genus2 else None
+    return curve, bundle, tt, m
+
+
+def _returned_series(out):
+    yield "base", out["base"]
+    for key, s in sorted(out["basis"].items()):
+        yield key, s
+    for ch, s in out["theta_side"].items():
+        yield ch, s
+
+
+@pytest.mark.parametrize("prefix, genus2", _CURVES)
+def test_dense_kernel_matches_series_construction(prefix, genus2, request):
+    curve, bundle, tt, m = _pipeline(prefix, genus2, request)
+    out = expansion_match(curve, bundle, tt, m)
+    base, basis, sides = _reference_match(curve, bundle, tt, list(out["theta_side"]),
+                                          out["order"])
+    ref = dict(_returned_series({"base": base, "basis": basis, "theta_side": sides}))
+    for key, s in _returned_series(out):
+        r = ref[key]
+        assert (s.e0, s.order) == (r.e0, r.order), key
+        scale = float(np.max(np.abs(r.arr)))
+        for k in range(r.e0, r.order + 1):
+            assert abs(s.coeff(k) - r.coeff(k)) <= 1e-12 * scale, (key, k)
+
+
+@pytest.mark.parametrize("prefix, genus2", _CURVES)
+def test_dense_window_is_honest(prefix, genus2, request):
+    # the order-16 window truncated to 12 must give the order-12 results:
+    # no coefficient up to the order depends on where the window stops
+    curve, bundle, tt, m = _pipeline(prefix, genus2, request)
+    lo = dict(_returned_series(expansion_match(curve, bundle, tt, m, order=12)))
+    hi = dict(_returned_series(expansion_match(curve, bundle, tt, m, order=16)))
+    for key, s in lo.items():
+        cut = hi[key].truncate(12)
+        assert (cut.e0, cut.order) == (s.e0, s.order), key
+        scale = float(np.max(np.abs(s.arr)))
+        assert np.max(np.abs(cut.arr - s.arr)) <= 1e-12 * scale, key
+
+
+@pytest.mark.parametrize("prefix, genus2", [("standard", True), ("lemniscatic", False)])
+def test_one_frame_per_match(prefix, genus2, request, monkeypatch):
+    curve, bundle, tt, m = _pipeline(prefix, genus2, request)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return local_frame(*args, **kwargs)
+
+    monkeypatch.setattr(expansion, "local_frame", counted)
+    expansion_match(curve, bundle, tt, m)
+    assert len(calls) == 1
+    expansion_match(curve, bundle, tt, m, order=8)
+    assert len(calls) == 2

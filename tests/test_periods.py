@@ -85,6 +85,7 @@ def test_legendre_gate_follows_the_period_scale(standard_curve, standard_bundle)
         assert b.homology.chain_signs == ref.homology.chain_signs
         assert np.max(np.abs(b.tau - ref.tau)) < 1e-10
         assert b.legendre_defect <= b.legendre_gate <= LEGENDRE_GATE_CAP
+        assert b.eta_prime_consistency <= b.eta_prime_gate <= LEGENDRE_GATE_CAP
 
 
 def test_a_cycle_recovers_first_kind_columns(standard_curve, standard_bundle):
