@@ -234,7 +234,7 @@ def _theta_report(bundle, tt) -> dict:
     return {
         "tau": _mat(tt.tau),
         "theta_tol": float(tt.tol),
-        "lattice_radius": max(int(tt.entry(c).radius) for c in tt.characteristics),
+        "lattice_radius": int(tt.radius),
         "characteristics": chars,
     }
 

@@ -21,7 +21,7 @@ import numpy as np
 from .curves import CurvePoint, HyperellipticCurve, canonical_branch_order
 from .errors import AmbiguousMatching, NoGamma
 from .periods import PeriodBundle, abel_from_infinity, lattice_distance
-from .theta import Characteristic, ThetaTable, char_add, classify_characteristics, half_period
+from .theta import Characteristic, ThetaTable, char_add, half_period
 
 #: Relative threshold on |Theta_2| below which a characteristic is gamma.
 GAMMA_THRESHOLD = 1e-8
@@ -69,12 +69,12 @@ def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
     """
     if tt.genus != 2 or tt.directional is None:
         raise ValueError("bolza_match needs a genus-2 table with winding data")
-    odd, even = classify_characteristics(2)
-    th2 = {ch: tt.D(ch, "2") for ch in odd}
-    mx = max(abs(v) for v in th2.values())
+    odd, even = tt.odd, tt.even
+    th = tt.directional[0][[ch.code for ch in odd]]
+    mx = float(np.max(np.abs(th[:, 1])))
     if mx == 0.0:
         raise NoGamma("all directional derivatives vanish")
-    small = [ch for ch in odd if abs(th2[ch]) < GAMMA_THRESHOLD * mx]
+    small = [ch for ch, t2 in zip(odd, th[:, 1]) if abs(t2) < GAMMA_THRESHOLD * mx]
     if not small:
         raise NoGamma("no odd characteristic with degenerate Theta_2")
     if len(small) > 1:
@@ -85,10 +85,10 @@ def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
     taken: dict[int, Characteristic] = {}
     residuals: dict[int, float] = {}
     values: dict[int, complex] = {}
-    for ch in odd:
+    for ch, (t1, t2) in zip(odd, th):
         if ch == gamma:
             continue
-        ratio = -tt.D(ch, "1") / th2[ch]
+        ratio = complex(-t1 / t2)
         dists = [abs(ratio - e) for e in points]
         k = int(np.argmin(dists))
         rel = dists[k] / max(1.0, abs(points[k]))

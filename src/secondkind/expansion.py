@@ -5,7 +5,7 @@ which y = 2 xi^-(2g+1) S(xi), S = sqrt(T), for an even polynomial T with
 unit constant term.  Both projective-connection representations are
 expanded in xi: the algebraic side (Schwarzian of x, the y''/y term, the
 Baker pairing, and the kappa quadratic form) and the theta side (built from
-H, Q, T contractions of theta derivatives with the normalized
+H and T, contractions of theta derivatives with the normalized
 differentials).  Equating coefficients yields an affine system for the
 kappa entries.
 
@@ -16,8 +16,8 @@ g_a g_b and g_a g_b g_c, and the Baker pairing.  Every quantity is a power
 series there, so products and reciprocals are known on the whole window;
 the Laurent factors xi^-2 are exact, and the two derivatives of H cost the
 two extra orders.  The theta side takes all admissible characteristics at
-once: H, Q, T are matrix products of the contracted derivative tensors with
-G, GG, GGG, and 1/H is one row-wise reciprocal.  Only the returned series
+once: H and T are matrix products of the table's directional derivatives
+with G and GGG, and 1/H is one row-wise reciprocal.  Only the returned series
 are ``TruncatedSeries``, each truncated to ``order``.
 
 The branch of y at infinity is fixed to the + square root.  Flipping it
@@ -113,18 +113,18 @@ def skw_series(curve: HyperellipticCurve, kappa=None, order: int = DEFAULT_ORDER
     return TruncatedSeries.make(-2, base, order)
 
 
-def _sfw_rows(fr: dict, bundle: PeriodBundle, tt: ThetaTable, chars) -> np.ndarray:
+def _sfw_rows(fr: dict, tt: ThetaTable, chars) -> np.ndarray:
     """Theta-side connection on xi^0..xi^order, one row per characteristic.
 
-    H, Q, T are the degree-1..3 contractions of the theta derivatives at the
-    half-period of each characteristic with the normalized differential
-    frame, and the connection is H''/H - 3/2 (H'/H)^2 + 3/2 (Q/H)^2 - 2 T/H.
+    H and T are the degree-1 and degree-3 contractions of the theta
+    derivatives at the half-period of each characteristic with the
+    normalized differential frame, and the connection is
+    H''/H - 3/2 (H'/H)^2 - 2 T/H.  The degree-2 contraction Q would add
+    3/2 (Q/H)^2, but the Hessian of an odd theta function vanishes at z = 0.
     """
-    w = bundle.inv_two_omega
-    ents = [tt.entry(ch) for ch in chars]
-    grad = np.einsum("ci,ia->ca", np.stack([e.grad_arr() for e in ents]), w)
-    hess = np.einsum("cij,ia,jb->cab", np.stack([e.hess_arr() for e in ents]), w, w)
-    third = np.einsum("cijk,ia,jb,kd->cabd", np.stack([e.third_arr() for e in ents]), w, w, w)
+    dgrad, _, dthird = tt.directional
+    codes = [ch.code for ch in chars]
+    grad = dgrad[codes]
 
     big = np.max(np.abs(grad), axis=1)
     if np.any(np.abs(grad[:, -1]) < 1e-8 * np.maximum(big, 1e-300)):
@@ -133,15 +133,12 @@ def _sfw_rows(fr: dict, bundle: PeriodBundle, tt: ThetaTable, chars) -> np.ndarr
     n = fr["order"] + 1
     # einsum, not @: at these sizes a complex BLAS call costs resident memory, not time
     h = np.einsum("ca,ak->ck", grad, fr["g"])
-    q = np.einsum("ca,ak->ck", hess.reshape(len(ents), -1), fr["gg"])
-    t3 = np.einsum("ca,ak->ck", third.reshape(len(ents), -1), fr["ggg"])
+    t3 = np.einsum("ca,ak->ck", dthird[codes].reshape(len(codes), -1), fr["ggg"])
     k = np.arange(1, h.shape[1])
     h1 = h[:, 1:] * k
     h2 = h1[:, 1:] * k[:-1]
-    ratio, q_h, rest = mul_rows(np.stack([h1[:, :n], q[:, :n], h2 - 2.0 * t3[:, :n]]),
-                                reciprocal_rows(h)[:, :n])
-    sq = mul_rows(np.stack([ratio, q_h]), np.stack([ratio, q_h]))
-    return rest - 1.5 * sq[0] + 1.5 * sq[1]
+    ratio, rest = mul_rows(np.stack([h1[:, :n], h2 - 2.0 * t3[:, :n]]), reciprocal_rows(h)[:, :n])
+    return rest - 1.5 * mul_rows(ratio, ratio)
 
 
 def sfw_series(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
@@ -153,7 +150,7 @@ def sfw_series(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
     """
     if m is not None and odd_char == getattr(m, "gamma", None):
         raise GammaCharacteristic("H vanishes at infinity for the Riemann-constant characteristic")
-    rows = _sfw_rows(local_frame(curve, order), bundle, tt, [odd_char])
+    rows = _sfw_rows(local_frame(curve, order), tt, [odd_char])
     return TruncatedSeries.make(0, rows[0], order)
 
 
@@ -173,7 +170,7 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     base, basis = _skw_rows(fr)
     keys = sorted(basis.keys())
     chars = list(tt.odd) if g == 1 else list(m.chars)
-    sides = _sfw_rows(fr, bundle, tt, chars)
+    sides = _sfw_rows(fr, tt, chars)
     # even exponents xi^-2, xi^0, ..., xi^order; the theta side has no xi^-2 term
     even = slice(0, None, 2)
     a = np.tile(np.stack([basis[k][even] for k in keys], axis=1), (len(chars), 1))

@@ -116,13 +116,16 @@ def _branch_pair(bundle: PeriodBundle, i: int, j: int):
 
 def _odd_ratio_sums(tt: ThetaTable, m: BranchMatching):
     """(s112, s122, s222): sums of Theta_abc / Theta_2 over the admissible odds."""
-    s112 = s122 = s222 = 0.0 + 0.0j
-    for ch in m.chars:
-        t2 = tt.D(ch, "2")
-        s112 += tt.D(ch, "112") / t2
-        s122 += tt.D(ch, "122") / t2
-        s222 += tt.D(ch, "222") / t2
-    return s112, s122, s222
+    dgrad, _, dthird = tt.directional
+    codes = [ch.code for ch in m.chars]
+    s = (dthird[codes] / dgrad[codes, 1, None, None, None]).sum(axis=0)
+    return s[0, 0, 1], s[0, 1, 1], s[1, 1, 1]
+
+
+def _even_ratio_sum(tt: ThetaTable) -> np.ndarray:
+    """The matrix of sums of Theta_ab / Theta over the even characteristics."""
+    codes = [ch.code for ch in tt.even]
+    return (tt.directional[1][codes] / tt.values[codes, None, None]).sum(axis=0)
 
 
 def kappa_even_pair(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
@@ -136,7 +139,7 @@ def kappa_even_pair(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     sym = np.array([[sym11, -ei * ej], [-ei * ej, ei + ej]])
     eps = even_char_for_pair(m, i, j)
     ent = tt.entry(eps)
-    hess = ent.hess_arr() / ent.value
+    hess = ent.hess / ent.value
     w = bundle.inv_two_omega
     return -0.5 * sym - 0.5 * (w.T @ hess @ w)
 
@@ -145,16 +148,7 @@ def kappa_even_sum(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTab
     """kappa from the sum over all 10 even characteristics."""
     lam2, lam3, lam4 = (curve.lam_at(k) for k in (2, 3, 4))
     lead = np.array([[4 * lam2, lam3], [lam3, 4 * lam4]]) / 80.0
-    acc = np.zeros((2, 2), dtype=complex)
-    for eps in tt.even:
-        th = tt.value(eps)
-        acc += np.array(
-            [
-                [tt.D(eps, "11"), tt.D(eps, "12")],
-                [tt.D(eps, "12"), tt.D(eps, "22")],
-            ]
-        ) / th
-    return lead - acc / 20.0
+    return lead - _even_ratio_sum(tt) / 20.0
 
 
 def _odd_char_and_point(bundle, m, which):
@@ -223,15 +217,8 @@ def kappa_odd_sum_reduced(curve: HyperellipticCurve, bundle: PeriodBundle, tt: T
     """
     lam2, lam3 = curve.lam_at(2), curve.lam_at(3)
     lead = np.array([[3 * lam2, lam3], [lam3, 0.0]]) / 40.0
-    acc = np.zeros((2, 2), dtype=complex)
-    for ch in m.chars:
-        t2 = tt.D(ch, "2")
-        acc += np.array(
-            [
-                [2.0 * tt.D(ch, "112"), tt.D(ch, "122")],
-                [tt.D(ch, "122"), (2.0 / 3.0) * tt.D(ch, "222")],
-            ]
-        ) / t2
+    s112, s122, s222 = _odd_ratio_sums(tt, m)
+    acc = np.array([[2.0 * s112, s122], [s122, (2.0 / 3.0) * s222]])
     return lead - acc / 20.0
 
 
@@ -277,9 +264,7 @@ def thomae_defects(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTab
     lam2, lam3, lam4 = (curve.lam_at(k) for k in (2, 3, 4))
     lam4_zero = abs(lam4) < 1e-10 * branch_scale(bundle.canonical_points)
     s112, s122, s222 = _odd_ratio_sums(tt, m)
-    e22 = sum(tt.D(eps, "22") / tt.value(eps) for eps in tt.even)
-    e12 = sum(tt.D(eps, "12") / tt.value(eps) for eps in tt.even)
-    e11 = sum(tt.D(eps, "11") / tt.value(eps) for eps in tt.even)
+    (e11, e12), (_, e22) = _even_ratio_sum(tt)
     entries = (
         identity_entry("thomae_222", s222, 1.5 * e22, tol),
         identity_entry("thomae_122", 4.0 * s122 - 4.0 * e12, lam3, tol, applicable=lam4_zero),

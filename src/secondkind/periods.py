@@ -115,8 +115,8 @@ class PeriodBundle:
     """Half period matrices and everything derived from them.
 
     omega, omega_prime, eta, eta_prime are the HALF matrices (the full
-    period of a cycle is twice the entry).  ``winding`` holds the columns
-    (U, V) of (2 omega)^{-1} for genus 2, None for genus 1.
+    period of a cycle is twice the entry).  ``winding`` holds the g columns
+    of (2 omega)^{-1}, (U, V) for genus 2.
     """
 
     omega: np.ndarray
@@ -125,7 +125,7 @@ class PeriodBundle:
     eta_prime: np.ndarray
     tau: np.ndarray
     kappa: np.ndarray
-    winding: tuple | None
+    winding: tuple
     legendre_defect: float
     legendre_gate: float
     eta_prime_gate: float
@@ -299,9 +299,6 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
         # the roundoff of the consistency grows with |eta'| as the
         # Legendre roundoff grows with the products of the periods
         eta_p_gate = _scaled_gate(leg_base, 0.5 * float(np.max(np.abs(two_ep))))
-        winding = None
-        if g == 2:
-            winding = (inv_two_w[:, 0].copy(), inv_two_w[:, 1].copy())
         homology = HomologySpec(
             segment_pairs=tuple((k, k + 1) for k in range(n_chains)),
             a_members=tuple((2 * j,) for j in range(g)),
@@ -315,7 +312,7 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
             eta_prime=two_ep / 2,
             tau=tau_sym,
             kappa=kappa,
-            winding=winding,
+            winding=tuple(inv_two_w.T.copy()),
             legendre_defect=defect,
             legendre_gate=leg_gate,
             eta_prime_gate=eta_p_gate,

@@ -13,6 +13,7 @@ so their mod-1 group law is exact XOR arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -62,6 +63,11 @@ class Characteristic:
     def is_odd(self) -> bool:
         return self.parity == 1
 
+    @functools.cached_property
+    def code(self) -> int:
+        """The bits of top then bottom as one integer: the index in all_characteristics."""
+        return int("".join(str(v) for v in self.top + self.bottom), 2)
+
     def label(self) -> str:
         t = "".join(str(v) for v in self.top)
         b = "".join(str(v) for v in self.bottom)
@@ -76,12 +82,10 @@ def char_add(a: Characteristic, b: Characteristic) -> Characteristic:
     """Entrywise sum mod 1 (XOR on the integer doubles)."""
     if a.genus != b.genus:
         raise ValueError("genus mismatch")
-    return Characteristic(
-        tuple(x ^ y for x, y in zip(a.top, b.top)),
-        tuple(x ^ y for x, y in zip(a.bottom, b.bottom)),
-    )
+    return all_characteristics(a.genus)[a.code ^ b.code]
 
 
+@functools.cache
 def all_characteristics(g: int = 2):
     """The 4^g half-integer characteristics in a fixed lexicographic order."""
     out = []
@@ -91,6 +95,7 @@ def all_characteristics(g: int = 2):
     return tuple(out)
 
 
+@functools.cache
 def classify_characteristics(g: int = 2):
     """Partition into (odd, even) tuples: (6, 10) for g=2, (1, 3) for g=1."""
     chars = all_characteristics(g)
@@ -189,59 +194,55 @@ def theta_eval(z, tau, ch: Characteristic, deriv=(), tol: float = DEFAULT_THETA_
     return value
 
 
-_DIRECTIONAL_KEYS = ("1", "2", "11", "12", "22", "111", "112", "122", "222")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharEntry:
-    """All z=0 derivative data of one characteristic."""
+    """All z=0 derivative data of one characteristic; the arrays are views into its table."""
 
     characteristic: Characteristic
     value: complex
-    grad: tuple
-    hess: tuple
-    third: tuple
+    grad: np.ndarray
+    hess: np.ndarray
+    third: np.ndarray
     radius: int
-
-    def grad_arr(self) -> np.ndarray:
-        return np.asarray(self.grad, dtype=complex)
-
-    def hess_arr(self) -> np.ndarray:
-        return np.asarray(self.hess, dtype=complex)
-
-    def third_arr(self) -> np.ndarray:
-        return np.asarray(self.third, dtype=complex)
 
 
 class ThetaTable:
     """Theta-constant table at z = 0 for every characteristic of one tau.
 
-    Plain partials are stored per characteristic; when winding vectors are
-    supplied (genus 2), the directional combinations
-    Theta_a = sum_i W(a)_i d_i theta etc. are precomputed, with W(1) = U and
-    W(2) = V the columns of (2 omega)^{-1}.
+    Row k of ``values``, ``grads``, ``hessians`` and ``thirds`` (the plain
+    z-derivatives of order 0..3) belongs to ``characteristics[k]``, whose
+    ``code`` is k.  When winding vectors are supplied, ``directional`` holds
+    the same derivatives contracted with W = (2 omega)^{-1}, whose columns
+    are the winding vectors: (grads W, W^T H W, and the third derivatives
+    contracted with W on each axis), so that Theta_a = D(ch, "a"),
+    Theta_ab = D(ch, "ab") and Theta_abc = D(ch, "abc").
     """
 
-    def __init__(self, tau, entries, directional, tol, lam_min, winding=None):
+    def __init__(self, tau, rows, radius, tol, lam_min, winding=None):
         self.tau = np.asarray(tau, dtype=complex)
         self.genus = self.tau.shape[0]
-        self.entries = dict(entries)
-        self.directional = directional
+        self.values, self.grads, self.hessians, self.thirds = rows
+        self.radius = radius
         self.tol = tol
         self.lam_min = lam_min
         self.winding = winding
-
-    @property
-    def characteristics(self):
-        return tuple(self.entries.keys())
-
-    @property
-    def odd(self):
-        return tuple(c for c in self.entries if c.is_odd)
-
-    @property
-    def even(self):
-        return tuple(c for c in self.entries if not c.is_odd)
+        self.characteristics = all_characteristics(self.genus)
+        self.odd, self.even = classify_characteristics(self.genus)
+        self.directional = None
+        if winding is not None:
+            w = np.column_stack(winding).astype(complex)
+            self.directional = (
+                np.einsum("ci,ia->ca", self.grads, w),
+                np.einsum("cij,ia,jb->cab", self.hessians, w, w),
+                np.einsum("cijk,ia,jb,kd->cabd", self.thirds, w, w, w),
+            )
+        for arr in (*rows, *(self.directional or ())):
+            arr.flags.writeable = False
+        self.entries = {
+            ch: CharEntry(ch, complex(self.values[k]), self.grads[k], self.hessians[k],
+                          self.thirds[k], radius)
+            for k, ch in enumerate(self.characteristics)
+        }
 
     def entry(self, ch: Characteristic) -> CharEntry:
         return self.entries[ch]
@@ -251,41 +252,31 @@ class ThetaTable:
 
     def d(self, ch: Characteristic, *axes) -> complex:
         """Plain partial derivative at z=0, axes are 0-based coordinates."""
-        e = self.entries[ch]
-        k = len(axes)
-        if k == 0:
-            return e.value
-        if k == 1:
-            return e.grad[axes[0]]
-        if k == 2:
-            return e.hess[axes[0]][axes[1]]
-        if k == 3:
-            return e.third[axes[0]][axes[1]][axes[2]]
-        raise ValueError("at most 3 derivatives stored")
+        if len(axes) > 3:
+            raise ValueError("at most 3 derivatives stored")
+        rows = (self.values, self.grads, self.hessians, self.thirds)[len(axes)]
+        return complex(rows[(ch.code, *axes)])
 
     def D(self, ch: Characteristic, key: str) -> complex:
         """Directional derivative, key like "2", "12", "222"."""
         if self.directional is None:
-            raise ValueError("directional data needs winding vectors (genus 2)")
-        return self.directional[ch][key]
-
-
-def _entry_for(ch_eps, ch_eps_prime, tau, lam_min, tol):
-    radius = _pick_radius(lam_min, tol)
-    q, terms = _terms(ch_eps, ch_eps_prime, tau, np.rint(-ch_eps).astype(int), radius)
-    qf = 2j * np.pi * q
-    value = complex(np.sum(terms))
-    grad = np.einsum("n,ni->i", terms, qf)
-    hess = np.einsum("n,ni,nj->ij", terms, qf, qf)
-    third = np.einsum("n,ni,nj,nk->ijk", terms, qf, qf, qf)
-    return value, grad, hess, third, radius
+            raise ValueError("directional data needs winding vectors")
+        axes = tuple(int(a) - 1 for a in key)
+        return complex(self.directional[len(axes) - 1][(ch.code, *axes)])
 
 
 def theta_table(bundle_or_tau, tol: float = DEFAULT_THETA_TOL, winding=None) -> ThetaTable:
     """Full theta-constant table from a PeriodBundle (or a bare tau).
 
-    Passing a bundle supplies both tau and the winding vectors; genus-1
-    tables simply omit the directional block.
+    Passing a bundle supplies both tau and the winding vectors; a bare tau
+    without winding vectors gives a table without the directional block.
+
+    Each lattice Z^g + eps is summed once, over the box of radius
+    _pick_radius(lam_min, tol) around the origin.  The 2^g choices of eps'
+    only multiply the term of q by exp(i pi q . 2eps'), a power of i since
+    2q is an integer vector, so one phase matrix applied to the monomials
+    1, f, f f, f f f of f = 2 pi i q gives every characteristic of that
+    lattice at once.
     """
     if hasattr(bundle_or_tau, "tau"):
         tau = bundle_or_tau.tau
@@ -293,33 +284,23 @@ def theta_table(bundle_or_tau, tol: float = DEFAULT_THETA_TOL, winding=None) -> 
             winding = getattr(bundle_or_tau, "winding", None)
     else:
         tau = bundle_or_tau
-    tau, y, lam_min = _check_tau(tau)
+    tau, _, lam_min = _check_tau(tau)
     g = tau.shape[0]
-    entries = {}
-    directional = {} if (g == 2 and winding is not None) else None
-    if directional is not None:
-        u = np.asarray(winding[0], dtype=complex)
-        v = np.asarray(winding[1], dtype=complex)
-    for ch in all_characteristics(g):
-        value, grad, hess, third, radius = _entry_for(ch.eps, ch.eps_prime, tau, lam_min, tol)
-        entries[ch] = CharEntry(
-            ch,
-            value,
-            tuple(grad),
-            tuple(map(tuple, hess)),
-            tuple(tuple(map(tuple, m)) for m in third),
-            radius,
-        )
-        if directional is not None:
-            w = {"1": u, "2": v}
-            d = {}
-            for key in _DIRECTIONAL_KEYS:
-                vecs = [w[k] for k in key]
-                if len(key) == 1:
-                    d[key] = complex(vecs[0] @ grad)
-                elif len(key) == 2:
-                    d[key] = complex(vecs[0] @ hess @ vecs[1])
-                else:
-                    d[key] = complex(np.einsum("ijk,i,j,k", third, *vecs))
-            directional[ch] = d
-    return ThetaTable(tau, entries, directional, tol, lam_min, winding=winding)
+    radius = _pick_radius(lam_min, tol)
+    bits = np.array(list(itertools.product((0, 1), repeat=g)))
+    blocks = []
+    for top in bits:
+        q, terms = _terms(top / 2.0, np.zeros(g), tau, np.zeros(g, dtype=int), radius)
+        f = 2j * np.pi * q
+        ff = (f[:, :, None] * f[:, None, :]).reshape(len(q), g * g)
+        fff = (ff[:, :, None] * f[:, None, :]).reshape(len(q), g ** 3)
+        mono = terms[:, None] * np.hstack([np.ones((len(q), 1)), f, ff, fff])
+        # einsum, not @: at these sizes a BLAS call costs resident memory, not time
+        powers = np.einsum("ni,bi->nb", (2 * q).astype(int), bits)
+        phase = np.array([1, 1j, -1, -1j])[powers % 4]
+        blocks.append(np.einsum("nb,nm->bm", phase, mono))
+    table = np.vstack(blocks)
+    rows = (table[:, 0], table[:, 1 : 1 + g],
+            table[:, 1 + g : 1 + g + g * g].reshape(-1, g, g),
+            table[:, 1 + g + g * g :].reshape(-1, g, g, g))
+    return ThetaTable(tau, rows, radius, tol, lam_min, winding=winding)

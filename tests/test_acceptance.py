@@ -221,14 +221,14 @@ def test_criterion_09_oracles(g2_suite):
     h, w = 0.01, np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
     for ch in tt.odd[:3]:
         ent = tt.entry(ch)
-        scale = max(1.0, np.max(np.abs(ent.grad_arr())))
+        scale = max(1.0, np.max(np.abs(ent.grad)))
         for axis in range(2):
             e = np.eye(2)[axis]
             fd = sum(
                 wk * theta_eval((k - 3) * h * e, tau, ch, tol=1e-15)
                 for k, wk in enumerate(w)
             ) / h
-            assert abs(ent.grad_arr()[axis] - fd) < 1e-8 * scale
+            assert abs(ent.grad[axis] - fd) < 1e-8 * scale
     # gap sequences against the numerical-semigroup sieve
     for n, s in ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5)):
         rep = {a * n + b * s for a in range(s + 1) for b in range(n + 1)}

@@ -200,9 +200,9 @@ def _reference_match(curve, bundle, tt, chars, order):
     sides = {}
     for ch in chars:
         ent = tt.entry(ch)
-        grad_w = w.T @ ent.grad_arr()
-        hess_w = w.T @ ent.hess_arr() @ w
-        third_w = np.einsum("ijk,ia,jb,kc->abc", ent.third_arr(), w, w, w)
+        grad_w = w.T @ ent.grad
+        hess_w = w.T @ ent.hess @ w
+        third_w = np.einsum("ijk,ia,jb,kc->abc", ent.third, w, w, w)
         h = q = t3 = TruncatedSeries.constant(0.0)
         for a in range(g):
             h = h + complex(grad_w[a]) * gs[a]

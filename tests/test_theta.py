@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import secondkind.theta as theta_mod
 from secondkind import char, theta_eval, theta_table
-from secondkind.theta import all_characteristics, half_period, theta_raw
+from secondkind.theta import all_characteristics, char_add, half_period, theta_raw
 
 BRUTE_RADIUS = 12
 
@@ -34,6 +35,26 @@ def brute_theta(z, tau, eps, eps_prime, radius=BRUTE_RADIUS):
         )
         total += np.exp(phase)
     return total
+
+
+def brute_theta_derivatives(tau, eps, eps_prime, radius=BRUTE_RADIUS):
+    """theta[eps; eps'](0; tau) and its z-derivatives of order 1..3, literally summed."""
+    g = len(eps)
+    tau = np.asarray(tau)
+    value, grad = 0.0 + 0.0j, np.zeros(g, dtype=complex)
+    hess, third = np.zeros((g, g), dtype=complex), np.zeros((g, g, g), dtype=complex)
+    import itertools
+
+    for n in itertools.product(range(-radius, radius + 1), repeat=g):
+        m = np.array(n, dtype=float) + np.asarray(eps, dtype=float)
+        term = np.exp(1j * math.pi * (m @ tau @ m)
+                      + 2j * math.pi * (m @ np.asarray(eps_prime, dtype=float)))
+        f = 2j * math.pi * m
+        value += term
+        grad += term * f
+        hess += term * np.multiply.outer(f, f)
+        third += term * np.multiply.outer(np.multiply.outer(f, f), f)
+    return value, grad, hess, third
 
 
 # ---------------------------------------------------------------- genus 1
@@ -82,10 +103,18 @@ def test_brute_force_lattice_sum(standard_table):
             assert abs(ours - ref) < 1e-14 * max(1.0, abs(ref)), ch.label()
 
 
-def test_table_values_match_brute_force(skew_table):
-    for ch in all_characteristics(2):
-        ref = brute_theta(np.zeros(2), skew_table.tau, ch.eps, ch.eps_prime)
-        assert abs(skew_table.value(ch) - ref) < 1e-13 * max(1.0, abs(ref))
+def test_table_values_match_brute_force(skew_table, generic_g1_table):
+    # every derivative order of every characteristic: this pins the eps'
+    # phases that the table applies to one sum per lattice
+    for tt in (skew_table, generic_g1_table):
+        assert tt.characteristics == all_characteristics(tt.genus)
+        for ch in tt.characteristics:
+            ent = tt.entry(ch)
+            refs = brute_theta_derivatives(tt.tau, ch.eps, ch.eps_prime)
+            for name, got, ref in zip(("value", "grad", "hess", "third"),
+                                      (ent.value, ent.grad, ent.hess, ent.third), refs):
+                scale = max(1.0, float(np.max(np.abs(ref))))
+                assert np.max(np.abs(got - ref)) < 1e-13 * scale, (ch.label(), name)
 
 
 # -------------------------------------------------- derivative oracles (FD)
@@ -120,8 +149,8 @@ def test_gradient_against_central_differences(standard_table):
             return theta_eval(z, tau, _ch, tol=1e-15)
 
         fd = _fd_gradient(f, 2)
-        scale = max(1.0, float(np.max(np.abs(ent.grad_arr()))))
-        assert np.max(np.abs(fd - ent.grad_arr())) < 1e-8 * scale
+        scale = max(1.0, float(np.max(np.abs(ent.grad))))
+        assert np.max(np.abs(fd - ent.grad)) < 1e-8 * scale
 
 
 def test_hessian_against_directional_values(skew_table):
@@ -130,7 +159,7 @@ def test_hessian_against_directional_values(skew_table):
     dirs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
     for ch in list(skew_table.even)[:4]:
         ent = skew_table.entry(ch)
-        hess = ent.hess_arr()
+        hess = ent.hess
 
         def f(z, _ch=ch):
             return theta_eval(z, tau, _ch, tol=1e-15)
@@ -149,7 +178,7 @@ def test_third_tensor_against_directional_values(standard_table):
             np.array([1.0, 1.0]), np.array([1.0, -1.0])]
     for ch in standard_table.odd:
         ent = standard_table.entry(ch)
-        third = ent.third_arr()
+        third = ent.third
 
         def f(z, _ch=ch):
             return theta_eval(z, tau, _ch, tol=1e-15)
@@ -165,7 +194,7 @@ def test_directional_table_is_winding_contraction(standard_table):
     u, v = (np.asarray(w, dtype=complex) for w in standard_table.winding)
     for ch in all_characteristics(2):
         ent = standard_table.entry(ch)
-        grad, hess, third = ent.grad_arr(), ent.hess_arr(), ent.third_arr()
+        grad, hess, third = ent.grad, ent.hess, ent.third
         assert abs(standard_table.D(ch, "1") - u @ grad) < 1e-12
         assert abs(standard_table.D(ch, "12") - u @ hess @ v) < 1e-12
         want = np.einsum("ijk,i,j,k", third, v, v, v)
@@ -181,12 +210,19 @@ def test_parity_counts():
     assert sum(1 for c in chars if c.is_odd) == 6
 
 
-def test_odd_values_vanish_even_gradients_vanish(standard_table):
-    mx = max(abs(standard_table.value(c)) for c in all_characteristics(2))
-    for ch in standard_table.odd:
-        assert abs(standard_table.value(ch)) < 1e-13 * mx
-    for ch in standard_table.even:
-        assert np.max(np.abs(standard_table.entry(ch).grad_arr())) < 1e-12 * mx
+def test_odd_values_vanish_even_gradients_vanish(standard_table, skew_table):
+    # odd characteristics give odd functions, so their even-order derivatives
+    # vanish at z = 0; even ones give even functions, with vanishing odd orders
+    for tt in (standard_table, skew_table):
+        mx = max(abs(tt.value(c)) for c in tt.characteristics)
+        for ch in tt.odd:
+            ent = tt.entry(ch)
+            assert abs(ent.value) < 1e-13 * mx
+            assert np.max(np.abs(ent.hess)) < 1e-12 * max(mx, np.max(np.abs(ent.third)))
+        for ch in tt.even:
+            ent = tt.entry(ch)
+            assert np.max(np.abs(ent.grad)) < 1e-12 * mx
+            assert np.max(np.abs(ent.third)) < 1e-12 * max(mx, np.max(np.abs(ent.hess)))
 
 
 def test_parity_under_negation(skew_table):
@@ -246,13 +282,40 @@ def test_half_period_definition(standard_table):
 
 
 def test_char_xor_addition():
-    from secondkind.theta import char_add
-
     a = char((1, 0), (1, 1))
     b = char((0, 1), (1, 0))
     c = char_add(a, b)
     assert c.top == (1, 1) and c.bottom == (0, 1)
     assert char_add(a, a).top == (0, 0)
+    chars = all_characteristics(2)
+    for x in chars:
+        for y in chars:
+            s = char_add(x, y)
+            assert s.top == tuple(u ^ v for u, v in zip(x.top, y.top))
+            assert s.bottom == tuple(u ^ v for u, v in zip(x.bottom, y.bottom))
+            assert s is chars[s.code]
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_characteristic_code_is_its_index(g):
+    chars = all_characteristics(g)
+    assert [ch.code for ch in chars] == list(range(4 ** g))
+    assert char((1,) * g, (0,) * g).code == 2 ** (2 * g) - 2 ** g
+
+
+@pytest.mark.parametrize("prefix, genus", [("standard", 2), ("generic_g1", 1)])
+def test_table_sums_each_lattice_once(prefix, genus, request, monkeypatch):
+    bundle = request.getfixturevalue(f"{prefix}_bundle")
+    calls = []
+    real = theta_mod._terms
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(theta_mod, "_terms", counted)
+    theta_table(bundle)
+    assert len(calls) == 2 ** genus
 
 
 @settings(max_examples=20, deadline=None)
