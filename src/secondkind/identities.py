@@ -128,6 +128,13 @@ def _even_ratio_sum(tt: ThetaTable) -> np.ndarray:
     return (tt.directional[1][codes] / tt.values[codes, None, None]).sum(axis=0)
 
 
+def _genus1_ratios(tt: ThetaTable) -> tuple:
+    """theta_1'''/theta_1' and the sum of theta''/theta over the evens, genus 1."""
+    odd = tt.odd[0]
+    return (tt.d(odd, 0, 0, 0) / tt.d(odd, 0),
+            sum(tt.d(eps, 0, 0) / tt.value(eps) for eps in tt.even))
+
+
 def kappa_even_pair(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
                     m: BranchMatching, i: int, j: int) -> np.ndarray:
     """kappa from the even characteristic of the branch pair {i, j}.
@@ -277,10 +284,7 @@ def thomae_genus1_defect(tt: ThetaTable, tol: float = 1e-10) -> IdentityEntry:
     """Genus-1 analog: theta1'''/theta1' equals the sum of theta_k''/theta_k."""
     if tt.genus != 1:
         raise ValueError("genus-1 table required")
-    odd = tt.odd[0]
-    lhs = tt.d(odd, 0, 0, 0) / tt.d(odd, 0)
-    rhs = sum(tt.d(eps, 0, 0) / tt.value(eps) for eps in tt.even)
-    return identity_entry("thomae_genus1", lhs, rhs, tol)
+    return identity_entry("thomae_genus1", *_genus1_ratios(tt), tol)
 
 
 def _odd_labels(m: BranchMatching):
@@ -387,9 +391,7 @@ def weierstrass_eta(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     lam2_zero = abs(lam2) < 1e-10 * branch_scale(curve.branch_points)
     w = bundle.omega[0, 0]
     eta = bundle.eta[0, 0]
-    odd = tt.odd[0]
-    ratio3 = tt.d(odd, 0, 0, 0) / tt.d(odd, 0)
-    sum2 = sum(tt.d(eps, 0, 0) / tt.value(eps) for eps in tt.even)
+    ratio3, sum2 = _genus1_ratios(tt)
     entries = (
         identity_entry("weierstrass_kappa", eta / (2.0 * w), lam2 / 24.0 - ratio3 / (24.0 * w ** 2), tol),
         identity_entry("weierstrass_eta_sum", eta, -sum2 / (12.0 * w), tol, applicable=lam2_zero),

@@ -1,11 +1,11 @@
 """Path integration support: branch-point avoidance, analytic continuation
 of y = sqrt(P(x)) along polylines, and adaptive Gauss-Legendre quadrature.
 
-The continuation rule is the standard predictor scheme: advance x in steps
-small relative to the distance to the nearest branch point, evaluate the
-principal square root, and pick the sign closer to the previous value.  A
-step is accepted only when the two sheet candidates are well separated from
-the drift, so a wrong-sheet jump cannot pass silently.
+y = 2 prod_k sqrt(x - e_k) is continued exactly, factor by factor, as the
+period chains do (Molin-Neurohr): on a straight leg each factor moves on a
+line, and its principal root changes branch only where that line crosses
+numpy's cut.  So the sheet anywhere on a route, and at its end, follows
+from the cut crossings alone, before any quadrature runs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from .errors import PathThroughBranchPoint, QuadratureNonConvergence
 
 _GL_NODES, _GL_WEIGHTS = nleg.leggauss(32)
 
-#: Default clearance (relative to branch scale) for routing paths.
+#: Default clearance for routing paths: an absolute distance in x, not
+#: scaled by the branch points.
 PATH_CLEARANCE = 1e-3
 
 _MAX_DEPTH = 26
@@ -103,65 +104,73 @@ def polyline_with_clearance(z0, z1, obstacles, clearance: float, _depth: int = 0
     return left + right[1:]
 
 
+class CutCrossings:
+    """Branch changes of sqrt along factors moving on lines, w0 + dw t.
+
+    numpy's root jumps only across its cut Im w = 0 > Re w, which belongs to
+    the upper side (sqrt(-a + 0j) = +i sqrt(a)).  A line meets the cut iff
+    Im(conj(w0) dw) Im(dw) < 0; there the root has changed branch at w iff
+    w and w0 lie on different closed sides, Im >= 0 and Im < 0.  ``crossed``
+    marks the factors (last axis) that have changed branch by w1.
+    """
+
+    def __init__(self, w0, dw, w1):
+        self.upper0 = np.imag(w0) >= 0
+        meets = (np.conj(w0) * dw).imag * np.imag(dw) < 0
+        self.crossed = meets & ((np.imag(w1) >= 0) != self.upper0)
+
+    def product(self, w):
+        """2 prod_k sqrt(w_k), each root continued from w0, at points w on
+        the way (one row each).  A line meets the real axis once, so only
+        the factors crossed by w1 are looked at."""
+        out = 2.0 * np.sqrt(w).prod(axis=-1)
+        k = np.flatnonzero(self.crossed)
+        if k.size:
+            out = out * (-1) ** ((w[..., k].imag >= 0) != self.upper0[k]).sum(axis=-1)
+        return out
+
+
+def _sign_toward(v: complex, target: complex) -> float:
+    return 1.0 if abs(v - target) <= abs(v + target) else -1.0
+
+
 class SheetPath:
     """y = sqrt(P(x)) continued along one straight leg, queryable at any t.
 
-    The constructor walks the leg storing checkpoints; ``y_at`` matches the
-    principal root against the nearest earlier checkpoint.  Checkpoint
-    spacing guarantees the drift between checkpoints stays well below the
-    sheet separation, so the matching is unambiguous.
+    The continued y is s 2 prod_k sqrt(x - e_k), each root continued across
+    its cut and the sign s fixed by y0 at the start; ``xy_at`` signs the
+    principal root of y^2 to agree with it.
     """
 
     def __init__(self, curve: HyperellipticCurve, z0: complex, z1: complex, y0: complex):
         self.curve = curve
         self.z0, self.z1 = complex(z0), complex(z1)
-        leg = self.z1 - self.z0
-        ts = [0.0]
-        ys = [complex(y0)]
-        t, y = 0.0, complex(y0)
-        guard = 0
-        while t < 1.0:
-            guard += 1
-            if guard > 200000:
-                raise QuadratureNonConvergence("sheet continuation stalled")
-            x_cur = self.z0 + leg * t
-            d = min(abs(x_cur - e) for e in curve.branch_points)
-            dt = 1.0 - t if abs(leg) == 0 else min(1.0 - t, max(0.2 * d / abs(leg), 1e-7))
-            while True:
-                x_next = self.z0 + leg * (t + dt)
-                cand = np.sqrt(complex(curve.y_squared(x_next)))
-                if abs(cand) == 0:
-                    raise PathThroughBranchPoint(
-                        f"leg passes through branch point at x = {x_next:.6g}"
-                    )
-                keep = cand if abs(cand - y) <= abs(cand + y) else -cand
-                if abs(keep - y) < 0.5 * abs(cand):
-                    break
-                if dt <= 1e-9:
-                    raise PathThroughBranchPoint(
-                        f"cannot separate sheets near x = {x_next:.6g}"
-                    )
-                dt *= 0.5
-            t += dt
-            y = keep
-            ts.append(min(t, 1.0))
-            ys.append(y)
-        self.ts = np.array(ts)
-        self.ys = np.array(ys)
-
-    @property
-    def y_end(self) -> complex:
-        return complex(self.ys[-1])
+        self.e = np.asarray(curve.branch_points, dtype=complex)
+        w0 = self.z0 - self.e
+        w1 = self.z0 + (self.z1 - self.z0) * np.ones(1) - self.e  # as xy_at(1) has it
+        self.cuts = CutCrossings(w0, self.z1 - self.z0, w1)
+        self.sign = _sign_toward(self.cuts.product(w0), complex(y0))
+        self.y_end = complex(self.sign * self.cuts.product(w1))
 
     def xy_at(self, t):
         """(x, y) arrays at parameters t in [0, 1]."""
         t = np.asarray(t, dtype=float)
         x = self.z0 + (self.z1 - self.z0) * t
         root = np.sqrt(np.asarray(self.curve.y_squared(x), dtype=complex))
-        idx = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 1)
-        anchor = self.ys[idx]
-        pick = np.where(np.abs(root - anchor) <= np.abs(root + anchor), root, -root)
-        return x, pick
+        ref = self.sign * self.cuts.product(x[..., None] - self.e)
+        return x, np.where((root * ref.conj()).real >= 0, root, -root)
+
+
+def route_end_y(curve: HyperellipticCurve, points, y0: complex) -> complex:
+    """y continued from (points[0], y0) to points[-1] along the polyline,
+    without quadrature.  Consecutive legs share a vertex, where their
+    principal products agree, so y_end is the start sign times 2 prod_k
+    sqrt(z_end - e_k) times (-1)^(cut crossings over all legs)."""
+    z = np.asarray(points, dtype=complex)[:, None]
+    w = z - np.asarray(curve.branch_points, dtype=complex)
+    cuts = CutCrossings(w[:-1], z[1:] - z[:-1], w[1:])
+    start, end = (2.0 * np.sqrt(v).prod() for v in (w[0], w[-1]))
+    return _sign_toward(start, complex(y0)) * (-1) ** int(cuts.crossed.sum()) * end
 
 
 def integrate_rows_along(curve, points, y0, rows_fn, tol):
@@ -195,42 +204,32 @@ class BranchLegPath:
     """Continuation along x(s) = e + (x0 - e) s^2 into a branch point.
 
     Tracks w(s) = y / s = +-sqrt((x0 - e) Q(x(s))) with Q = P / (x - e);
-    w is smooth and nonvanishing through s = 0, so the usual checkpoint
-    matching works all the way into the singular endpoint.
+    w is smooth and nonvanishing through s = 0.  Each factor x(s) - p of Q
+    is linear in u = s^2, so w is sqrt(x0 - e) times their product, each
+    root continued across its cut from s = 1, where y0 fixes the sign.
     """
 
     def __init__(self, curve: HyperellipticCurve, e_index: int, x0: complex, y0: complex):
-        self.curve = curve
         self.e = complex(curve.branch_points[e_index])
-        self.others = [p for k, p in enumerate(curve.branch_points) if k != e_index]
+        self.others = np.array([p for k, p in enumerate(curve.branch_points) if k != e_index])
         self.x0 = complex(x0)
-        w0 = complex(y0)  # y(s=1) = w(1)
-        # consistency of the supplied sheet with the factorized root
-        q = self._plain_w(np.array([1.0]))[0]
-        self.sign0 = 1.0 if abs(q - w0) <= abs(q + w0) else -1.0
-        ss = np.linspace(1.0, 0.0, 41)
-        ws = [self.sign0 * q]
-        for k in range(1, len(ss)):
-            cand = self._plain_w(ss[k : k + 1])[0]
-            prev = ws[-1]
-            ws.append(cand if abs(cand - prev) <= abs(cand + prev) else -cand)
-        self.ss = ss[::-1].copy()
-        self.ws = np.array(ws[::-1])
+        w1, w_e = self._x(np.array([1.0, 0.0]))[:, None] - self.others
+        self.cuts = CutCrossings(w1, self.x0 - self.e, w_e)
+        lead = np.sqrt(self.x0 - self.e)
+        self.lead = lead * _sign_toward(lead * self.cuts.product(w1), complex(y0))  # y(1) = w(1)
 
-    def _plain_w(self, s):
-        x = self.e + (self.x0 - self.e) * s ** 2
-        q = np.full(x.shape, 4.0, dtype=complex)
-        for p in self.others:
-            q = q * (x - p)
-        return np.sqrt((self.x0 - self.e) * q)
+    def _x(self, s):
+        return self.e + (self.x0 - self.e) * s ** 2
 
     def xyw_at(self, s):
         s = np.asarray(s, dtype=float)
-        x = self.e + (self.x0 - self.e) * s ** 2
-        plain = self._plain_w(s)
-        idx = np.clip(np.searchsorted(self.ss, s, side="right") - 1, 0, len(self.ss) - 1)
-        anchor = self.ws[idx]
-        w = np.where(np.abs(plain - anchor) <= np.abs(plain + anchor), plain, -plain)
+        x = self._x(s)
+        q = np.full(x.shape, 4.0, dtype=complex)
+        for p in self.others:
+            q = q * (x - p)
+        plain = np.sqrt((self.x0 - self.e) * q)
+        ref = self.lead * self.cuts.product(x[..., None] - self.others)
+        w = np.where((plain * ref.conj()).real >= 0, plain, -plain)
         return x, s * w, w
 
 

@@ -46,6 +46,7 @@ from .paths import (
     integrate_rows_along,
     integrate_rows_to_branch_point,
     polyline_with_clearance,
+    route_end_y,
     segment_distance,
 )
 
@@ -115,8 +116,9 @@ class PeriodBundle:
     """Half period matrices and everything derived from them.
 
     omega, omega_prime, eta, eta_prime are the HALF matrices (the full
-    period of a cycle is twice the entry).  ``winding`` holds the g columns
-    of (2 omega)^{-1}, (U, V) for genus 2.
+    period of a cycle is twice the entry).  ``inv_two_omega`` is
+    (2 omega)^{-1}, computed once; ``winding`` gives its g columns, (U, V)
+    for genus 2.
     """
 
     omega: np.ndarray
@@ -125,7 +127,7 @@ class PeriodBundle:
     eta_prime: np.ndarray
     tau: np.ndarray
     kappa: np.ndarray
-    winding: tuple
+    inv_two_omega: np.ndarray
     legendre_defect: float
     legendre_gate: float
     eta_prime_gate: float
@@ -146,8 +148,8 @@ class PeriodBundle:
         return 2.0 * self.omega
 
     @property
-    def inv_two_omega(self) -> np.ndarray:
-        return np.linalg.inv(self.two_omega)
+    def winding(self) -> tuple:
+        return tuple(self.inv_two_omega.T)
 
 
 def _block_legendre_defect(omega, omega_prime, eta, eta_prime) -> float:
@@ -312,7 +314,7 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
             eta_prime=two_ep / 2,
             tau=tau_sym,
             kappa=kappa,
-            winding=tuple(inv_two_w.T.copy()),
+            inv_two_omega=inv_two_w,
             legendre_defect=defect,
             legendre_gate=leg_gate,
             eta_prime_gate=eta_p_gate,
@@ -346,7 +348,7 @@ def _u_rows(curve: HyperellipticCurve):
     g = curve.genus
 
     def rows(x, y):
-        return np.vstack([x ** i / y for i in range(g)])
+        return np.array([x ** i / y for i in range(g)])
 
     return rows
 
@@ -358,13 +360,14 @@ def _check_point(curve: HyperellipticCurve, p: CurvePoint) -> None:
 
 
 def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint,
-             to: CurvePoint, quad_tol: float | None = None, return_path: bool = False):
+             to: CurvePoint, quad_tol: float | None = None):
     """(2 omega)^{-1} integral of the u-basis from ``frm`` to ``to``.
 
-    The path is the straight segment with arc detours inserted wherever it
-    would pass within the branch-point clearance; y is continued analytically
-    along it.  An endpoint lying on a branch point (y = 0) is integrated with
-    the regularized s^2 substitution.
+    The path is the first of ``_candidate_routes`` along which y, continued
+    analytically from ``frm``, ends on the sheet of ``to``; the choice reads
+    the cut crossings of the route alone, and only that route is integrated.
+    An endpoint lying on a branch point (y = 0) is integrated with the
+    regularized s^2 substitution.
     """
     tol = bundle.quad_tol if quad_tol is None else quad_tol
     _check_point(curve, frm)
@@ -384,25 +387,19 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint,
     if frm_idx is not None:
         # reverse the regularized direction: integral from e to x equals
         # minus the integral from x into e on the same sheet
-        val, path = _integral_into_branch(curve, to, frm_idx, rows, tol)
-        total = -val
+        total = -_integral_into_branch(curve, to, frm_idx, rows, tol)
     elif to_idx is not None:
-        total, path = _integral_into_branch(curve, frm, to_idx, rows, tol)
+        total = _integral_into_branch(curve, frm, to_idx, rows, tol)
     else:
-        path = None
         for pts in _candidate_routes(frm.x, to.x, curve.branch_points, PATH_CLEARANCE):
-            total, y_end = integrate_rows_along(curve, pts, frm.y, rows, tol)
+            y_end = route_end_y(curve, pts, frm.y)
             if abs(y_end - to.y) <= abs(y_end + to.y):
-                path = pts
+                total, _ = integrate_rows_along(curve, pts, frm.y, rows, tol)
                 break
-        if path is None:
-            raise PathThroughBranchPoint(
-                "endpoint sheet does not match continuation along any route"
-            )
-    value = bundle.inv_two_omega @ total
-    if return_path:
-        return value, path
-    return value
+        else:
+            raise PathThroughBranchPoint("endpoint sheet does not match continuation "
+                                         "along any route")
+    return bundle.inv_two_omega @ total
 
 
 def _candidate_routes(z0: complex, z1: complex, branch, clearance: float):
@@ -438,8 +435,7 @@ def _integral_into_branch(curve, start: CurvePoint, e_index: int, rows, tol):
     x_stage = e + direction * stage_dist
     pts = polyline_with_clearance(start.x, x_stage, others, PATH_CLEARANCE)
     part1, y_stage = integrate_rows_along(curve, pts, start.y, rows, tol)
-    part2 = integrate_rows_to_branch_point(curve, e_index, x_stage, y_stage, rows, tol)
-    return part1 + part2, pts + (e,)
+    return part1 + integrate_rows_to_branch_point(curve, e_index, x_stage, y_stage, rows, tol)
 
 
 def abel_from_infinity(curve: HyperellipticCurve, bundle: PeriodBundle,

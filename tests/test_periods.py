@@ -11,6 +11,7 @@ from secondkind import (
     compute_periods,
     curve_from_branch_points,
     curve_from_coefficients,
+    kappa_report,
     lattice_distance,
     legendre_defect,
 )
@@ -157,6 +158,19 @@ def test_half_matrices_are_halves(standard_bundle):
         standard_bundle.inv_two_omega @ standard_bundle.two_omega, np.eye(2),
         atol=1e-13,
     )
+
+
+def test_inverse_of_two_omega_is_held_once(standard_curve, standard_bundle, standard_table,
+                                           standard_matching, monkeypatch):
+    b = standard_bundle
+    assert np.array_equal(b.inv_two_omega, np.linalg.inv(b.two_omega))
+    assert np.array_equal(np.column_stack(b.winding), b.inv_two_omega)
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
+    abel_map(standard_curve, b, standard_curve.lift(0.5 + 1.0j), standard_curve.lift(2.6 + 0.3j))
+    kappa_report(standard_curve, b, standard_table, standard_matching)
+    assert calls == []
 
 
 def test_genus1_coefficient_pipeline():
