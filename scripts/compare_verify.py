@@ -1,8 +1,14 @@
 #!/usr/bin/env python3
-"""python3 scripts/compare_verify.py OLD_SRC NEW_SRC: verify --suite quick and
---suite full on seeds 0-79, one subprocess per source tree.  Prints exit-code and
-status changes, the ten largest defect differences by label and the unequal
-omega_*/gate_* labels; exits 1 on any exit-code or status change.
+"""python3 scripts/compare_verify.py OLD_SRC NEW_SRC: compare the CLI output of
+two source trees, one subprocess per tree.
+
+The first pass runs verify --suite quick and --suite full on seeds 0-79.  It
+prints exit-code and status changes, the number of reports that differ at all,
+the ten largest defect differences by label and the unequal omega_*/gate_*
+labels.  The second pass runs periods, theta, match, kappa, expand and verify
+on six named curves and prints each (command, curve) pair whose exit code or
+output bytes differ.  Exits 1 on any exit-code or status change of the first
+pass and on any difference of the second.
 """
 
 import json
@@ -10,33 +16,53 @@ import os
 import subprocess
 import sys
 
+COMMANDS = ("periods", "theta", "match", "kappa", "expand", "verify")
+
+CURVES = {
+    "standard": {"branch_points": [-2, -1, 0, 1, 2]},
+    "skew": {"branch_points": [[-1.7, 0.4], [-0.6, -0.9], [0.2, 0.8], [1.1, -0.3], [1.8, 0.6]]},
+    "lemniscatic": {"lambda": [0, -4, 0]},
+    "generic_g1": {"branch_points": [[-1.3, 0.2], [0.5, -0.1], [0.9, -0.3]]},
+    "shifted_48": {"branch_points": [48, 49, 50, 51, 52]},
+    "unit_square": {"branch_points": [0, 1, [0, 1], [1, 1], [2, 1]]},
+}
+
 RUNNER = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, warnings
 from secondkind.cli import main
+warnings.simplefilter("ignore")
+commands, curves = json.loads(sys.argv[1])
 out = {}
 for suite in ("quick", "full"):
     for seed in range(80):
         with contextlib.redirect_stdout(io.StringIO()) as buf:
             code = main(["verify", "--suite", suite, "--seed", str(seed)])
         out[f"{suite} seed {seed}"] = [code, json.loads(buf.getvalue())]
-json.dump(out, sys.stdout)
+named = {}
+for command in commands:
+    for name, curve in curves.items():
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            code = main([command, "--curve", json.dumps(curve)])
+        named[f"{command} {name}"] = [code, buf.getvalue()]
+json.dump([out, named], sys.stdout)
 """
 
 
-def reports(src: str) -> dict:
+def reports(src: str) -> list:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    run = subprocess.run([sys.executable, "-c", RUNNER], env=env, check=True,
-                         stdout=subprocess.PIPE, text=True)
+    run = subprocess.run([sys.executable, "-c", RUNNER, json.dumps([COMMANDS, CURVES])],
+                         env=env, check=True, stdout=subprocess.PIPE, text=True)
     return json.loads(run.stdout)
 
 
 def main(argv) -> int:
     if len(argv) != 2:
         sys.exit(__doc__)
-    old, new = (reports(src) for src in argv)
-    changes, moved, unequal = [], {}, set()
+    (old, old_named), (new, new_named) = (reports(src) for src in argv)
+    changes, moved, unequal, differing = [], {}, set(), 0
     for run, (code0, rep0) in old.items():
         code1, rep1 = new[run]
+        differing += rep0 != rep1
         if code0 != code1:
             changes.append(f"{run}: exit code {code0} -> {code1}")
         for c0, c1 in zip(rep0["curves"], rep1["curves"]):
@@ -52,8 +78,12 @@ def main(argv) -> int:
     for label, d in sorted(moved.items(), key=lambda kv: -kv[1])[:10]:
         print(f"largest defect difference {d:.3e}  {label}")
     print("unequal omega_/gate_ labels:", ", ".join(sorted(unequal)) or "none")
-    print(f"{len(changes)} exit-code or status changes over {len(old)} runs")
-    return 1 if changes else 0
+    print(f"{len(changes)} exit-code or status changes over {len(old)} runs, "
+          f"{differing} reports differ")
+    named_diffs = [run for run, result in old_named.items() if new_named[run] != result]
+    sys.stdout.writelines(f"output differs: {run}\n" for run in named_diffs)
+    print(f"{len(named_diffs)} of {len(old_named)} (command, curve) outputs differ")
+    return 1 if changes or named_diffs else 0
 
 
 if __name__ == "__main__":

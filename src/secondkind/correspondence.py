@@ -67,8 +67,8 @@ def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
     characteristic is not unique or two ratios choose the same branch point
     or any residual exceeds the gate.
     """
-    if tt.genus != 2 or tt.directional is None:
-        raise ValueError("bolza_match needs a genus-2 table with winding data")
+    if tt.genus != 2:
+        raise ValueError("bolza_match needs a genus-2 table")
     odd, even = tt.odd, tt.even
     th = tt.directional[0][[ch.code for ch in odd]]
     mx = float(np.max(np.abs(th[:, 1])))

@@ -87,15 +87,15 @@ def branch_scale(points) -> float:
     return max(1.0, max(abs(e) for e in points))
 
 
-def _check_separation(points, tol: float) -> None:
+def _check_separation(points) -> None:
     pts = list(points)
     scale = branch_scale(pts)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) < tol * scale:
+            if abs(pts[i] - pts[j]) < DEGENERACY_TOL * scale:
                 raise DegenerateCurve(
                     f"branch points {i} and {j} separated by "
-                    f"{abs(pts[i] - pts[j]):.3e} < {tol:.1e} * {scale:.3e}"
+                    f"{abs(pts[i] - pts[j]):.3e} < {DEGENERACY_TOL:.1e} * {scale:.3e}"
                 )
 
 
@@ -104,7 +104,7 @@ def canonical_branch_order(points):
     return tuple(sorted((complex(e) for e in points), key=lambda z: (z.real, z.imag)))
 
 
-def curve_from_coefficients(lam, degeneracy_tol: float = DEGENERACY_TOL) -> HyperellipticCurve:
+def curve_from_coefficients(lam) -> HyperellipticCurve:
     """Build a curve from (lam_0, ..., lam_{2g}); branch points are solved for.
 
     Roots come from the companion matrix and are polished by Newton steps;
@@ -130,11 +130,11 @@ def curve_from_coefficients(lam, degeneracy_tol: float = DEGENERACY_TOL) -> Hype
             f"max polished residual {float(np.max(resid)):.3e} > {ROOT_RESIDUAL_TOL:.1e}"
         )
     pts = canonical_branch_order(roots)
-    _check_separation(pts, degeneracy_tol)
+    _check_separation(pts)
     return HyperellipticCurve(genus, lam, pts)
 
 
-def curve_from_branch_points(points, degeneracy_tol: float = DEGENERACY_TOL) -> HyperellipticCurve:
+def curve_from_branch_points(points) -> HyperellipticCurve:
     """Build a curve from finite branch points (kept in input order).
 
     Coefficients come from expanding 4 prod (x - e_i).
@@ -142,7 +142,7 @@ def curve_from_branch_points(points, degeneracy_tol: float = DEGENERACY_TOL) -> 
     pts = tuple(complex(e) for e in points)
     if len(pts) < 3 or len(pts) % 2 == 0:
         raise ValueError("expected an odd number >= 3 of branch points")
-    _check_separation(pts, degeneracy_tol)
+    _check_separation(pts)
     genus = (len(pts) - 1) // 2
     coeffs = np.array([4.0], dtype=complex)
     for e in pts:

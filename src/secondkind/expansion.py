@@ -163,8 +163,13 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     solved by least squares.  Returns the base and kappa-basis series, the
     theta-side series per characteristic, the solved kappa, the relative
     residual, and the rank and condition number of the system, without
-    gating.
+    gating them.  Raises ValueError for a negative order, and
+    IncompatibleSystem when the order is too low for full rank g(g+1)/2:
+    the kappa_ab series starts at xi^(2(2g-a-b)), so below order 4(g-1) a
+    column of the system is zero and kappa is not determined at all.
     """
+    if order < 0:
+        raise ValueError(f"expansion order must be >= 0, got {order}")
     g = curve.genus
     fr = local_frame(curve, order)
     base, basis = _skw_rows(fr)
@@ -175,6 +180,10 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     even = slice(0, None, 2)
     a = np.tile(np.stack([basis[k][even] for k in keys], axis=1), (len(chars), 1))
     b = (np.pad(sides, ((0, 0), (2, 0)))[:, even] - base[even]).ravel()
+    if not a.any(axis=0).all():
+        raise IncompatibleSystem(
+            f"expansion system has rank below {len(keys)} at order {order}"
+        )
     sol, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
     resid = float(np.max(np.abs(a @ sol - b)))
     scale = max(1.0, float(np.max(np.abs(b))))

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurvePoint, HyperellipticCurve, branch_scale, kleinian_polar
-from .errors import GammaCharacteristic, StencilDegenerate
+from .errors import StencilDegenerate
 from .correspondence import BranchMatching, even_char_for_pair
 from .paths import PATH_CLEARANCE
 from .periods import PeriodBundle, a_cycle_integral, abel_map
-from .theta import Characteristic, ThetaTable, char, char_add, theta_eval
+from .theta import ThetaTable, char, char_add, theta_eval
 
 #: Below this magnitude on both sides a defect is reported absolutely.
 ABSOLUTE_FLOOR = 1e-6
@@ -158,27 +158,10 @@ def kappa_even_sum(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTab
     return lead - _even_ratio_sum(tt) / 20.0
 
 
-def _odd_char_and_point(bundle, m, which):
-    if isinstance(which, Characteristic):
-        ch = which
-        if ch == m.gamma:
-            raise GammaCharacteristic("Theta_2 vanishes for the Riemann-constant characteristic")
-        idx = m.chars.index(ch)
-    else:
-        idx = int(which) - 1
-        if not 0 <= idx < 5:
-            raise ValueError("odd index must be a branch label in 1..5")
-        ch = m.chars[idx]
-    return ch, bundle.canonical_points[idx]
-
-
 def kappa_odd_single(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
-                     m: BranchMatching, which) -> np.ndarray:
-    """kappa from one admissible odd characteristic (branch label or char).
-
-    Raises GammaCharacteristic when invoked with the degenerate one.
-    """
-    ch, ei = _odd_char_and_point(bundle, m, which)
+                     m: BranchMatching, i: int) -> np.ndarray:
+    """kappa from the admissible odd characteristic of branch label i in 1..5."""
+    ch, ei = m.delta(i), bundle.canonical_points[i - 1]
     lam3, lam4 = curve.lam_at(3), curve.lam_at(4)
     t2 = tt.D(ch, "2")
     r222 = tt.D(ch, "222") / t2
@@ -249,8 +232,10 @@ def kappa_report(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable
         defects[f"odd_{i}"] = float(np.max(np.abs(ko - direct)))
     kos = kappa_odd_sum(curve, bundle, tt, m)
     defects["odd_sum"] = float(np.max(np.abs(kos - direct)))
-    for mat in [direct, ks, kos, *by_pair.values(), *by_odd.values()]:
-        assert float(np.max(np.abs(mat - mat.T))) < 1e-9, "kappa must be symmetric"
+    mats = np.array([direct, ks, kos, *by_pair.values(), *by_odd.values()])
+    big = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+    asym = np.abs(mats - mats.transpose(0, 2, 1)).max(axis=(1, 2))
+    assert np.all(asym < 1e-9 * big), "kappa must be symmetric"
     return KappaReport(
         kappa_direct=direct,
         kappa_by_even_pair=by_pair,

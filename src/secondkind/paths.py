@@ -1,11 +1,13 @@
 """Path integration support: branch-point avoidance, analytic continuation
 of y = sqrt(P(x)) along polylines, and adaptive Gauss-Legendre quadrature.
 
-y = 2 prod_k sqrt(x - e_k) is continued exactly, factor by factor, as the
-period chains do (Molin-Neurohr): on a straight leg each factor moves on a
-line, and its principal root changes branch only where that line crosses
-numpy's cut.  So the sheet anywhere on a route, and at its end, follows
-from the cut crossings alone, before any quadrature runs.
+y = 2 prod_k sqrt(x - e_k) is continued exactly, factor by factor
+(Molin-Neurohr): on a straight leg each factor moves on a line, and its
+principal root changes branch only where that line crosses numpy's cut.
+So the sheet anywhere on a route, and at its end, follows from the cut
+crossings alone, before any quadrature runs.  ``CutCrossings`` is the one
+home of that rule; the period chains of ``periods.segment_integral`` use it
+too.
 """
 
 from __future__ import annotations
@@ -118,16 +120,21 @@ class CutCrossings:
         self.upper0 = np.imag(w0) >= 0
         meets = (np.conj(w0) * dw).imag * np.imag(dw) < 0
         self.crossed = meets & ((np.imag(w1) >= 0) != self.upper0)
+        self._k = np.flatnonzero(self.crossed)
+
+    def roots(self, w):
+        """sqrt(w_k), each root continued from w0 (one line per factor), at
+        points w on the way (one row each).  A line meets the real axis
+        once, so only the factors crossed by w1 are looked at."""
+        out = np.sqrt(w)
+        for k in self._k:
+            other_side = np.less if self.upper0[k] else np.greater_equal
+            np.negative(out[..., k], out=out[..., k], where=other_side(w[..., k].imag, 0))
+        return out
 
     def product(self, w):
-        """2 prod_k sqrt(w_k), each root continued from w0, at points w on
-        the way (one row each).  A line meets the real axis once, so only
-        the factors crossed by w1 are looked at."""
-        out = 2.0 * np.sqrt(w).prod(axis=-1)
-        k = np.flatnonzero(self.crossed)
-        if k.size:
-            out = out * (-1) ** ((w[..., k].imag >= 0) != self.upper0[k]).sum(axis=-1)
-        return out
+        """2 prod_k sqrt(w_k), each root continued from w0."""
+        return 2.0 * self.roots(w).prod(axis=-1)
 
 
 def _sign_toward(v: complex, target: complex) -> float:

@@ -20,11 +20,13 @@ substitution x = m + h cos(theta), under which
         = -(i/2) * integral_0^pi N(x(theta)) / S(cos theta) dtheta,
 
 where y = 2 i h sin(theta) S(cos theta) on a fixed smooth branch and S is
-the product of the continued square roots of the remaining linear factors.
+the product of the square roots of the remaining linear factors, each
+continued along the segment by ``paths.CutCrossings.roots``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -42,6 +44,7 @@ from .curves import (
 from .errors import HomologyConstructionFailure, PathThroughBranchPoint
 from .paths import (
     PATH_CLEARANCE,
+    CutCrossings,
     adaptive_gl,
     integrate_rows_along,
     integrate_rows_to_branch_point,
@@ -78,16 +81,12 @@ def _scaled_gate(base: float, magnitude: float) -> float:
 
 @dataclass(frozen=True)
 class HomologySpec:
-    """Combinatorial description of the constructed homology basis.
+    """The certified orientations of the chains of the homology basis.
 
-    ``segment_pairs[k]`` are the canonical branch indices joined by chain k;
-    ``a_members[j]`` / ``b_members[j]`` list the chain indices composing each
-    cycle; ``chain_signs`` are the certified orientations.
+    Chain k joins canonical branch points k and k+1; a_j is chain 2j and
+    b_j is chains 2j+1, 2j+3, ... (module docstring).
     """
 
-    segment_pairs: tuple
-    a_members: tuple
-    b_members: tuple
     chain_signs: tuple
 
 
@@ -168,24 +167,6 @@ def legendre_defect(bundle: PeriodBundle) -> float:
     )
 
 
-def _factor_branches(points, a_idx: int, b_idx: int):
-    """Continuation data for sqrt(x - e_k) along the segment, per other root."""
-    ea, eb = points[a_idx], points[b_idx]
-    m, h = 0.5 * (ea + eb), 0.5 * (eb - ea)
-    data = []
-    for k, e in enumerate(points):
-        if k in (a_idx, b_idx):
-            continue
-        c0 = m - e
-        ustar, crossing = 0.0, False
-        if h.imag != 0.0:
-            ustar = -c0.imag / h.imag
-            if abs(ustar) < 1.0 and (c0 + h * ustar).real < 0.0:
-                crossing = True
-        data.append((c0, ustar, crossing))
-    return m, h, data
-
-
 def segment_integral(curve: HyperellipticCurve, points, a_idx: int, b_idx: int,
                      numerators_fn, quad_tol: float) -> np.ndarray:
     """Integral of numerators(x)/y dx over the open segment (e_a, e_b).
@@ -194,21 +175,16 @@ def segment_integral(curve: HyperellipticCurve, points, a_idx: int, b_idx: int,
     docstring; its global sign is calibrated downstream.  numerators_fn maps
     an x array to an array (rows, nodes).
     """
-    m, h, data = _factor_branches(points, a_idx, b_idx)
-
-    def s_product(u):
-        acc = np.ones(u.shape, dtype=complex)
-        for c0, ustar, crossing in data:
-            vals = np.sqrt(c0 + h * u)
-            if crossing:
-                vals = vals * np.where(u > ustar, -1.0, 1.0)
-            acc = acc * vals
-        return acc
+    ea, eb = points[a_idx], points[b_idx]
+    m, h = 0.5 * (ea + eb), 0.5 * (eb - ea)
+    c0 = m - np.array([e for k, e in enumerate(points) if k not in (a_idx, b_idx)])
+    cuts = CutCrossings(c0 - h, 2.0 * h, c0 + h)
 
     def f(theta):
-        u = np.cos(theta)
-        x = m + h * u
-        return np.asarray(numerators_fn(x)) * (-0.5j / s_product(u))
+        hu = h * np.cos(theta)
+        # a running product of the columns: np.prod rounds differently
+        s = functools.reduce(np.multiply, cuts.roots(c0 + hu[:, None]).T)
+        return np.asarray(numerators_fn(m + hu)) * (-0.5j / s)
 
     return adaptive_gl(f, 0.0, np.pi, quad_tol)
 
@@ -223,14 +199,6 @@ def _period_numerators(curve: HyperellipticCurve):
         return np.vstack(out)
 
     return rows
-
-
-def _sign_patterns(n: int):
-    first = (1,) * n
-    yield first
-    for p in itertools.product((1, -1), repeat=n):
-        if p != first:
-            yield p
 
 
 def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TOL) -> PeriodBundle:
@@ -265,7 +233,7 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
 
     sym_gate, leg_base = gate_tolerances(quad_tol)
 
-    for signs in _sign_patterns(n_chains):
+    for signs in itertools.product((1, -1), repeat=n_chains):
         cyc = chains * np.asarray(signs, dtype=float)[None, :]
         a_cols = np.column_stack([cyc[:, 2 * j] for j in range(g)])
         b_cols = np.column_stack(
@@ -301,12 +269,7 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
         # the roundoff of the consistency grows with |eta'| as the
         # Legendre roundoff grows with the products of the periods
         eta_p_gate = _scaled_gate(leg_base, 0.5 * float(np.max(np.abs(two_ep))))
-        homology = HomologySpec(
-            segment_pairs=tuple((k, k + 1) for k in range(n_chains)),
-            a_members=tuple((2 * j,) for j in range(g)),
-            b_members=tuple(tuple(range(2 * j + 1, n_chains, 2)) for j in range(g)),
-            chain_signs=tuple(signs),
-        )
+        homology = HomologySpec(chain_signs=tuple(signs))
         return PeriodBundle(
             omega=two_w / 2,
             omega_prime=two_wp / 2,
@@ -354,8 +317,10 @@ def _u_rows(curve: HyperellipticCurve):
 
 
 def _check_point(curve: HyperellipticCurve, p: CurvePoint) -> None:
-    miss = abs(p.y ** 2 - curve.y_squared(p.x))
-    if miss > 1e-9 * (1.0 + abs(p.x) ** (2 * curve.genus + 1)):
+    # relative to the size of the terms of y^2 = 4 prod (x - e_k) at x, so
+    # the check is covariant under scaling and translating the branch points
+    size = 4.0 * np.prod([abs(p.x) + abs(e) for e in curve.branch_points])
+    if abs(p.y ** 2 - curve.y_squared(p.x)) > 1e-9 * size:
         raise ValueError(f"point ({p.x:.6g}, {p.y:.6g}) is not on the curve")
 
 
@@ -364,8 +329,8 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint,
     """(2 omega)^{-1} integral of the u-basis from ``frm`` to ``to``.
 
     The path is the first of ``_candidate_routes`` along which y, continued
-    analytically from ``frm``, ends on the sheet of ``to``; the choice reads
-    the cut crossings of the route alone, and only that route is integrated.
+    analytically from ``frm``, ends on the sheet of ``to``; the choice needs
+    no quadrature (``paths.route_end_y``), and only that route is integrated.
     An endpoint lying on a branch point (y = 0) is integrated with the
     regularized s^2 substitution.
     """
@@ -472,15 +437,10 @@ def a_cycle_integral(curve: HyperellipticCurve, bundle: PeriodBundle, j: int,
 
     Only the part of the integrand odd in y contributes to a loop integral
     (the even part cancels between the two sheets), and that part doubles,
-    so the cycle integral is 2 x (sign) x (segment integral) per chain.
+    so the cycle integral is 2 x (sign) x (segment integral) of chain 2j.
     """
     tol = bundle.quad_tol if quad_tol is None else quad_tol
-    pts = bundle.canonical_points
-    total = None
-    for k in bundle.homology.a_members[j]:
-        a_idx, b_idx = bundle.homology.segment_pairs[k]
-        part = 2.0 * bundle.homology.chain_signs[k] * segment_integral(
-            curve, pts, a_idx, b_idx, numerators_fn, tol
-        )
-        total = part if total is None else total + part
-    return total
+    k = 2 * j
+    return 2.0 * bundle.homology.chain_signs[k] * segment_integral(
+        curve, bundle.canonical_points, k, k + 1, numerators_fn, tol
+    )

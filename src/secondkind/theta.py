@@ -129,6 +129,11 @@ def _check_tau(tau) -> tuple:
     return tau, y, lam_min
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"theta tolerance must lie in (0, inf), got {tol}")
+
+
 def _pick_radius(lam_min: float, tol: float) -> int:
     # tail bound: exp(-pi lam_min (R-2)^2) (R+1)^3 <= tol; the cubic factor
     # absorbs polynomial growth from third-order derivative weights and the
@@ -157,14 +162,14 @@ def _terms(eps: np.ndarray, shift: np.ndarray, tau: np.ndarray, center: np.ndarr
     return q, np.exp(phase)
 
 
-def theta_raw(z, tau, eps, eps_prime, deriv=(), tol: float = DEFAULT_THETA_TOL,
-              radius: int | None = None):
+def theta_raw(z, tau, eps, eps_prime, deriv=(), tol: float = DEFAULT_THETA_TOL):
     """Lattice sum for arbitrary real characteristic vectors.
 
     deriv is a multi-index (per-coordinate derivative orders, total <= 3).
     Returns (value, radius used).  Accuracy is absolute at the natural scale
     exp(pi Im(z)^T (Im tau)^{-1} Im(z)) of the function.
     """
+    _check_tol(tol)
     tau, y, lam_min = _check_tau(tau)
     g = tau.shape[0]
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -175,8 +180,7 @@ def theta_raw(z, tau, eps, eps_prime, deriv=(), tol: float = DEFAULT_THETA_TOL,
         raise ValueError(f"deriv multi-index must have length {g}")
     if sum(deriv) > 3:
         raise ValueError("derivative order above 3 not supported")
-    if radius is None:
-        radius = _pick_radius(lam_min, tol)
+    radius = _pick_radius(lam_min, tol)
     # recentre the summation box on the maximum of the Gaussian envelope
     c = np.linalg.solve(y, z.imag)
     center = np.rint(-eps - c).astype(int)
@@ -211,32 +215,30 @@ class ThetaTable:
 
     Row k of ``values``, ``grads``, ``hessians`` and ``thirds`` (the plain
     z-derivatives of order 0..3) belongs to ``characteristics[k]``, whose
-    ``code`` is k.  When winding vectors are supplied, ``directional`` holds
-    the same derivatives contracted with W = (2 omega)^{-1}, whose columns
-    are the winding vectors: (grads W, W^T H W, and the third derivatives
-    contracted with W on each axis), so that Theta_a = D(ch, "a"),
-    Theta_ab = D(ch, "ab") and Theta_abc = D(ch, "abc").
+    ``code`` is k.  ``directional`` holds the same derivatives contracted
+    with W = (2 omega)^{-1}, whose columns are the winding vectors: (grads W,
+    W^T H W, and the third derivatives contracted with W on each axis), so
+    that Theta_a = D(ch, "a"), Theta_ab = D(ch, "ab") and
+    Theta_abc = D(ch, "abc").
     """
 
-    def __init__(self, tau, rows, radius, tol, lam_min, winding=None):
+    def __init__(self, tau, rows, radius, tol, lam_min, inv_two_omega):
         self.tau = np.asarray(tau, dtype=complex)
         self.genus = self.tau.shape[0]
         self.values, self.grads, self.hessians, self.thirds = rows
         self.radius = radius
         self.tol = tol
         self.lam_min = lam_min
-        self.winding = winding
+        self.winding = tuple(inv_two_omega.T)
         self.characteristics = all_characteristics(self.genus)
         self.odd, self.even = classify_characteristics(self.genus)
-        self.directional = None
-        if winding is not None:
-            w = np.column_stack(winding).astype(complex)
-            self.directional = (
-                np.einsum("ci,ia->ca", self.grads, w),
-                np.einsum("cij,ia,jb->cab", self.hessians, w, w),
-                np.einsum("cijk,ia,jb,kd->cabd", self.thirds, w, w, w),
-            )
-        for arr in (*rows, *(self.directional or ())):
+        w = inv_two_omega
+        self.directional = (
+            np.einsum("ci,ia->ca", self.grads, w),
+            np.einsum("cij,ia,jb->cab", self.hessians, w, w),
+            np.einsum("cijk,ia,jb,kd->cabd", self.thirds, w, w, w),
+        )
+        for arr in (*rows, *self.directional):
             arr.flags.writeable = False
         self.entries = {
             ch: CharEntry(ch, complex(self.values[k]), self.grads[k], self.hessians[k],
@@ -259,17 +261,13 @@ class ThetaTable:
 
     def D(self, ch: Characteristic, key: str) -> complex:
         """Directional derivative, key like "2", "12", "222"."""
-        if self.directional is None:
-            raise ValueError("directional data needs winding vectors")
         axes = tuple(int(a) - 1 for a in key)
         return complex(self.directional[len(axes) - 1][(ch.code, *axes)])
 
 
-def theta_table(bundle_or_tau, tol: float = DEFAULT_THETA_TOL, winding=None) -> ThetaTable:
-    """Full theta-constant table from a PeriodBundle (or a bare tau).
-
-    Passing a bundle supplies both tau and the winding vectors; a bare tau
-    without winding vectors gives a table without the directional block.
+def theta_table(bundle, tol: float = DEFAULT_THETA_TOL) -> ThetaTable:
+    """Full theta-constant table at the tau of a PeriodBundle, with the
+    directional block along its winding vectors.
 
     Each lattice Z^g + eps is summed once, over the box of radius
     _pick_radius(lam_min, tol) around the origin.  The 2^g choices of eps'
@@ -278,13 +276,8 @@ def theta_table(bundle_or_tau, tol: float = DEFAULT_THETA_TOL, winding=None) -> 
     1, f, f f, f f f of f = 2 pi i q gives every characteristic of that
     lattice at once.
     """
-    if hasattr(bundle_or_tau, "tau"):
-        tau = bundle_or_tau.tau
-        if winding is None:
-            winding = getattr(bundle_or_tau, "winding", None)
-    else:
-        tau = bundle_or_tau
-    tau, _, lam_min = _check_tau(tau)
+    _check_tol(tol)
+    tau, _, lam_min = _check_tau(bundle.tau)
     g = tau.shape[0]
     radius = _pick_radius(lam_min, tol)
     bits = np.array(list(itertools.product((0, 1), repeat=g)))
@@ -303,4 +296,4 @@ def theta_table(bundle_or_tau, tol: float = DEFAULT_THETA_TOL, winding=None) -> 
     rows = (table[:, 0], table[:, 1 : 1 + g],
             table[:, 1 + g : 1 + g + g * g].reshape(-1, g, g),
             table[:, 1 + g + g * g :].reshape(-1, g, g, g))
-    return ThetaTable(tau, rows, radius, tol, lam_min, winding=winding)
+    return ThetaTable(tau, rows, radius, tol, lam_min, bundle.inv_two_omega)

@@ -133,6 +133,34 @@ def test_degenerate_curve_is_reported(capsys):
     assert rep["error"]["type"] == "DegenerateCurve"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["theta", "--theta-tol", "-1"], "ValueError"),
+    (["theta", "--theta-tol", "nan"], "ValueError"),
+    (["expand", "--order", "-3"], "ValueError"),
+    *((["expand", "--order", str(order)], "IncompatibleSystem") for order in range(4)),
+    (["kappa", "--order", "3"], "IncompatibleSystem"),
+])
+def test_out_of_range_options_are_reported(capsys, argv, error):
+    # below order 4 the genus-2 system has rank 1-2 of 3 and its kappa is
+    # not determined; the parent printed one with residual 1e-15
+    code, rep = _run_json(capsys, [*argv, "--curve", STANDARD])
+    assert code == 2
+    assert rep["error"]["type"] == error
+
+
+def test_scaled_curve_reports_kappa(capsys):
+    # the symmetry check of every kappa route is relative to its magnitude
+    # (asymmetry 3e-8 absolute, 3e-20 relative here); the absolute route
+    # gates failing on this curve are a separate matter
+    wide = json.dumps({"branch_points": [-20000, -10000, 0, 10000, 20000]})
+    code, rep = _run_json(capsys, ["kappa", "--curve", wide])
+    assert code == 0
+    assert "kappa_direct" in rep
+    code, rep = _run_json(capsys, ["verify", "--curve", wide])
+    assert code in (0, 1)
+    assert rep["curves"][0]["checks"]
+
+
 def test_genus_mismatch_is_reported(capsys):
     bad = json.dumps({"genus": 2, "lambda": [0, -4, 0]})
     code, rep = _run_json(capsys, ["periods", "--curve", bad])

@@ -172,6 +172,16 @@ def test_ill_conditioned_system_is_refused(points):
         kappa_from_expansion(curve, bundle, tt, m)
 
 
+def test_order_below_full_rank_is_refused(standard_curve, standard_bundle, standard_table,
+                                          standard_matching):
+    args = (standard_curve, standard_bundle, standard_table, standard_matching)
+    with pytest.raises(IncompatibleSystem, match="rank"):
+        expansion_match(*args, order=3)
+    with pytest.raises(ValueError):
+        expansion_match(*args, order=-1)
+    assert expansion_match(*args, order=4)["rank"] == 3
+
+
 # ------------------------------------------- the dense kernel, by oracle
 
 def _reference_match(curve, bundle, tt, chars, order):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as nleg
 
 from secondkind import (
     abel_from_infinity,
@@ -15,7 +16,9 @@ from secondkind import (
     lattice_distance,
     legendre_defect,
 )
+from secondkind import periods
 from secondkind.cli import random_curve
+from secondkind.curves import CurvePoint
 from secondkind.periods import LEGENDRE_GATE_CAP, a_cycle_integral, chain_intersection_matrix
 
 
@@ -177,3 +180,159 @@ def test_genus1_coefficient_pipeline():
     curve = curve_from_coefficients([0.0, -4.0, 0.0])
     b = compute_periods(curve)
     assert abs(b.tau[0, 0] - 1j) < 1e-12
+
+
+# ------------------------------------ the segment cut rule, by reference
+
+def _reference_integrand(points, a_idx, b_idx, numerators_fn):
+    """The segment integrand with the rule segment_integral used before it
+    continued its factors through paths.CutCrossings: factor k crosses the
+    cut at u* = -Im c0 / Im h when |u*| < 1 and Re(c0 + h u*) < 0, and its
+    root is negated for u > u*.  Returns the integrand and the number of
+    crossed factors."""
+    ea, eb = points[a_idx], points[b_idx]
+    m, h = 0.5 * (ea + eb), 0.5 * (eb - ea)
+    data = []
+    for k, e in enumerate(points):
+        if k in (a_idx, b_idx):
+            continue
+        c0 = m - e
+        ustar, crossing = 0.0, False
+        if h.imag != 0.0:
+            ustar = -c0.imag / h.imag
+            if abs(ustar) < 1.0 and (c0 + h * ustar).real < 0.0:
+                crossing = True
+        data.append((c0, ustar, crossing))
+
+    def s_product(u):
+        acc = np.ones(u.shape, dtype=complex)
+        for c0, ustar, crossing in data:
+            vals = np.sqrt(c0 + h * u)
+            if crossing:
+                vals = vals * np.where(u > ustar, -1.0, 1.0)
+            acc = acc * vals
+        return acc
+
+    def f(theta):
+        u = np.cos(theta)
+        x = m + h * u
+        return np.asarray(numerators_fn(x)) * (-0.5j / s_product(u))
+
+    return f, sum(crossing for _, _, crossing in data)
+
+
+def _reference_segment_integral(curve, points, a_idx, b_idx, numerators_fn, quad_tol):
+    f, _ = _reference_integrand(points, a_idx, b_idx, numerators_fn)
+    return periods.adaptive_gl(f, 0.0, np.pi, quad_tol)
+
+
+def _monomials(x):
+    return np.vstack([np.ones_like(x), x, x * x])
+
+
+THETA_NODES = 0.5 * np.pi * (1.0 + nleg.leggauss(32)[0])
+
+
+def _integrand(monkeypatch, points, a_idx, b_idx):
+    """The integrand segment_integral hands to the quadrature."""
+    seen = []
+    monkeypatch.setattr(periods, "adaptive_gl", lambda f, lo, hi, tol: seen.append(f))
+    periods.segment_integral(None, points, a_idx, b_idx, _monomials, 1e-12)
+    return seen[0]
+
+
+def test_segment_integrand_matches_the_reference_rule(monkeypatch):
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(240):
+        pts = tuple(complex(z) for z in rng.normal(size=5) + 1j * rng.normal(size=5))
+        a_idx, b_idx = (int(k) for k in rng.choice(5, size=2, replace=False))
+        cases.append((pts, a_idx, b_idx))
+    # real axis and horizontal segments: no factor meets a cut
+    for pts in [(-2.0, -1.0, 0.0, 1.0, 2.0), (-2.0, -1.3, 0.4, 0.9, 1.7),
+                (-1.0 + 0.5j, 1.0 + 0.5j, -0.3 - 0.2j, 0.2 + 1.1j, 0.7)]:
+        pts = tuple(complex(z) for z in pts)
+        cases.extend((pts, k, k + 1) for k in range(4))
+    crossed = 0
+    for pts, a_idx, b_idx in cases:
+        ref, n_crossed = _reference_integrand(pts, a_idx, b_idx, _monomials)
+        crossed += n_crossed > 0
+        f = _integrand(monkeypatch, pts, a_idx, b_idx)
+        sub = 0.3 + 0.2 * THETA_NODES / np.pi
+        for theta in (THETA_NODES, sub):
+            assert np.array_equal(f(theta), ref(theta)), (pts, a_idx, b_idx)
+    assert crossed >= 50
+
+
+def _level_cases():
+    """Segments with a branch point level with an endpoint: the factor
+    starts or ends exactly on the real axis of its w-plane."""
+    rng = np.random.default_rng(99)
+    for _ in range(80):
+        ea, eb = (complex(int(rng.integers(-4, 5)), int(rng.integers(-4, 5))) / 2 for _ in "ab")
+        if ea == eb or ea.imag == eb.imag:
+            continue
+        end = ea if rng.uniform() < 0.5 else eb
+        level = end + int(rng.choice([-3, -2, -1, 1, 2, 3])) / 2
+        others = [complex(z) for z in rng.normal(size=2) + 1j * rng.normal(size=2)]
+        pts = (ea, eb, level, *others)
+        if len(set(pts)) == 5:
+            yield pts
+
+
+def test_level_segments_differ_from_the_reference_by_one_sign(monkeypatch):
+    # a factor that starts on the cut is continued from its upper side, as
+    # numpy's root has it there, so leaving the cut downward it is minus the
+    # reference's principal root on the whole open segment
+    flipped = 0
+    for pts in _level_cases():
+        ref, _ = _reference_integrand(pts, 0, 1, _monomials)
+        f = _integrand(monkeypatch, pts, 0, 1)
+        m, h = 0.5 * (pts[0] + pts[1]), 0.5 * (pts[1] - pts[0])
+        w0 = m - np.array(pts[2:]) - h
+        starts_on_cut = (w0.imag == 0) & (w0.real < 0) & (h.imag < 0)
+        sign = (-1) ** int(starts_on_cut.sum())
+        flipped += sign < 0
+        assert np.array_equal(f(THETA_NODES), sign * ref(THETA_NODES)), pts
+    assert flipped >= 5
+
+
+def test_level_curve_periods_against_the_reference_rule(monkeypatch):
+    # branch points -1+2i and 2+2i are level: the chain from -1+2i leaves
+    # the cut of the factor x - (2+2i) downward
+    curve = curve_from_branch_points([-1 + 2j, 3 - 2j, -2j, 1 + 1j, 2 + 2j])
+    b = compute_periods(curve)
+    monkeypatch.setattr(periods, "segment_integral", _reference_segment_integral)
+    ref = compute_periods(curve)
+    assert np.array_equal(b.tau, ref.tau)
+    assert np.array_equal(b.kappa, ref.kappa)
+    # the certified basis is (-a, -b) of the reference's
+    for name in ("omega", "omega_prime", "eta", "eta_prime"):
+        assert np.array_equal(getattr(b, name), -getattr(ref, name)), name
+    assert b.homology.chain_signs == (1, -1, 1, 1)
+    assert ref.homology.chain_signs == (1, 1, -1, -1)
+
+
+# ------------------------------------------- points given to the Abel map
+
+@pytest.mark.parametrize("scale", [1.0, 1000.0])
+def test_lifted_points_are_on_the_curve(scale):
+    # the point check is relative to the size of y^2's terms at x, so the
+    # lifts of a wide curve are accepted near the origin
+    curve = curve_from_branch_points([scale * e for e in (-200, -100, 70, 100, 200)])
+    b = compute_periods(curve)
+    lifts = [curve.lift(complex(re, im)) for re in range(-3, 4) for im in (0.4, -0.9)]
+    for p in lifts[1:]:
+        assert np.all(np.isfinite(abel_map(curve, b, lifts[0], p)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1000.0])
+def test_points_off_the_curve_are_rejected(scale, standard_curve):
+    curve = curve_from_branch_points([scale * e for e in standard_curve.branch_points])
+    b = compute_periods(curve)
+    p = curve.lift(scale * (0.37 + 0.21j))
+    off = CurvePoint(scale * (-1.42 + 0.55j), curve.lift(scale * (-1.42 + 0.55j)).y * (1 + 1e-6))
+    with pytest.raises(ValueError, match="not on the curve"):
+        abel_map(curve, b, p, off)
+    with pytest.raises(ValueError, match="not on the curve"):
+        abel_map(curve, b, off, p)

@@ -274,6 +274,14 @@ def test_truncation_radius_honest(standard_bundle):
         assert abs(loose.value(ch) - tight.value(ch)) < 1e-6
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_outside_the_open_range_is_refused(standard_bundle, tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        theta_table(standard_bundle, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        theta_raw(np.zeros(2), standard_bundle.tau, np.zeros(2), np.zeros(2), tol=tol)
+
+
 def test_half_period_definition(standard_table):
     tau = standard_table.tau
     ch = char((1, 1), (0, 1))
