@@ -6,9 +6,11 @@ The first pass runs verify --suite quick and --suite full on seeds 0-79.  It
 prints exit-code and status changes, the number of reports that differ at all,
 the ten largest defect differences by label and the unequal omega_*/gate_*
 labels.  The second pass runs periods, theta, match, kappa, expand and verify
-on six named curves and prints each (command, curve) pair whose exit code or
-output bytes differ.  Exits 1 on any exit-code or status change of the first
-pass and on any difference of the second.
+on six named curves, each (command, curve) pair three times: as is, with
+--format text, and with every option the command reads set to a non-default
+value.  It prints each run whose exit code or output bytes differ.  Exits 1
+on any exit-code or status change of the first pass and on any difference of
+the second.
 """
 
 import json
@@ -16,7 +18,19 @@ import os
 import subprocess
 import sys
 
-COMMANDS = ("periods", "theta", "match", "kappa", "expand", "verify")
+_PERIODS = ["--quad-tol", "1e-11"]
+_THETA = _PERIODS + ["--theta-tol", "1e-13"]
+_KAPPA = _THETA + ["--order", "10"]
+
+#: Each command with a non-default value for every option it reads.
+COMMANDS = {
+    "periods": _PERIODS,
+    "theta": _THETA,
+    "match": _THETA,
+    "kappa": _KAPPA,
+    "expand": _KAPPA,
+    "verify": _KAPPA + ["--tol", "1e-9"],
+}
 
 CURVES = {
     "standard": {"branch_points": [-2, -1, 0, 1, 2]},
@@ -39,11 +53,13 @@ for suite in ("quick", "full"):
             code = main(["verify", "--suite", suite, "--seed", str(seed)])
         out[f"{suite} seed {seed}"] = [code, json.loads(buf.getvalue())]
 named = {}
-for command in commands:
+for command, options in commands.items():
     for name, curve in curves.items():
-        with contextlib.redirect_stdout(io.StringIO()) as buf:
-            code = main([command, "--curve", json.dumps(curve)])
-        named[f"{command} {name}"] = [code, buf.getvalue()]
+        for variant, extra in (("", []), (" text", ["--format", "text"]),
+                               (" options", options)):
+            with contextlib.redirect_stdout(io.StringIO()) as buf:
+                code = main([command, "--curve", json.dumps(curve), *extra])
+            named[f"{command} {name}{variant}"] = [code, buf.getvalue()]
 json.dump([out, named], sys.stdout)
 """
 
@@ -82,7 +98,7 @@ def main(argv) -> int:
           f"{differing} reports differ")
     named_diffs = [run for run, result in old_named.items() if new_named[run] != result]
     sys.stdout.writelines(f"output differs: {run}\n" for run in named_diffs)
-    print(f"{len(named_diffs)} of {len(old_named)} (command, curve) outputs differ")
+    print(f"{len(named_diffs)} of {len(old_named)} (command, curve, variant) outputs differ")
     return 1 if changes or named_diffs else 0
 
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .correspondence import BranchMatching, bolza_match
+from .correspondence import MATCH_RESIDUAL_TOL, BranchMatching, bolza_match
 from .curves import (
     HyperellipticCurve,
     branch_points,
@@ -25,6 +25,7 @@ from .curves import (
 from .errors import SecondKindError
 from .expansion import DEFAULT_ORDER, RESIDUAL_TOL, expansion_match
 from .identities import (
+    DEFAULT_IDENTITY_TOL,
     IdentityEntry,
     identity_entry,
     jacobi_inversion_check,
@@ -41,7 +42,6 @@ from .identities import (
 from .periods import DEFAULT_QUAD_TOL, compute_periods, gate_tolerances
 from .theta import DEFAULT_THETA_TOL, half_period, theta_table
 
-DEFAULT_IDENTITY_TOL = 1e-8
 OMEGA_STENCIL_TOL = 1e-5
 KAPPA_ROUTE_TOL = 1e-7
 STANDARD_BRANCH_POINTS = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -123,13 +123,23 @@ def _curve_dict(curve: HyperellipticCurve) -> dict:
 
 # ------------------------------------------------------------- curve input
 
+def _is_real(v) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _as_complex(v) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_real(v):
         return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 \
-            and all(isinstance(t, (int, float)) for t in v):
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_real(t) for t in v):
         return complex(v[0], v[1])
     raise ValueError("numbers must be scalars or [re, im] pairs")
+
+
+def _numbers(data: dict, key: str) -> list:
+    if not isinstance(data[key], list):
+        raise ValueError(f"'{key}' must be a list of numbers")
+    return [_as_complex(v) for v in data[key]]
 
 
 def parse_curve(text: str) -> HyperellipticCurve:
@@ -142,15 +152,17 @@ def parse_curve(text: str) -> HyperellipticCurve:
     if not isinstance(data, dict):
         raise ValueError("curve JSON must be an object")
     if "branch_points" in data:
-        pts = [_as_complex(v) for v in data["branch_points"]]
-        curve = curve_from_branch_points(pts)
+        curve = curve_from_branch_points(_numbers(data, "branch_points"))
     elif "lambda" in data:
-        lam = [_as_complex(v) for v in data["lambda"]]
-        curve = curve_from_coefficients(lam)
+        curve = curve_from_coefficients(_numbers(data, "lambda"))
     else:
         raise ValueError("curve JSON needs 'branch_points' or 'lambda'")
-    if "genus" in data and int(data["genus"]) != curve.genus:
-        raise ValueError(f"declared genus {data['genus']} but curve has genus {curve.genus}")
+    if "genus" in data:
+        genus = data["genus"]
+        if not isinstance(genus, int) or isinstance(genus, bool):
+            raise ValueError(f"'genus' must be an integer, got {genus!r}")
+        if genus != curve.genus:
+            raise ValueError(f"declared genus {genus} but curve has genus {curve.genus}")
     return curve
 
 
@@ -353,7 +365,8 @@ def _battery_genus2(curve, args, rng, omega_pairs: int) -> list:
     checks.extend(_entry_dict(e) for e in _gate_entries(bundle))
     tt = theta_table(bundle, tol=args.theta_tol)
     m = bolza_match(tt, curve)
-    checks.append(_entry_dict(_scalar("gate_matching_residual", max(m.residuals), 1e-6)))
+    checks.append(_entry_dict(_scalar("gate_matching_residual", max(m.residuals),
+                                      MATCH_RESIDUAL_TOL)))
 
     rep = kappa_report(curve, bundle, tt, m)
     for name, d in rep.defect_table.items():
@@ -362,14 +375,7 @@ def _battery_genus2(curve, args, rng, omega_pairs: int) -> list:
 
     checks.extend(_entry_dict(e) for e in thomae_defects(curve, bundle, tt, m, tol).entries)
 
-    # the third-derivative Rosenhain constant pi^2 det((2 omega)^-1) holds for
-    # the 10 pairs of admissible characteristics; the 5 pairs involving the
-    # Riemann-constant characteristic gamma carry 2 pi^2 det((2 omega)^-1),
-    # as Riemann vanishing forces, and are checked by rosenhain_gamma_pairs
-    for e in rosenhain_defects(bundle, tt, m, tol).entries:
-        if e.label.startswith("rosenhain_higher_") and e.label.endswith("6"):
-            continue
-        checks.append(_entry_dict(e))
+    checks.extend(_entry_dict(e) for e in rosenhain_defects(bundle, tt, m, tol).entries)
     checks.extend(_entry_dict(e) for e in rosenhain_gamma_pairs(bundle, tt, m, tol).entries)
 
     for i in range(1, 6):
@@ -396,7 +402,8 @@ def _battery_genus2(curve, args, rng, omega_pairs: int) -> list:
                 checks.append(_error_dict(f"omega_stencil_{idx}", exn))
         for j in (1, 2):
             ap = omega_a_period(curve, bundle, j, r_last)
-            checks.append(_entry_dict(identity_entry(f"omega_a_period_{j}", ap, 0.0, 1e-8)))
+            checks.append(_entry_dict(identity_entry(f"omega_a_period_{j}", ap, 0.0,
+                                                     DEFAULT_IDENTITY_TOL)))
     return checks
 
 
@@ -513,29 +520,33 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for genus 1 and 2 hyperelliptic curves.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, text in [
-        ("periods", "first and second kind period matrices with diagnostics"),
-        ("theta", "theta-constant table at the curve's tau"),
-        ("match", "branch point / odd characteristic correspondence (genus 2)"),
-        ("kappa", "kappa by every independent route"),
-        ("verify", "run the identity verification suite"),
-        ("expand", "projective-connection expansions and kappa recovery"),
+    # level: how deep into the pipeline the subcommand runs; each level reads
+    # the options of the levels below it and adds its own
+    for name, level, text in [
+        ("periods", 0, "first and second kind period matrices with diagnostics"),
+        ("theta", 1, "theta-constant table at the curve's tau"),
+        ("match", 1, "branch point / odd characteristic correspondence (genus 2)"),
+        ("kappa", 2, "kappa by every independent route"),
+        ("verify", 3, "run the identity verification suite"),
+        ("expand", 2, "projective-connection expansions and kappa recovery"),
     ]:
         q = sub.add_parser(name, help=text)
         q.add_argument("--curve", help="inline curve JSON")
         q.add_argument("--curve-file", help="path to a curve JSON file")
-        q.add_argument("--tol", type=float, default=DEFAULT_IDENTITY_TOL,
-                       help="identity tolerance (default 1e-8)")
         q.add_argument("--quad-tol", type=float, default=DEFAULT_QUAD_TOL,
                        help="quadrature tolerance (default 1e-12)")
-        q.add_argument("--theta-tol", type=float, default=DEFAULT_THETA_TOL,
-                       help="theta truncation tolerance (default 1e-14)")
-        q.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                       help="expansion truncation order (default 12)")
         q.add_argument("--format", choices=("json", "text"), default="json")
-        q.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized suite curves and stencil points")
-        if name == "verify":
+        if level >= 1:
+            q.add_argument("--theta-tol", type=float, default=DEFAULT_THETA_TOL,
+                           help="theta truncation tolerance (default 1e-14)")
+        if level >= 2:
+            q.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                           help="expansion truncation order (default 12)")
+        if level == 3:
+            q.add_argument("--tol", type=float, default=DEFAULT_IDENTITY_TOL,
+                           help="identity tolerance (default 1e-8)")
+            q.add_argument("--seed", type=int, default=0,
+                           help="seed for randomized suite curves and stencil points")
             q.add_argument("--suite", choices=("quick", "full"), default="quick")
     return p
 

@@ -120,7 +120,7 @@ def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
 
 
 def abel_consistency(curve: HyperellipticCurve, bundle: PeriodBundle,
-                     matching: BranchMatching, quad_tol: float | None = None):
+                     matching: BranchMatching):
     """Diagnostic: Abel image of each branch point against its half-period.
 
     For each finite branch point, (2 omega)^{-1} integral of u from infinity
@@ -132,7 +132,7 @@ def abel_consistency(curve: HyperellipticCurve, bundle: PeriodBundle,
     kvec = half_period(matching.gamma, bundle.tau)
     out = []
     for k, e in enumerate(bundle.canonical_points):
-        v = abel_from_infinity(curve, bundle, CurvePoint(e, 0.0), quad_tol=quad_tol)
+        v = abel_from_infinity(curve, bundle, CurvePoint(e, 0.0))
         target = half_period(matching.delta(k + 1), bundle.tau)
         out.append(lattice_distance(v + kvec - target, bundle.tau))
     return tuple(out)

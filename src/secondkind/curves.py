@@ -87,6 +87,11 @@ def branch_scale(points) -> float:
     return max(1.0, max(abs(e) for e in points))
 
 
+def _check_finite(values, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+
+
 def _check_separation(points) -> None:
     pts = list(points)
     scale = branch_scale(pts)
@@ -113,6 +118,7 @@ def curve_from_coefficients(lam) -> HyperellipticCurve:
     lam = tuple(complex(v) for v in lam)
     if len(lam) < 3 or len(lam) % 2 == 0:
         raise ValueError("expected an odd number >= 3 of coefficients lam_0..lam_2g")
+    _check_finite(lam, "coefficients")
     genus = (len(lam) - 1) // 2
     coeffs = np.asarray(list(lam) + [4.0], dtype=complex)
     roots = np.roots(coeffs[::-1])
@@ -142,6 +148,7 @@ def curve_from_branch_points(points) -> HyperellipticCurve:
     pts = tuple(complex(e) for e in points)
     if len(pts) < 3 or len(pts) % 2 == 0:
         raise ValueError("expected an odd number >= 3 of branch points")
+    _check_finite(pts, "branch points")
     _check_separation(pts)
     genus = (len(pts) - 1) // 2
     coeffs = np.array([4.0], dtype=complex)

@@ -162,11 +162,13 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     truncation order, across every admissible odd characteristic, and
     solved by least squares.  Returns the base and kappa-basis series, the
     theta-side series per characteristic, the solved kappa, the relative
-    residual, and the rank and condition number of the system, without
-    gating them.  Raises ValueError for a negative order, and
-    IncompatibleSystem when the order is too low for full rank g(g+1)/2:
-    the kappa_ab series starts at xi^(2(2g-a-b)), so below order 4(g-1) a
-    column of the system is zero and kappa is not determined at all.
+    residual, and the rank and condition number of the system.  Raises
+    ValueError for a negative order, and IncompatibleSystem unless the
+    system certifies kappa: below order 4(g-1) a column is zero (the kappa_ab
+    series starts at xi^(2(2g-a-b))) and the rank falls short of g(g+1)/2; a
+    relative residual over RESIDUAL_TOL signals an upstream inconsistency;
+    and when cond * eps exceeds that gate, roundoff alone could too, so a
+    small residual certifies nothing about kappa.
     """
     if order < 0:
         raise ValueError(f"expansion order must be >= 0, got {order}")
@@ -185,8 +187,17 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
             f"expansion system has rank below {len(keys)} at order {order}"
         )
     sol, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    resid = float(np.max(np.abs(a @ sol - b)))
-    scale = max(1.0, float(np.max(np.abs(b))))
+    resid = float(np.max(np.abs(a @ sol - b))) / max(1.0, float(np.max(np.abs(b))))
+    if resid > RESIDUAL_TOL:
+        raise IncompatibleSystem(
+            f"expansion matching residual {resid:.2e} exceeds {RESIDUAL_TOL:.0e}"
+        )
+    condition = float(sv[0] / sv[-1])
+    if condition * np.finfo(float).eps > RESIDUAL_TOL:
+        raise IncompatibleSystem(
+            f"expansion system condition number {condition:.2e} "
+            f"leaves no certified digits at {RESIDUAL_TOL:.0e}"
+        )
     kappa = np.zeros((g, g), dtype=complex)
     for k, (aa, bb) in enumerate(keys):
         kappa[aa - 1, bb - 1] = sol[k]
@@ -196,8 +207,8 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
         "basis": {key: TruncatedSeries.make(-2, c, order) for key, c in basis.items()},
         "theta_side": {ch: TruncatedSeries.make(0, row, order) for ch, row in zip(chars, sides)},
         "kappa": kappa,
-        "residual": resid / scale,
-        "condition": float(sv[0] / sv[-1]),
+        "residual": resid,
+        "condition": condition,
         "rank": int(rank),
         "order": order,
     }
@@ -205,21 +216,5 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
 
 def kappa_from_expansion(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
                          m=None, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Solve for kappa by matching the two connection expansions.
-
-    IncompatibleSystem when the relative least-squares residual exceeds the
-    gate (signals an upstream inconsistency, not a roundoff issue), or when
-    the system is so ill-conditioned that roundoff alone, cond * eps, could
-    exceed it: a small residual then certifies nothing about kappa.
-    """
-    out = expansion_match(curve, bundle, tt, m, order=order)
-    if out["residual"] > RESIDUAL_TOL:
-        raise IncompatibleSystem(
-            f"expansion matching residual {out['residual']:.2e} exceeds {RESIDUAL_TOL:.0e}"
-        )
-    if out["condition"] * np.finfo(float).eps > RESIDUAL_TOL:
-        raise IncompatibleSystem(
-            f"expansion system condition number {out['condition']:.2e} "
-            f"leaves no certified digits at {RESIDUAL_TOL:.0e}"
-        )
-    return out["kappa"]
+    """kappa solved by matching the two connection expansions (``expansion_match``)."""
+    return expansion_match(curve, bundle, tt, m, order=order)["kappa"]

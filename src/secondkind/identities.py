@@ -31,6 +31,9 @@ from .theta import ThetaTable, char, char_add, theta_eval
 #: Below this magnitude on both sides a defect is reported absolutely.
 ABSOLUTE_FLOOR = 1e-6
 
+#: Default tolerance of the genus-2 theta-constant identities.
+DEFAULT_IDENTITY_TOL = 1e-8
+
 #: Finite-difference step of the bi-differential stencil.
 STENCIL_STEP = 1e-4
 
@@ -247,7 +250,7 @@ def kappa_report(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable
 
 
 def thomae_defects(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
-                   m: BranchMatching, tol: float = 1e-8) -> IdentityDefects:
+                   m: BranchMatching, tol: float = DEFAULT_IDENTITY_TOL) -> IdentityDefects:
     """Thomae-type relations between odd third and even second derivatives.
 
     The 222 relation holds for every curve; the 122 and 112 relations
@@ -278,18 +281,17 @@ def _odd_labels(m: BranchMatching):
 
 
 def rosenhain_defects(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching,
-                      tol: float = 1e-8) -> IdentityDefects:
-    """Classical and higher derivative formulas for all 15 odd pairs.
+                      tol: float = DEFAULT_IDENTITY_TOL) -> IdentityDefects:
+    """Classical formula for all 15 odd pairs, higher formula for the 10 admissible.
 
     For the pair {i, j} the four even characteristics are delta_i + delta_j
     + delta_k over the remaining k.  Each formula carries an undetermined
     overall sign; the minimizing sign is recorded in the entry.
 
-    The higher entries all carry the constant pi^2 det((2 omega)^{-1}) of a
-    pair of admissible characteristics.  The five entries
-    rosenhain_higher_{i}6, whose pair involves gamma, therefore miss by
-    exactly a factor 2 (|rhs / lhs| = 2); their correct constant is checked
-    by rosenhain_gamma_pairs.
+    The higher entries carry the constant pi^2 det((2 omega)^{-1}) of a
+    pair of admissible characteristics, so they are emitted for i < j <= 5
+    only; the five pairs {i, 6} involving gamma carry twice that constant
+    and are checked by rosenhain_gamma_pairs.
     """
     labels = _odd_labels(m)
     det_w = np.linalg.det(bundle.inv_two_omega)
@@ -312,6 +314,8 @@ def rosenhain_defects(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching,
             entries.append(_signed_entry(
                 f"rosenhain_classical_{i}{j}", np.pi ** 2 * prod,
                 tt.d(di, 0) * tt.d(dj, 1) - tt.d(di, 1) * tt.d(dj, 0), tol))
+            if j == 6:
+                continue
             entries.append(_signed_entry(
                 f"rosenhain_higher_{i}{j}", np.pi ** 2 * det_w * prod,
                 tt.D(di, "222") * tt.D(dj, "2") - tt.D(dj, "222") * tt.D(di, "2"), tol))
@@ -319,7 +323,7 @@ def rosenhain_defects(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching,
 
 
 def rosenhain_gamma_pairs(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching,
-                          tol: float = 1e-8) -> IdentityDefects:
+                          tol: float = DEFAULT_IDENTITY_TOL) -> IdentityDefects:
     """Higher derivative formula for the five pairs involving gamma.
 
     The third-derivative formula with constant pi^2 det((2 omega)^{-1})
@@ -386,7 +390,8 @@ def weierstrass_eta(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
 
 
 def jacobi_inversion_check(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
-                           m: BranchMatching, i: int, j: int, tol: float = 1e-8) -> IdentityDefects:
+                           m: BranchMatching, i: int, j: int,
+                           tol: float = DEFAULT_IDENTITY_TOL) -> IdentityDefects:
     """Kleinian p-function values at the divisor of the branch pair {i, j}.
 
     p_ab = -2 kappa_ab - Theta_ab[eps_ij]/Theta[eps_ij]; compared against
@@ -471,7 +476,7 @@ def omega_consistency(curve: HyperellipticCurve, bundle: PeriodBundle, tt: Theta
 
 
 def omega_a_period(curve: HyperellipticCurve, bundle: PeriodBundle, j: int,
-                   r: CurvePoint, quad_tol: float | None = None) -> complex:
+                   r: CurvePoint) -> complex:
     """Integral of the bi-differential over the a_j cycle (j 1-based).
 
     The part of the integrand even in y cancels between the sheets; the odd
@@ -491,4 +496,4 @@ def omega_a_period(curve: HyperellipticCurve, bundle: PeriodBundle, j: int,
         val = (f / (4.0 * (x - r.x) ** 2) + 2.0 * np.einsum("i,in->n", kz, xs)) / r.y
         return val[None, :]
 
-    return complex(a_cycle_integral(curve, bundle, j - 1, rows, quad_tol)[0])
+    return complex(a_cycle_integral(curve, bundle, j - 1, rows)[0])

@@ -79,17 +79,6 @@ def _scaled_gate(base: float, magnitude: float) -> float:
     return min(base * max(1.0, magnitude), LEGENDRE_GATE_CAP)
 
 
-@dataclass(frozen=True)
-class HomologySpec:
-    """The certified orientations of the chains of the homology basis.
-
-    Chain k joins canonical branch points k and k+1; a_j is chain 2j and
-    b_j is chains 2j+1, 2j+3, ... (module docstring).
-    """
-
-    chain_signs: tuple
-
-
 def chain_intersection_matrix(g: int) -> np.ndarray:
     """Intersection matrix of (a_1..a_g, b_1..b_g) in the chain model.
 
@@ -117,7 +106,10 @@ class PeriodBundle:
     omega, omega_prime, eta, eta_prime are the HALF matrices (the full
     period of a cycle is twice the entry).  ``inv_two_omega`` is
     (2 omega)^{-1}, computed once; ``winding`` gives its g columns, (U, V)
-    for genus 2.
+    for genus 2.  ``chain_signs`` are the certified orientations of the
+    chains of the homology basis: chain k joins canonical branch points k
+    and k+1, a_j is chain 2j and b_j is chains 2j+1, 2j+3, ... (module
+    docstring).
     """
 
     omega: np.ndarray
@@ -134,7 +126,7 @@ class PeriodBundle:
     kappa_asymmetry: float
     im_tau_min_eig: float
     eta_prime_consistency: float
-    homology: HomologySpec
+    chain_signs: tuple
     canonical_points: tuple
     quad_tol: float
 
@@ -269,7 +261,6 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
         # the roundoff of the consistency grows with |eta'| as the
         # Legendre roundoff grows with the products of the periods
         eta_p_gate = _scaled_gate(leg_base, 0.5 * float(np.max(np.abs(two_ep))))
-        homology = HomologySpec(chain_signs=tuple(signs))
         return PeriodBundle(
             omega=two_w / 2,
             omega_prime=two_wp / 2,
@@ -285,7 +276,7 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
             kappa_asymmetry=kappa_asym,
             im_tau_min_eig=eig_min,
             eta_prime_consistency=eta_p_cons,
-            homology=homology,
+            chain_signs=tuple(signs),
             canonical_points=pts,
             quad_tol=quad_tol,
         )
@@ -432,15 +423,15 @@ def abel_from_infinity(curve: HyperellipticCurve, bundle: PeriodBundle,
 
 
 def a_cycle_integral(curve: HyperellipticCurve, bundle: PeriodBundle, j: int,
-                     numerators_fn, quad_tol: float | None = None) -> np.ndarray:
+                     numerators_fn) -> np.ndarray:
     """Loop integral over the cycle a_j of numerators(x)/y dx.
 
     Only the part of the integrand odd in y contributes to a loop integral
     (the even part cancels between the two sheets), and that part doubles,
-    so the cycle integral is 2 x (sign) x (segment integral) of chain 2j.
+    so the cycle integral is 2 x (sign) x (segment integral) of chain 2j,
+    at the bundle's quadrature tolerance.
     """
-    tol = bundle.quad_tol if quad_tol is None else quad_tol
     k = 2 * j
-    return 2.0 * bundle.homology.chain_signs[k] * segment_integral(
-        curve, bundle.canonical_points, k, k + 1, numerators_fn, tol
+    return 2.0 * bundle.chain_signs[k] * segment_integral(
+        curve, bundle.canonical_points, k, k + 1, numerators_fn, bundle.quad_tol
     )

@@ -7,6 +7,8 @@ import pytest
 
 from secondkind.cli import _num, main, parse_curve, random_curve
 
+COMMANDS = ("periods", "theta", "match", "kappa", "expand", "verify")
+
 STANDARD = json.dumps({"branch_points": [[-2, 0], [-1, 0], [0, 0], [1, 0], [2, 0]]})
 SQUARE_G1 = json.dumps({"genus": 1, "lambda": [0, -4, 0]})
 
@@ -39,9 +41,54 @@ def test_output_is_reproducible(capsys):
 
 
 def test_text_format_runs(capsys):
-    code, out = _run(capsys, ["periods", "--curve", STANDARD, "--format", "text"])
-    assert code == 0
-    assert "legendre_defect" in out
+    for command in COMMANDS:
+        _, rep = _run_json(capsys, [command, "--curve", STANDARD])
+        code, out = _run(capsys, [command, "--curve", STANDARD, "--format", "text"])
+        assert code == 0, command
+        for key in rep:
+            assert f"{key}:" in out, (command, key)
+
+
+# the options each subcommand reads, 35 in all, and a non-default value for each
+_OPTION_VALUES = {
+    "--quad-tol": "1e-11", "--theta-tol": "1e-13", "--order": "10",
+    "--tol": "1e-9", "--seed": "1", "--suite": "full", "--format": "text",
+}
+_PERIODS_OPTIONS = ("--curve", "--curve-file", "--quad-tol", "--format")
+_THETA_OPTIONS = _PERIODS_OPTIONS + ("--theta-tol",)
+_KAPPA_OPTIONS = _THETA_OPTIONS + ("--order",)
+_OPTIONS = {
+    "periods": _PERIODS_OPTIONS,
+    "theta": _THETA_OPTIONS,
+    "match": _THETA_OPTIONS,
+    "kappa": _KAPPA_OPTIONS,
+    "expand": _KAPPA_OPTIONS,
+    "verify": _KAPPA_OPTIONS + ("--tol", "--seed", "--suite"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_subcommand_rejects_options_it_does_not_read(capsys, command):
+    every = set().union(*_OPTIONS.values())
+    for option in sorted(every - set(_OPTIONS[command])):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--curve", STANDARD, option, _OPTION_VALUES[option]])
+        assert exc.value.code == 2, option
+        assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_subcommand_runs_with_every_option_it_reads(capsys, tmp_path, command):
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(STANDARD, encoding="utf-8")
+    rest = []
+    for option in _OPTIONS[command]:
+        if option not in ("--curve", "--curve-file"):
+            rest += [option, _OPTION_VALUES[option]]
+    for source in (["--curve", STANDARD], ["--curve-file", str(curve_file)]):
+        code, out = _run(capsys, [command, *source, *rest])
+        assert code == 0, (source[0], out)
+        assert "error" not in out
 
 
 # ------------------------------------------------------------ commands
@@ -150,15 +197,65 @@ def test_out_of_range_options_are_reported(capsys, argv, error):
 
 def test_scaled_curve_reports_kappa(capsys):
     # the symmetry check of every kappa route is relative to its magnitude
-    # (asymmetry 3e-8 absolute, 3e-20 relative here); the absolute route
-    # gates failing on this curve are a separate matter
+    # (asymmetry 3e-8 absolute, 3e-20 relative here), so kappa_report passes
+    # and the expansion, solved after it, refuses: its kappa is wrong by 100%
+    # on this curve (cond * eps = 1e3); the absolute route gates failing on
+    # this curve are a separate matter
     wide = json.dumps({"branch_points": [-20000, -10000, 0, 10000, 20000]})
     code, rep = _run_json(capsys, ["kappa", "--curve", wide])
-    assert code == 0
-    assert "kappa_direct" in rep
+    assert code == 2
+    assert rep["error"]["type"] == "IncompatibleSystem"
     code, rep = _run_json(capsys, ["verify", "--curve", wide])
     assert code in (0, 1)
     assert rep["curves"][0]["checks"]
+
+
+@pytest.mark.parametrize("command", ["expand", "kappa"])
+@pytest.mark.parametrize("points, order", [
+    ([-100, -1, 0, 1, 100], 12),
+    ([-20000, -10000, 0, 10000, 20000], 12),
+    ([-2, -1, 0, 1, 2], 80),
+])
+def test_uncertified_expansion_is_refused(capsys, command, points, order):
+    # each residual passes the gate (1.4e-13, 3e-11, 2.4e-13) while the
+    # solved kappa is off by 100%, 100% and 7.3e-4: cond * eps is 1.3, 1e3
+    # and 3.2e-4, over RESIDUAL_TOL
+    curve = json.dumps({"branch_points": points})
+    code, rep = _run_json(capsys, [command, "--curve", curve, "--order", str(order)])
+    assert code == 2
+    assert rep["error"]["type"] == "IncompatibleSystem"
+    assert "condition number" in rep["error"]["message"]
+
+
+def test_verify_reports_an_uncertified_expansion(capsys):
+    code, rep = _run_json(capsys, ["verify", "--order", "80"])
+    assert code == 1
+    checks = rep["curves"][0]["checks"]
+    entry, = [c for c in checks if c["identity"] == "kappa_route_expansion"]
+    assert entry["error"].startswith("IncompatibleSystem: expansion system condition number")
+    assert [c["identity"] for c in checks if c["status"] == "fail"] == ["kappa_route_expansion"]
+
+
+@pytest.mark.parametrize("argv, curve", [
+    (["periods"], {"branch_points": 5}),
+    (["verify"], {"lambda": None}),
+    (["periods"], {"branch_points": [True, -1, 0, 1, 2]}),
+    (["periods"], {"branch_points": [[-2, False], -1, 0, 1, 2]}),
+    (["periods"], {"lambda": [0, True, 0]}),
+    (["periods"], {"genus": 2.7, "branch_points": [-2, -1, 0, 1, 2]}),
+    (["periods"], {"genus": "2", "branch_points": [-2, -1, 0, 1, 2]}),
+    (["periods"], {"genus": True, "lambda": [0, -4, 0]}),
+    (["periods"], {"branch_points": [float("nan"), -1, 0, 1, 2]}),
+    (["periods"], {"branch_points": [[-2, float("inf")], -1, 0, 1, 2]}),
+    (["verify"], {"lambda": [0, float("nan"), 0]}),
+])
+def test_malformed_curve_is_reported(capsys, argv, curve):
+    # invalid input exits 2 before any computation: not as a TypeError with
+    # the verification-failure code 1, not read as 1 (true) or 2 (2.7), and
+    # not met later as QuadratureNonConvergence or LinAlgError (NaN)
+    code, rep = _run_json(capsys, [*argv, "--curve", json.dumps(curve)])
+    assert code == 2
+    assert rep["error"]["type"] == "ValueError"
 
 
 def test_genus_mismatch_is_reported(capsys):

@@ -49,6 +49,17 @@ def test_degenerate_curve_rejected():
         curve_from_branch_points((0.0, 0.0, 1.0, 2.0, 3.0))
 
 
+@pytest.mark.parametrize("build, values", [
+    (curve_from_branch_points, [np.nan, -1, 0, 1, 2]),
+    (curve_from_branch_points, [complex(-2, np.inf), -1, 0, 1, 2]),
+    (curve_from_coefficients, [0, np.nan, 0]),
+    (curve_from_coefficients, [0, 16, 0, -np.inf, 0]),
+])
+def test_non_finite_input_rejected(build, values):
+    with pytest.raises(ValueError, match="finite"):
+        build(values)
+
+
 def test_even_branch_point_count_rejected():
     with pytest.raises(ValueError):
         curve_from_branch_points((0.0, 1.0, 2.0, 3.0))

@@ -161,15 +161,17 @@ def test_inconsistent_inputs_are_refused(standard_curve, standard_bundle,
 ])
 def test_ill_conditioned_system_is_refused(points):
     # both residuals pass the gate (3e-9 and 1.4e-13) while the solved kappa
-    # is wrong by 100%: cond(A) is 4.5e14 and 5.8e15
+    # is wrong by 100%: cond(A) is 4.5e14 and 5.8e15; the gates live in
+    # expansion_match, so no caller sees this kappa
     curve = curve_from_branch_points(points)
     bundle = compute_periods(curve)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small Im tau is flagged, not refused
         tt = theta_table(bundle)
     m = bolza_match(tt, curve)
-    with pytest.raises(IncompatibleSystem, match="condition number"):
-        kappa_from_expansion(curve, bundle, tt, m)
+    for solve in (expansion_match, kappa_from_expansion):
+        with pytest.raises(IncompatibleSystem, match="condition number"):
+            solve(curve, bundle, tt, m)
 
 
 def test_order_below_full_rank_is_refused(standard_curve, standard_bundle, standard_table,

@@ -21,7 +21,7 @@ from secondkind import (
 )
 from secondkind.errors import StencilDegenerate
 from secondkind.identities import kappa_odd_sum_reduced, relative_defect
-from secondkind.theta import half_period
+from secondkind.theta import char_add, half_period
 
 
 # ---------------------------------------------------------------- kappa
@@ -90,17 +90,23 @@ def test_rosenhain_higher_splits_on_degenerate_label(standard_bundle, standard_t
                                                      standard_matching):
     d = rosenhain_defects(standard_bundle, standard_table, standard_matching)
     higher = [e for e in d.entries if e.label.startswith("rosenhain_higher_")]
-    assert len(higher) == 15
-    plain = [e for e in higher if not e.label.endswith("6")]
-    degen = [e for e in higher if e.label.endswith("6")]
-    assert len(plain) == 10 and len(degen) == 5
-    assert all(e.status == "pass" for e in plain)
-    assert max(e.defect for e in plain) < 1e-10
-    # the five pairs involving the degenerate characteristic miss by exactly
-    # a factor 2; pin the ratio so a change in behavior is caught
-    for e in degen:
-        assert e.status == "fail"
-        assert abs(e.rhs / e.lhs) == pytest.approx(2.0, rel=1e-9)
+    assert [e.label for e in higher] == [f"rosenhain_higher_{i}{j}"
+                                         for i in range(1, 6) for j in range(i + 1, 6)]
+    assert all(e.status == "pass" for e in higher)
+    assert max(e.defect for e in higher) < 1e-10
+    # the admissible-pair constant pi^2 det((2 omega)^-1) misses the five
+    # pairs involving the degenerate characteristic by exactly a factor 2,
+    # which is why rosenhain_defects leaves them out; pin the ratio so a
+    # change in behavior is caught
+    tt, m = standard_table, standard_matching
+    det_w = np.linalg.det(standard_bundle.inv_two_omega)
+    for i in range(1, 6):
+        di = m.delta(i)
+        prod = np.prod([tt.value(char_add(di, char_add(m.gamma, m.delta(k))))
+                        for k in range(1, 6) if k != i])
+        lhs = np.pi ** 2 * det_w * prod
+        rhs = tt.D(di, "222") * tt.D(m.gamma, "2") - tt.D(m.gamma, "222") * tt.D(di, "2")
+        assert abs(rhs / lhs) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_rosenhain_degenerate_pairs_corrected(standard_bundle, standard_table,
@@ -124,10 +130,7 @@ def test_riemann_vanishing_at_gamma(standard_table, standard_matching,
 
 def test_rosenhain_skew_curve(skew_bundle, skew_table, skew_matching):
     d = rosenhain_defects(skew_bundle, skew_table, skew_matching)
-    bad = [e for e in d.entries
-           if e.status != "pass"
-           and not (e.label.startswith("rosenhain_higher_") and e.label.endswith("6"))]
-    assert bad == []
+    assert [e for e in d.entries if e.status != "pass"] == []
     g = rosenhain_gamma_pairs(skew_bundle, skew_table, skew_matching)
     assert all(e.status == "pass" for e in g.entries)
 

@@ -86,7 +86,7 @@ def test_legendre_gate_follows_the_period_scale(standard_curve, standard_bundle)
         cases.append((compute_periods(curve), tuple(e + 20.0 for e in curve.branch_points)))
     for ref, shifted in cases:
         b = compute_periods(curve_from_branch_points(shifted))
-        assert b.homology.chain_signs == ref.homology.chain_signs
+        assert b.chain_signs == ref.chain_signs
         assert np.max(np.abs(b.tau - ref.tau)) < 1e-10
         assert b.legendre_defect <= b.legendre_gate <= LEGENDRE_GATE_CAP
         assert b.eta_prime_consistency <= b.eta_prime_gate <= LEGENDRE_GATE_CAP
@@ -309,8 +309,8 @@ def test_level_curve_periods_against_the_reference_rule(monkeypatch):
     # the certified basis is (-a, -b) of the reference's
     for name in ("omega", "omega_prime", "eta", "eta_prime"):
         assert np.array_equal(getattr(b, name), -getattr(ref, name)), name
-    assert b.homology.chain_signs == (1, -1, 1, 1)
-    assert ref.homology.chain_signs == (1, 1, -1, -1)
+    assert b.chain_signs == (1, -1, 1, 1)
+    assert ref.chain_signs == (1, 1, -1, -1)
 
 
 # ------------------------------------------- points given to the Abel map
