@@ -3,14 +3,16 @@
 two source trees, one subprocess per tree.
 
 The first pass runs verify --suite quick and --suite full on seeds 0-79.  It
-prints exit-code and status changes, the number of reports that differ at all,
-the ten largest defect differences by label and the unequal omega_*/gate_*
-labels.  The second pass runs periods, theta, match, kappa, expand and verify
-on six named curves, each (command, curve) pair three times: as is, with
+prints exit-code and status changes, the number of reports whose parsed
+values differ and the number whose bytes differ, the ten largest defect
+differences by label and the unequal omega_*/gate_* labels.  The second
+pass runs periods, theta, match, kappa, expand and verify on six named
+curves, each (command, curve) pair three times: as is, with
 --format text, and with every option the command reads set to a non-default
 value.  It prints each run whose exit code or output bytes differ.  Exits 1
-on any exit-code or status change of the first pass and on any difference of
-the second.
+on any exit-code or status change of the first pass, on any report of the
+first pass whose bytes differ while its parsed value is equal (a change of
+number formatting), and on any difference of the second.
 """
 
 import json
@@ -51,7 +53,7 @@ for suite in ("quick", "full"):
     for seed in range(80):
         with contextlib.redirect_stdout(io.StringIO()) as buf:
             code = main(["verify", "--suite", suite, "--seed", str(seed)])
-        out[f"{suite} seed {seed}"] = [code, json.loads(buf.getvalue())]
+        out[f"{suite} seed {seed}"] = [code, buf.getvalue()]
 named = {}
 for command, options in commands.items():
     for name, curve in curves.items():
@@ -75,10 +77,14 @@ def main(argv) -> int:
     if len(argv) != 2:
         sys.exit(__doc__)
     (old, old_named), (new, new_named) = (reports(src) for src in argv)
-    changes, moved, unequal, differing = [], {}, set(), 0
-    for run, (code0, rep0) in old.items():
-        code1, rep1 = new[run]
+    changes, moved, unequal, differing, bytes_differ, formatting = [], {}, set(), 0, 0, []
+    for run, (code0, text0) in old.items():
+        code1, text1 = new[run]
+        rep0, rep1 = json.loads(text0), json.loads(text1)
         differing += rep0 != rep1
+        bytes_differ += text0 != text1
+        if text0 != text1 and rep0 == rep1:
+            formatting.append(run)
         if code0 != code1:
             changes.append(f"{run}: exit code {code0} -> {code1}")
         for c0, c1 in zip(rep0["curves"], rep1["curves"]):
@@ -94,12 +100,13 @@ def main(argv) -> int:
     for label, d in sorted(moved.items(), key=lambda kv: -kv[1])[:10]:
         print(f"largest defect difference {d:.3e}  {label}")
     print("unequal omega_/gate_ labels:", ", ".join(sorted(unequal)) or "none")
+    sys.stdout.writelines(f"bytes differ, parsed value equal: {run}\n" for run in formatting)
     print(f"{len(changes)} exit-code or status changes over {len(old)} runs, "
-          f"{differing} reports differ")
+          f"{differing} reports differ in value, {bytes_differ} in bytes")
     named_diffs = [run for run, result in old_named.items() if new_named[run] != result]
     sys.stdout.writelines(f"output differs: {run}\n" for run in named_diffs)
     print(f"{len(named_diffs)} of {len(old_named)} (command, curve, variant) outputs differ")
-    return 1 if changes or named_diffs else 0
+    return 1 if changes or formatting or named_diffs else 0
 
 
 if __name__ == "__main__":

@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.  JSON output
 is byte-identical for identical configuration and seed: numbers are printed
-with 17 significant digits, complex values as [re, im] pairs, matrices as
-row-major arrays of pairs, and key order is fixed by construction.
+with 17 significant digits (-0.0 as 0), complex values as [re, im] pairs,
+matrices as row-major arrays of pairs, and key order is fixed by construction.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str  # what json.dumps does to a str
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from .errors import SecondKindError
 from .expansion import DEFAULT_ORDER, RESIDUAL_TOL, expansion_match
 from .identities import (
     DEFAULT_IDENTITY_TOL,
+    GENUS1_IDENTITY_TOL,
+    OMEGA_SYMMETRY_TOL,
     IdentityEntry,
     identity_entry,
     jacobi_inversion_check,
@@ -54,22 +58,57 @@ def _num(x) -> str:
     return format(x, ".17g")
 
 
+#: JSON text of each dict key seen, with its colon; keys come from the report
+#: builders, never from input, so this stays small
+_KEY_TEXT: dict = {}
+
+
+def _key(k) -> str:
+    if type(k) is not str:
+        return json.dumps(str(k)) + ":"
+    text = _KEY_TEXT.get(k)
+    if text is None:
+        text = _KEY_TEXT[k] = json.dumps(k) + ":"
+    return text
+
+
 def _dump(obj) -> str:
-    """Deterministic JSON with fixed 17-significant-digit floats."""
-    if isinstance(obj, dict):
-        return "{" + ",".join(json.dumps(str(k)) + ":" + _dump(v) for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_dump(v) for v in obj) + "]"
-    if isinstance(obj, bool):
+    """Deterministic JSON with fixed 17-significant-digit floats.
+
+    Dispatches on the exact type of the values the report builders make;
+    _dump_other takes the rest (tuples, numpy scalars, subclasses).
+    """
+    t = type(obj)
+    if t is float:
+        return f"{obj + 0.0:.17g}"
+    if t is list:
+        if len(obj) == 2 and type(obj[0]) is float and type(obj[1]) is float:
+            return f"[{obj[0] + 0.0:.17g},{obj[1] + 0.0:.17g}]"
+        return "[" + ",".join([_dump(v) for v in obj]) + "]"
+    if t is dict:
+        return "{" + ",".join([_key(k) + _dump(v) for k, v in obj.items()]) + "}"
+    if t is str:
+        return _json_str(obj)
+    if t is int:
+        return str(obj)
+    if t is bool:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
+    return _dump_other(obj)
+
+
+def _dump_other(obj) -> str:
+    if isinstance(obj, dict):
+        return "{" + ",".join(_key(k) + _dump(v) for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_dump(v) for v in obj) + "]"
+    if isinstance(obj, (int, np.integer)):  # bool has no subclasses, so not a bool here
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _num(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _json_str(obj)
     raise TypeError(f"unserializable value of type {type(obj).__name__}")
 
 
@@ -394,7 +433,7 @@ def _battery_genus2(curve, args, rng, omega_pairs: int) -> list:
             checks.append(_entry_dict(identity_entry(
                 f"omega_symmetry_{idx}",
                 omega_algebraic(curve, bundle, q, r),
-                omega_algebraic(curve, bundle, r, q), 1e-12)))
+                omega_algebraic(curve, bundle, r, q), min(tol, OMEGA_SYMMETRY_TOL))))
             try:
                 d = omega_consistency(curve, bundle, tt, q, r, a_vec)
                 checks.append(_entry_dict(_scalar(f"omega_stencil_{idx}", d, OMEGA_STENCIL_TOL)))
@@ -403,17 +442,18 @@ def _battery_genus2(curve, args, rng, omega_pairs: int) -> list:
         for j in (1, 2):
             ap = omega_a_period(curve, bundle, j, r_last)
             checks.append(_entry_dict(identity_entry(f"omega_a_period_{j}", ap, 0.0,
-                                                     DEFAULT_IDENTITY_TOL)))
+                                                     min(tol, DEFAULT_IDENTITY_TOL))))
     return checks
 
 
 def _battery_genus1(curve, args) -> list:
+    tol = min(args.tol, GENUS1_IDENTITY_TOL)
     checks: list = []
     bundle = compute_periods(curve, args.quad_tol)
     checks.extend(_entry_dict(e) for e in _gate_entries(bundle))
     tt = theta_table(bundle, tol=args.theta_tol)
-    checks.extend(_entry_dict(e) for e in weierstrass_eta(curve, bundle, tt).entries)
-    checks.append(_entry_dict(thomae_genus1_defect(tt)))
+    checks.extend(_entry_dict(e) for e in weierstrass_eta(curve, bundle, tt, tol).entries)
+    checks.append(_entry_dict(thomae_genus1_defect(tt, tol)))
     checks.extend(_expansion_checks(curve, bundle, tt, None, args.order))
     return checks
 
@@ -513,6 +553,7 @@ def _emit(report: dict, fmt: str, out=None) -> None:
 
 # -------------------------------------------------------------------- main
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="secondkind",

@@ -34,6 +34,12 @@ ABSOLUTE_FLOOR = 1e-6
 #: Default tolerance of the genus-2 theta-constant identities.
 DEFAULT_IDENTITY_TOL = 1e-8
 
+#: Built-in tolerance of the genus-1 Weierstrass and Thomae formulae.
+GENUS1_IDENTITY_TOL = 1e-10
+
+#: Built-in tolerance of the symmetry omega(q, r) = omega(r, q).
+OMEGA_SYMMETRY_TOL = 1e-12
+
 #: Finite-difference step of the bi-differential stencil.
 STENCIL_STEP = 1e-4
 
@@ -268,7 +274,7 @@ def thomae_defects(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTab
     return IdentityDefects(entries)
 
 
-def thomae_genus1_defect(tt: ThetaTable, tol: float = 1e-10) -> IdentityEntry:
+def thomae_genus1_defect(tt: ThetaTable, tol: float = GENUS1_IDENTITY_TOL) -> IdentityEntry:
     """Genus-1 analog: theta1'''/theta1' equals the sum of theta_k''/theta_k."""
     if tt.genus != 1:
         raise ValueError("genus-1 table required")
@@ -368,7 +374,7 @@ def rosenhain_gamma_pairs(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatchin
 
 
 def weierstrass_eta(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
-                    tol: float = 1e-10) -> IdentityDefects:
+                    tol: float = GENUS1_IDENTITY_TOL) -> IdentityDefects:
     """Genus-1 formulas for eta via theta constants.
 
     The kappa formula holds for every lam2; the two plain eta forms require

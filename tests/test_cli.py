@@ -1,11 +1,16 @@
 """Command line surface: schemas, determinism, exit codes."""
 
+import collections
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from secondkind.cli import _num, main, parse_curve, random_curve
+from secondkind import cli
+from secondkind.cli import _dump, _num, main, parse_curve, random_curve
 
 COMMANDS = ("periods", "theta", "match", "kappa", "expand", "verify")
 
@@ -30,6 +35,100 @@ def test_float_format_is_17_significant_digits():
     assert _num(0.1) == "0.10000000000000001"
     assert _num(1.0) == "1"
     assert _num(-0.0) == "0"
+
+
+def _reference_dump(obj) -> str:
+    """The isinstance-chain serializer that _dump must match byte for byte."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(str(k)) + ":" + _reference_dump(v)
+                              for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_reference_dump(v) for v in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj) + 0.0, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"unserializable value of type {type(obj).__name__}")
+
+
+def _reports(monkeypatch, argvs) -> list:
+    seen = []
+    monkeypatch.setattr(cli, "_emit", lambda report, fmt, out=None: seen.append(report))
+    for argv in argvs:
+        main(argv)
+    return seen
+
+
+def test_dump_matches_reference_on_verify_reports(monkeypatch):
+    # seed 8 fails in the omega stencil, so a failing report is among them
+    argvs = [["verify", "--suite", suite, "--seed", str(seed)]
+             for suite in ("quick", "full") for seed in (0, 8, 21)]
+    for report in _reports(monkeypatch, argvs):
+        assert _dump(report) == _reference_dump(report)
+
+
+def test_dump_matches_reference_on_every_subcommand(monkeypatch):
+    argvs = [[command, "--curve", curve] for command in COMMANDS for curve in (STANDARD, SQUARE_G1)]
+    reports = _reports(monkeypatch, argvs)
+    # match refuses the genus-1 curve, so one of them is an error report
+    assert sum("error" in r for r in reports) == 1
+    for report in reports:
+        assert _dump(report) == _reference_dump(report)
+
+
+class _Text(str):
+    pass
+
+
+def test_dump_matches_reference_on_edge_values():
+    obj = {
+        "floats": [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+                   2.5e-310, 0.1, 1e300, -1.5, 2.0 ** 53 + 1],
+        "pairs": [[-0.0, -0.0], [float("nan"), 1.0], [np.float64(0.5), 1.0], [1.0, 2], [1.0]],
+        "numpy": [np.float64(-0.0), np.float32(0.1), np.int64(-7), np.int32(3),
+                  np.float64("inf"), np.float16(1.5)],
+        "flags": [True, False, None],
+        "tuple": (1, (2.5, "x"), (), (-0.0, 1.0)),
+        "empty": [{}, [], (), ""],
+        "keys": [{1: "a"}, {True: "b"}, {2.5: "c"}, {None: "d"}, {-0.0: "e"}, {np.int64(3): "f"}],
+        "subclasses": [collections.OrderedDict(b=1, a=[2.0]), _Text("t"), {_Text("k"): 1}],
+        "\u00f1\u2603\U0001f600": "\u00e9\n\t\"\\\x00\x1f\x7f\u2028\ud800",
+        "big": [10 ** 30, -(10 ** 30)],
+    }
+    for _ in range(2):  # the second pass reads the key text cache
+        assert _dump(obj) == _reference_dump(obj)
+    assert _dump([-0.0, [-0.0, 0.0]]) == "[0,[0,0]]"
+
+
+@pytest.mark.parametrize("value", [1j, {1.0}, np.bool_(True), b"x", np.array([1.0])])
+def test_dump_refuses_what_json_cannot_hold(value):
+    for obj in (value, [value], {"k": value}, (value,)):
+        with pytest.raises(TypeError):
+            _dump(obj)
+        with pytest.raises(TypeError):
+            _reference_dump(obj)
+
+
+def test_one_parser_serves_every_call(capsys):
+    # each in-process call prints what a fresh process prints, and the
+    # parser is built once however many calls use it
+    argvs = [["verify", "--seed", "5", "--tol", "1e-9", "--order", "10"],
+             ["periods", "--curve", STANDARD, "--quad-tol", "1e-11"],
+             ["verify"]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    cli._build_parser.cache_clear()
+    for argv in argvs:
+        code, out = _run(capsys, argv)
+        fresh = subprocess.run([sys.executable, "-m", "secondkind.cli", *argv], env=env,
+                               stdout=subprocess.PIPE, text=True)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_output_is_reproducible(capsys):
@@ -169,6 +268,19 @@ def test_eta_prime_gate_follows_the_period_scale(capsys):
               if c["identity"] == "gate_eta_prime_consistency"]
     assert entry["defect"] > 1e-9
     assert entry["status"] == "pass"
+
+
+def test_tol_reaches_every_identity_check(capsys):
+    # only the gates, the kappa routes, the expansion residual and the omega
+    # stencil keep tolerances of their own; every other check with a nonzero
+    # defect fails under --tol 1e-30
+    own = ("gate_", "kappa_route_", "expansion_residual", "omega_stencil_")
+    code, rep = _run_json(capsys, ["verify", "--suite", "full", "--seed", "0", "--tol", "1e-30"])
+    assert code == 1
+    passing = [(c["name"], e["identity"]) for c in rep["curves"] for e in c["checks"]
+               if e["status"] == "pass" and e.get("defect", 0.0) != 0.0
+               and not e["identity"].startswith(own)]
+    assert passing == []
 
 
 # ----------------------------------------------------------- bad input
