@@ -9,7 +9,10 @@ differences by label and the unequal omega_*/gate_* labels.  The second
 pass runs periods, theta, match, kappa, expand and verify on six named
 curves, each (command, curve) pair three times: as is, with
 --format text, and with every option the command reads set to a non-default
-value.  It prints each run whose exit code or output bytes differ.  Exits 1
+value.  It prints each run whose exit code or output bytes differ and, where
+both outputs parse as JSON, the largest relative difference of their
+numbers, where it sits and the two values, so that a roundoff-level move
+can be told from a wrong number.  Exits 1
 on any exit-code or status change of the first pass, on any report of the
 first pass whose bytes differ while its parsed value is equal (a change of
 number formatting), and on any difference of the second.
@@ -73,6 +76,41 @@ def reports(src: str) -> list:
     return json.loads(run.stdout)
 
 
+def number_pairs(a, b, path=""):
+    """(path, a, b) for each number at the same place in two parsed JSON
+    values, or None where their shapes or non-numeric entries differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        parts = [number_pairs(a[k], b[k], f"{path}.{k}") for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        parts = [number_pairs(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        return [(path, a, b)]
+    else:
+        return [] if a == b else None
+    if any(part is None for part in parts):
+        return None
+    return [pair for part in parts for pair in part]
+
+
+def largest_relative_difference(text0: str, text1: str) -> str:
+    """The largest |a - b| / max(|a|, |b|) over the numbers of two JSON outputs."""
+    try:
+        pairs = number_pairs(json.loads(text0), json.loads(text1))
+    except json.JSONDecodeError:
+        return "not JSON"
+    if pairs is None:
+        return "JSON shapes differ"
+    if not pairs:
+        return "no numbers"
+    rel, path, a, b = max(((abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0), path, a, b)
+                          for path, a, b in pairs)
+    return f"largest relative difference {rel:.3e} at {path or '.'} ({a!r} vs {b!r})"
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         sys.exit(__doc__)
@@ -104,7 +142,9 @@ def main(argv) -> int:
     print(f"{len(changes)} exit-code or status changes over {len(old)} runs, "
           f"{differing} reports differ in value, {bytes_differ} in bytes")
     named_diffs = [run for run, result in old_named.items() if new_named[run] != result]
-    sys.stdout.writelines(f"output differs: {run}\n" for run in named_diffs)
+    for run in named_diffs:
+        print(f"output differs: {run}; "
+              f"{largest_relative_difference(old_named[run][1], new_named[run][1])}")
     print(f"{len(named_diffs)} of {len(old_named)} (command, curve, variant) outputs differ")
     return 1 if changes or formatting or named_diffs else 0
 

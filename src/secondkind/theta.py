@@ -28,6 +28,9 @@ DEFAULT_THETA_TOL = 1e-14
 #: Below this minimum eigenvalue of Im tau the sum is flagged as ill-conditioned.
 CONDITIONING_FLOOR = 0.05
 
+#: Number of (genus, radius) boxes whose tau-free arrays theta_table keeps.
+LATTICE_CACHE_SIZE = 4
+
 
 @dataclass(frozen=True, order=True)
 class Characteristic:
@@ -170,7 +173,16 @@ def theta_raw(z, tau, eps, eps_prime, deriv=(), tol: float = DEFAULT_THETA_TOL):
     exp(pi Im(z)^T (Im tau)^{-1} Im(z)) of the function.
     """
     _check_tol(tol)
-    tau, y, lam_min = _check_tau(tau)
+    return _sum_box(z, _check_tau(tau), eps, eps_prime, deriv, tol)
+
+
+def _sum_box(z, checked, eps, eps_prime, deriv, tol):
+    """theta_raw after its checks, given what _check_tau returned.
+
+    theta_raw and theta_eval each call _check_tau themselves, so that its
+    conditioning warning names their caller.
+    """
+    tau, y, lam_min = checked
     g = tau.shape[0]
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
@@ -194,7 +206,8 @@ def theta_raw(z, tau, eps, eps_prime, deriv=(), tol: float = DEFAULT_THETA_TOL):
 
 def theta_eval(z, tau, ch: Characteristic, deriv=(), tol: float = DEFAULT_THETA_TOL) -> complex:
     """theta[ch](z; tau), or a termwise partial derivative of it."""
-    value, _ = theta_raw(z, tau, ch.eps, ch.eps_prime, deriv=deriv, tol=tol)
+    _check_tol(tol)
+    value, _ = _sum_box(z, _check_tau(tau), ch.eps, ch.eps_prime, deriv, tol)
     return value
 
 
@@ -232,18 +245,21 @@ class ThetaTable:
         self.winding = tuple(inv_two_omega.T)
         self.characteristics = all_characteristics(self.genus)
         self.odd, self.even = classify_characteristics(self.genus)
-        w = inv_two_omega
+        g, w = self.genus, inv_two_omega
+        # the Kronecker powers of W contract the flattened tensors in one product each
+        ww = (w[:, None, :, None] * w[None, :, None, :]).reshape(g * g, g * g)
+        www = (ww[:, None, :, None] * w[None, :, None, :]).reshape(g ** 3, g ** 3)
         self.directional = (
-            np.einsum("ci,ia->ca", self.grads, w),
-            np.einsum("cij,ia,jb->cab", self.hessians, w, w),
-            np.einsum("cijk,ia,jb,kd->cabd", self.thirds, w, w, w),
+            self.grads @ w,
+            (self.hessians.reshape(-1, g * g) @ ww).reshape(-1, g, g),
+            (self.thirds.reshape(-1, g ** 3) @ www).reshape(-1, g, g, g),
         )
         for arr in (*rows, *self.directional):
             arr.flags.writeable = False
         self.entries = {
-            ch: CharEntry(ch, complex(self.values[k]), self.grads[k], self.hessians[k],
-                          self.thirds[k], radius)
-            for k, ch in enumerate(self.characteristics)
+            ch: CharEntry(ch, value, grad, hess, third, radius)
+            for ch, value, grad, hess, third in zip(self.characteristics, self.values.tolist(),
+                                                    self.grads, self.hessians, self.thirds)
         }
 
     def entry(self, ch: Characteristic) -> CharEntry:
@@ -265,35 +281,57 @@ class ThetaTable:
         return complex(self.directional[len(axes) - 1][(ch.code, *axes)])
 
 
+@functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _lattice(g: int, radius: int):
+    """The tau-free arrays of theta_table's box |n_k| <= radius, all read-only.
+
+    mono[b] holds, for each point q = n + eps of lattice b (eps = bits of b
+    over 2), the real monomials 1, q, q q, q q q as one row of 1 + g + g^2 +
+    g^3 columns.  phase[b, c] is i^(2q . 2eps') with eps' the bits of c, and
+    scale the (2 pi i)^k of each column's order k.  An entry takes
+    8 (2R+1)^g 2^g (1 + g + g^2 + g^3 + 2^(g+1)) bytes, about 0.4 MB at g = 2
+    and R = 11.
+    """
+    bits = np.array(list(itertools.product((0, 1), repeat=g)))
+    side = np.arange(-radius, radius + 1)
+    n = np.stack(np.meshgrid(*[side] * g, indexing="ij"), axis=-1).reshape(-1, g)
+    q = n[None, :, :] + bits[:, None, :] / 2.0
+    qq = (q[..., :, None] * q[..., None, :]).reshape(*q.shape[:2], g * g)
+    qqq = (qq[..., :, None] * q[..., None, :]).reshape(*q.shape[:2], g ** 3)
+    mono = np.concatenate([np.ones(q.shape[:2] + (1,)), q, qq, qqq], axis=-1)
+    powers = np.einsum("bni,ci->bcn", (2 * q).astype(int), bits)
+    phase = np.array([1, 1j, -1, -1j])[powers % 4]
+    scale = np.repeat((2j * np.pi) ** np.arange(4), g ** np.arange(4))
+    for arr in (mono, phase, scale):
+        arr.flags.writeable = False
+    return mono, phase, scale
+
+
 def theta_table(bundle, tol: float = DEFAULT_THETA_TOL) -> ThetaTable:
     """Full theta-constant table at the tau of a PeriodBundle, with the
     directional block along its winding vectors.
 
-    Each lattice Z^g + eps is summed once, over the box of radius
+    All 2^g lattices Z^g + eps are summed in one pass over the box of radius
     _pick_radius(lam_min, tol) around the origin.  The 2^g choices of eps'
-    only multiply the term of q by exp(i pi q . 2eps'), a power of i since
-    2q is an integer vector, so one phase matrix applied to the monomials
-    1, f, f f, f f f of f = 2 pi i q gives every characteristic of that
-    lattice at once.
+    only multiply the term of q by exp(i pi q . 2eps'), a power of i since 2q
+    is an integer vector, so every characteristic comes from one weighting of
+    the Gaussian terms exp(i pi q^T tau q).  Everything but those terms is
+    tau-free and comes from _lattice, which keeps the arrays of the last
+    LATTICE_CACHE_SIZE (genus, radius) pairs.  The weighted terms meet the
+    real monomials 1, q, q q, q q q of each lattice in one real matrix
+    product per part, and order k is scaled by (2 pi i)^k afterwards.
     """
     _check_tol(tol)
     tau, _, lam_min = _check_tau(bundle.tau)
     g = tau.shape[0]
     radius = _pick_radius(lam_min, tol)
-    bits = np.array(list(itertools.product((0, 1), repeat=g)))
-    blocks = []
-    for top in bits:
-        q, terms = _terms(top / 2.0, np.zeros(g), tau, np.zeros(g, dtype=int), radius)
-        f = 2j * np.pi * q
-        ff = (f[:, :, None] * f[:, None, :]).reshape(len(q), g * g)
-        fff = (ff[:, :, None] * f[:, None, :]).reshape(len(q), g ** 3)
-        mono = terms[:, None] * np.hstack([np.ones((len(q), 1)), f, ff, fff])
-        # einsum, not @: at these sizes a BLAS call costs resident memory, not time
-        powers = np.einsum("ni,bi->nb", (2 * q).astype(int), bits)
-        phase = np.array([1, 1j, -1, -1j])[powers % 4]
-        blocks.append(np.einsum("nb,nm->bm", phase, mono))
-    table = np.vstack(blocks)
+    mono, phase, scale = _lattice(g, radius)
+    quad = mono[:, :, 1 + g : 1 + g + g * g] @ tau.reshape(-1)
+    weights = phase * np.exp(1j * np.pi * quad)[:, None, :]
+    sums = weights.real @ mono + 1j * (weights.imag @ mono)
+    table = (sums * scale).reshape(4 ** g, -1)
     rows = (table[:, 0], table[:, 1 : 1 + g],
             table[:, 1 + g : 1 + g + g * g].reshape(-1, g, g),
             table[:, 1 + g + g * g :].reshape(-1, g, g, g))
     return ThetaTable(tau, rows, radius, tol, lam_min, bundle.inv_two_omega)
+

@@ -5,7 +5,9 @@ a literal double lattice sum, mpmath's jtheta, and numerical
 differentiation of plain theta values.
 """
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -312,18 +314,96 @@ def test_characteristic_code_is_its_index(g):
 
 
 @pytest.mark.parametrize("prefix, genus", [("standard", 2), ("generic_g1", 1)])
-def test_table_sums_each_lattice_once(prefix, genus, request, monkeypatch):
+def test_table_sums_each_lattice_once(prefix, genus, request):
+    # the tau-free arrays of a box are built once, read-only, and shared by
+    # every later table of the same radius, in a cache of bounded size
     bundle = request.getfixturevalue(f"{prefix}_bundle")
-    calls = []
-    real = theta_mod._terms
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(theta_mod, "_terms", counted)
+    first = theta_table(bundle)
+    before = theta_mod._lattice.cache_info()
+    second = theta_table(bundle)
+    after = theta_mod._lattice.cache_info()
+    assert second.radius == first.radius
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    for arr in theta_mod._lattice(genus, first.radius):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    size = theta_mod.LATTICE_CACHE_SIZE
+    assert after.maxsize == size
+    for radius in range(first.radius + 1, first.radius + 1 + size):
+        theta_mod._lattice(genus, radius)
+    assert theta_mod._lattice.cache_info().currsize == size
+    misses = theta_mod._lattice.cache_info().misses
     theta_table(bundle)
-    assert len(calls) == 2 ** genus
+    assert theta_mod._lattice.cache_info().misses == misses + 1
+
+
+def reference_theta_table(bundle, tol):
+    """The table as built before the cached kernel: one complex einsum per
+    lattice Z^g + eps against its own phase matrix, and the 4-operand einsum
+    contractions of the directional block.  Returns the seven arrays."""
+    tau, _, lam_min = theta_mod._check_tau(bundle.tau)
+    g = tau.shape[0]
+    radius = theta_mod._pick_radius(lam_min, tol)
+    bits = np.array(list(itertools.product((0, 1), repeat=g)))
+    side = np.arange(-radius, radius + 1)
+    n = np.stack(np.meshgrid(*[side] * g, indexing="ij"), axis=-1).reshape(-1, g)
+    blocks = []
+    for top in bits:
+        q = n + top / 2.0
+        terms = np.exp(1j * np.pi * np.einsum("ni,ij,nj->n", q, tau, q))
+        f = 2j * np.pi * q
+        ff = (f[:, :, None] * f[:, None, :]).reshape(len(q), g * g)
+        fff = (ff[:, :, None] * f[:, None, :]).reshape(len(q), g ** 3)
+        mono = terms[:, None] * np.hstack([np.ones((len(q), 1)), f, ff, fff])
+        powers = np.einsum("ni,bi->nb", (2 * q).astype(int), bits)
+        phase = np.array([1, 1j, -1, -1j])[powers % 4]
+        blocks.append(np.einsum("nb,nm->bm", phase, mono))
+    table = np.vstack(blocks)
+    grads = table[:, 1 : 1 + g]
+    hessians = table[:, 1 + g : 1 + g + g * g].reshape(-1, g, g)
+    thirds = table[:, 1 + g + g * g :].reshape(-1, g, g, g)
+    w = bundle.inv_two_omega
+    return (table[:, 0], grads, hessians, thirds,
+            np.einsum("ci,ia->ca", grads, w),
+            np.einsum("cij,ia,jb->cab", hessians, w, w),
+            np.einsum("cijk,ia,jb,kd->cabd", thirds, w, w, w))
+
+
+def _table_arrays(tt):
+    return (tt.values, tt.grads, tt.hessians, tt.thirds, *tt.directional)
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-15])
+@pytest.mark.parametrize("prefix", ["standard", "skew", "generic_g1"])
+def test_table_matches_the_per_lattice_reference(prefix, tol, request):
+    bundle = request.getfixturevalue(f"{prefix}_bundle")
+    tt = theta_table(bundle, tol=tol)
+    for k, (got, ref) in enumerate(zip(_table_arrays(tt), reference_theta_table(bundle, tol))):
+        assert got.shape == ref.shape, k
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), k
+
+
+@pytest.mark.parametrize("prefix", ["standard", "skew", "generic_g1"])
+def test_table_bytes_repeat_run_to_run(prefix, request):
+    bundle = request.getfixturevalue(f"{prefix}_bundle")
+    first, second = theta_table(bundle), theta_table(bundle)
+    for a, b in zip(_table_arrays(first), _table_arrays(second)):
+        assert np.array_equal(a, b)
+
+
+def test_conditioning_warning_names_the_caller():
+    # lam_min = 0.03 is below CONDITIONING_FLOOR; the warning must point here,
+    # not into the library, whichever entry point raised it
+    tau = np.diag([0.03j, 1j])
+    bundle = SimpleNamespace(tau=tau, inv_two_omega=np.eye(2))
+    calls = (lambda: theta_table(bundle),
+             lambda: theta_eval(np.zeros(2), tau, char((0, 0), (0, 0))),
+             lambda: theta_raw(np.zeros(2), tau, np.zeros(2), np.zeros(2)))
+    for call in calls:
+        with pytest.warns(UserWarning, match="ill-conditioned") as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
 
 
 @settings(max_examples=20, deadline=None)
