@@ -77,4 +77,4 @@ class IncompatibleSystem(SecondKindError):
 # identity checks
 
 class StencilDegenerate(SecondKindError):
-    """Finite-difference stencil would collide with a branch point or theta zero."""
+    """Bi-differential check point too close to a branch point or to the other point."""

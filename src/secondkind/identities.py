@@ -16,7 +16,6 @@ plain z-derivatives of theta at z = 0 with the winding vectors (columns of
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import StencilDegenerate
 from .correspondence import BranchMatching, even_char_for_pair
 from .paths import PATH_CLEARANCE
 from .periods import PeriodBundle, a_cycle_integral, abel_map
-from .theta import ThetaTable, char, char_add, theta_eval
+from .theta import ThetaTable, char, char_add, theta_jet
 
 #: Below this magnitude on both sides a defect is reported absolutely.
 ABSOLUTE_FLOOR = 1e-6
@@ -39,9 +38,6 @@ GENUS1_IDENTITY_TOL = 1e-10
 
 #: Built-in tolerance of the symmetry omega(q, r) = omega(r, q).
 OMEGA_SYMMETRY_TOL = 1e-12
-
-#: Finite-difference step of the bi-differential stencil.
-STENCIL_STEP = 1e-4
 
 
 def relative_defect(lhs: complex, rhs: complex) -> float:
@@ -431,54 +427,32 @@ def omega_algebraic(curve: HyperellipticCurve, bundle: PeriodBundle,
     return (core + 2.0 * xs @ bundle.kappa @ zs) / (q.y * r.y)
 
 
-def _lift_near(curve: HyperellipticCurve, x: complex, y_ref: complex) -> CurvePoint:
-    y = np.sqrt(curve.y_squared(x))
-    if abs(y - y_ref) > abs(y + y_ref):
-        y = -y
-    return CurvePoint(x, y)
-
-
 def omega_consistency(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
-                      q: CurvePoint, r: CurvePoint, a_vec: np.ndarray,
-                      step: float = STENCIL_STEP) -> float:
+                      q: CurvePoint, r: CurvePoint, a_vec: np.ndarray) -> float:
     """Relative defect between the two realizations of the bi-differential.
 
-    The theta side is the mixed second difference of ln theta(a + int_r^q v)
-    over a 4-point stencil in the x-coordinates of both points.  a_vec must
-    be a non-singular point of the theta divisor (an odd half-period).
+    The theta side is the mixed x_q, x_r derivative of ln theta(z), taken
+    exactly from one theta jet:
+
+        -v(q)^T [H/theta - g g^T/theta^2](z) v(r),    z = a_vec + A(r -> q),
+
+    with v(p) = (2 omega)^{-1} (1, x)^T / y the derivative of the Abel map
+    and g, H the termwise gradient and Hessian of theta[0] at z.  a_vec must
+    be a non-singular point of the theta divisor (an odd half-period).  v
+    divides by y and omega_algebraic by (x_q - x_r)^2, so both points keep
+    PATH_CLEARANCE from the branch points and from each other.
     """
     for p in (q, r):
-        d = min(abs(p.x - e) for e in curve.branch_points)
-        if d < max(PATH_CLEARANCE, 10.0 * step):
-            raise StencilDegenerate(f"stencil at x = {p.x:.6g} too close to a branch point")
-    if abs(q.x - r.x) < 100.0 * step:
-        raise StencilDegenerate("stencil points too close to each other")
-
-    base = abel_map(curve, bundle, r, q)
-    qp = _lift_near(curve, q.x + step, q.y)
-    qm = _lift_near(curve, q.x - step, q.y)
-    rp = _lift_near(curve, r.x + step, r.y)
-    rm = _lift_near(curve, r.x - step, r.y)
-    # the base error is common to all four corners and cancels in the mixed
-    # difference; the four leg errors do not, and they are divided by 4 h^2,
-    # so the legs are integrated at the tolerance floor
-    leg_tol = 1e-14
-    dq = {1: abel_map(curve, bundle, q, qp, quad_tol=leg_tol),
-          -1: abel_map(curve, bundle, q, qm, quad_tol=leg_tol)}
-    dr = {1: abel_map(curve, bundle, r, rp, quad_tol=leg_tol),
-          -1: abel_map(curve, bundle, r, rm, quad_tol=leg_tol)}
-
-    zero = char((0,) * tt.genus, (0,) * tt.genus)
-    vals = {}
-    for sq in (1, -1):
-        for sr in (1, -1):
-            z = a_vec + base + dq[sq] - dr[sr]
-            vals[(sq, sr)] = complex(theta_eval(z, tt.tau, zero, tol=tt.tol))
-    ref = vals[(1, 1)]
-    logs = {k: cmath.log(v / ref) for k, v in vals.items()}
-    mixed = (logs[(1, 1)] - logs[(1, -1)] - logs[(-1, 1)] + logs[(-1, -1)]) / (4.0 * step * step)
-    alg = omega_algebraic(curve, bundle, q, r)
-    return relative_defect(alg, mixed)
+        if min(abs(p.x - e) for e in curve.branch_points) < PATH_CLEARANCE:
+            raise StencilDegenerate(f"point x = {p.x:.6g} too close to a branch point")
+    if abs(q.x - r.x) < PATH_CLEARANCE:
+        raise StencilDegenerate("the two points are too close to each other")
+    g = tt.genus
+    z = a_vec + abel_map(curve, bundle, r, q)
+    value, grad, hess, _ = theta_jet(z, tt.tau, char((0,) * g, (0,) * g), tol=tt.tol)
+    vq, vr = (bundle.inv_two_omega @ np.array([p.x ** t for t in range(g)]) / p.y for p in (q, r))
+    mixed = -vq @ (hess / value - np.outer(grad, grad) / value ** 2) @ vr
+    return relative_defect(omega_algebraic(curve, bundle, q, r), mixed)
 
 
 def omega_a_period(curve: HyperellipticCurve, bundle: PeriodBundle, j: int,

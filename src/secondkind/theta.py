@@ -160,15 +160,55 @@ def _box(center, radius: int) -> np.ndarray:
     return np.column_stack([a.ravel(), b.ravel()])
 
 
-def _terms(eps: np.ndarray, shift: np.ndarray, tau: np.ndarray, center: np.ndarray,
-           radius: int):
-    """Lattice points q = n + eps of the box around center, and their terms.
+def _monomials(q: np.ndarray):
+    """The real monomials 1, q, q q, q q q of each point q (the last axis) as one row
+    of 1 + g + g^2 + g^3 columns, and the (2 pi i)^k of each column's order k."""
+    g, lead = q.shape[-1], q.shape[:-1]
+    qq = (q[..., :, None] * q[..., None, :]).reshape(*lead, g * g)
+    qqq = (qq[..., :, None] * q[..., None, :]).reshape(*lead, g ** 3)
+    mono = np.concatenate([np.ones(lead + (1,)), q, qq, qqq], axis=-1)
+    return mono, np.repeat((2j * np.pi) ** np.arange(4), g ** np.arange(4))
 
-    The term of q is exp(i pi q^T tau q + 2 i pi q^T shift).
+
+def _orders(table: np.ndarray, g: int) -> tuple:
+    """Split the last axis of a contracted table into the derivatives of order 0..3."""
+    lead = table.shape[:-1]
+    return (table[..., 0], table[..., 1 : 1 + g],
+            table[..., 1 + g : 1 + g + g * g].reshape(*lead, g, g),
+            table[..., 1 + g + g * g :].reshape(*lead, g, g, g))
+
+
+def _jet(z, checked, eps, eps_prime, tol):
+    """theta[eps; eps'] and its z-derivatives of order 1..3 at z, and the radius.
+
+    Each public entry point calls _check_tau itself, so that its conditioning
+    warning names their caller, and passes its result as checked.  The terms
+    exp(i pi q^T tau q + 2 i pi q^T (z + eps')) of the box recentred on the
+    Gaussian envelope's maximum meet the monomials of q = n + eps in one real
+    matrix product, as in theta_table.
     """
-    q = _box(center, radius) + eps[None, :]
-    phase = 1j * np.pi * np.einsum("ni,ij,nj->n", q, tau, q) + 2j * np.pi * q @ shift
-    return q, np.exp(phase)
+    tau, y, lam_min = checked
+    g = tau.shape[0]
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    eps_prime = np.atleast_1d(np.asarray(eps_prime, dtype=float))
+    radius = _pick_radius(lam_min, tol)
+    center = np.rint(-eps - np.linalg.solve(y, z.imag)).astype(int)
+    q = _box(center, radius) + eps
+    mono, scale = _monomials(q)
+    quad = mono[:, 1 + g : 1 + g + g * g] @ tau.reshape(-1)
+    terms = np.exp(1j * np.pi * quad + 2j * np.pi * (q @ (z + eps_prime)))
+    return _orders((terms.real @ mono + 1j * (terms.imag @ mono)) * scale, g), radius
+
+
+def _read(jet: tuple, deriv) -> complex:
+    """The partial derivative of multi-index deriv (total order <= 3) from a jet."""
+    g = jet[1].shape[0]
+    deriv = tuple(int(d) for d in deriv) if deriv else (0,) * g
+    if len(deriv) != g or min(deriv) < 0 or sum(deriv) > 3:
+        raise ValueError(f"deriv must be {g} nonnegative orders of total at most 3, got {deriv}")
+    axes = tuple(axis for axis, power in enumerate(deriv) for _ in range(power))
+    return complex(jet[len(axes)][axes])
 
 
 def theta_raw(z, tau, eps, eps_prime, deriv=(), tol: float = DEFAULT_THETA_TOL):
@@ -179,42 +219,22 @@ def theta_raw(z, tau, eps, eps_prime, deriv=(), tol: float = DEFAULT_THETA_TOL):
     exp(pi Im(z)^T (Im tau)^{-1} Im(z)) of the function.
     """
     _check_tol(tol)
-    return _sum_box(z, _check_tau(tau), eps, eps_prime, deriv, tol)
-
-
-def _sum_box(z, checked, eps, eps_prime, deriv, tol):
-    """theta_raw after its checks, given what _check_tau returned.
-
-    theta_raw and theta_eval each call _check_tau themselves, so that its
-    conditioning warning names their caller.
-    """
-    tau, y, lam_min = checked
-    g = tau.shape[0]
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    eps_prime = np.atleast_1d(np.asarray(eps_prime, dtype=float))
-    deriv = tuple(int(d) for d in deriv) if deriv else (0,) * g
-    if len(deriv) != g:
-        raise ValueError(f"deriv multi-index must have length {g}")
-    if sum(deriv) > 3:
-        raise ValueError("derivative order above 3 not supported")
-    radius = _pick_radius(lam_min, tol)
-    # recentre the summation box on the maximum of the Gaussian envelope
-    c = np.linalg.solve(y, z.imag)
-    center = np.rint(-eps - c).astype(int)
-    q, terms = _terms(eps, z + eps_prime, tau, center, radius)
-    factor = np.ones(len(q), dtype=complex)
-    for axis, power in enumerate(deriv):
-        if power:
-            factor = factor * (2j * np.pi * q[:, axis]) ** power
-    return complex(np.sum(terms * factor)), radius
+    jet, radius = _jet(z, _check_tau(tau), eps, eps_prime, tol)
+    return _read(jet, deriv), radius
 
 
 def theta_eval(z, tau, ch: Characteristic, deriv=(), tol: float = DEFAULT_THETA_TOL) -> complex:
     """theta[ch](z; tau), or a termwise partial derivative of it."""
     _check_tol(tol)
-    value, _ = _sum_box(z, _check_tau(tau), ch.eps, ch.eps_prime, deriv, tol)
-    return value
+    jet, _ = _jet(z, _check_tau(tau), ch.eps, ch.eps_prime, tol)
+    return _read(jet, deriv)
+
+
+def theta_jet(z, tau, ch: Characteristic, tol: float = DEFAULT_THETA_TOL) -> tuple:
+    """theta[ch] at z with its gradient, Hessian and third z-derivative, all termwise."""
+    _check_tol(tol)
+    jet, _ = _jet(z, _check_tau(tau), ch.eps, ch.eps_prime, tol)
+    return jet
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,12 +320,9 @@ def _lattice(g: int, radius: int):
     """
     bits = np.array(list(itertools.product((0, 1), repeat=g)))
     q = _box((0,) * g, radius)[None, :, :] + bits[:, None, :] / 2.0
-    qq = (q[..., :, None] * q[..., None, :]).reshape(*q.shape[:2], g * g)
-    qqq = (qq[..., :, None] * q[..., None, :]).reshape(*q.shape[:2], g ** 3)
-    mono = np.concatenate([np.ones(q.shape[:2] + (1,)), q, qq, qqq], axis=-1)
+    mono, scale = _monomials(q)
     powers = np.einsum("bni,ci->bcn", (2 * q).astype(int), bits)
     phase = np.array([1, 1j, -1, -1j])[powers % 4]
-    scale = np.repeat((2j * np.pi) ** np.arange(4), g ** np.arange(4))
     for arr in (mono, phase, scale):
         arr.flags.writeable = False
     return mono, phase, scale
@@ -333,9 +350,6 @@ def theta_table(bundle, tol: float = DEFAULT_THETA_TOL) -> ThetaTable:
     quad = mono[:, :, 1 + g : 1 + g + g * g] @ tau.reshape(-1)
     weights = phase * np.exp(1j * np.pi * quad)[:, None, :]
     sums = weights.real @ mono + 1j * (weights.imag @ mono)
-    table = (sums * scale).reshape(4 ** g, -1)
-    rows = (table[:, 0], table[:, 1 : 1 + g],
-            table[:, 1 + g : 1 + g + g * g].reshape(-1, g, g),
-            table[:, 1 + g + g * g :].reshape(-1, g, g, g))
+    rows = _orders((sums * scale).reshape(4 ** g, -1), g)
     return ThetaTable(tau, rows, radius, tol, lam_min, bundle.inv_two_omega)
 

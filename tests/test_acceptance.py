@@ -181,7 +181,7 @@ def test_criterion_08_bidifferential(g2_suite):
                 continue
             q = curve.lift(xq, 1 if rng.random() < 0.5 else -1)
             r = curve.lift(xr, 1 if rng.random() < 0.5 else -1)
-            assert omega_consistency(curve, bundle, tt, q, r, a_vec) < 1e-5, name
+            assert omega_consistency(curve, bundle, tt, q, r, a_vec) < 1e-10, name
             sym = abs(omega_algebraic(curve, bundle, q, r)
                       - omega_algebraic(curve, bundle, r, q))
             assert sym < 1e-12 * max(1.0, abs(omega_algebraic(curve, bundle, q, r))), name

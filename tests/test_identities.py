@@ -1,5 +1,7 @@
 """Theta-constant identities: kappa routes, Thomae, Rosenhain, Jacobi, omega."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from secondkind import (
     thomae_genus1_defect,
     weierstrass_eta,
 )
+from secondkind import identities
 from secondkind.errors import StencilDegenerate
 from secondkind.identities import kappa_odd_sum_reduced, relative_defect
 from secondkind.theta import char_add, half_period
@@ -208,11 +211,37 @@ def test_omega_stencil_agrees(standard_curve, standard_bundle, standard_table,
     r = standard_curve.lift(-1.3 - 0.7j, -1)
     a_vec = half_period(standard_matching.chars[0], standard_bundle.tau)
     d = omega_consistency(standard_curve, standard_bundle, standard_table, q, r, a_vec)
-    assert d < 1e-5
+    assert d < 1e-10
+
+
+def test_omega_stencil_tells_a_wrong_kappa(standard_curve, standard_bundle, standard_table,
+                                           standard_matching):
+    # kappa enters only the algebraic side: 1e-6 relative moves the defect
+    # far past the identity tolerance 1e-8
+    q = standard_curve.lift(1.6 + 0.9j, 1)
+    r = standard_curve.lift(-1.3 - 0.7j, -1)
+    a_vec = half_period(standard_matching.chars[0], standard_bundle.tau)
+    wrong = dataclasses.replace(standard_bundle, kappa=standard_bundle.kappa * (1 + 1e-6))
+    d = omega_consistency(standard_curve, wrong, standard_table, q, r, a_vec)
+    assert d > 1e-8
+
+
+def test_omega_stencil_costs_one_abel_map(standard_curve, standard_bundle, standard_table,
+                                          standard_matching, monkeypatch):
+    calls, abel_map = [], identities.abel_map
+    monkeypatch.setattr(identities, "abel_map",
+                        lambda *args, **kwargs: calls.append(kwargs) or abel_map(*args, **kwargs))
+    q = standard_curve.lift(1.6 + 0.9j, 1)
+    r = standard_curve.lift(-1.3 - 0.7j, -1)
+    a_vec = half_period(standard_matching.chars[0], standard_bundle.tau)
+    omega_consistency(standard_curve, standard_bundle, standard_table, q, r, a_vec)
+    assert calls == [{}]  # one Abel map, at the bundle's quad_tol
 
 
 def test_omega_stencil_gates(standard_curve, standard_bundle, standard_table,
                              standard_matching):
+    # v divides by y and omega_algebraic by (x_q - x_r)^2: a point 5e-4 from
+    # e = 1, and two points 1e-4 apart, are refused at PATH_CLEARANCE = 1e-3
     a_vec = half_period(standard_matching.chars[0], standard_bundle.tau)
     near = standard_curve.lift(1.0005 + 0.0002j, 1)
     far = standard_curve.lift(-1.3 - 0.7j, -1)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import secondkind.theta as theta_mod
 from secondkind import char, theta_eval, theta_table
-from secondkind.theta import all_characteristics, char_add, half_period, theta_raw
+from secondkind.theta import all_characteristics, char_add, half_period, theta_jet, theta_raw
 
 BRUTE_RADIUS = 12
 
@@ -385,6 +385,20 @@ def test_table_matches_the_per_lattice_reference(prefix, tol, request):
 
 
 @pytest.mark.parametrize("prefix", ["standard", "skew", "generic_g1"])
+def test_jet_at_zero_matches_the_table(prefix, request):
+    # the point jet sums its own box, recentred on z; at z = 0 it must give
+    # the four rows of the table for every characteristic
+    tt = theta_table(request.getfixturevalue(f"{prefix}_bundle"))
+    rows = (tt.values, tt.grads, tt.hessians, tt.thirds)
+    for ch in tt.characteristics:
+        jet = theta_jet(np.zeros(tt.genus), tt.tau, ch, tol=tt.tol)
+        for k, (got, row) in enumerate(zip(jet, rows)):
+            ref = row[ch.code]
+            assert got.shape == ref.shape, (ch, k)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(row))), (ch, k)
+
+
+@pytest.mark.parametrize("prefix", ["standard", "skew", "generic_g1"])
 def test_table_bytes_repeat_run_to_run(prefix, request):
     bundle = request.getfixturevalue(f"{prefix}_bundle")
     first, second = theta_table(bundle), theta_table(bundle)
@@ -399,7 +413,8 @@ def test_conditioning_warning_names_the_caller():
     bundle = SimpleNamespace(tau=tau, inv_two_omega=np.eye(2))
     calls = (lambda: theta_table(bundle),
              lambda: theta_eval(np.zeros(2), tau, char((0, 0), (0, 0))),
-             lambda: theta_raw(np.zeros(2), tau, np.zeros(2), np.zeros(2)))
+             lambda: theta_raw(np.zeros(2), tau, np.zeros(2), np.zeros(2)),
+             lambda: theta_jet(np.zeros(2), tau, char((0, 0), (0, 0))))
     for call in calls:
         with pytest.warns(UserWarning, match="ill-conditioned") as record:
             call()
