@@ -31,6 +31,7 @@ from .expansion import DEFAULT_ORDER, RESIDUAL_TOL, expansion_match
 from .identities import (
     DEFAULT_IDENTITY_TOL,
     GENUS1_IDENTITY_TOL,
+    KAPPA_ROUTE_TOL,
     OMEGA_SYMMETRY_TOL,
     IdentityEntry,
     identity_entry,
@@ -48,7 +49,6 @@ from .identities import (
 from .periods import DEFAULT_QUAD_TOL, compute_periods, gate_tolerances
 from .theta import DEFAULT_THETA_TOL, half_period, theta_table
 
-KAPPA_ROUTE_TOL = 1e-7
 STANDARD_BRANCH_POINTS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 

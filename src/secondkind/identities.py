@@ -217,6 +217,11 @@ def kappa_odd_sum_reduced(curve: HyperellipticCurve, bundle: PeriodBundle, tt: T
     return lead - acc / 20.0
 
 
+#: Gate on each kappa route: the largest absolute entry of its difference
+#: from the direct kappa (a ``kappa_report`` defect, or the expansion route's).
+KAPPA_ROUTE_TOL = 1e-7
+
+
 def kappa_report(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
                  m: BranchMatching) -> KappaReport:
     """Assemble every kappa route and its deviation from the direct value."""
@@ -251,6 +256,11 @@ def kappa_report(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable
     )
 
 
+def _subleading_vanishes(lam: complex, points) -> bool:
+    """Whether lam_2g (lam4 at genus 2, lam2 at genus 1) is zero at the branch scale."""
+    return abs(lam) < 1e-10 * branch_scale(points)
+
+
 def thomae_defects(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
                    m: BranchMatching, tol: float = DEFAULT_IDENTITY_TOL) -> IdentityDefects:
     """Thomae-type relations between odd third and even second derivatives.
@@ -259,7 +269,7 @@ def thomae_defects(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTab
     require lam4 = 0 and are reported n/a otherwise.
     """
     lam2, lam3, lam4 = (curve.lam_at(k) for k in (2, 3, 4))
-    lam4_zero = abs(lam4) < 1e-10 * branch_scale(bundle.canonical_points)
+    lam4_zero = _subleading_vanishes(lam4, bundle.canonical_points)
     s112, s122, s222 = _odd_ratio_sums(tt, m)
     (e11, e12), (_, e22) = _even_ratio_sum(tt)
     entries = (
@@ -282,6 +292,18 @@ def _odd_labels(m: BranchMatching):
     return {**{i: m.chars[i - 1] for i in range(1, 6)}, 6: m.gamma}
 
 
+def _even_product(tt: ThetaTable, labels: dict, i: int, j: int) -> complex:
+    """prod Theta[delta_i + delta_j + delta_k] over the four k not in {i, j},
+    the even theta constants of the Rosenhain formulas for the pair {i, j}."""
+    evens = [char_add(labels[i], char_add(labels[j], labels[k]))
+             for k in range(1, 7) if k not in (i, j)]
+    assert len(set(evens)) == 4 and all(eps.parity == 0 for eps in evens)
+    prod = 1.0 + 0.0j
+    for eps in evens:
+        prod *= tt.value(eps)
+    return prod
+
+
 def rosenhain_defects(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching,
                       tol: float = DEFAULT_IDENTITY_TOL) -> IdentityDefects:
     """Classical formula for all 15 odd pairs, higher formula for the 10 admissible.
@@ -301,18 +323,7 @@ def rosenhain_defects(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching,
     for i in range(1, 7):
         for j in range(i + 1, 7):
             di, dj = labels[i], labels[j]
-            evens = []
-            for k in range(1, 7):
-                if k in (i, j):
-                    continue
-                eps = char_add(di, char_add(dj, labels[k]))
-                assert eps.parity == 0
-                evens.append(eps)
-            assert len(set(evens)) == 4
-            prod = 1.0 + 0.0j
-            for eps in evens:
-                prod *= tt.value(eps)
-
+            prod = _even_product(tt, labels, i, j)
             entries.append(_signed_entry(
                 f"rosenhain_classical_{i}{j}", np.pi ** 2 * prod,
                 tt.d(di, 0) * tt.d(dj, 1) - tt.d(di, 1) * tt.d(dj, 0), tol))
@@ -359,11 +370,7 @@ def rosenhain_gamma_pairs(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatchin
     entries = []
     for i in range(1, 6):
         di = labels[i]
-        prod = 1.0 + 0.0j
-        for k in range(1, 6):
-            if k == i:
-                continue
-            prod *= tt.value(char_add(di, char_add(m.gamma, labels[k])))
+        prod = _even_product(tt, labels, i, 6)
         entries.append(_signed_entry(f"rosenhain_gamma_{i}6", 2.0 * np.pi ** 2 * det_w * prod,
                                      tt.D(m.gamma, "222") * tt.D(di, "2"), tol))
     return IdentityDefects(tuple(entries))
@@ -379,7 +386,7 @@ def weierstrass_eta(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     if curve.genus != 1:
         raise ValueError("genus-1 curve required")
     lam2 = curve.lam_at(2)
-    lam2_zero = abs(lam2) < 1e-10 * branch_scale(curve.branch_points)
+    lam2_zero = _subleading_vanishes(lam2, curve.branch_points)
     w = bundle.omega[0, 0]
     eta = bundle.eta[0, 0]
     ratio3, sum2 = _genus1_ratios(tt)

@@ -7,7 +7,8 @@ principal root changes branch only where that line crosses numpy's cut.
 So the sheet anywhere on a route, and at its end, follows from the cut
 crossings alone, before any quadrature runs.  ``CutCrossings`` is the one
 home of that rule; the period chains of ``periods.segment_integral`` use it
-too.
+too.  The legs take y from that continued product alone, never from a root
+of y^2.
 """
 
 from __future__ import annotations
@@ -144,17 +145,16 @@ def _sign_toward(v: complex, target: complex) -> float:
 class SheetPath:
     """y = sqrt(P(x)) continued along one straight leg, queryable at any t.
 
-    The continued y is s 2 prod_k sqrt(x - e_k), each root continued across
-    its cut and the sign s fixed by y0 at the start; ``xy_at`` signs the
-    principal root of y^2 to agree with it.
+    y = s 2 prod_k sqrt(x - e_k), each root continued across its cut and the
+    sign s fixed by y0 at the start.  x is formed from the nearer end of the
+    leg, so near an end it carries the rounding of its distance from that
+    end, not of the whole leg, and ``xy_at(1)`` is exactly (z1, y_end).
     """
 
     def __init__(self, curve: HyperellipticCurve, z0: complex, z1: complex, y0: complex):
-        self.curve = curve
         self.z0, self.z1 = complex(z0), complex(z1)
         self.e = np.asarray(curve.branch_points, dtype=complex)
-        w0 = self.z0 - self.e
-        w1 = self.z0 + (self.z1 - self.z0) * np.ones(1) - self.e  # as xy_at(1) has it
+        w0, w1 = self.z0 - self.e, self.z1 - self.e
         self.cuts = CutCrossings(w0, self.z1 - self.z0, w1)
         self.sign = _sign_toward(self.cuts.product(w0), complex(y0))
         self.y_end = complex(self.sign * self.cuts.product(w1))
@@ -162,10 +162,9 @@ class SheetPath:
     def xy_at(self, t):
         """(x, y) arrays at parameters t in [0, 1]."""
         t = np.asarray(t, dtype=float)
-        x = self.z0 + (self.z1 - self.z0) * t
-        root = np.sqrt(np.asarray(self.curve.y_squared(x), dtype=complex))
-        ref = self.sign * self.cuts.product(x[..., None] - self.e)
-        return x, np.where((root * ref.conj()).real >= 0, root, -root)
+        d = self.z1 - self.z0
+        x = np.where(t <= 0.5, self.z0 + d * t, self.z1 - d * (1.0 - t))
+        return x, self.sign * self.cuts.product(x[..., None] - self.e)
 
 
 def route_end_y(curve: HyperellipticCurve, points, y0: complex) -> complex:
@@ -195,8 +194,7 @@ def integrate_rows_along(curve, points, y0, rows_fn, tol):
         leg = z1 - z0
 
         def f(tnodes):
-            x, yv = sp.xy_at(tnodes)
-            return np.asarray(rows_fn(x, yv)) * leg
+            return np.asarray(rows_fn(*sp.xy_at(tnodes))) * leg
 
         part = adaptive_gl(f, 0.0, 1.0, tol)
         total = part if total is None else total + part
@@ -210,10 +208,10 @@ def integrate_rows_along(curve, points, y0, rows_fn, tol):
 class BranchLegPath:
     """Continuation along x(s) = e + (x0 - e) s^2 into a branch point.
 
-    Tracks w(s) = y / s = +-sqrt((x0 - e) Q(x(s))) with Q = P / (x - e);
-    w is smooth and nonvanishing through s = 0.  Each factor x(s) - p of Q
-    is linear in u = s^2, so w is sqrt(x0 - e) times their product, each
-    root continued across its cut from s = 1, where y0 fixes the sign.
+    y = s w with w(s) = +-sqrt((x0 - e) Q(x(s))) and Q = P / (x - e); w is
+    smooth and nonvanishing through s = 0.  Each factor x(s) - p of Q is
+    linear in u = s^2, so w is sqrt(x0 - e) times their product, each root
+    continued across its cut from s = 1, where y0 fixes the sign.
     """
 
     def __init__(self, curve: HyperellipticCurve, e_index: int, x0: complex, y0: complex):
@@ -228,16 +226,11 @@ class BranchLegPath:
     def _x(self, s):
         return self.e + (self.x0 - self.e) * s ** 2
 
-    def xyw_at(self, s):
+    def xy_at(self, s):
+        """(x, y) arrays at parameters s in [0, 1]."""
         s = np.asarray(s, dtype=float)
         x = self._x(s)
-        q = np.full(x.shape, 4.0, dtype=complex)
-        for p in self.others:
-            q = q * (x - p)
-        plain = np.sqrt((self.x0 - self.e) * q)
-        ref = self.lead * self.cuts.product(x[..., None] - self.others)
-        w = np.where((plain * ref.conj()).real >= 0, plain, -plain)
-        return x, s * w, w
+        return x, s * (self.lead * self.cuts.product(x[..., None] - self.others))
 
 
 def integrate_rows_to_branch_point(curve, e_index, x0, y0, rows_fn, tol):
@@ -252,8 +245,7 @@ def integrate_rows_to_branch_point(curve, e_index, x0, y0, rows_fn, tol):
     jac = 2 * (complex(x0) - bp.e)
 
     def f(snodes):
-        x, y, _ = bp.xyw_at(snodes)
-        return np.asarray(rows_fn(x, y)) * (jac * snodes)
+        return np.asarray(rows_fn(*bp.xy_at(snodes))) * (jac * snodes)
 
     # orientation: s runs 1 -> 0 going into the branch point
     val = adaptive_gl(f, 0.0, 1.0, tol)

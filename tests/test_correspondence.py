@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from secondkind import abel_consistency, bolza_match, compute_periods, theta_table
+from secondkind.cli import random_curve
 from secondkind.correspondence import even_char_for_pair
 from secondkind.theta import char_add, classify_characteristics
 
@@ -68,6 +69,22 @@ def test_abel_images_land_on_matched_half_periods(standard_curve, standard_bundl
                                                   standard_matching):
     dists = abel_consistency(standard_curve, standard_bundle, standard_matching)
     assert max(dists) < 1e-8
+
+
+#: Draws of ``random_curve(default_rng(0))`` whose Abel legs from far
+#: points raised ``QuadratureNonConvergence`` while x was formed from the
+#: start of the leg: on a leg about 100 long its absolute rounding, about
+#: 1e-14, is a large relative error in the factor x - e_k next to e_k.
+FAR_LEG_DRAWS = (5, 8, 11, 14, 26, 28, 31, 33, 39)
+
+
+def test_abel_images_land_on_half_periods_after_long_legs():
+    rng = np.random.default_rng(0)
+    curves = [random_curve(rng) for _ in range(max(FAR_LEG_DRAWS) + 1)]
+    for k in FAR_LEG_DRAWS:
+        bundle = compute_periods(curves[k])
+        dists = abel_consistency(curves[k], bundle, bolza_match(theta_table(bundle), curves[k]))
+        assert max(dists) < 1e-12, (k, dists)
 
 
 def test_matching_stable_under_quadrature_tolerance(standard_curve, standard_matching):

@@ -1,10 +1,13 @@
 """Sheet continuation: the cut-crossing rule against a stepping walk.
 
-``SheetPath`` and ``BranchLegPath`` sign y from the cut crossings of the
-factors x - e_k, and ``abel_map`` picks its route from their parity before
-integrating.  The references below are the stepping continuations they
-replaced, kept here verbatim in behaviour, and the pipeline that integrated
-every candidate route and kept the first one ending on the right sheet.
+``SheetPath`` and ``BranchLegPath`` take y from the product of the factors
+sqrt(x - e_k), each continued across its cut, and ``abel_map`` picks its
+route from their parity before integrating.  The references below are the
+stepping continuations they replaced, kept here verbatim in behaviour, and
+the pipeline that integrated every candidate route and kept the first one
+ending on the right sheet.  The references take y as the principal root of
+y^2 and x from the start of the leg, so the legs must agree with them on
+the sheet at every node and in value to rounding, not in bits.
 """
 
 import numpy as np
@@ -88,14 +91,14 @@ class _ReferenceBranchLegPath:
             q = q * (x - p)
         return np.sqrt((self.x0 - self.e) * q)
 
-    def xyw_at(self, s):
+    def xy_at(self, s):
         s = np.asarray(s, dtype=float)
         x = self.e + (self.x0 - self.e) * s ** 2
         plain = self._plain_w(s)
         idx = np.clip(np.searchsorted(self.ss, s, side="right") - 1, 0, len(self.ss) - 1)
         anchor = self.ws[idx]
         w = np.where(np.abs(plain - anchor) <= np.abs(plain + anchor), plain, -plain)
-        return x, s * w, w
+        return x, s * w
 
 
 def _reference_along(curve, points, y0, rows_fn, tol):
@@ -129,12 +132,19 @@ def _same_y(a, b):
     return abs(a - b) <= 1e-9 * abs(b)
 
 
+def _assert_same_points(got, want, length, where):
+    """The same sheet at every node, x within 1e-14 of the leg length and y
+    within 1e-13 relative."""
+    (x, y), (x_ref, y_ref) = got, want
+    assert np.all(np.abs(y - y_ref) < np.abs(y + y_ref)), where
+    assert np.max(np.abs(x - x_ref)) <= 1e-14 * length, where
+    assert np.max(np.abs(y - y_ref) / np.abs(y_ref)) < 1e-13, where
+
+
 def _assert_leg_matches(curve, z0, z1, y0, extra_t=None):
     new, ref = SheetPath(curve, z0, z1, y0), _ReferenceSheetPath(curve, z0, z1, y0)
     for t in (NODES,) if extra_t is None else (NODES, extra_t):
-        xn, yn = new.xy_at(t)
-        xr, yr = ref.xy_at(t)
-        assert np.array_equal(xn, xr) and np.array_equal(yn, yr), (z0, z1)
+        _assert_same_points(new.xy_at(t), ref.xy_at(t), abs(z1 - z0), (z0, z1))
     assert _same_y(new.y_end, ref.y_end), (z0, z1, new.y_end, ref.y_end)
     return new
 
@@ -150,18 +160,24 @@ def _random_curve(rng):
             return curve_from_branch_points(pts)
 
 
-def test_sheet_signs_match_the_stepping_walk_on_random_legs():
+def _random_legs():
+    """(curve, z0, z1, y0, extra nodes) of 220 legs keeping 0.02 from the branch points."""
     rng = np.random.default_rng(7301)
-    done = 0
-    while done < 220:
+    out = []
+    while len(out) < 220:
         curve = _random_curve(rng)
         z0, z1 = 1.5 * _random_points(rng, 2)
         if min(segment_distance(z0, z1, e) for e in curve.branch_points) < 0.02:
             continue
         y0 = curve.lift(z0, 1 if rng.uniform() < 0.5 else -1).y
         a, b = np.sort(rng.uniform(0.0, 1.0, 2))
-        _assert_leg_matches(curve, z0, z1, y0, extra_t=a + (b - a) * NODES)
-        done += 1
+        out.append((curve, z0, z1, y0, a + (b - a) * NODES))
+    return out
+
+
+def test_sheet_signs_match_the_stepping_walk_on_random_legs():
+    for curve, z0, z1, y0, extra_t in _random_legs():
+        _assert_leg_matches(curve, z0, z1, y0, extra_t=extra_t)
 
 
 @pytest.mark.parametrize("z0, z1, crossings", [
@@ -209,13 +225,13 @@ def test_cut_belongs_to_the_upper_side():
     assert CutCrossings(w0, 2.0, w0 + 2.0).crossed.tolist() == [False]
 
 
-def test_branch_leg_signs_match_the_checkpoint_walk():
+def _branch_legs():
+    """(curve, branch index, x0): 8 chosen legs and 72 keeping 0.2 from the other branch points."""
     rng = np.random.default_rng(7302)
     std, skew = (curve_from_branch_points(p) for p in (STANDARD_POINTS, SKEW_POINTS))
     cases = [(std, 1, x0) for x0 in (-1.4, -0.6, -1.0 + 0.3j, -1.0 - 0.3j, -0.8 - 0.1j)]
     # into 0.2 + 0.8j across the cut of x - (1.8 + 0.6j), and back above it
     cases += [(skew, 2, 0.2 - 0.2j), (skew, 2, 0.2 + 0.5j), (skew, 2, 0.9 + 0.1j)]
-    crossing = 0
     while len(cases) < 80:
         curve = _random_curve(rng)
         k = int(rng.integers(len(curve.branch_points)))
@@ -224,14 +240,43 @@ def test_branch_leg_signs_match_the_checkpoint_walk():
         others = [p for j, p in enumerate(curve.branch_points) if j != k]
         if min(segment_distance(x0, e, p) for p in others) > 0.2:
             cases.append((curve, k, x0))
-    for curve, k, x0 in cases:
+    return cases
+
+
+def test_branch_leg_signs_match_the_checkpoint_walk():
+    crossing = 0
+    for curve, k, x0 in _branch_legs():
         for sheet in (1, -1):
             y0 = curve.lift(x0, sheet).y
             new, ref = BranchLegPath(curve, k, x0, y0), _ReferenceBranchLegPath(curve, k, x0, y0)
-            for got, want in zip(new.xyw_at(NODES), ref.xyw_at(NODES)):
-                assert np.array_equal(got, want), (curve.branch_points, k, x0)
+            _assert_same_points(new.xy_at(NODES), ref.xy_at(NODES),
+                                abs(x0 - curve.branch_points[k]), (curve.branch_points, k, x0))
         crossing += bool(new.cuts.crossed.any())
     assert crossing >= 10
+
+
+def _assert_on_curve(y, factors, where):
+    """y^2 = 4 prod_k factors_k to 1e-13 relative at every node."""
+    rhs = 4.0 * np.prod(factors, axis=-1)
+    assert np.max(np.abs(y ** 2 - rhs) / np.abs(rhs)) < 1e-13, where
+
+
+def test_leg_y_squares_to_the_branch_point_product():
+    """y^2 = 4 prod (x - e_k) on both leg classes.  Into a branch point e the
+    factor x - e is (x0 - e) s^2, as the leg defines it: recomputed from the
+    rounded x it would carry the rounding of e, far above its own size."""
+    for curve, z0, z1, y0, extra_t in _random_legs():
+        sp = SheetPath(curve, z0, z1, y0)
+        for t in (NODES, extra_t, np.array([0.0, 0.5, 1.0])):
+            x, y = sp.xy_at(t)
+            _assert_on_curve(y, x[:, None] - np.asarray(curve.branch_points), (z0, z1))
+    for curve, k, x0 in _branch_legs():
+        e = curve.branch_points[k]
+        for sheet in (1, -1):
+            x, y = BranchLegPath(curve, k, x0, curve.lift(x0, sheet).y).xy_at(NODES)
+            others = np.delete(np.asarray(curve.branch_points), k)
+            factors = np.column_stack([(x0 - e) * NODES ** 2, x[:, None] - others])
+            _assert_on_curve(y, factors, (curve.branch_points, k, x0))
 
 
 def _triples(n, seed):
@@ -269,8 +314,8 @@ def test_abel_map_equals_the_every_route_pipeline(triples):
     pairs = [(0.5 + 1.0j, 2.6 + 0.3j), (-1.5 + 0.5j, 1.5 - 0.5j), (0.3 - 0.2j, -2.4 + 0.1j)]
     cases = [(std, std_bundle, std.lift(a), std.lift(b, -1)) for a, b in pairs] + triples
     for curve, bundle, p, q in cases:
-        assert np.array_equal(abel_map(curve, bundle, p, q),
-                              _reference_abel_map(curve, bundle, p, q)), (curve.branch_points, p, q)
+        got, want = abel_map(curve, bundle, p, q), _reference_abel_map(curve, bundle, p, q)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (curve.branch_points, p, q)
 
 
 def test_abel_map_integrates_only_the_route_it_keeps(monkeypatch):
