@@ -9,6 +9,11 @@ crossings alone, before any quadrature runs.  ``CutCrossings`` is the one
 home of that rule; the period chains of ``periods.segment_integral`` use it
 too.  The legs take y from that continued product alone, never from a root
 of y^2.
+
+``adaptive_gl`` bisects 32-node Gauss-Legendre panels, one refinement
+level per integrand call: every integrand here is a handful of numpy
+operations on a node array, so one call on all the panels of a level costs
+about what one call on a single panel did.
 """
 
 from __future__ import annotations
@@ -22,44 +27,85 @@ from .errors import PathThroughBranchPoint, QuadratureNonConvergence
 _GL_NODES, _GL_WEIGHTS = nleg.leggauss(32)
 
 #: Default clearance for routing paths: an absolute distance in x, not
-#: scaled by the branch points.
+#: scaled by the branch points; ``polyline_with_clearance`` raises it to
+#: 1e-4 of the length of a longer leg.
 PATH_CLEARANCE = 1e-3
 
 _MAX_DEPTH = 26
+
+#: Panels one ``adaptive_gl`` call may evaluate, in the manner of QUADPACK's
+#: subinterval limit.  The breadth-first walk doubles the panels of a level
+#: that keeps moving, so without a budget an integrand that never converges
+#: would be evaluated on up to 2^26 panels before the depth limit stops it.
+#: The most one call took on working curves was 191 panels (the tier-1
+#: tests while the path clearance was absolute; 59 with it relative to the
+#: leg) and 47 over the benchmark workloads and verify seeds 0-79.  2048 is
+#: more than ten times that, and it stops a call after at most 65,536 nodes.
+_MAX_PANELS = 2048
 
 
 def adaptive_gl(f, a: float, b: float, tol: float):
     """Integrate the row-vector function f over [a, b] adaptively.
 
-    f maps an array of nodes to an array (rows, nodes).  Panels are bisected
-    until two refinement levels agree within the locally allocated share of
-    tol, measured against the overall magnitude of the first estimate.
+    f maps a 1-D array of nodes to an array (rows, nodes).  Panels are
+    bisected until two refinement levels agree within the locally allocated
+    share of tol, measured against the overall magnitude of the first
+    estimate.  The bisection tree is walked one level at a time: the first
+    call of f evaluates the whole interval and both halves, and each later
+    call the halves of the children of every panel still moving on that
+    level, so f receives 32 nodes per panel.  The panels are summed back in
+    the tree's order: an accepted panel gives left + right, a refined one
+    the sum of its two children.  Raises ``QuadratureNonConvergence`` when a
+    panel still moves at depth ``_MAX_DEPTH`` or the next level would take
+    the call past ``_MAX_PANELS`` panels.
     """
-    whole = _panel(f, a, b)
-    scale = max(1.0, float(np.max(np.abs(whole))))
-    return _refine(f, a, b, whole, tol * scale / (b - a), 0)
-
-
-def _panel(f, a, b):
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = np.asarray(f(mid + half * _GL_NODES))
-    return half * (vals @ _GL_WEIGHTS)
-
-
-def _refine(f, a, b, whole, tol_density, depth):
     m = 0.5 * (a + b)
-    left = _panel(f, a, m)
-    right = _panel(f, m, b)
-    better = left + right
-    if float(np.max(np.abs(better - whole))) <= tol_density * (b - a):
-        return better
-    if depth >= _MAX_DEPTH:
-        raise QuadratureNonConvergence(
-            f"panel [{a:.6g}, {b:.6g}] still moving at depth {depth}"
-        )
-    return _refine(f, a, m, left, tol_density, depth + 1) + _refine(
-        f, m, b, right, tol_density, depth + 1
-    )
+    est = _panels(f, np.array([a, a, m]), np.array([b, m, b]))
+    whole, left, right = est[:, :1], est[:, 1:2], est[:, 2:]
+    scale = max(1.0, float(np.max(np.abs(whole))))
+    tol_density = tol * scale / (b - a)
+    lo, hi = np.array([a]), np.array([b])
+    levels, spent = [], 3
+    for depth in range(_MAX_DEPTH + 1):
+        better = left + right
+        moving = ~(np.max(np.abs(better - whole), axis=0) <= tol_density * (hi - lo))
+        levels.append((better, moving))
+        if not moving.any():
+            break
+        k = int(np.argmax(moving))
+        if depth >= _MAX_DEPTH:
+            raise QuadratureNonConvergence(
+                f"panel [{lo[k]:.6g}, {hi[k]:.6g}] still moving at depth {depth}"
+            )
+        spent += 4 * int(moving.sum())
+        if spent > _MAX_PANELS:
+            raise QuadratureNonConvergence(
+                f"panel budget of {_MAX_PANELS} spent: panel [{lo[k]:.6g}, {hi[k]:.6g}] "
+                f"still moving at depth {depth}"
+            )
+        # children of the moving panels in tree order, each with its whole
+        mid = 0.5 * (lo + hi)
+        lo = np.column_stack([lo, mid])[moving].ravel()
+        hi = np.column_stack([mid, hi])[moving].ravel()
+        whole = np.stack([left, right], axis=-1)[:, moving].reshape(len(better), -1)
+        m = 0.5 * (lo + hi)
+        est = _panels(f, np.column_stack([lo, m]).ravel(), np.column_stack([m, hi]).ravel())
+        left, right = est[:, 0::2], est[:, 1::2]
+    total = levels[-1][0]
+    for better, moving in reversed(levels[:-1]):
+        better[:, moving] = total[:, 0::2] + total[:, 1::2]
+        total = better
+    return total[:, 0]
+
+
+def _panels(f, lo, hi):
+    """Gauss-Legendre estimates of f over the panels [lo, hi], (rows, panels),
+    from one call of f on all their nodes."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    vals = np.asarray(f((mid[:, None] + half[:, None] * _GL_NODES).ravel()))
+    # panel by panel, each a (rows, 32) product with the weights as one panel was
+    per_panel = vals.reshape(len(vals), len(lo), len(_GL_NODES)).transpose(1, 0, 2)
+    return half * (per_panel @ _GL_WEIGHTS).T
 
 
 def _segment_foot(z0: complex, z1: complex, p: complex) -> complex:
@@ -81,10 +127,14 @@ def segment_distance(z0: complex, z1: complex, p: complex) -> float:
 def polyline_with_clearance(z0, z1, obstacles, clearance: float, _depth: int = 0):
     """Waypoints from z0 to z1 keeping interior clearance from obstacles.
 
-    Obstacles closer than the clearance to either endpoint do not trigger
-    detours (the endpoints themselves are the caller's responsibility).
+    The clearance is at least 1e-4 of the distance from z0 to z1, so a long
+    route keeps a margin relative to its own length.  Obstacles closer than
+    the clearance to either endpoint do not trigger detours (the endpoints
+    themselves are the caller's responsibility).
     """
     z0, z1 = complex(z0), complex(z1)
+    if _depth == 0:
+        clearance = max(clearance, 1e-4 * abs(z1 - z0))
     if _depth > 12:
         raise PathThroughBranchPoint("detour recursion exceeded depth 12")
     worst, wdist = None, np.inf

@@ -1,4 +1,4 @@
-"""Sheet continuation: the cut-crossing rule against a stepping walk.
+"""Sheet continuation and leg quadrature against the code they replaced.
 
 ``SheetPath`` and ``BranchLegPath`` take y from the product of the factors
 sqrt(x - e_k), each continued across its cut, and ``abel_map`` picks its
@@ -8,14 +8,29 @@ the pipeline that integrated every candidate route and kept the first one
 ending on the right sheet.  The references take y as the principal root of
 y^2 and x from the start of the leg, so the legs must agree with them on
 the sheet at every node and in value to rounding, not in bits.
+
+``adaptive_gl`` walks its bisection tree a level at a time; the recursion
+it replaced, one integrand call per 32-node panel, is kept here as the
+reference.  Both evaluate the same nodes and give the same bits.
 """
 
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as nleg
 
-from secondkind import abel_map, compute_periods, curve_from_branch_points, periods
+from secondkind import (
+    abel_from_infinity,
+    abel_map,
+    compute_periods,
+    curve_from_branch_points,
+    paths,
+    periods,
+)
+from secondkind.cli import random_curve
+from secondkind.errors import QuadratureNonConvergence
 from secondkind.paths import (
+    _MAX_DEPTH,
+    _MAX_PANELS,
     PATH_CLEARANCE,
     BranchLegPath,
     CutCrossings,
@@ -334,3 +349,140 @@ def test_abel_map_integrates_only_the_route_it_keeps(monkeypatch):
     monkeypatch.setattr(periods, "integrate_rows_along", counted)
     abel_map(curve, bundle, p, q)
     assert calls == [_routes(curve, p, q)[2]]
+
+
+GL_NODES, GL_WEIGHTS = nleg.leggauss(32)
+
+
+def _reference_gl(f, a, b, tol):
+    """The recursive ``adaptive_gl``: depth first, one call of f per panel.
+    Returns the integral and the node arrays f received."""
+    nodes = []
+
+    def panel(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        x = mid + half * GL_NODES
+        nodes.append(x)
+        return half * (np.asarray(f(x)) @ GL_WEIGHTS)
+
+    def refine(a, b, whole, tol_density, depth):
+        m = 0.5 * (a + b)
+        left, right = panel(a, m), panel(m, b)
+        better = left + right
+        if float(np.max(np.abs(better - whole))) <= tol_density * (b - a):
+            return better
+        if depth >= _MAX_DEPTH:
+            raise QuadratureNonConvergence(f"panel [{a:.6g}, {b:.6g}] still moving at depth {depth}")
+        return (refine(a, m, left, tol_density, depth + 1)
+                + refine(m, b, right, tol_density, depth + 1))
+
+    whole = panel(a, b)
+    scale = max(1.0, float(np.max(np.abs(whole))))
+    return refine(a, b, whole, tol * scale / (b - a), 0), nodes
+
+
+@pytest.fixture
+def against_reference(monkeypatch):
+    """Every ``adaptive_gl`` call of the package also runs the reference on
+    its integrand: the same multiset of nodes and the same bits, for any
+    number of rows (each panel is still one (rows, 32) product with the
+    weights).  Yields (rows, batched calls, reference calls) per call."""
+    seen = []
+    batched = paths.adaptive_gl
+
+    def both(f, a, b, tol):
+        got_nodes = []
+
+        def recorded(x):
+            got_nodes.append(x)
+            return f(x)
+
+        got = batched(recorded, a, b, tol)
+        want, want_nodes = _reference_gl(f, a, b, tol)
+        assert np.array_equal(np.sort(np.concatenate(got_nodes)),
+                              np.sort(np.concatenate(want_nodes)))
+        assert np.array_equal(got, want), np.max(np.abs(got - want))
+        seen.append((len(want), len(got_nodes), len(want_nodes)))
+        return got
+
+    monkeypatch.setattr(paths, "adaptive_gl", both)
+    monkeypatch.setattr(periods, "adaptive_gl", both)
+    return seen
+
+
+def test_chain_quadrature_matches_the_recursion(against_reference):
+    rng = np.random.default_rng(11)
+    curves = [curve_from_branch_points(STANDARD_POINTS)] + [random_curve(rng) for _ in range(20)]
+    for curve in curves:
+        compute_periods(curve)
+    assert len(against_reference) == 4 * len(curves)
+    assert {rows for rows, _, _ in against_reference} == {4}
+    assert sum(c for _, c, _ in against_reference) < 0.4 * sum(c for _, _, c in against_reference)
+
+
+def test_leg_quadrature_matches_the_recursion(against_reference):
+    """Genus-2 and genus-1 Abel legs, straight and into a branch point, the
+    xi tail of ``abel_from_infinity``, and one-row chain numerators."""
+    cases = [(curve_from_branch_points(STANDARD_POINTS), (0.5 + 1.0j, 2.6 + 0.3j, -1.5 + 0.5j)),
+             (curve_from_branch_points(SKEW_POINTS), (0.3 - 0.2j, -2.4 + 0.1j, 1.1 - 0.3j)),
+             (curve_from_branch_points((-1.0, 0.0, 1.0)), (0.5 + 0.7j, 2.0 - 1.0j, -3.0 + 0.1j)),
+             (curve_from_branch_points((0.3, -1.0 + 0.5j, 2.0j)), (0.5 + 0.7j, 2.0 - 1.0j, 0.3))]
+    for curve, (x0, x1, x2) in cases:
+        bundle = compute_periods(curve)
+        del against_reference[:]
+        p, q, r = curve.lift(x0), curve.lift(x1, -1), curve.lift(x2)
+        abel_map(curve, bundle, p, q)
+        abel_map(curve, bundle, q, r)
+        abel_from_infinity(curve, bundle, p)
+        periods.a_cycle_integral(curve, bundle, 0, lambda x: (x * x)[None, :])
+        rows = {n for n, _, _ in against_reference}
+        assert rows == {1, curve.genus}, rows
+    assert any(c > 1 for _, c, _ in against_reference)
+
+
+def _hash_noise(x):
+    """Per-node noise of relative size 1e-9: no panel ever settles at 1e-14."""
+    v = 1.0 + 1e-9 * np.modf(np.abs(43758.5453 * np.sin(1.29898e7 * x)))[0]
+    return np.vstack([v, 2.0 * v])
+
+
+def _counted(f, sizes):
+    def g(x):
+        sizes.append(len(x))
+        return f(x)
+    return g
+
+
+def test_nonconvergent_integrand_fails_within_the_panel_budget():
+    sizes = []
+    with pytest.raises(QuadratureNonConvergence,
+                       match=rf"panel budget of {_MAX_PANELS} spent: "
+                             r"panel \[0, [0-9.e-]+\] still moving at depth \d+"):
+        adaptive_gl(_counted(_hash_noise, sizes), 0.0, 1.0, 1e-14)
+    assert sum(sizes) <= 32 * _MAX_PANELS
+
+
+def test_singular_integrand_fails_at_the_depth_limit():
+    """One panel keeps moving per level: the depth limit stops it, with the
+    recursion's message, long before the budget would."""
+    def f(x):
+        return np.vstack([np.abs(x - 1.0 / 3.0) ** -0.5] * 2)
+
+    sizes = []
+    with pytest.raises(QuadratureNonConvergence, match=rf"still moving at depth {_MAX_DEPTH}$"):
+        adaptive_gl(_counted(f, sizes), 0.0, 1.0, 1e-12)
+    with pytest.raises(QuadratureNonConvergence, match=rf"still moving at depth {_MAX_DEPTH}$"):
+        _reference_gl(f, 0.0, 1.0, 1e-12)
+    assert sum(sizes) < 32 * _MAX_PANELS
+
+
+def test_clustered_chain_fails_within_the_panel_budget(monkeypatch):
+    """(-2, -1, 0, 1e-5, 2) passes every degeneracy gate, but its chain
+    (-1, 0) never settles; it must fail after at most the budget's nodes."""
+    sizes = []
+    batched = paths.adaptive_gl
+    monkeypatch.setattr(periods, "adaptive_gl",
+                        lambda f, a, b, tol: batched(_counted(f, sizes), a, b, tol))
+    with pytest.raises(QuadratureNonConvergence, match="still moving at depth"):
+        compute_periods(curve_from_branch_points((-2.0, -1.0, 0.0, 1e-5, 2.0)))
+    assert sum(sizes) <= 32 * _MAX_PANELS
