@@ -6,17 +6,20 @@ y = 2 prod_k sqrt(x - e_k) is continued exactly, factor by factor
 principal root changes branch only where that line crosses numpy's cut.
 So the sheet anywhere on a route, and at its end, follows from the cut
 crossings alone, before any quadrature runs.  ``CutCrossings`` is the one
-home of that rule; the period chains of ``periods.segment_integral`` use it
+home of that rule; the period chains of ``periods.chain_integrals`` use it
 too.  The legs take y from that continued product alone, never from a root
 of y^2.
 
 ``adaptive_gl`` bisects 32-node Gauss-Legendre panels, one refinement
-level per integrand call: every integrand here is a handful of numpy
-operations on a node array, so one call on all the panels of a level costs
-about what one call on a single panel did.
+level per integrand call, and walks the intervals of one call (all chains
+of a curve, all legs of a route) as one forest: every integrand here is a
+handful of numpy operations on a node array, so one call on all the panels
+of a level costs about what one call on a single panel did.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from numpy.polynomial import legendre as nleg
@@ -44,7 +47,7 @@ _MAX_DEPTH = 26
 _MAX_PANELS = 2048
 
 
-def adaptive_gl(f, a: float, b: float, tol: float):
+def adaptive_gl(f, a, b, tol: float):
     """Integrate the row-vector function f over [a, b] adaptively.
 
     f maps a 1-D array of nodes to an array (rows, nodes).  Panels are
@@ -57,52 +60,76 @@ def adaptive_gl(f, a: float, b: float, tol: float):
     the tree's order: an accepted panel gives left + right, a refined one
     the sum of its two children.  Raises ``QuadratureNonConvergence`` when a
     panel still moves at depth ``_MAX_DEPTH`` or the next level would take
-    the call past ``_MAX_PANELS`` panels.
+    its tree past ``_MAX_PANELS`` panels.
+
+    With 1-D arrays a and b of n intervals the n trees are walked as one
+    forest, one call of f per level for all of them, and the result is
+    (rows, n).  Each tree keeps its own scale, accept test and budget, so
+    each column has the bits of a call on its interval alone.  f then
+    receives complex nodes t + 1j k, the parameter t and the index k of its
+    interval, both exact; with scalar a and b it receives real t.
     """
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = np.atleast_1d(a).astype(float), np.atleast_1d(b).astype(float)
+    n = len(a)
     m = 0.5 * (a + b)
-    est = _panels(f, np.array([a, a, m]), np.array([b, m, b]))
-    whole, left, right = est[:, :1], est[:, 1:2], est[:, 2:]
-    scale = max(1.0, float(np.max(np.abs(whole))))
+    tree = np.arange(n)
+    est = _panels(f, np.column_stack([a, a, m]).ravel(), np.column_stack([b, m, b]).ravel(),
+                  None if scalar else np.repeat(tree, 3))
+    whole, left, right = est[:, 0::3], est[:, 1::3], est[:, 2::3]
+    scale = np.fmax(1.0, np.max(np.abs(whole), axis=0))
     tol_density = tol * scale / (b - a)
-    lo, hi = np.array([a]), np.array([b])
-    levels, spent = [], 3
+    lo, hi = a, b
+    levels, spent = [], np.full(n, 3)
+
+    def where(k):
+        panel = f"panel [{lo[k]:.6g}, {hi[k]:.6g}]"
+        i = tree[k]
+        return panel if scalar else f"{panel} of interval {i} [{a[i]:.6g}, {b[i]:.6g}]"
+
     for depth in range(_MAX_DEPTH + 1):
         better = left + right
-        moving = ~(np.max(np.abs(better - whole), axis=0) <= tol_density * (hi - lo))
+        moving = ~(np.max(np.abs(better - whole), axis=0) <= tol_density[tree] * (hi - lo))
         levels.append((better, moving))
         if not moving.any():
             break
-        k = int(np.argmax(moving))
         if depth >= _MAX_DEPTH:
+            k = int(np.argmax(moving))
+            raise QuadratureNonConvergence(f"{where(k)} still moving at depth {depth}")
+        spent += 4 * np.bincount(tree[moving], minlength=n)
+        if (spent > _MAX_PANELS).any():
+            # the leftmost panel still moving in the first tree over budget
+            k = int(np.argmax(moving & (tree == np.argmax(spent > _MAX_PANELS))))
             raise QuadratureNonConvergence(
-                f"panel [{lo[k]:.6g}, {hi[k]:.6g}] still moving at depth {depth}"
-            )
-        spent += 4 * int(moving.sum())
-        if spent > _MAX_PANELS:
-            raise QuadratureNonConvergence(
-                f"panel budget of {_MAX_PANELS} spent: panel [{lo[k]:.6g}, {hi[k]:.6g}] "
-                f"still moving at depth {depth}"
+                f"panel budget of {_MAX_PANELS} spent: {where(k)} still moving at depth {depth}"
             )
         # children of the moving panels in tree order, each with its whole
         mid = 0.5 * (lo + hi)
         lo = np.column_stack([lo, mid])[moving].ravel()
         hi = np.column_stack([mid, hi])[moving].ravel()
+        tree = np.repeat(tree[moving], 2)
         whole = np.stack([left, right], axis=-1)[:, moving].reshape(len(better), -1)
         m = 0.5 * (lo + hi)
-        est = _panels(f, np.column_stack([lo, m]).ravel(), np.column_stack([m, hi]).ravel())
+        est = _panels(f, np.column_stack([lo, m]).ravel(), np.column_stack([m, hi]).ravel(),
+                      None if scalar else np.repeat(tree, 2))
         left, right = est[:, 0::2], est[:, 1::2]
     total = levels[-1][0]
     for better, moving in reversed(levels[:-1]):
         better[:, moving] = total[:, 0::2] + total[:, 1::2]
         total = better
-    return total[:, 0]
+    return total[:, 0] if scalar else total
 
 
-def _panels(f, lo, hi):
+def _panels(f, lo, hi, tree):
     """Gauss-Legendre estimates of f over the panels [lo, hi], (rows, panels),
-    from one call of f on all their nodes."""
+    from one call of f on all their nodes; with the tree index of each
+    panel the nodes carry it as their imaginary part."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    vals = np.asarray(f((mid[:, None] + half[:, None] * _GL_NODES).ravel()))
+    t = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    if tree is not None:
+        t = t.astype(complex)
+        t.imag = np.repeat(tree, len(_GL_NODES))
+    vals = np.asarray(f(t))
     # panel by panel, each a (rows, 32) product with the weights as one panel was
     per_panel = vals.reshape(len(vals), len(lo), len(_GL_NODES)).transpose(1, 0, 2)
     return half * (per_panel @ _GL_WEIGHTS).T
@@ -164,32 +191,52 @@ class CutCrossings:
     the upper side (sqrt(-a + 0j) = +i sqrt(a)).  A line meets the cut iff
     Im(conj(w0) dw) Im(dw) < 0; there the root has changed branch at w iff
     w and w0 lie on different closed sides, Im >= 0 and Im < 0.  ``crossed``
-    marks the factors (last axis) that have changed branch by w1.
+    marks the factors (last axis) that have changed branch by w1.  Leading
+    axes hold several sets of lines, one per leg or chain.
     """
 
     def __init__(self, w0, dw, w1):
         self.upper0 = np.imag(w0) >= 0
         meets = (np.conj(w0) * dw).imag * np.imag(dw) < 0
         self.crossed = meets & ((np.imag(w1) >= 0) != self.upper0)
-        self._k = np.flatnonzero(self.crossed)
 
-    def roots(self, w):
-        """sqrt(w_k), each root continued from w0 (one line per factor), at
-        points w on the way (one row each).  A line meets the real axis
-        once, so only the factors crossed by w1 are looked at."""
-        out = np.sqrt(w)
-        for k in self._k:
-            other_side = np.less if self.upper0[k] else np.greater_equal
-            np.negative(out[..., k], out=out[..., k], where=other_side(w[..., k].imag, 0))
+    @classmethod
+    def stacked(cls, cuts):
+        """One set of lines per entry of ``cuts``, along a new first axis."""
+        out = cls.__new__(cls)
+        out.upper0 = np.stack([c.upper0 for c in cuts])
+        out.crossed = np.stack([c.crossed for c in cuts])
         return out
 
-    def product(self, w):
+    def roots(self, w, rows=None):
+        """sqrt(w_k), each root continued from w0 (one line per factor), at
+        points w on the way (one row each).  With several sets of lines,
+        ``rows`` gives the set of each point.  A line meets the real axis
+        once, so only the factors crossed by w1 can be flipped."""
+        out = np.sqrt(w)
+        sel = ... if rows is None else rows
+        crossed = self.crossed[sel]
+        if crossed.any():
+            np.negative(out, out=out, where=crossed & ((np.imag(w) >= 0) != self.upper0[sel]))
+        return out
+
+    def product(self, w, rows=None):
         """2 prod_k sqrt(w_k), each root continued from w0."""
-        return 2.0 * self.roots(w).prod(axis=-1)
+        return 2.0 * self.roots(w, rows).prod(axis=-1)
 
 
 def _sign_toward(v: complex, target: complex) -> float:
     return 1.0 if abs(v - target) <= abs(v + target) else -1.0
+
+
+def _legs_xy(z0, z1, sign, e, cuts, t, rows=None):
+    """(x, y) at parameters t on straight legs from z0 to z1: x from the
+    nearer end of its leg, y = sign 2 prod_k sqrt(x - e_k) continued along
+    it.  One leg takes scalars; many take z0, z1 and sign per point and
+    ``rows``, the leg of each point, for ``cuts``."""
+    d = z1 - z0
+    x = np.where(t <= 0.5, z0 + d * t, z1 - d * (1.0 - t))
+    return x, sign * cuts.product(x[..., None] - e, rows)
 
 
 class SheetPath:
@@ -212,9 +259,7 @@ class SheetPath:
     def xy_at(self, t):
         """(x, y) arrays at parameters t in [0, 1]."""
         t = np.asarray(t, dtype=float)
-        d = self.z1 - self.z0
-        x = np.where(t <= 0.5, self.z0 + d * t, self.z1 - d * (1.0 - t))
-        return x, self.sign * self.cuts.product(x[..., None] - self.e)
+        return _legs_xy(self.z0, self.z1, self.sign, self.e, self.cuts, t)
 
 
 def route_end_y(curve: HyperellipticCurve, points, y0: complex) -> complex:
@@ -233,26 +278,28 @@ def integrate_rows_along(curve, points, y0, rows_fn, tol):
     """Integrate rows_fn(x, y) dx along a polyline with sheet tracking.
 
     rows_fn maps (x_nodes, y_nodes) to an array (rows, nodes); returns the
-    integral vector and the continued y at the final point.
+    integral vector and the continued y at the final point.  The sign of
+    every leg follows from the cut crossings before any quadrature, so all
+    legs are integrated in one walk and their parts added from the first.
     """
-    total = None
-    y = complex(y0)
+    legs, y = [], complex(y0)
     for z0, z1 in zip(points[:-1], points[1:]):
-        if z0 == z1:
-            continue
-        sp = SheetPath(curve, z0, z1, y)
-        leg = z1 - z0
+        if z0 != z1:
+            legs.append(SheetPath(curve, z0, z1, y))
+            y = legs[-1].y_end
+    if not legs:
+        return np.zeros(np.shape(rows_fn(np.array([complex(points[0])]),
+                                         np.array([y0])))[0], dtype=complex), y
+    z0, z1, sign = (np.array([getattr(sp, k) for sp in legs]) for k in ("z0", "z1", "sign"))
+    cuts = CutCrossings.stacked([sp.cuts for sp in legs])
+    e, leg = legs[0].e, z1 - z0
 
-        def f(tnodes):
-            return np.asarray(rows_fn(*sp.xy_at(tnodes))) * leg
+    def f(nodes):
+        k = nodes.imag.astype(int)
+        return np.asarray(rows_fn(*_legs_xy(z0[k], z1[k], sign[k], e, cuts, nodes.real, k))) * leg[k]
 
-        part = adaptive_gl(f, 0.0, 1.0, tol)
-        total = part if total is None else total + part
-        y = sp.y_end
-    if total is None:
-        total = np.zeros(np.shape(rows_fn(np.array([complex(points[0])]),
-                                          np.array([y0])))[0], dtype=complex)
-    return total, y
+    parts = adaptive_gl(f, np.zeros(len(legs)), np.ones(len(legs)), tol)
+    return functools.reduce(np.add, parts.T), y
 
 
 class BranchLegPath:

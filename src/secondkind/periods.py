@@ -143,13 +143,24 @@ class PeriodBundle:
         return tuple(self.inv_two_omega.T)
 
 
-def _block_legendre_defect(omega, omega_prime, eta, eta_prime) -> float:
-    g = omega.shape[0]
-    m = np.block([[omega, omega_prime], [eta, eta_prime]])
+@functools.cache
+def _symplectic_j(g: int) -> tuple:
+    """J = [[0, -I], [I, 0]] of size 2g and (i pi / 2) J, read-only."""
     jj = np.block(
         [[np.zeros((g, g)), -np.eye(g)], [np.eye(g), np.zeros((g, g))]]
     ).astype(complex)
-    return float(np.max(np.abs(m @ jj @ m.T + (0.5j * np.pi) * jj)))
+    out = (jj, (0.5j * np.pi) * jj)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _block_legendre_defect(omega, omega_prime, eta, eta_prime) -> float:
+    g = omega.shape[0]
+    m = np.empty((2 * g, 2 * g), dtype=complex)
+    m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:] = omega, omega_prime, eta, eta_prime
+    jj, half_pi_jj = _symplectic_j(g)
+    return float(np.max(np.abs(m @ jj @ m.T + half_pi_jj)))
 
 
 def legendre_defect(bundle: PeriodBundle) -> float:
@@ -159,26 +170,39 @@ def legendre_defect(bundle: PeriodBundle) -> float:
     )
 
 
-def segment_integral(curve: HyperellipticCurve, points, a_idx: int, b_idx: int,
-                     numerators_fn, quad_tol: float) -> np.ndarray:
-    """Integral of numerators(x)/y dx over the open segment (e_a, e_b).
+def _chain_integrand(points, segments, numerators_fn):
+    """The integrand of the segments (e_a, e_b), (a, b) in ``segments``, at
+    complex nodes theta + 1j k, k the index of the segment.
 
-    The branch of y is the substitution branch described in the module
+    The branch of y on each segment is the substitution branch of the module
     docstring; its global sign is calibrated downstream.  numerators_fn maps
     an x array to an array (rows, nodes).
     """
-    ea, eb = points[a_idx], points[b_idx]
-    m, h = 0.5 * (ea + eb), 0.5 * (eb - ea)
-    c0 = m - np.array([e for k, e in enumerate(points) if k not in (a_idx, b_idx)])
-    cuts = CutCrossings(c0 - h, 2.0 * h, c0 + h)
+    m, h, c0 = [], [], []
+    for a_idx, b_idx in segments:
+        ea, eb = points[a_idx], points[b_idx]
+        m.append(0.5 * (ea + eb))
+        h.append(0.5 * (eb - ea))
+        c0.append(m[-1] - np.array([e for k, e in enumerate(points) if k not in (a_idx, b_idx)]))
+    m, h, c0 = np.array(m), np.array(h), np.array(c0)
+    cuts = CutCrossings(c0 - h[:, None], 2.0 * h[:, None], c0 + h[:, None])
 
-    def f(theta):
-        hu = h * np.cos(theta)
+    def f(nodes):
+        k = nodes.imag.astype(int)
+        hu = h[k] * np.cos(nodes.real)
         # a running product of the columns: np.prod rounds differently
-        s = functools.reduce(np.multiply, cuts.roots(c0 + hu[:, None]).T)
-        return np.asarray(numerators_fn(m + hu)) * (-0.5j / s)
+        s = functools.reduce(np.multiply, cuts.roots(c0[k] + hu[:, None], k).T)
+        return np.asarray(numerators_fn(m[k] + hu)) * (-0.5j / s)
 
-    return adaptive_gl(f, 0.0, np.pi, quad_tol)
+    return f
+
+
+def chain_integrals(points, segments, numerators_fn, quad_tol: float) -> np.ndarray:
+    """Integrals of numerators(x)/y dx over the open segments (e_a, e_b), one
+    column per (a, b) in ``segments``, all in one quadrature walk."""
+    n = len(segments)
+    return adaptive_gl(_chain_integrand(points, segments, numerators_fn),
+                       np.zeros(n), np.full(n, np.pi), quad_tol)
 
 
 def _period_numerators(curve: HyperellipticCurve):
@@ -219,9 +243,7 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
                     f"branch point {j} sits on segment ({k}, {k + 1}) (distance {d:.2e})"
                 )
     rows = _period_numerators(curve)
-    chains = np.column_stack(
-        [2.0 * segment_integral(curve, pts, k, k + 1, rows, quad_tol) for k in range(n_chains)]
-    )
+    chains = 2.0 * chain_integrals(pts, [(k, k + 1) for k in range(n_chains)], rows, quad_tol)
 
     sym_gate, leg_base = gate_tolerances(quad_tol)
 
@@ -432,6 +454,6 @@ def a_cycle_integral(curve: HyperellipticCurve, bundle: PeriodBundle, j: int,
     at the bundle's quadrature tolerance.
     """
     k = 2 * j
-    return 2.0 * bundle.chain_signs[k] * segment_integral(
-        curve, bundle.canonical_points, k, k + 1, numerators_fn, bundle.quad_tol
-    )
+    return 2.0 * bundle.chain_signs[k] * chain_integrals(
+        bundle.canonical_points, [(k, k + 1)], numerators_fn, bundle.quad_tol
+    )[:, 0]

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from secondkind import abel_from_infinity, abel_map, compute_periods, curve_from_branch_points
+from test_paths import _per_interval, _reference_gl
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -54,10 +55,12 @@ def test_every_traced_name_exists():
 def test_quadrature_keeps_the_traced_contract(monkeypatch):
     """The tracer wraps ``adaptive_gl(f, a, b, tol)`` and counts the nodes
     its integrand receives, so f must get 1-D node arrays of whole 32-node
-    panels; ``paths.panels`` then counts integrand calls, one per level."""
+    panels; ``paths.panels`` then counts integrand calls, one per level.
+    All chains of a curve are one call, and so are all legs of a route, and
+    the nodes counted are those of the recursion run interval by interval."""
     paths = _module("paths")
     assert list(inspect.signature(paths.adaptive_gl).parameters) == ["f", "a", "b", "tol"]
-    sizes = []
+    sizes, calls = [], []
     batched = paths.adaptive_gl
 
     def recorded(f, a, b, tol):
@@ -65,6 +68,7 @@ def test_quadrature_keeps_the_traced_contract(monkeypatch):
             assert np.ndim(x) == 1 and len(x) % 32 == 0, np.shape(x)
             sizes.append(len(x))
             return f(x)
+        calls.append((f, a, b, tol))
         return batched(g, a, b, tol)
 
     monkeypatch.setattr(paths, "adaptive_gl", recorded)
@@ -74,10 +78,17 @@ def test_quadrature_keeps_the_traced_contract(monkeypatch):
     try:
         curve = curve_from_branch_points((-2.0, -1.0, 0.0, 1.0, 2.0))
         bundle = compute_periods(curve)
+        assert tracer.counts["paths.quad_calls"] == 1
+        # only the route via the far point with its loop ends on q's sheet
         abel_map(curve, bundle, curve.lift(0.5 + 1.0j), curve.lift(2.6 + 0.3j))
+        assert tracer.counts["paths.quad_calls"] == 2
+        assert tracer.counts["paths.legs"] >= 10
         abel_from_infinity(curve, bundle, curve.lift(-1.0))
     finally:
         tracer.uninstall()
     counts = tracer.summary(1)
     assert counts["paths.nodes"] == sum(sizes)
     assert counts["paths.panels"] == len(sizes) < sum(sizes) / 32
+    reference = sum(len(nodes) for f, a, b, tol in calls for g, lo, hi in _per_interval(f, a, b)
+                    for nodes in _reference_gl(g, lo, hi, tol)[1])
+    assert counts["paths.nodes"] == reference

@@ -9,9 +9,11 @@ ending on the right sheet.  The references take y as the principal root of
 y^2 and x from the start of the leg, so the legs must agree with them on
 the sheet at every node and in value to rounding, not in bits.
 
-``adaptive_gl`` walks its bisection tree a level at a time; the recursion
-it replaced, one integrand call per 32-node panel, is kept here as the
-reference.  Both evaluate the same nodes and give the same bits.
+``adaptive_gl`` walks its bisection trees a level at a time, all the
+intervals of a call (the chains of a curve, the legs of a route) as one
+forest; the recursion it replaced, one integrand call per 32-node panel and
+one call per interval, is kept here as the reference.  Interval by
+interval, both evaluate the same nodes and give the same bits.
 """
 
 import numpy as np
@@ -116,12 +118,13 @@ class _ReferenceBranchLegPath:
         return x, s * w
 
 
-def _reference_along(curve, points, y0, rows_fn, tol):
+def _reference_along(curve, points, y0, rows_fn, tol, path=_ReferenceSheetPath):
+    """One walk per leg on ``path``, the parts added from the first."""
     total, y = None, complex(y0)
     for z0, z1 in zip(points[:-1], points[1:]):
         if z0 == z1:
             continue
-        sp = _ReferenceSheetPath(curve, z0, z1, y)
+        sp = path(curve, z0, z1, y)
         leg = z1 - z0
         part = adaptive_gl(lambda t: np.asarray(rows_fn(*sp.xy_at(t))) * leg, 0.0, 1.0, tol)
         total = part if total is None else total + part
@@ -381,12 +384,29 @@ def _reference_gl(f, a, b, tol):
     return refine(a, b, whole, tol * scale / (b - a), 0), nodes
 
 
+def _indexed(x, k):
+    """Real nodes x as the complex nodes x + 1j k of interval k, exactly."""
+    z = x.astype(complex)
+    z.imag = k
+    return z
+
+
+def _per_interval(f, a, b):
+    """(integrand, a, b) of each interval of an ``adaptive_gl`` call as a
+    call of its own on real nodes; scalar bounds are one interval."""
+    if np.ndim(a) == 0:
+        return [(f, a, b)]
+    return [(lambda x, k=k: f(_indexed(x, k)), a[k], b[k]) for k in range(len(a))]
+
+
 @pytest.fixture
 def against_reference(monkeypatch):
     """Every ``adaptive_gl`` call of the package also runs the reference on
-    its integrand: the same multiset of nodes and the same bits, for any
-    number of rows (each panel is still one (rows, 32) product with the
-    weights).  Yields (rows, batched calls, reference calls) per call."""
+    its integrand, once per interval: per interval the same multiset of
+    nodes and the same bits, for any number of rows (each panel is still one
+    (rows, 32) product with the weights).  Yields (rows, intervals, batched
+    calls, reference calls) per call; a call on scalar bounds counts as one
+    interval."""
     seen = []
     batched = paths.adaptive_gl
 
@@ -398,11 +418,20 @@ def against_reference(monkeypatch):
             return f(x)
 
         got = batched(recorded, a, b, tol)
-        want, want_nodes = _reference_gl(f, a, b, tol)
-        assert np.array_equal(np.sort(np.concatenate(got_nodes)),
-                              np.sort(np.concatenate(want_nodes)))
-        assert np.array_equal(got, want), np.max(np.abs(got - want))
-        seen.append((len(want), len(got_nodes), len(want_nodes)))
+        nodes = np.concatenate(got_nodes)
+        if np.ndim(a) == 0:
+            mine = [(nodes, got)]
+        else:
+            assert got.shape[1] == len(a) and np.array_equal(np.unique(nodes.imag), np.arange(len(a)))
+            mine = [(nodes.real[nodes.imag == k], got[:, k]) for k in range(len(a))]
+        runs = _per_interval(f, a, b)
+        reference_calls = 0
+        for (g, lo, hi), (own_nodes, value) in zip(runs, mine, strict=True):
+            want, want_nodes = _reference_gl(g, lo, hi, tol)
+            assert np.array_equal(np.sort(own_nodes), np.sort(np.concatenate(want_nodes)))
+            assert np.array_equal(value, want), np.max(np.abs(value - want))
+            reference_calls += len(want_nodes)
+        seen.append((len(got), len(runs), len(got_nodes), reference_calls))
         return got
 
     monkeypatch.setattr(paths, "adaptive_gl", both)
@@ -411,22 +440,29 @@ def against_reference(monkeypatch):
 
 
 def test_chain_quadrature_matches_the_recursion(against_reference):
+    """All chains of a curve in one walk: one call per ``compute_periods``."""
     rng = np.random.default_rng(11)
     curves = [curve_from_branch_points(STANDARD_POINTS)] + [random_curve(rng) for _ in range(20)]
-    for curve in curves:
+    compute_periods(curves[0])
+    assert len(against_reference) == 1
+    for curve in curves[1:]:
         compute_periods(curve)
-    assert len(against_reference) == 4 * len(curves)
-    assert {rows for rows, _, _ in against_reference} == {4}
-    assert sum(c for _, c, _ in against_reference) < 0.4 * sum(c for _, _, c in against_reference)
+    assert len(against_reference) == len(curves)
+    assert {(rows, n) for rows, n, _, _ in against_reference} == {(4, 4)}
+    # two levels a walk here, 42 integrand calls against the recursion's 336
+    assert sum(c for _, _, c, _ in against_reference) < 0.15 * sum(c for *_, c in against_reference)
 
 
 def test_leg_quadrature_matches_the_recursion(against_reference):
-    """Genus-2 and genus-1 Abel legs, straight and into a branch point, the
-    xi tail of ``abel_from_infinity``, and one-row chain numerators."""
+    """Genus-2 and genus-1 Abel legs, straight and into a branch point, every
+    candidate route (the direct one, the one via the far point, and that one
+    with its loop) in one walk each, the xi tail of ``abel_from_infinity``,
+    and one-row chain numerators."""
     cases = [(curve_from_branch_points(STANDARD_POINTS), (0.5 + 1.0j, 2.6 + 0.3j, -1.5 + 0.5j)),
              (curve_from_branch_points(SKEW_POINTS), (0.3 - 0.2j, -2.4 + 0.1j, 1.1 - 0.3j)),
              (curve_from_branch_points((-1.0, 0.0, 1.0)), (0.5 + 0.7j, 2.0 - 1.0j, -3.0 + 0.1j)),
              (curve_from_branch_points((0.3, -1.0 + 0.5j, 2.0j)), (0.5 + 0.7j, 2.0 - 1.0j, 0.3))]
+    refined = False
     for curve, (x0, x1, x2) in cases:
         bundle = compute_periods(curve)
         del against_reference[:]
@@ -435,9 +471,75 @@ def test_leg_quadrature_matches_the_recursion(against_reference):
         abel_map(curve, bundle, q, r)
         abel_from_infinity(curve, bundle, p)
         periods.a_cycle_integral(curve, bundle, 0, lambda x: (x * x)[None, :])
-        rows = {n for n, _, _ in against_reference}
+        rows = {n for n, _, _, _ in against_reference}
         assert rows == {1, curve.genus}, rows
-    assert any(c > 1 for _, c, _ in against_reference)
+        refined |= any(c > 1 for _, _, c, _ in against_reference)
+        del against_reference[:]
+        routes = _routes(curve, p, q)
+        for pts in routes:
+            paths.integrate_rows_along(curve, pts, p.y, periods._u_rows(curve), bundle.quad_tol)
+        legs = [n for _, n, _, _ in against_reference]
+        assert legs == [len(pts) - 1 for pts in routes] and legs[1] >= 2 and legs[2] >= 10, legs
+    assert refined
+
+
+def test_route_walk_equals_the_leg_by_leg_sum(triples):
+    """One walk over all legs of a route gives the bits of one walk per
+    ``SheetPath`` leg: the many-leg x and y are the leg's, and the parts
+    add from the first.  A repeated vertex is a leg of length 0, skipped."""
+    for curve, bundle, p, q in triples[:12]:
+        rows = periods._u_rows(curve)
+        routes = _routes(curve, p, q)
+        for pts in routes + [routes[1][:2] + routes[1][1:]]:
+            got = paths.integrate_rows_along(curve, pts, p.y, rows, bundle.quad_tol)
+            want = _reference_along(curve, pts, p.y, rows, bundle.quad_tol, path=SheetPath)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1], (curve.branch_points, pts)
+    assert {curve.genus for curve, *_ in triples[:12]} == {1, 2}
+
+
+def _bumps(z):
+    """Two rows on complex nodes t + 1j k; interval 1 a million times larger."""
+    t, k = z.real, z.imag
+    v = np.where(k == 1, 1e6, 1.0) * np.exp(np.sin(5.0 * t)) / (1.0 + 25.0 * t * t)
+    return np.vstack([v, v * t])
+
+
+def test_forest_columns_are_calls_on_their_own_intervals():
+    """Each tree keeps its own scale, accept test and nodes: its column has
+    the bits of a call on its interval alone."""
+    a, b = np.array([0.0, -1.0, 2.0, -3.0]), np.array([1.0, 1.0, 2.5, 3.0])
+    got = adaptive_gl(_bumps, a, b, 1e-12)
+    assert got.shape == (2, 4)
+    for k in range(4):
+        alone = adaptive_gl(lambda t, k=k: _bumps(_indexed(t, k)), a[k], b[k], 1e-12)
+        assert alone.shape == (2,) and np.array_equal(got[:, k], alone), k
+
+
+def test_budget_and_depth_are_kept_per_tree():
+    """A tree that never settles spends its own budget, whatever the others
+    refine, and the message names its interval."""
+    def noisy(z):
+        t, k = z.real, z.imag
+        return np.where(k == 2, _hash_noise(t)[0], np.where(k == 0, t ** 2.5, np.cos(t)))[None, :]
+
+    nodes, alone = [], []
+    with pytest.raises(QuadratureNonConvergence,
+                       match=rf"panel budget of {_MAX_PANELS} spent: panel \[0, [0-9.e-]+\] "
+                             r"of interval 2 \[0, 1\] still moving at depth \d+$"):
+        adaptive_gl(lambda z: nodes.append(z) or noisy(z), np.zeros(4), np.ones(4), 1e-14)
+    with pytest.raises(QuadratureNonConvergence, match="panel budget"):
+        adaptive_gl(_counted(lambda t: noisy(_indexed(t, 2)), alone), 0.0, 1.0, 1e-14)
+    k = np.concatenate(nodes).imag
+    assert np.count_nonzero(k == 2) == sum(alone) <= 32 * _MAX_PANELS
+    assert np.count_nonzero(k == 0) > 8 * 32 and np.count_nonzero(k % 2) == 2 * 3 * 32
+
+    def singular(z):
+        return np.where(z.imag == 1, np.abs(z.real - 1.0 / 3.0) ** -0.5, np.cos(z.real))[None, :]
+
+    with pytest.raises(QuadratureNonConvergence,
+                       match=rf"^panel \[[0-9.e-]+, [0-9.e-]+\] of interval 1 \[0, 1\] "
+                             rf"still moving at depth {_MAX_DEPTH}$"):
+        adaptive_gl(singular, np.zeros(2), np.ones(2), 1e-12)
 
 
 def _hash_noise(x):
@@ -469,7 +571,7 @@ def test_singular_integrand_fails_at_the_depth_limit():
         return np.vstack([np.abs(x - 1.0 / 3.0) ** -0.5] * 2)
 
     sizes = []
-    with pytest.raises(QuadratureNonConvergence, match=rf"still moving at depth {_MAX_DEPTH}$"):
+    with pytest.raises(QuadratureNonConvergence, match=rf"^panel \[.*still moving at depth {_MAX_DEPTH}$"):
         adaptive_gl(_counted(f, sizes), 0.0, 1.0, 1e-12)
     with pytest.raises(QuadratureNonConvergence, match=rf"still moving at depth {_MAX_DEPTH}$"):
         _reference_gl(f, 0.0, 1.0, 1e-12)
@@ -483,6 +585,9 @@ def test_clustered_chain_fails_within_the_panel_budget(monkeypatch):
     batched = paths.adaptive_gl
     monkeypatch.setattr(periods, "adaptive_gl",
                         lambda f, a, b, tol: batched(_counted(f, sizes), a, b, tol))
-    with pytest.raises(QuadratureNonConvergence, match="still moving at depth"):
+    with pytest.raises(QuadratureNonConvergence, match="still moving at depth") as err:
         compute_periods(curve_from_branch_points((-2.0, -1.0, 0.0, 1e-5, 2.0)))
     assert sum(sizes) <= 32 * _MAX_PANELS
+    # the chains are walked together; the message names the one that spent its budget
+    assert f"panel budget of {_MAX_PANELS} spent" in str(err.value)
+    assert "of interval 1 [0, 3.14159]" in str(err.value)

@@ -92,6 +92,26 @@ def test_legendre_gate_follows_the_period_scale(standard_curve, standard_bundle)
         assert b.eta_prime_consistency <= b.eta_prime_gate <= LEGENDRE_GATE_CAP
 
 
+def _reference_legendre_defect(omega, omega_prime, eta, eta_prime):
+    """The defect as computed before J was held once per genus."""
+    g = omega.shape[0]
+    m = np.block([[omega, omega_prime], [eta, eta_prime]])
+    jj = np.block([[np.zeros((g, g)), -np.eye(g)], [np.eye(g), np.zeros((g, g))]]).astype(complex)
+    return float(np.max(np.abs(m @ jj @ m.T + (0.5j * np.pi) * jj)))
+
+
+def test_legendre_defect_equals_the_block_form(standard_bundle, skew_bundle, lemniscatic_bundle,
+                                               generic_g1_bundle):
+    rng = np.random.default_rng(5)
+    for b in (standard_bundle, skew_bundle, lemniscatic_bundle, generic_g1_bundle):
+        blocks = [b.omega, b.omega_prime, b.eta, b.eta_prime]
+        assert legendre_defect(b) == _reference_legendre_defect(*blocks)
+        nudged = [x + 1e-3 * rng.normal(size=x.shape) for x in blocks]
+        defect = periods._block_legendre_defect(*nudged)
+        assert defect > 1e-4 and defect == _reference_legendre_defect(*nudged)
+    assert not periods._symplectic_j(2)[0].flags.writeable
+
+
 def test_a_cycle_recovers_first_kind_columns(standard_curve, standard_bundle):
     def monomials(x):
         x = np.asarray(x)
@@ -185,8 +205,8 @@ def test_genus1_coefficient_pipeline():
 # ------------------------------------ the segment cut rule, by reference
 
 def _reference_integrand(points, a_idx, b_idx, numerators_fn):
-    """The segment integrand with the rule segment_integral used before it
-    continued its factors through paths.CutCrossings: factor k crosses the
+    """The segment integrand with the rule the chain integrals used before
+    they continued their factors through paths.CutCrossings: factor k crosses the
     cut at u* = -Im c0 / Im h when |u*| < 1 and Re(c0 + h u*) < 0, and its
     root is negated for u > u*.  Returns the integrand and the number of
     crossed factors."""
@@ -221,9 +241,21 @@ def _reference_integrand(points, a_idx, b_idx, numerators_fn):
     return f, sum(crossing for _, _, crossing in data)
 
 
-def _reference_segment_integral(curve, points, a_idx, b_idx, numerators_fn, quad_tol):
-    f, _ = _reference_integrand(points, a_idx, b_idx, numerators_fn)
-    return periods.adaptive_gl(f, 0.0, np.pi, quad_tol)
+def _reference_chain_integrand(points, segments, numerators_fn):
+    """The reference rule on every segment, at nodes theta + 1j k as the
+    chain walk passes them, k the index of the segment."""
+    refs = [_reference_integrand(points, a_idx, b_idx, numerators_fn)[0]
+            for a_idx, b_idx in segments]
+
+    def f(nodes):
+        k = nodes.imag.astype(int)
+        parts = [(k == j, ref(nodes.real[k == j])) for j, ref in enumerate(refs)]
+        out = np.empty((len(parts[0][1]), len(nodes)), dtype=complex)
+        for on, vals in parts:
+            out[:, on] = vals
+        return out
+
+    return f
 
 
 def _monomials(x):
@@ -233,15 +265,14 @@ def _monomials(x):
 THETA_NODES = 0.5 * np.pi * (1.0 + nleg.leggauss(32)[0])
 
 
-def _integrand(monkeypatch, points, a_idx, b_idx):
-    """The integrand segment_integral hands to the quadrature."""
-    seen = []
-    monkeypatch.setattr(periods, "adaptive_gl", lambda f, lo, hi, tol: seen.append(f))
-    periods.segment_integral(None, points, a_idx, b_idx, _monomials, 1e-12)
-    return seen[0]
+def _integrand(points, a_idx, b_idx):
+    """The chain walk's integrand of the segment (e_a, e_b), at real theta
+    (the nodes theta + 0j of its only interval)."""
+    f = periods._chain_integrand(points, [(a_idx, b_idx)], _monomials)
+    return lambda theta: f(theta + 0j)
 
 
-def test_segment_integrand_matches_the_reference_rule(monkeypatch):
+def test_segment_integrand_matches_the_reference_rule():
     rng = np.random.default_rng(2024)
     cases = []
     for _ in range(240):
@@ -257,7 +288,7 @@ def test_segment_integrand_matches_the_reference_rule(monkeypatch):
     for pts, a_idx, b_idx in cases:
         ref, n_crossed = _reference_integrand(pts, a_idx, b_idx, _monomials)
         crossed += n_crossed > 0
-        f = _integrand(monkeypatch, pts, a_idx, b_idx)
+        f = _integrand(pts, a_idx, b_idx)
         sub = 0.3 + 0.2 * THETA_NODES / np.pi
         for theta in (THETA_NODES, sub):
             assert np.array_equal(f(theta), ref(theta)), (pts, a_idx, b_idx)
@@ -280,14 +311,14 @@ def _level_cases():
             yield pts
 
 
-def test_level_segments_differ_from_the_reference_by_one_sign(monkeypatch):
+def test_level_segments_differ_from_the_reference_by_one_sign():
     # a factor that starts on the cut is continued from its upper side, as
     # numpy's root has it there, so leaving the cut downward it is minus the
     # reference's principal root on the whole open segment
     flipped = 0
     for pts in _level_cases():
         ref, _ = _reference_integrand(pts, 0, 1, _monomials)
-        f = _integrand(monkeypatch, pts, 0, 1)
+        f = _integrand(pts, 0, 1)
         m, h = 0.5 * (pts[0] + pts[1]), 0.5 * (pts[1] - pts[0])
         w0 = m - np.array(pts[2:]) - h
         starts_on_cut = (w0.imag == 0) & (w0.real < 0) & (h.imag < 0)
@@ -302,7 +333,7 @@ def test_level_curve_periods_against_the_reference_rule(monkeypatch):
     # the cut of the factor x - (2+2i) downward
     curve = curve_from_branch_points([-1 + 2j, 3 - 2j, -2j, 1 + 1j, 2 + 2j])
     b = compute_periods(curve)
-    monkeypatch.setattr(periods, "segment_integral", _reference_segment_integral)
+    monkeypatch.setattr(periods, "_chain_integrand", _reference_chain_integrand)
     ref = compute_periods(curve)
     assert np.array_equal(b.tau, ref.tau)
     assert np.array_equal(b.kappa, ref.kappa)
