@@ -3,7 +3,8 @@
 two source trees, one subprocess per tree.
 
 The first pass runs verify --suite quick and --suite full on seeds 0-79.  It
-prints exit-code and status changes, the number of reports whose parsed
+prints exit-code and status changes, sign changes (an entry whose recorded
+sign flips while its status stays), the number of reports whose parsed
 values differ and the number whose bytes differ, the ten largest defect
 differences by label and the unequal omega_*/gate_* labels.  The second
 pass runs periods, theta, match, kappa, expand and verify on six named
@@ -13,9 +14,9 @@ value.  It prints each run whose exit code or output bytes differ and, where
 both outputs parse as JSON, the largest relative difference of their
 numbers, where it sits and the two values, so that a roundoff-level move
 can be told from a wrong number.  Exits 1
-on any exit-code or status change of the first pass, on any report of the
-first pass whose bytes differ while its parsed value is equal (a change of
-number formatting), and on any difference of the second.
+on any exit-code, status or sign change of the first pass, on any report of
+the first pass whose bytes differ while its parsed value is equal (a change
+of number formatting), and on any difference of the second.
 """
 
 import json
@@ -115,7 +116,7 @@ def main(argv) -> int:
     if len(argv) != 2:
         sys.exit(__doc__)
     (old, old_named), (new, new_named) = (reports(src) for src in argv)
-    changes, moved, unequal, differing, bytes_differ, formatting = [], {}, set(), 0, 0, []
+    changes, flips, moved, unequal, differing, bytes_differ, formatting = [], [], {}, set(), 0, 0, []
     for run, (code0, text0) in old.items():
         code1, text1 = new[run]
         rep0, rep1 = json.loads(text0), json.loads(text1)
@@ -130,23 +131,27 @@ def main(argv) -> int:
                 label = e0["identity"]
                 if (label, e0["status"]) != (e1["identity"], e1["status"]):
                     changes.append(f"{run} {c0['name']} {label}: {e0['status']} -> {e1['status']}")
-                elif "defect" in e0 and "defect" in e1:
-                    moved[label] = max(moved.get(label, 0.0), abs(e0["defect"] - e1["defect"]))
+                else:
+                    if e0.get("sign") != e1.get("sign"):
+                        flips.append(f"{run} {c0['name']} {label}: sign {e0.get('sign')} -> "
+                                     f"{e1.get('sign')}, status {e0['status']}")
+                    if "defect" in e0 and "defect" in e1:
+                        moved[label] = max(moved.get(label, 0.0), abs(e0["defect"] - e1["defect"]))
                 if e0 != e1 and label.startswith(("omega_", "gate_")):
                     unequal.add(label)
-    sys.stdout.writelines(line + "\n" for line in changes)
+    sys.stdout.writelines(line + "\n" for line in changes + flips)
     for label, d in sorted(moved.items(), key=lambda kv: -kv[1])[:10]:
         print(f"largest defect difference {d:.3e}  {label}")
     print("unequal omega_/gate_ labels:", ", ".join(sorted(unequal)) or "none")
     sys.stdout.writelines(f"bytes differ, parsed value equal: {run}\n" for run in formatting)
-    print(f"{len(changes)} exit-code or status changes over {len(old)} runs, "
-          f"{differing} reports differ in value, {bytes_differ} in bytes")
+    print(f"{len(changes)} exit-code or status changes and {len(flips)} sign changes over "
+          f"{len(old)} runs, {differing} reports differ in value, {bytes_differ} in bytes")
     named_diffs = [run for run, result in old_named.items() if new_named[run] != result]
     for run in named_diffs:
         print(f"output differs: {run}; "
               f"{largest_relative_difference(old_named[run][1], new_named[run][1])}")
     print(f"{len(named_diffs)} of {len(old_named)} (command, curve, variant) outputs differ")
-    return 1 if changes or formatting or named_diffs else 0
+    return 1 if changes or flips or formatting or named_diffs else 0
 
 
 if __name__ == "__main__":

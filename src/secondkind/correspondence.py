@@ -8,12 +8,16 @@ is the characteristic of the vector of Riemann constants (base point at
 infinity).  Even characteristics for branch pairs are delta_i + delta_j +
 gamma.
 
-Branch labels in this module are 1-based (e_1 .. e_5 in canonical order),
-matching the classical notation used throughout the identities.
+Branch labels in this module are 1-based (e_1 .. e_5 in canonical order,
+6 for gamma), matching the classical notation used throughout the
+identities; the index arrays are 0-based.  Adding characteristics XORs
+their codes, so bolza_match also gives the matching as an integer code
+index into the theta table.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +25,22 @@ import numpy as np
 from .curves import CurvePoint, HyperellipticCurve, canonical_branch_order
 from .errors import AmbiguousMatching, NoGamma
 from .periods import PeriodBundle, abel_from_infinity, lattice_distance
-from .theta import Characteristic, ThetaTable, char_add, half_period
+from .theta import Characteristic, ThetaTable, half_period
 
 #: Relative threshold on |Theta_2| below which a characteristic is gamma.
 GAMMA_THRESHOLD = 1e-8
 
 #: Relative residual gate for accepting a branch-point match.
 MATCH_RESIDUAL_TOL = 1e-6
+
+#: The 15 pairs {i, j} of odd labels (0-based, 5 is gamma) in lexicographic
+#: order, and the four labels k outside each pair, ascending.
+ODD_PAIRS = np.array(list(itertools.combinations(range(6), 2)))
+ODD_REST = np.array([[k for k in range(6) if k not in pair] for pair in ODD_PAIRS])
+
+#: The rows of ODD_PAIRS that pair two branch points: the 10 pairs without
+#: gamma.  Their three remaining branch points are ODD_REST[BRANCH_ROWS, :3].
+BRANCH_ROWS = ODD_PAIRS[:, 1] < 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,6 +50,11 @@ class BranchMatching:
     chars[k] is the odd characteristic matched to branch point k+1 (canonical
     order); residuals[k] is the relative matching error; even_pairs maps the
     sorted 1-based pair (i, j) to its even characteristic.
+
+    The code index: odd_codes holds the codes of delta_1 .. delta_5, gamma;
+    row r of even_quads the four even codes of delta_i + delta_j + delta_k,
+    (i, j) = ODD_PAIRS[r] and k in ODD_REST[r].  Its last column on the
+    BRANCH_ROWS holds the codes of even_pairs, in their order.
     """
 
     chars: tuple
@@ -44,6 +62,8 @@ class BranchMatching:
     residuals: tuple
     even_pairs: dict
     branch_values: tuple
+    odd_codes: np.ndarray
+    even_quads: np.ndarray
 
     def delta(self, i: int) -> Characteristic:
         """Odd characteristic of branch point e_i, 1-based."""
@@ -69,12 +89,11 @@ def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
     """
     if tt.genus != 2:
         raise ValueError("bolza_match needs a genus-2 table")
-    odd, even = tt.odd, tt.even
-    th = tt.directional[0][[ch.code for ch in odd]]
+    th = tt.directional[0][tt.odd_codes]
     mx = float(np.max(np.abs(th[:, 1])))
     if mx == 0.0:
         raise NoGamma("all directional derivatives vanish")
-    small = [ch for ch, t2 in zip(odd, th[:, 1]) if abs(t2) < GAMMA_THRESHOLD * mx]
+    small = [ch for ch, t2 in zip(tt.odd, th[:, 1]) if abs(t2) < GAMMA_THRESHOLD * mx]
     if not small:
         raise NoGamma("no odd characteristic with degenerate Theta_2")
     if len(small) > 1:
@@ -85,7 +104,7 @@ def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
     taken: dict[int, Characteristic] = {}
     residuals: dict[int, float] = {}
     values: dict[int, complex] = {}
-    for ch, (t1, t2) in zip(odd, th):
+    for ch, (t1, t2) in zip(tt.odd, th):
         if ch == gamma:
             continue
         ratio = complex(-t1 / t2)
@@ -103,19 +122,23 @@ def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
         values[k] = ratio
 
     chars = tuple(taken[k] for k in range(5))
-    even_pairs = {}
-    for i in range(1, 6):
-        for j in range(i + 1, 6):
-            eps = char_add(chars[i - 1], char_add(chars[j - 1], gamma))
-            assert eps.parity == 0, "pair characteristic must be even"
-            even_pairs[(i, j)] = eps
-    assert set(even_pairs.values()) == set(even), "pairs must exhaust even classes"
+    odd_codes = np.array([ch.code for ch in chars + (gamma,)])
+    even_quads = odd_codes[ODD_PAIRS[:, :1]] ^ odd_codes[ODD_PAIRS[:, 1:]] ^ odd_codes[ODD_REST]
+    evens = set(tt.even_codes.tolist())
+    assert all(len(set(q)) == 4 and set(q) <= evens for q in even_quads.tolist()), \
+        "Rosenhain characteristics must be even and distinct"
+    branch_codes = even_quads[BRANCH_ROWS, 3].tolist()
+    assert set(branch_codes) == evens, "pairs must exhaust even classes"
+    odd_codes.flags.writeable = even_quads.flags.writeable = False
     return BranchMatching(
         chars=chars,
         gamma=gamma,
         residuals=tuple(residuals[k] for k in range(5)),
-        even_pairs=even_pairs,
+        even_pairs={(i + 1, j + 1): tt.characteristics[c]
+                    for (i, j), c in zip(ODD_PAIRS[BRANCH_ROWS].tolist(), branch_codes)},
         branch_values=tuple(values[k] for k in range(5)),
+        odd_codes=odd_codes,
+        even_quads=even_quads,
     )
 
 

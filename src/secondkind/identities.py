@@ -9,9 +9,12 @@ classical and higher Rosenhain formulas, genus-1 Weierstrass formulas,
 Jacobi inversion values, and the two realizations of the symmetric
 bi-differential.
 
-Directional derivatives Theta_a, Theta_ab, Theta_abc are contractions of
-plain z-derivatives of theta at z = 0 with the winding vectors (columns of
-(2 omega)^{-1}); they live in the ThetaTable.
+Each family gathers its theta constants from the ThetaTable arrays at the
+rows of the matching's code index (odd_codes, even_quads) and meets its
+sides in one identity_entries call.  The directional derivatives Theta_a,
+Theta_ab, Theta_abc, contractions of plain z-derivatives of theta at z = 0
+with the winding vectors (columns of (2 omega)^{-1}), are
+ThetaTable.directional.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ import numpy as np
 
 from .curves import CurvePoint, HyperellipticCurve, branch_scale, kleinian_polar
 from .errors import StencilDegenerate
-from .correspondence import BranchMatching, even_char_for_pair
+from .correspondence import BRANCH_ROWS, ODD_PAIRS, ODD_REST, BranchMatching, even_char_for_pair
 from .paths import PATH_CLEARANCE
 from .periods import PeriodBundle, a_cycle_integral, abel_map
-from .theta import ThetaTable, char, char_add, theta_jet
+from .theta import ThetaTable, char, theta_jet
 
 #: Below this magnitude on both sides a defect is reported absolutely.
 ABSOLUTE_FLOOR = 1e-6
@@ -38,6 +41,17 @@ GENUS1_IDENTITY_TOL = 1e-10
 
 #: Built-in tolerance of the symmetry omega(q, r) = omega(r, q).
 OMEGA_SYMMETRY_TOL = 1e-12
+
+#: The 10 branch pairs {i, j} (0-based), the three branch points left by
+#: each, and the pairs as 1-based label tuples.
+_BRANCH_PAIRS, _BRANCH_REST = ODD_PAIRS[BRANCH_ROWS], ODD_REST[BRANCH_ROWS, :3]
+_PAIR_LABELS = tuple((i + 1, j + 1) for i, j in _BRANCH_PAIRS.tolist())
+
+#: rosenhain_defects' (15, 2) classical and higher entries that it keeps, and
+#: their labels: row-major, so each pair's classical entry precedes its higher.
+_ROSENHAIN_KEEP = np.stack([np.ones(15, bool), BRANCH_ROWS], axis=1)
+_ROSENHAIN_LABELS = [f"rosenhain_{family}_{i + 1}{j + 1}" for i, j in ODD_PAIRS.tolist()
+                     for family in ("classical", "higher")[: 1 + (j < 5)]]
 
 
 def relative_defect(lhs: complex, rhs: complex) -> float:
@@ -91,67 +105,75 @@ class KappaReport:
     defect_table: dict
 
 
-def identity_entry(label, lhs, rhs, tol, sign=None, applicable=True) -> IdentityEntry:
-    """Entry comparing two sides by relative_defect; status n/a when not applicable."""
-    lhs, rhs = complex(lhs), complex(rhs)
-    d = relative_defect(lhs, rhs)
-    if not applicable:
-        status = "n/a"
-    else:
-        status = "pass" if d < tol else "fail"
-    return IdentityEntry(label, lhs, rhs, d, sign, status)
+def identity_entries(labels, lhs, rhs, tol, signed=False, applicable=None) -> tuple:
+    """One entry per label from the arrays of both sides, compared by relative_defect.
 
-
-def _signed_entry(label, lhs, rhs, tol) -> IdentityEntry:
-    """Entry for lhs = +/- rhs, with the sign that fits better recorded."""
-    sign = 1 if abs(lhs - rhs) <= abs(-lhs - rhs) else -1
-    return identity_entry(label, sign * lhs, rhs, tol, sign=sign)
-
-
-def _branch_pair(bundle: PeriodBundle, i: int, j: int):
-    """e_i, e_j and the symmetric function e_i e_j (k + m + n) + k m n of the pair.
-
-    k, m, n are the three remaining branch points.
+    With signed, each entry is lhs = +/- rhs: it compares s lhs with rhs for
+    the sign s in {1, -1} that fits better (1 on a tie) and records s.
+    applicable holds a flag per entry, all true by default; an entry whose
+    flag is false gets status n/a.
     """
-    e = bundle.canonical_points
-    ei, ej = e[i - 1], e[j - 1]
-    k, mm, n = (e[t - 1] for t in range(1, 6) if t not in (i, j))
-    return ei, ej, ei * ej * (k + mm + n) + k * mm * n
+    entries, sign = [], None
+    for label, a, b, ok in zip(labels, np.asarray(lhs, dtype=complex).tolist(),
+                               np.asarray(rhs, dtype=complex).tolist(),
+                               applicable or [True] * len(labels)):
+        if signed:
+            sign = 1 if abs(a - b) <= abs(-a - b) else -1
+            a = sign * a
+        d = relative_defect(a, b)
+        entries.append(IdentityEntry(label, a, b, d, sign,
+                                     ("pass" if d < tol else "fail") if ok else "n/a"))
+    return tuple(entries)
+
+
+def identity_entry(label, lhs, rhs, tol, applicable=True) -> IdentityEntry:
+    """Entry comparing two sides by relative_defect; status n/a when not applicable."""
+    return identity_entries((label,), [lhs], [rhs], tol, applicable=[applicable])[0]
+
+
+def _branch_pairs(bundle: PeriodBundle, rows=slice(None)):
+    """e_i, e_j and the symmetric function e_i e_j (k + m + n) + k m n of the
+    branch pairs {i, j} of _BRANCH_PAIRS[rows]; k, m, n are the three
+    remaining branch points."""
+    e = np.asarray(bundle.canonical_points)
+    (ei, ej), rest = e[_BRANCH_PAIRS[rows].T], e[_BRANCH_REST[rows]]
+    return ei, ej, ei * ej * rest.sum(axis=-1) + rest.prod(axis=-1)
+
+
+def _odd_ratios(tt: ThetaTable, m: BranchMatching) -> np.ndarray:
+    """Theta_abc / Theta_2 of delta_1 .. delta_5, shape (5, 2, 2, 2)."""
+    dgrad, _, dthird = tt.directional
+    return dthird[m.odd_codes[:5]] / dgrad[m.odd_codes[:5], 1, None, None, None]
 
 
 def _odd_ratio_sums(tt: ThetaTable, m: BranchMatching):
     """(s112, s122, s222): sums of Theta_abc / Theta_2 over the admissible odds."""
-    dgrad, _, dthird = tt.directional
-    codes = [ch.code for ch in m.chars]
-    s = (dthird[codes] / dgrad[codes, 1, None, None, None]).sum(axis=0)
+    s = _odd_ratios(tt, m).sum(axis=0)
     return s[0, 0, 1], s[0, 1, 1], s[1, 1, 1]
 
 
 def _even_ratio_sum(tt: ThetaTable) -> np.ndarray:
     """The matrix of sums of Theta_ab / Theta over the even characteristics."""
-    codes = [ch.code for ch in tt.even]
-    return (tt.directional[1][codes] / tt.values[codes, None, None]).sum(axis=0)
+    return (tt.directional[1][tt.even_codes] / tt.values[tt.even_codes, None, None]).sum(axis=0)
 
 
 def _genus1_ratios(tt: ThetaTable) -> tuple:
     """theta_1'''/theta_1' and the sum of theta''/theta over the evens, genus 1."""
-    odd = tt.odd[0]
-    return (tt.d(odd, 0, 0, 0) / tt.d(odd, 0),
-            sum(tt.d(eps, 0, 0) / tt.value(eps) for eps in tt.even))
+    odd, even = tt.odd_codes[0], tt.even_codes
+    return (complex(tt.thirds[odd, 0, 0, 0]) / complex(tt.grads[odd, 0]),
+            sum(h / v for h, v in zip(tt.hessians[even, 0, 0].tolist(), tt.values[even].tolist())))
 
 
-def kappa_even_pair(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
-                    m: BranchMatching, i: int, j: int) -> np.ndarray:
-    """kappa from the even characteristic of the branch pair {i, j}.
+def kappa_even_pairs(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching) -> np.ndarray:
+    """kappa from the even characteristic of each branch pair, shape (10, 2, 2).
 
-    Uses the plain z-Hessian of theta conjugated by (2 omega)^{-1}, so the
-    route is independent of the directional table.
+    Uses the plain z-Hessians of theta conjugated by (2 omega)^{-1}, so the
+    routes are independent of the directional table.
     """
-    ei, ej, sym11 = _branch_pair(bundle, i, j)
-    sym = np.array([[sym11, -ei * ej], [-ei * ej, ei + ej]])
-    eps = even_char_for_pair(m, i, j)
-    ent = tt.entry(eps)
-    hess = ent.hess / ent.value
+    ei, ej, sym11 = _branch_pairs(bundle)
+    sym = np.array([[sym11, -ei * ej], [-ei * ej, ei + ej]]).transpose(2, 0, 1)
+    codes = m.even_quads[BRANCH_ROWS, 3]
+    hess = tt.hessians[codes] / tt.values[codes, None, None]
     w = bundle.inv_two_omega
     return -0.5 * sym - 0.5 * (w.T @ hess @ w)
 
@@ -163,15 +185,13 @@ def kappa_even_sum(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTab
     return lead - _even_ratio_sum(tt) / 20.0
 
 
-def kappa_odd_single(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
-                     m: BranchMatching, i: int) -> np.ndarray:
-    """kappa from the admissible odd characteristic of branch label i in 1..5."""
-    ch, ei = m.delta(i), bundle.canonical_points[i - 1]
+def kappa_odd_singles(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
+                      m: BranchMatching) -> np.ndarray:
+    """kappa from the admissible odd characteristic of each branch point, shape (5, 2, 2)."""
+    ei = np.asarray(bundle.canonical_points)
     lam3, lam4 = curve.lam_at(3), curve.lam_at(4)
-    t2 = tt.D(ch, "2")
-    r222 = tt.D(ch, "222") / t2
-    r122 = tt.D(ch, "122") / t2
-    r112 = tt.D(ch, "112") / t2
+    r = _odd_ratios(tt, m)
+    r112, r122, r222 = r[:, 0, 0, 1], r[:, 0, 1, 1], r[:, 1, 1, 1]
     k22 = lam4 / 24.0 - ei / 6.0 - r222 / 6.0
     k12 = -lam4 * ei / 24.0 - ei ** 2 / 3.0 - ei * r222 / 12.0 - r122 / 4.0
     k11 = (
@@ -182,7 +202,7 @@ def kappa_odd_single(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaT
         - 0.5 * ei * r122
         - (ei ** 2 / 6.0) * r222
     )
-    return np.array([[k11, k12], [k12, k22]])
+    return np.array([[k11, k12], [k12, k22]]).transpose(2, 0, 1)
 
 
 def kappa_odd_sum(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
@@ -221,38 +241,30 @@ def kappa_odd_sum_reduced(curve: HyperellipticCurve, bundle: PeriodBundle, tt: T
 #: from the direct kappa (a ``kappa_report`` defect, or the expansion route's).
 KAPPA_ROUTE_TOL = 1e-7
 
+#: kappa_report's route names, in the order of its defect table.
+_KAPPA_ROUTES = ([f"even_pair_{i}{j}" for i, j in _PAIR_LABELS] + ["even_sum"]
+                 + [f"odd_{i}" for i in range(1, 6)] + ["odd_sum"])
+
 
 def kappa_report(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
                  m: BranchMatching) -> KappaReport:
     """Assemble every kappa route and its deviation from the direct value."""
     direct = bundle.kappa
-    by_pair = {}
-    defects = {}
-    for i in range(1, 6):
-        for j in range(i + 1, 6):
-            kp = kappa_even_pair(curve, bundle, tt, m, i, j)
-            by_pair[(i, j)] = kp
-            defects[f"even_pair_{i}{j}"] = float(np.max(np.abs(kp - direct)))
+    by_pair = kappa_even_pairs(bundle, tt, m)
     ks = kappa_even_sum(curve, bundle, tt)
-    defects["even_sum"] = float(np.max(np.abs(ks - direct)))
-    by_odd = {}
-    for i in range(1, 6):
-        ko = kappa_odd_single(curve, bundle, tt, m, i)
-        by_odd[m.delta(i)] = ko
-        defects[f"odd_{i}"] = float(np.max(np.abs(ko - direct)))
+    by_odd = kappa_odd_singles(curve, bundle, tt, m)
     kos = kappa_odd_sum(curve, bundle, tt, m)
-    defects["odd_sum"] = float(np.max(np.abs(kos - direct)))
-    mats = np.array([direct, ks, kos, *by_pair.values(), *by_odd.values()])
+    mats = np.concatenate([[direct], by_pair, [ks], by_odd, [kos]])
     big = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
     asym = np.abs(mats - mats.transpose(0, 2, 1)).max(axis=(1, 2))
     assert np.all(asym < 1e-9 * big), "kappa must be symmetric"
     return KappaReport(
         kappa_direct=direct,
-        kappa_by_even_pair=by_pair,
+        kappa_by_even_pair=dict(zip(_PAIR_LABELS, by_pair)),
         kappa_even_sum=ks,
-        kappa_by_odd=by_odd,
+        kappa_by_odd=dict(zip(m.chars, by_odd)),
         kappa_odd_sum=kos,
-        defect_table=defects,
+        defect_table=dict(zip(_KAPPA_ROUTES, np.abs(mats[1:] - direct).max(axis=(1, 2)).tolist())),
     )
 
 
@@ -272,12 +284,10 @@ def thomae_defects(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTab
     lam4_zero = _subleading_vanishes(lam4, bundle.canonical_points)
     s112, s122, s222 = _odd_ratio_sums(tt, m)
     (e11, e12), (_, e22) = _even_ratio_sum(tt)
-    entries = (
-        identity_entry("thomae_222", s222, 1.5 * e22, tol),
-        identity_entry("thomae_122", 4.0 * s122 - 4.0 * e12, lam3, tol, applicable=lam4_zero),
-        identity_entry("thomae_112", 4.0 * s112 - 2.0 * e11, lam2, tol, applicable=lam4_zero),
-    )
-    return IdentityDefects(entries)
+    return IdentityDefects(identity_entries(
+        ("thomae_222", "thomae_122", "thomae_112"),
+        [s222, 4.0 * s122 - 4.0 * e12, 4.0 * s112 - 2.0 * e11], [1.5 * e22, lam3, lam2],
+        tol, applicable=[True, lam4_zero, lam4_zero]))
 
 
 def thomae_genus1_defect(tt: ThetaTable, tol: float = GENUS1_IDENTITY_TOL) -> IdentityEntry:
@@ -287,21 +297,17 @@ def thomae_genus1_defect(tt: ThetaTable, tol: float = GENUS1_IDENTITY_TOL) -> Id
     return identity_entry("thomae_genus1", *_genus1_ratios(tt), tol)
 
 
-def _odd_labels(m: BranchMatching):
-    # label 6 is the Riemann-constant characteristic
-    return {**{i: m.chars[i - 1] for i in range(1, 6)}, 6: m.gamma}
+def _rosenhain_sides(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching) -> tuple:
+    """prod_4 Theta[eps] of each of the 15 pairs, det((2 omega)^{-1}), and
+    Theta_2 and Theta_222 of delta_1 .. delta_5, gamma.
 
-
-def _even_product(tt: ThetaTable, labels: dict, i: int, j: int) -> complex:
-    """prod Theta[delta_i + delta_j + delta_k] over the four k not in {i, j},
-    the even theta constants of the Rosenhain formulas for the pair {i, j}."""
-    evens = [char_add(labels[i], char_add(labels[j], labels[k]))
-             for k in range(1, 7) if k not in (i, j)]
-    assert len(set(evens)) == 4 and all(eps.parity == 0 for eps in evens)
-    prod = 1.0 + 0.0j
-    for eps in evens:
-        prod *= tt.value(eps)
-    return prod
+    The four even characteristics eps of the pair {i, j} are delta_i +
+    delta_j + delta_k over the remaining k: its row of even_quads.
+    """
+    dgrad, _, dthird = tt.directional
+    odd = m.odd_codes
+    return (tt.values[m.even_quads].prod(axis=1), np.linalg.det(bundle.inv_two_omega),
+            dgrad[odd, 1], dthird[odd, 1, 1, 1])
 
 
 def rosenhain_defects(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching,
@@ -310,29 +316,21 @@ def rosenhain_defects(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching,
 
     For the pair {i, j} the four even characteristics are delta_i + delta_j
     + delta_k over the remaining k.  Each formula carries an undetermined
-    overall sign; the minimizing sign is recorded in the entry.
+    overall sign; the minimizing sign is recorded in the entry.  The
+    classical entry of each pair comes first, followed by its higher entry.
 
     The higher entries carry the constant pi^2 det((2 omega)^{-1}) of a
     pair of admissible characteristics, so they are emitted for i < j <= 5
     only; the five pairs {i, 6} involving gamma carry twice that constant
     and are checked by rosenhain_gamma_pairs.
     """
-    labels = _odd_labels(m)
-    det_w = np.linalg.det(bundle.inv_two_omega)
-    entries = []
-    for i in range(1, 7):
-        for j in range(i + 1, 7):
-            di, dj = labels[i], labels[j]
-            prod = _even_product(tt, labels, i, j)
-            entries.append(_signed_entry(
-                f"rosenhain_classical_{i}{j}", np.pi ** 2 * prod,
-                tt.d(di, 0) * tt.d(dj, 1) - tt.d(di, 1) * tt.d(dj, 0), tol))
-            if j == 6:
-                continue
-            entries.append(_signed_entry(
-                f"rosenhain_higher_{i}{j}", np.pi ** 2 * det_w * prod,
-                tt.D(di, "222") * tt.D(dj, "2") - tt.D(dj, "222") * tt.D(di, "2"), tol))
-    return IdentityDefects(tuple(entries))
+    prod, det_w, t2, t222 = _rosenhain_sides(bundle, tt, m)
+    (gi, gj), (i, j) = tt.grads[m.odd_codes][ODD_PAIRS.T], ODD_PAIRS.T
+    lhs = np.stack([np.pi ** 2 * prod, np.pi ** 2 * det_w * prod], axis=1)
+    rhs = np.stack([gi[:, 0] * gj[:, 1] - gi[:, 1] * gj[:, 0],
+                    t222[i] * t2[j] - t222[j] * t2[i]], axis=1)
+    return IdentityDefects(identity_entries(_ROSENHAIN_LABELS, lhs[_ROSENHAIN_KEEP],
+                                            rhs[_ROSENHAIN_KEEP], tol, signed=True))
 
 
 def rosenhain_gamma_pairs(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching,
@@ -365,15 +363,10 @@ def rosenhain_gamma_pairs(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatchin
     hyperelliptic Jacobians and applications" (1997), encodes the same
     relation.
     """
-    labels = _odd_labels(m)
-    det_w = np.linalg.det(bundle.inv_two_omega)
-    entries = []
-    for i in range(1, 6):
-        di = labels[i]
-        prod = _even_product(tt, labels, i, 6)
-        entries.append(_signed_entry(f"rosenhain_gamma_{i}6", 2.0 * np.pi ** 2 * det_w * prod,
-                                     tt.D(m.gamma, "222") * tt.D(di, "2"), tol))
-    return IdentityDefects(tuple(entries))
+    prod, det_w, t2, t222 = _rosenhain_sides(bundle, tt, m)
+    return IdentityDefects(identity_entries([f"rosenhain_gamma_{i}6" for i in range(1, 6)],
+                                            2.0 * np.pi ** 2 * det_w * prod[~BRANCH_ROWS],
+                                            t222[5] * t2[:5], tol, signed=True))
 
 
 def weierstrass_eta(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
@@ -390,12 +383,11 @@ def weierstrass_eta(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     w = bundle.omega[0, 0]
     eta = bundle.eta[0, 0]
     ratio3, sum2 = _genus1_ratios(tt)
-    entries = (
-        identity_entry("weierstrass_kappa", eta / (2.0 * w), lam2 / 24.0 - ratio3 / (24.0 * w ** 2), tol),
-        identity_entry("weierstrass_eta_sum", eta, -sum2 / (12.0 * w), tol, applicable=lam2_zero),
-        identity_entry("weierstrass_eta_third", eta, -ratio3 / (12.0 * w), tol, applicable=lam2_zero),
-    )
-    return IdentityDefects(entries)
+    return IdentityDefects(identity_entries(
+        ("weierstrass_kappa", "weierstrass_eta_sum", "weierstrass_eta_third"),
+        [eta / (2.0 * w), eta, eta],
+        [lam2 / 24.0 - ratio3 / (24.0 * w ** 2), -sum2 / (12.0 * w), -ratio3 / (12.0 * w)],
+        tol, applicable=[True, lam2_zero, lam2_zero]))
 
 
 def jacobi_inversion_check(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
@@ -406,21 +398,15 @@ def jacobi_inversion_check(curve: HyperellipticCurve, bundle: PeriodBundle, tt: 
     p_ab = -2 kappa_ab - Theta_ab[eps_ij]/Theta[eps_ij]; compared against
     the symmetric functions of e_i, e_j and against the two-point polar.
     """
-    ei, ej, sym11 = _branch_pair(bundle, i, j)
-    eps = even_char_for_pair(m, i, j)
-    th = tt.value(eps)
-    kap = bundle.kappa
-    p22 = -2.0 * kap[1, 1] - tt.D(eps, "22") / th
-    p12 = -2.0 * kap[0, 1] - tt.D(eps, "12") / th
-    p11 = -2.0 * kap[0, 0] - tt.D(eps, "11") / th
+    code = even_char_for_pair(m, i, j).code
+    row = _PAIR_LABELS.index((min(i, j), max(i, j)))
+    ei, ej, sym11 = (complex(v) for v in _branch_pairs(bundle, row))
+    th, hess = complex(tt.values[code]), tt.directional[1][code].tolist()
+    p22, p12, p11 = (-2.0 * bundle.kappa[a, b] - hess[a][b] / th for a, b in ((1, 1), (0, 1), (0, 0)))
     polar11 = kleinian_polar(curve, ei, ej) / (4.0 * (ei - ej) ** 2)
-    entries = (
-        identity_entry(f"jacobi_p22_{i}{j}", p22, ei + ej, tol),
-        identity_entry(f"jacobi_p12_{i}{j}", p12, -ei * ej, tol),
-        identity_entry(f"jacobi_p11_{i}{j}", p11, sym11, tol),
-        identity_entry(f"jacobi_p11_polar_{i}{j}", p11, polar11, tol),
-    )
-    return IdentityDefects(entries)
+    return IdentityDefects(identity_entries(
+        [f"jacobi_{name}_{i}{j}" for name in ("p22", "p12", "p11", "p11_polar")],
+        [p22, p12, p11, p11], [ei + ej, -ei * ej, sym11, polar11], tol))
 
 
 def omega_algebraic(curve: HyperellipticCurve, bundle: PeriodBundle,

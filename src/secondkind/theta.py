@@ -252,13 +252,15 @@ class CharEntry:
 class ThetaTable:
     """Theta-constant table at z = 0 for every characteristic of one tau.
 
-    Row k of ``values``, ``grads``, ``hessians`` and ``thirds`` (the plain
-    z-derivatives of order 0..3) belongs to ``characteristics[k]``, whose
-    ``code`` is k.  ``directional`` holds the same derivatives contracted
-    with W = (2 omega)^{-1}, whose columns are the winding vectors: (grads W,
-    W^T H W, and the third derivatives contracted with W on each axis), so
-    that Theta_a = D(ch, "a"), Theta_ab = D(ch, "ab") and
-    Theta_abc = D(ch, "abc").
+    Arrays indexed by ``Characteristic.code``: row k of ``values``,
+    ``grads``, ``hessians`` and ``thirds`` (the plain z-derivatives of order
+    0..3) belongs to ``characteristics[k]``; ``odd_codes`` and ``even_codes``
+    list the rows of each parity.  Adding characteristics XORs their codes,
+    so the row of a sum is ``a.code ^ b.code``.  ``directional`` holds the
+    same derivatives contracted with W = (2 omega)^{-1}, whose columns are
+    the winding vectors (grads W, W^T H W, and the third derivatives
+    contracted with W on each axis): Theta_ab of row k is
+    ``directional[1][k, a, b]``, 0-based.  ``entry(ch)`` reads one row.
     """
 
     def __init__(self, tau, rows, radius, tol, lam_min, inv_two_omega):
@@ -271,6 +273,8 @@ class ThetaTable:
         self.winding = tuple(inv_two_omega.T)
         self.characteristics = all_characteristics(self.genus)
         self.odd, self.even = classify_characteristics(self.genus)
+        self.odd_codes, self.even_codes = (np.array([ch.code for ch in chars])
+                                           for chars in (self.odd, self.even))
         g, w = self.genus, inv_two_omega
         # the Kronecker powers of W contract the flattened tensors in one product each
         ww = (w[:, None, :, None] * w[None, :, None, :]).reshape(g * g, g * g)
@@ -290,21 +294,6 @@ class ThetaTable:
 
     def entry(self, ch: Characteristic) -> CharEntry:
         return self.entries[ch]
-
-    def value(self, ch: Characteristic) -> complex:
-        return self.entries[ch].value
-
-    def d(self, ch: Characteristic, *axes) -> complex:
-        """Plain partial derivative at z=0, axes are 0-based coordinates."""
-        if len(axes) > 3:
-            raise ValueError("at most 3 derivatives stored")
-        rows = (self.values, self.grads, self.hessians, self.thirds)[len(axes)]
-        return complex(rows[(ch.code, *axes)])
-
-    def D(self, ch: Characteristic, key: str) -> complex:
-        """Directional derivative, key like "2", "12", "222"."""
-        axes = tuple(int(a) - 1 for a in key)
-        return complex(self.directional[len(axes) - 1][(ch.code, *axes)])
 
 
 @functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)

@@ -1,6 +1,7 @@
 """Command line surface: schemas, determinism, exit codes."""
 
 import collections
+import itertools
 import json
 import os
 import subprocess
@@ -466,3 +467,49 @@ def test_random_curve_real_genus1():
     e = np.asarray(c.branch_points)
     assert c.genus == 1
     assert np.max(np.abs(e.imag)) < 1e-14
+
+
+def _genus2_labels(omega_pairs: int) -> list:
+    pairs = [f"{i}{j}" for i, j in itertools.combinations(range(1, 6), 2)]
+    rosenhain = []
+    for i, j in itertools.combinations(range(1, 7), 2):
+        rosenhain.append(f"rosenhain_classical_{i}{j}")
+        if j < 6:
+            rosenhain.append(f"rosenhain_higher_{i}{j}")
+    omega = [f"omega_{kind}_{k}" for k in range(1, omega_pairs + 1)
+             for kind in ("symmetry", "stencil")]
+    if omega_pairs:
+        omega += ["omega_a_period_1", "omega_a_period_2"]
+    return (_GATES + ["gate_matching_residual"]
+            + [f"kappa_route_even_pair_{p}" for p in pairs] + ["kappa_route_even_sum"]
+            + [f"kappa_route_odd_{i}" for i in range(1, 6)] + ["kappa_route_odd_sum"]
+            + ["kappa_route_expansion", "expansion_residual"]
+            + ["thomae_222", "thomae_122", "thomae_112"]
+            + rosenhain + [f"rosenhain_gamma_{i}6" for i in range(1, 6)]
+            + [f"jacobi_{name}_{p}" for p in pairs
+               for name in ("p22", "p12", "p11", "p11_polar")]
+            + omega)
+
+
+_GATES = ["gate_legendre", "gate_tau_asymmetry", "gate_im_tau_positive",
+          "gate_eta_prime_consistency"]
+
+GENUS1_LABELS = _GATES + ["weierstrass_kappa", "weierstrass_eta_sum", "weierstrass_eta_third",
+                          "thomae_genus1", "kappa_route_expansion", "expansion_residual"]
+
+
+@pytest.mark.parametrize("suite, omega_pairs", [("quick", 1), ("full", 2)])
+def test_verify_report_keeps_its_shape(capsys, suite, omega_pairs):
+    # 4 gates + matching + 17 kappa routes + expansion route and residual +
+    # 3 Thomae + 30 Rosenhain + 40 Jacobi per genus-2 curve, and on the
+    # first curve 2 per omega pair and the two a-periods; 10 per genus-1 curve
+    code, rep = _run_json(capsys, ["verify", "--suite", suite, "--seed", "3"])
+    assert code == 0
+    got = [[c["identity"] for c in curve["checks"]] for curve in rep["curves"]]
+    want = [_genus2_labels(omega_pairs)]
+    if suite == "full":
+        want += [_genus2_labels(0)] * 3 + [GENUS1_LABELS] * 2
+    assert len(want[0]) == 4 + 1 + 17 + 2 + 3 + 30 + 40 + 2 * omega_pairs + 2
+    assert [len(w) for w in want[1:]] == ([97] * 3 + [10] * 2 if suite == "full" else [])
+    assert got == want
+    assert all(len(set(labels)) == len(labels) for labels in got)

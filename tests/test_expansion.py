@@ -93,7 +93,7 @@ def test_genus1_theta_constant_term(lemniscatic_curve, lemniscatic_bundle,
     odd = tt.odd[0]
     w = lemniscatic_bundle.omega[0, 0]
     lam2 = lemniscatic_curve.lam_at(2)
-    want = -0.25 * lam2 - tt.d(odd, 0, 0, 0) / tt.d(odd, 0) / (2.0 * w ** 2)
+    want = -0.25 * lam2 - tt.thirds[odd.code, 0, 0, 0] / tt.grads[odd.code, 0] / (2.0 * w ** 2)
     th = sfw_series(lemniscatic_curve, lemniscatic_bundle, tt, None, odd)
     assert abs(th.coeff(0) - want) < 1e-12
 

@@ -1,6 +1,7 @@
 """Theta-constant identities: kappa routes, Thomae, Rosenhain, Jacobi, omega."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -22,9 +23,17 @@ from secondkind import (
     weierstrass_eta,
 )
 from secondkind import identities
+from secondkind.cli import random_curve
+from secondkind.curves import branch_scale, kleinian_polar
 from secondkind.errors import StencilDegenerate
-from secondkind.identities import kappa_odd_sum_reduced, relative_defect
+from secondkind.identities import IdentityEntry, kappa_odd_sum_reduced, relative_defect
 from secondkind.theta import char_add, half_period
+
+
+def _D(tt, ch, key):
+    """Directional derivative of one characteristic: key "2" is Theta_2, "122" Theta_122."""
+    axes = tuple(int(a) - 1 for a in key)
+    return complex(tt.directional[len(axes) - 1][(ch.code, *axes)])
 
 
 # ---------------------------------------------------------------- kappa
@@ -105,10 +114,10 @@ def test_rosenhain_higher_splits_on_degenerate_label(standard_bundle, standard_t
     det_w = np.linalg.det(standard_bundle.inv_two_omega)
     for i in range(1, 6):
         di = m.delta(i)
-        prod = np.prod([tt.value(char_add(di, char_add(m.gamma, m.delta(k))))
+        prod = np.prod([tt.entry(char_add(di, char_add(m.gamma, m.delta(k)))).value
                         for k in range(1, 6) if k != i])
         lhs = np.pi ** 2 * det_w * prod
-        rhs = tt.D(di, "222") * tt.D(m.gamma, "2") - tt.D(m.gamma, "222") * tt.D(di, "2")
+        rhs = _D(tt, di, "222") * _D(tt, m.gamma, "2") - _D(tt, m.gamma, "222") * _D(tt, di, "2")
         assert abs(rhs / lhs) == pytest.approx(2.0, rel=1e-9)
 
 
@@ -126,9 +135,9 @@ def test_riemann_vanishing_at_gamma(standard_table, standard_matching,
     # orders xi and xi^3 of its expansion give the two relations behind the
     # doubled gamma-pair Rosenhain constant
     for tt, m in ((standard_table, standard_matching), (skew_table, skew_matching)):
-        t1, t2 = tt.D(m.gamma, "1"), tt.D(m.gamma, "2")
+        t1, t2 = _D(tt, m.gamma, "1"), _D(tt, m.gamma, "2")
         assert abs(t2) <= 1e-12 * abs(t1)
-        assert tt.D(m.gamma, "222") / t1 == pytest.approx(-2.0, rel=1e-10)
+        assert _D(tt, m.gamma, "222") / t1 == pytest.approx(-2.0, rel=1e-10)
 
 
 def test_rosenhain_skew_curve(skew_bundle, skew_table, skew_matching):
@@ -263,6 +272,179 @@ def test_omega_a_periods_vanish(standard_curve, standard_bundle):
     for j in (0, 3):
         with pytest.raises(ValueError):
             omega_a_period(standard_curve, standard_bundle, j, r)
+
+
+# ------------------------------------------- per-characteristic reference
+#
+# The identity families read the theta table by gathers on the code index
+# of the matching.  The reference below is their formulation one
+# characteristic at a time, with char_add chains and one entry per call.
+
+def _ref_entry(label, lhs, rhs, tol, sign=None, applicable=True):
+    lhs, rhs = complex(lhs), complex(rhs)
+    big, d = max(abs(lhs), abs(rhs)), abs(lhs - rhs)
+    d = d if big < identities.ABSOLUTE_FLOOR else d / big
+    status = "n/a" if not applicable else ("pass" if d < tol else "fail")
+    return IdentityEntry(label, lhs, rhs, d, sign, status)
+
+
+def _ref_signed_entry(label, lhs, rhs, tol):
+    sign = 1 if abs(lhs - rhs) <= abs(-lhs - rhs) else -1
+    return _ref_entry(label, sign * lhs, rhs, tol, sign=sign)
+
+
+def _ref_branch_pair(bundle, i, j):
+    e = bundle.canonical_points
+    ei, ej = e[i - 1], e[j - 1]
+    k, mm, n = (e[t - 1] for t in range(1, 6) if t not in (i, j))
+    return ei, ej, ei * ej * (k + mm + n) + k * mm * n
+
+
+def _ref_even_product(tt, labels, i, j):
+    evens = [char_add(labels[i], char_add(labels[j], labels[k]))
+             for k in range(1, 7) if k not in (i, j)]
+    assert len(set(evens)) == 4 and all(eps.parity == 0 for eps in evens)
+    prod = 1.0 + 0.0j
+    for eps in evens:
+        prod *= tt.entry(eps).value
+    return prod
+
+
+def _ref_rosenhain(bundle, tt, m, tol):
+    labels = {**{i: m.delta(i) for i in range(1, 6)}, 6: m.gamma}
+    det_w = np.linalg.det(bundle.inv_two_omega)
+    entries, gamma = [], []
+    for i, j in itertools.combinations(range(1, 7), 2):
+        di, dj = labels[i], labels[j]
+        gi, gj = tt.entry(di).grad, tt.entry(dj).grad
+        prod = _ref_even_product(tt, labels, i, j)
+        entries.append(_ref_signed_entry(f"rosenhain_classical_{i}{j}", np.pi ** 2 * prod,
+                                         gi[0] * gj[1] - gi[1] * gj[0], tol))
+        if j < 6:
+            entries.append(_ref_signed_entry(
+                f"rosenhain_higher_{i}{j}", np.pi ** 2 * det_w * prod,
+                _D(tt, di, "222") * _D(tt, dj, "2") - _D(tt, dj, "222") * _D(tt, di, "2"), tol))
+        else:
+            gamma.append(_ref_signed_entry(f"rosenhain_gamma_{i}6",
+                                           2.0 * np.pi ** 2 * det_w * prod,
+                                           _D(tt, m.gamma, "222") * _D(tt, di, "2"), tol))
+    return entries, gamma
+
+
+def _ref_odd_sums(tt, m):
+    return [sum(_D(tt, m.delta(i), key) / _D(tt, m.delta(i), "2") for i in range(1, 6))
+            for key in ("112", "122", "222")]
+
+
+def _ref_even_sum(tt):
+    return np.array([[sum(_D(tt, eps, f"{a}{b}") / tt.entry(eps).value for eps in tt.even)
+                      for b in (1, 2)] for a in (1, 2)])
+
+
+def _ref_kappa(curve, bundle, tt, m):
+    """kappa by every route of kappa_report, keyed by its defect-table name."""
+    lam2, lam3, lam4 = (curve.lam_at(k) for k in (2, 3, 4))
+    w = bundle.inv_two_omega
+    routes = {}
+    for i, j in itertools.combinations(range(1, 6), 2):
+        ei, ej, sym11 = _ref_branch_pair(bundle, i, j)
+        ent = tt.entry(char_add(m.delta(i), char_add(m.delta(j), m.gamma)))
+        sym = np.array([[sym11, -ei * ej], [-ei * ej, ei + ej]])
+        routes[f"even_pair_{i}{j}"] = -0.5 * sym - 0.5 * (w.T @ (ent.hess / ent.value) @ w)
+    routes["even_sum"] = (np.array([[4 * lam2, lam3], [lam3, 4 * lam4]]) / 80.0
+                          - _ref_even_sum(tt) / 20.0)
+    for i in range(1, 6):
+        ch, ei = m.delta(i), bundle.canonical_points[i - 1]
+        r112, r122, r222 = (_D(tt, ch, key) / _D(tt, ch, "2") for key in ("112", "122", "222"))
+        k22 = lam4 / 24.0 - ei / 6.0 - r222 / 6.0
+        k12 = -lam4 * ei / 24.0 - ei ** 2 / 3.0 - ei * r222 / 12.0 - r122 / 4.0
+        k11 = (-(lam3 / 8.0) * ei - (5.0 / 24.0) * lam4 * ei ** 2 - (7.0 / 6.0) * ei ** 3
+               - 0.5 * r112 - 0.5 * ei * r122 - (ei ** 2 / 6.0) * r222)
+        routes[f"odd_{i}"] = np.array([[k11, k12], [k12, k22]])
+    s112, s122, s222 = _ref_odd_sums(tt, m)
+    k22 = lam4 / 20.0 - s222 / 30.0
+    k12 = lam3 / 40.0 - lam4 ** 2 / 800.0 - s122 / 20.0 + lam4 * s222 / 1200.0
+    k11 = ((3.0 / 40.0) * lam2 - lam4 * lam3 / 400.0 + lam4 ** 3 / 8000.0 - s112 / 10.0
+           + lam4 * s122 / 200.0 - lam4 ** 2 * s222 / 12000.0)
+    routes["odd_sum"] = np.array([[k11, k12], [k12, k22]])
+    return routes
+
+
+def _ref_thomae(curve, bundle, tt, m, tol):
+    """The three Thomae entries, and the size of the sums that they difference."""
+    lam2, lam3, lam4 = (curve.lam_at(k) for k in (2, 3, 4))
+    zero = abs(lam4) < 1e-10 * branch_scale(bundle.canonical_points)
+    s112, s122, s222 = _ref_odd_sums(tt, m)
+    (e11, e12), (_, e22) = _ref_even_sum(tt)
+    scale = 4.0 * max(abs(v) for v in (s112, s122, s222, e11, e12, e22))
+    return scale, [_ref_entry("thomae_222", s222, 1.5 * e22, tol),
+            _ref_entry("thomae_122", 4.0 * s122 - 4.0 * e12, lam3, tol, applicable=zero),
+            _ref_entry("thomae_112", 4.0 * s112 - 2.0 * e11, lam2, tol, applicable=zero)]
+
+
+def _ref_jacobi(curve, bundle, tt, m, i, j, tol):
+    """The four Jacobi entries of the pair, and the size of the terms of p_ab."""
+    ei, ej, sym11 = _ref_branch_pair(bundle, i, j)
+    eps = char_add(m.delta(i), char_add(m.delta(j), m.gamma))
+    th, kap = tt.entry(eps).value, bundle.kappa
+    terms = [(-2.0 * kap[a - 1, b - 1], _D(tt, eps, f"{a}{b}") / th)
+             for a, b in ((2, 2), (1, 2), (1, 1))]
+    p22, p12, p11 = (k - r for k, r in terms)
+    polar11 = kleinian_polar(curve, ei, ej) / (4.0 * (ei - ej) ** 2)
+    return max(abs(t) for pair in terms for t in pair), [_ref_entry(f"jacobi_p22_{i}{j}", p22, ei + ej, tol),
+            _ref_entry(f"jacobi_p12_{i}{j}", p12, -ei * ej, tol),
+            _ref_entry(f"jacobi_p11_{i}{j}", p11, sym11, tol),
+            _ref_entry(f"jacobi_p11_polar_{i}{j}", p11, polar11, tol)]
+
+
+def _assert_same_entries(got, want, scale=0.0):
+    """Same labels, order, signs and statuses; sides within 1e-13 relative to
+    the larger side or to scale, whichever is larger (scale serves sides
+    that are a cancelling difference)."""
+    assert [e.label for e in got] == [e.label for e in want]
+    for e, r in zip(got, want):
+        assert (e.sign, e.status) == (r.sign, r.status), e.label
+        for a, b in ((e.lhs, r.lhs), (e.rhs, r.rhs)):
+            assert abs(a - b) <= 1e-13 * max(abs(a), abs(b), scale), (e.label, a, b)
+        assert abs(e.defect - r.defect) <= 1e-13, e.label
+
+
+def _reference_curves():
+    yield "standard", curve_from_branch_points([-2.0, -1.0, 0.0, 1.0, 2.0])
+    yield "skew", curve_from_branch_points(
+        [-1.7 + 0.4j, -0.6 - 0.9j, 0.2 + 0.8j, 1.1 - 0.3j, 1.8 + 0.6j])
+    yield "lam4_zero", random_curve(np.random.default_rng(7), zero_trace=True)
+    for k in range(24):
+        yield f"random_{k}", random_curve(np.random.default_rng(k))
+
+
+@pytest.mark.parametrize("name, curve", list(_reference_curves()))
+def test_gathers_equal_the_per_characteristic_reference(name, curve):
+    bundle = compute_periods(curve)
+    tt = theta_table(bundle)
+    m = bolza_match(tt, curve)
+    tol = identities.DEFAULT_IDENTITY_TOL
+    ref_rosenhain, ref_gamma = _ref_rosenhain(bundle, tt, m, tol)
+    _assert_same_entries(rosenhain_defects(bundle, tt, m, tol).entries, ref_rosenhain)
+    _assert_same_entries(rosenhain_gamma_pairs(bundle, tt, m, tol).entries, ref_gamma)
+    scale, ref_thomae = _ref_thomae(curve, bundle, tt, m, tol)
+    _assert_same_entries(thomae_defects(curve, bundle, tt, m, tol).entries, ref_thomae, scale)
+    for i, j in itertools.combinations(range(1, 6), 2):
+        scale, ref_jacobi = _ref_jacobi(curve, bundle, tt, m, i, j, tol)
+        _assert_same_entries(jacobi_inversion_check(curve, bundle, tt, m, i, j, tol).entries,
+                             ref_jacobi, scale)
+    rep = kappa_report(curve, bundle, tt, m)
+    routes = _ref_kappa(curve, bundle, tt, m)
+    got = {**{f"even_pair_{i}{j}": v for (i, j), v in rep.kappa_by_even_pair.items()},
+           "even_sum": rep.kappa_even_sum,
+           **{f"odd_{i}": rep.kappa_by_odd[m.delta(i)] for i in range(1, 6)},
+           "odd_sum": rep.kappa_odd_sum}
+    assert list(rep.defect_table) == list(routes)
+    assert list(rep.kappa_by_odd) == list(m.chars)
+    scale = np.max(np.abs(bundle.kappa))
+    for route, want in routes.items():
+        assert np.max(np.abs(got[route] - want)) <= 1e-13 * scale, route
+        assert abs(rep.defect_table[route] - np.max(np.abs(want - bundle.kappa))) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------- misc

@@ -194,13 +194,14 @@ def test_third_tensor_against_directional_values(standard_table):
 
 def test_directional_table_is_winding_contraction(standard_table):
     u, v = (np.asarray(w, dtype=complex) for w in standard_table.winding)
+    dgrad, dhess, dthird = standard_table.directional
     for ch in all_characteristics(2):
         ent = standard_table.entry(ch)
         grad, hess, third = ent.grad, ent.hess, ent.third
-        assert abs(standard_table.D(ch, "1") - u @ grad) < 1e-12
-        assert abs(standard_table.D(ch, "12") - u @ hess @ v) < 1e-12
+        assert abs(dgrad[ch.code, 0] - u @ grad) < 1e-12
+        assert abs(dhess[ch.code, 0, 1] - u @ hess @ v) < 1e-12
         want = np.einsum("ijk,i,j,k", third, v, v, v)
-        assert abs(standard_table.D(ch, "222") - want) < 1e-12
+        assert abs(dthird[ch.code, 1, 1, 1] - want) < 1e-12
 
 
 # ------------------------------------------------------- structural checks
@@ -216,7 +217,7 @@ def test_odd_values_vanish_even_gradients_vanish(standard_table, skew_table):
     # odd characteristics give odd functions, so their even-order derivatives
     # vanish at z = 0; even ones give even functions, with vanishing odd orders
     for tt in (standard_table, skew_table):
-        mx = max(abs(tt.value(c)) for c in tt.characteristics)
+        mx = np.max(np.abs(tt.values))
         for ch in tt.odd:
             ent = tt.entry(ch)
             assert abs(ent.value) < 1e-13 * mx
@@ -272,8 +273,7 @@ def test_truncation_radius_honest(standard_bundle):
     # a loose tolerance must still deliver its promised accuracy
     loose = theta_table(standard_bundle, tol=1e-6)
     tight = theta_table(standard_bundle, tol=1e-15)
-    for ch in all_characteristics(2):
-        assert abs(loose.value(ch) - tight.value(ch)) < 1e-6
+    assert np.max(np.abs(loose.values - tight.values)) < 1e-6
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
