@@ -11,18 +11,29 @@ pass runs periods, theta, match, kappa, expand and verify on six named
 curves, each (command, curve) pair three times: as is, with
 --format text, and with every option the command reads set to a non-default
 value.  It prints each run whose exit code or output bytes differ and, where
-both outputs parse as JSON, the largest relative difference of their
-numbers, where it sits and the two values, so that a roundoff-level move
-can be told from a wrong number.  Exits 1
-on any exit-code, status or sign change of the first pass, on any report of
-the first pass whose bytes differ while its parsed value is equal (a change
-of number formatting), and on any difference of the second.
+both outputs parse as JSON, the largest move of their numbers, where it sits
+and the two values.  It marks a move beyond ROUNDOFF_MOVE, and outputs that
+cannot be compared number by number, so that a roundoff-level move can be
+told from a wrong number.  A number moves by |a - b| relative to itself,
+except in the defect fields, and the sides they compare, which are judged
+against the scale of those sides as ``identities.relative_defect`` judges a
+defect (``field_scales``).  Exits 1 on any exit-code, status or sign change
+of the first pass, on any report of the first pass whose bytes differ while
+its parsed value is equal (a change of number formatting), and on any
+difference of the second.
 """
 
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from secondkind.identities import ABSOLUTE_FLOOR  # noqa: E402
+
+#: Largest move of a number that still reads as roundoff.
+ROUNDOFF_MOVE = 1e-12
 
 _PERIODS = ["--quad-tol", "1e-11"]
 _THETA = _PERIODS + ["--theta-tol", "1e-13"]
@@ -77,19 +88,51 @@ def reports(src: str) -> list:
     return json.loads(run.stdout)
 
 
-def number_pairs(a, b, path=""):
-    """(path, a, b) for each number at the same place in two parsed JSON
-    values, or None where their shapes or non-numeric entries differ."""
+def _moduli(v) -> list:
+    """Moduli of the [re, im] pairs nested in v."""
+    if v and isinstance(v[0], list):
+        return [m for x in v for m in _moduli(x)]
+    return [abs(complex(*v))]
+
+
+def _size(*sides) -> float:
+    """Largest modulus in the sides, or 1 below ABSOLUTE_FLOOR, where
+    ``identities.relative_defect`` judges absolutely."""
+    size = max(m for v in sides for m in _moduli(v))
+    return size if size >= ABSOLUTE_FLOOR else 1.0
+
+
+def field_scales(v0: dict, v1: dict) -> dict:
+    """What the moves of the defect fields of a JSON object, and of the
+    sides they compare, are judged against, as ``identities.relative_defect``
+    judges a defect: the larger side S over both reports.  An identity entry
+    (lhs, rhs, defect) has its sides judged against S; its defect is
+    |lhs - rhs| already divided by S, so it is judged as it stands.  Each of
+    the kappa command's ``defects`` is max |kappa_route - kappa_direct|,
+    judged against S = max |kappa_direct|."""
+    if {"lhs", "rhs", "defect"} <= v0.keys():
+        side = _size(v0["lhs"], v0["rhs"], v1["lhs"], v1["rhs"])
+        return {"lhs": side, "rhs": side, "defect": 1.0}
+    if {"kappa_direct", "defects"} <= v0.keys():
+        return {"defects": _size(v0["kappa_direct"], v1["kappa_direct"])}
+    return {}
+
+
+def number_pairs(a, b, path="", scale=None):
+    """(path, a, b, scale) for each number at the same place in two parsed
+    JSON values, or None where their shapes or non-numeric entries differ.
+    scale is what the number's move is judged against, None for itself."""
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             return None
-        parts = [number_pairs(a[k], b[k], f"{path}.{k}") for k in a]
+        scales = dict.fromkeys(a, scale) | field_scales(a, b)
+        parts = [number_pairs(a[k], b[k], f"{path}.{k}", scales[k]) for k in a]
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             return None
-        parts = [number_pairs(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+        parts = [number_pairs(x, y, f"{path}[{i}]", scale) for i, (x, y) in enumerate(zip(a, b))]
     elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
-        return [(path, a, b)]
+        return [(path, a, b, scale)]
     else:
         return [] if a == b else None
     if any(part is None for part in parts):
@@ -97,19 +140,23 @@ def number_pairs(a, b, path=""):
     return [pair for part in parts for pair in part]
 
 
-def largest_relative_difference(text0: str, text1: str) -> str:
-    """The largest |a - b| / max(|a|, |b|) over the numbers of two JSON outputs."""
+def largest_move(text0: str, text1: str) -> tuple:
+    """(move, where): the largest move over the numbers of two JSON outputs,
+    |a - b| over its scale or over max(|a|, |b|) where it has none, and
+    where it sits with the two values; move is None when the outputs cannot
+    be compared number by number."""
     try:
         pairs = number_pairs(json.loads(text0), json.loads(text1))
     except json.JSONDecodeError:
-        return "not JSON"
+        return None, "not JSON"
     if pairs is None:
-        return "JSON shapes differ"
+        return None, "JSON shapes differ"
     if not pairs:
-        return "no numbers"
-    rel, path, a, b = max(((abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0), path, a, b)
-                          for path, a, b in pairs)
-    return f"largest relative difference {rel:.3e} at {path or '.'} ({a!r} vs {b!r})"
+        return 0.0, "no numbers"
+    move, path, a, b = max(
+        ((abs(a - b) / (max(abs(a), abs(b)) if scale is None else scale) if a != b else 0.0),
+         path, a, b) for path, a, b, scale in pairs)
+    return move, f"at {path or '.'} ({a!r} vs {b!r})"
 
 
 def main(argv) -> int:
@@ -147,10 +194,15 @@ def main(argv) -> int:
     print(f"{len(changes)} exit-code or status changes and {len(flips)} sign changes over "
           f"{len(old)} runs, {differing} reports differ in value, {bytes_differ} in bytes")
     named_diffs = [run for run, result in old_named.items() if new_named[run] != result]
+    beyond = 0
     for run in named_diffs:
-        print(f"output differs: {run}; "
-              f"{largest_relative_difference(old_named[run][1], new_named[run][1])}")
-    print(f"{len(named_diffs)} of {len(old_named)} (command, curve, variant) outputs differ")
+        move, where = largest_move(old_named[run][1], new_named[run][1])
+        flagged = move is None or move > ROUNDOFF_MOVE
+        beyond += flagged
+        print(f"output differs: {run}; largest move "
+              f"{'-' if move is None else f'{move:.3e}'} {where}{' BEYOND ROUNDOFF' if flagged else ''}")
+    print(f"{len(named_diffs)} of {len(old_named)} (command, curve, variant) outputs differ, "
+          f"{beyond} of them beyond roundoff ({ROUNDOFF_MOVE:g})")
     return 1 if changes or flips or formatting or named_diffs else 0
 
 

@@ -4,11 +4,11 @@ of y = sqrt(P(x)) along polylines, and adaptive Gauss-Legendre quadrature.
 y = 2 prod_k sqrt(x - e_k) is continued exactly, factor by factor
 (Molin-Neurohr): on a straight leg each factor moves on a line, and its
 principal root changes branch only where that line crosses numpy's cut.
-So the sheet anywhere on a route, and at its end, follows from the cut
-crossings alone, before any quadrature runs.  ``CutCrossings`` is the one
-home of that rule; the period chains of ``periods.chain_integrals`` use it
-too.  The legs take y from that continued product alone, never from a root
-of y^2.
+``CutCrossings`` is the one home of that rule; the period chains of
+``periods.chain_integrals`` use it too.  A ``Route`` finds the crossings of
+all its legs in one pass over its vertices, and with them the sheet of each
+leg and of its end, before any quadrature runs; its legs are integrated from
+the same arrays, y from that continued product alone, never a root of y^2.
 
 ``adaptive_gl`` bisects 32-node Gauss-Legendre panels, one refinement
 level per integrand call, and walks the intervals of one call (all chains
@@ -74,8 +74,7 @@ def adaptive_gl(f, a, b, tol: float):
     n = len(a)
     m = 0.5 * (a + b)
     tree = np.arange(n)
-    est = _panels(f, np.column_stack([a, a, m]).ravel(), np.column_stack([b, m, b]).ravel(),
-                  None if scalar else np.repeat(tree, 3))
+    est = _panels(f, _interleave(a, a, m), _interleave(b, m, b), None if scalar else np.repeat(tree, 3))
     whole, left, right = est[:, 0::3], est[:, 1::3], est[:, 2::3]
     scale = np.fmax(1.0, np.max(np.abs(whole), axis=0))
     tol_density = tol * scale / (b - a)
@@ -104,20 +103,26 @@ def adaptive_gl(f, a, b, tol: float):
                 f"panel budget of {_MAX_PANELS} spent: {where(k)} still moving at depth {depth}"
             )
         # children of the moving panels in tree order, each with its whole
-        mid = 0.5 * (lo + hi)
-        lo = np.column_stack([lo, mid])[moving].ravel()
-        hi = np.column_stack([mid, hi])[moving].ravel()
+        lo, mid, hi = lo[moving], (0.5 * (lo + hi))[moving], hi[moving]
+        lo, hi = _interleave(lo, mid), _interleave(mid, hi)
         tree = np.repeat(tree[moving], 2)
-        whole = np.stack([left, right], axis=-1)[:, moving].reshape(len(better), -1)
+        whole = _interleave(left[:, moving], right[:, moving])
         m = 0.5 * (lo + hi)
-        est = _panels(f, np.column_stack([lo, m]).ravel(), np.column_stack([m, hi]).ravel(),
-                      None if scalar else np.repeat(tree, 2))
+        est = _panels(f, _interleave(lo, m), _interleave(m, hi), None if scalar else np.repeat(tree, 2))
         left, right = est[:, 0::2], est[:, 1::2]
     total = levels[-1][0]
     for better, moving in reversed(levels[:-1]):
         better[:, moving] = total[:, 0::2] + total[:, 1::2]
         total = better
     return total[:, 0] if scalar else total
+
+
+def _interleave(*cols):
+    """Arrays of one shape with their entries alternating along the last axis."""
+    out = np.empty(cols[0].shape[:-1] + (len(cols) * cols[0].shape[-1],), cols[0].dtype)
+    for j, c in enumerate(cols):
+        out[..., j::len(cols)] = c
+    return out
 
 
 def _panels(f, lo, hi, tree):
@@ -200,14 +205,6 @@ class CutCrossings:
         meets = (np.conj(w0) * dw).imag * np.imag(dw) < 0
         self.crossed = meets & ((np.imag(w1) >= 0) != self.upper0)
 
-    @classmethod
-    def stacked(cls, cuts):
-        """One set of lines per entry of ``cuts``, along a new first axis."""
-        out = cls.__new__(cls)
-        out.upper0 = np.stack([c.upper0 for c in cuts])
-        out.crossed = np.stack([c.crossed for c in cuts])
-        return out
-
     def roots(self, w, rows=None):
         """sqrt(w_k), each root continued from w0 (one line per factor), at
         points w on the way (one row each).  With several sets of lines,
@@ -229,77 +226,80 @@ def _sign_toward(v: complex, target: complex) -> float:
     return 1.0 if abs(v - target) <= abs(v + target) else -1.0
 
 
-def _legs_xy(z0, z1, sign, e, cuts, t, rows=None):
-    """(x, y) at parameters t on straight legs from z0 to z1: x from the
-    nearer end of its leg, y = sign 2 prod_k sqrt(x - e_k) continued along
-    it.  One leg takes scalars; many take z0, z1 and sign per point and
-    ``rows``, the leg of each point, for ``cuts``."""
+def _legs_xy(z0, z1, sign, e, cuts, t, rows):
+    """(x, y) at parameters t on straight legs from z0 to z1, each point
+    with the z0, z1, sign and ``cuts`` row of its leg: x from the nearer end
+    of the leg, y = sign 2 prod_k sqrt(x - e_k) continued along it."""
     d = z1 - z0
     x = np.where(t <= 0.5, z0 + d * t, z1 - d * (1.0 - t))
     return x, sign * cuts.product(x[..., None] - e, rows)
 
 
-class SheetPath:
-    """y = sqrt(P(x)) continued along one straight leg, queryable at any t.
+class Route:
+    """y = sqrt(P(x)) continued along a polyline from (points[0], y0) in one
+    pass over its vertices z, zero-length legs dropped: one ``CutCrossings``
+    row per leg.  Consecutive legs share a vertex, where their principal
+    products 2 prod_k sqrt(z - e_k) agree, so leg k has the first leg's sign
+    times (-1)^(the crossings before it), and y_end is the principal product
+    at the last vertex times the parity of all of them (y0 with no leg).
+    Negating a root is exact, so these are the bits of continuing leg after
+    leg.  ``legs`` is built only when the route is integrated."""
 
-    y = s 2 prod_k sqrt(x - e_k), each root continued across its cut and the
-    sign s fixed by y0 at the start.  x is formed from the nearer end of the
-    leg, so near an end it carries the rounding of its distance from that
-    end, not of the whole leg, and ``xy_at(1)`` is exactly (z1, y_end).
-    """
-
-    def __init__(self, curve: HyperellipticCurve, z0: complex, z1: complex, y0: complex):
-        self.z0, self.z1 = complex(z0), complex(z1)
+    def __init__(self, curve: HyperellipticCurve, points, y0: complex):
+        z = np.asarray(points, dtype=complex)
+        self.z = z = z[np.concatenate(([True], z[1:] != z[:-1]))]
         self.e = np.asarray(curve.branch_points, dtype=complex)
-        w0, w1 = self.z0 - self.e, self.z1 - self.e
-        self.cuts = CutCrossings(w0, self.z1 - self.z0, w1)
-        self.sign = _sign_toward(self.cuts.product(w0), complex(y0))
-        self.y_end = complex(self.sign * self.cuts.product(w1))
+        self.y0 = complex(y0)
+        w = z[:, None] - self.e
+        self.cuts = CutCrossings(w[:-1], (z[1:] - z[:-1])[:, None], w[1:])
+        flips = np.concatenate(([0], np.cumsum(self.cuts.crossed.sum(axis=1)))) % 2
+        sign = _sign_toward(2.0 * np.sqrt(w[0]).prod(), self.y0) * (1.0 - 2.0 * flips)
+        self.sign = sign[:-1]
+        self.y_end = complex(sign[-1] * (2.0 * np.sqrt(w[-1]).prod())) if len(z) > 1 else self.y0
+
+    @functools.cached_property
+    def legs(self) -> list:
+        return [SheetPath(self, k) for k in range(len(self.sign))]
+
+
+class SheetPath:
+    """Leg k of a ``Route``, a view of its arrays with no reference back (a
+    cycle would outlive the map), queryable at any t.  x is formed from the
+    nearer end, so near an end it carries the rounding of its distance from
+    that end, not of the whole leg, and ``xy_at(1)`` is exactly (z1, y_end)."""
+
+    def __init__(self, route: Route, k: int):
+        self.e, self.cuts, self.k = route.e, route.cuts, k
+        self.z0, self.z1, self.sign = route.z[k], route.z[k + 1], route.sign[k]
+        self.crossed = route.cuts.crossed[k]
+
+    @property
+    def y_end(self) -> complex:
+        return complex(self.sign * self.cuts.product(self.z1 - self.e, self.k))
 
     def xy_at(self, t):
         """(x, y) arrays at parameters t in [0, 1]."""
         t = np.asarray(t, dtype=float)
-        return _legs_xy(self.z0, self.z1, self.sign, self.e, self.cuts, t)
+        return _legs_xy(self.z0, self.z1, self.sign, self.e, self.cuts, t, self.k)
 
 
-def route_end_y(curve: HyperellipticCurve, points, y0: complex) -> complex:
-    """y continued from (points[0], y0) to points[-1] along the polyline,
-    without quadrature.  Consecutive legs share a vertex, where their
-    principal products agree, so y_end is the start sign times 2 prod_k
-    sqrt(z_end - e_k) times (-1)^(cut crossings over all legs)."""
-    z = np.asarray(points, dtype=complex)[:, None]
-    w = z - np.asarray(curve.branch_points, dtype=complex)
-    cuts = CutCrossings(w[:-1], z[1:] - z[:-1], w[1:])
-    start, end = (2.0 * np.sqrt(v).prod() for v in (w[0], w[-1]))
-    return _sign_toward(start, complex(y0)) * (-1) ** int(cuts.crossed.sum()) * end
-
-
-def integrate_rows_along(curve, points, y0, rows_fn, tol):
-    """Integrate rows_fn(x, y) dx along a polyline with sheet tracking.
-
-    rows_fn maps (x_nodes, y_nodes) to an array (rows, nodes); returns the
-    integral vector and the continued y at the final point.  The sign of
-    every leg follows from the cut crossings before any quadrature, so all
-    legs are integrated in one walk and their parts added from the first.
-    """
-    legs, y = [], complex(y0)
-    for z0, z1 in zip(points[:-1], points[1:]):
-        if z0 != z1:
-            legs.append(SheetPath(curve, z0, z1, y))
-            y = legs[-1].y_end
-    if not legs:
-        return np.zeros(np.shape(rows_fn(np.array([complex(points[0])]),
-                                         np.array([y0])))[0], dtype=complex), y
-    z0, z1, sign = (np.array([getattr(sp, k) for sp in legs]) for k in ("z0", "z1", "sign"))
-    cuts = CutCrossings.stacked([sp.cuts for sp in legs])
-    e, leg = legs[0].e, z1 - z0
+def integrate_rows_along(route: Route, rows_fn, tol):
+    """Integral vector of rows_fn(x, y) dx along a built ``Route``, rows_fn
+    mapping (x_nodes, y_nodes) to an array (rows, nodes).  The legs are the
+    trees of one ``adaptive_gl`` walk, and their parts are added from the
+    first."""
+    n = len(route.legs)
+    if not n:
+        return np.zeros(np.shape(rows_fn(route.z, np.array([route.y0])))[0], dtype=complex)
+    z0, z1, sign, e, cuts = route.z[:-1], route.z[1:], route.sign, route.e, route.cuts
+    leg = z1 - z0
 
     def f(nodes):
         k = nodes.imag.astype(int)
         return np.asarray(rows_fn(*_legs_xy(z0[k], z1[k], sign[k], e, cuts, nodes.real, k))) * leg[k]
 
-    parts = adaptive_gl(f, np.zeros(len(legs)), np.ones(len(legs)), tol)
-    return functools.reduce(np.add, parts.T), y
+    parts = adaptive_gl(f, np.zeros(n), np.ones(n), tol)
+    return functools.reduce(np.add, parts.T)
 
 
 class BranchLegPath:

@@ -45,11 +45,11 @@ from .errors import HomologyConstructionFailure, PathThroughBranchPoint
 from .paths import (
     PATH_CLEARANCE,
     CutCrossings,
+    Route,
     adaptive_gl,
     integrate_rows_along,
     integrate_rows_to_branch_point,
     polyline_with_clearance,
-    route_end_y,
     segment_distance,
 )
 
@@ -331,9 +331,12 @@ def _u_rows(curve: HyperellipticCurve):
 
 def _check_point(curve: HyperellipticCurve, p: CurvePoint) -> None:
     # relative to the size of the terms of y^2 = 4 prod (x - e_k) at x, so
-    # the check is covariant under scaling and translating the branch points
-    size = 4.0 * np.prod([abs(p.x) + abs(e) for e in curve.branch_points])
-    if abs(p.y ** 2 - curve.y_squared(p.x)) > 1e-9 * size:
+    # the check is covariant under scaling and translating the branch points;
+    # scalar arithmetic gives the bits of curve.y_squared at one point
+    size, y2 = 4.0, 4.0 + 0j
+    for e in curve.branch_points:
+        size, y2 = size * (abs(p.x) + abs(e)), y2 * (p.x - e)
+    if abs(p.y ** 2 - y2) > 1e-9 * size:
         raise ValueError(f"point ({p.x:.6g}, {p.y:.6g}) is not on the curve")
 
 
@@ -343,7 +346,8 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint,
 
     The path is the first of ``_candidate_routes`` along which y, continued
     analytically from ``frm``, ends on the sheet of ``to``; the choice needs
-    no quadrature (``paths.route_end_y``), and only that route is integrated.
+    no quadrature (``paths.Route.y_end``), and only that route is integrated,
+    from the arrays its choice built.
     An endpoint lying on a branch point (y = 0) is integrated with the
     regularized s^2 substitution.
     """
@@ -370,9 +374,9 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint,
         total = _integral_into_branch(curve, frm, to_idx, rows, tol)
     else:
         for pts in _candidate_routes(frm.x, to.x, curve.branch_points, PATH_CLEARANCE):
-            y_end = route_end_y(curve, pts, frm.y)
-            if abs(y_end - to.y) <= abs(y_end + to.y):
-                total, _ = integrate_rows_along(curve, pts, frm.y, rows, tol)
+            route = Route(curve, pts, frm.y)
+            if abs(route.y_end - to.y) <= abs(route.y_end + to.y):
+                total = integrate_rows_along(route, rows, tol)
                 break
         else:
             raise PathThroughBranchPoint("endpoint sheet does not match continuation "
@@ -411,9 +415,9 @@ def _integral_into_branch(curve, start: CurvePoint, e_index: int, rows, tol):
     direction = (start.x - e) / abs(start.x - e)
     stage_dist = min(0.35 * gap, abs(start.x - e))
     x_stage = e + direction * stage_dist
-    pts = polyline_with_clearance(start.x, x_stage, others, PATH_CLEARANCE)
-    part1, y_stage = integrate_rows_along(curve, pts, start.y, rows, tol)
-    return part1 + integrate_rows_to_branch_point(curve, e_index, x_stage, y_stage, rows, tol)
+    route = Route(curve, polyline_with_clearance(start.x, x_stage, others, PATH_CLEARANCE), start.y)
+    return (integrate_rows_along(route, rows, tol)
+            + integrate_rows_to_branch_point(curve, e_index, x_stage, route.y_end, rows, tol))
 
 
 def abel_from_infinity(curve: HyperellipticCurve, bundle: PeriodBundle,

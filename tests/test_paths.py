@@ -2,7 +2,10 @@
 
 ``SheetPath`` and ``BranchLegPath`` take y from the product of the factors
 sqrt(x - e_k), each continued across its cut, and ``abel_map`` picks its
-route from their parity before integrating.  The references below are the
+route from their parity before integrating.  A ``Route`` builds all its
+legs in one pass over its vertices; the leg-by-leg chain it replaced, each
+leg with its own crossings, start sign and end value, is kept here as the
+reference and must give the same bits.  The references below are the
 stepping continuations they replaced, kept here verbatim in behaviour, and
 the pipeline that integrated every candidate route and kept the first one
 ending on the right sheet.  The references take y as the principal root of
@@ -15,6 +18,8 @@ forest; the recursion it replaced, one integrand call per 32-node panel and
 one call per interval, is kept here as the reference.  Interval by
 interval, both evaluate the same nodes and give the same bits.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -36,9 +41,8 @@ from secondkind.paths import (
     PATH_CLEARANCE,
     BranchLegPath,
     CutCrossings,
-    SheetPath,
+    Route,
     adaptive_gl,
-    route_end_y,
     segment_distance,
 )
 
@@ -118,6 +122,42 @@ class _ReferenceBranchLegPath:
         return x, s * w
 
 
+class _ChainLeg:
+    """One leg as ``SheetPath`` built it before routes were built in one
+    pass: its own ``CutCrossings``, its sign from y0 and its y_end from the
+    full factor product at z1."""
+
+    def __init__(self, curve, z0, z1, y0):
+        self.z0, self.z1 = complex(z0), complex(z1)
+        self.e = np.asarray(curve.branch_points, dtype=complex)
+        w0, w1 = self.z0 - self.e, self.z1 - self.e
+        self.cuts = CutCrossings(w0, self.z1 - self.z0, w1)
+        self.crossed = self.cuts.crossed
+        self.sign = paths._sign_toward(self.cuts.product(w0), complex(y0))
+        self.y_end = complex(self.sign * self.cuts.product(w1))
+
+    def xy_at(self, t):
+        t = np.asarray(t, dtype=float)
+        return paths._legs_xy(self.z0, self.z1, self.sign, self.e, self.cuts, t, None)
+
+
+def _chain(curve, points, y0):
+    """(legs, y_end): the legs of a polyline built one after another, each
+    starting from the y_end of the last; zero-length legs are skipped."""
+    legs, y = [], complex(y0)
+    for z0, z1 in zip(points[:-1], points[1:]):
+        if z0 != z1:
+            legs.append(_ChainLeg(curve, z0, z1, y))
+            y = legs[-1].y_end
+    return legs, y
+
+
+def _leg(curve, z0, z1, y0):
+    """The one leg of the route (z0, z1)."""
+    (leg,) = Route(curve, (z0, z1), y0).legs
+    return leg
+
+
 def _reference_along(curve, points, y0, rows_fn, tol, path=_ReferenceSheetPath):
     """One walk per leg on ``path``, the parts added from the first."""
     total, y = None, complex(y0)
@@ -160,7 +200,7 @@ def _assert_same_points(got, want, length, where):
 
 
 def _assert_leg_matches(curve, z0, z1, y0, extra_t=None):
-    new, ref = SheetPath(curve, z0, z1, y0), _ReferenceSheetPath(curve, z0, z1, y0)
+    new, ref = _leg(curve, z0, z1, y0), _ReferenceSheetPath(curve, z0, z1, y0)
     for t in (NODES,) if extra_t is None else (NODES, extra_t):
         _assert_same_points(new.xy_at(t), ref.xy_at(t), abs(z1 - z0), (z0, z1))
     assert _same_y(new.y_end, ref.y_end), (z0, z1, new.y_end, ref.y_end)
@@ -212,20 +252,20 @@ def test_edge_legs_on_a_real_curve(z0, z1, crossings):
     for sheet in (1, -1):
         y0 = curve.lift(z0, sheet).y
         sp = _assert_leg_matches(curve, z0, z1, y0)
-        assert int(sp.cuts.crossed.sum()) == crossings
-        assert _same_y(route_end_y(curve, (z0, z1), y0), sp.y_end)
+        assert int(sp.crossed.sum()) == crossings
+        assert _same_y(Route(curve, (z0, z1), y0).y_end, sp.y_end)
 
 
 def test_leg_crossing_five_cuts_at_different_points():
     curve = curve_from_branch_points(SKEW_POINTS)
     z0, z1 = -2.0 + 1.5j, -2.0 - 1.5j
     sp = _assert_leg_matches(curve, z0, z1, curve.lift(z0).y)
-    assert int(sp.cuts.crossed.sum()) == 5
+    assert int(sp.crossed.sum()) == 5
     # between consecutive crossings the parity alternates
     t_star = sorted((1.5 - e.imag) / 3.0 for e in SKEW_POINTS)
     mids = np.array([0.5 * (a + b) for a, b in zip(t_star[:-1], t_star[1:])])
     w = -2.0 + (1.5 - 3.0 * mids)[:, None] * 1j - np.asarray(SKEW_POINTS)
-    parity = sp.cuts.product(w) / (2.0 * np.sqrt(w).prod(axis=-1))
+    parity = sp.cuts.product(w, 0) / (2.0 * np.sqrt(w).prod(axis=-1))
     assert np.array_equal(parity, [-1, 1, -1, 1])
 
 
@@ -284,7 +324,7 @@ def test_leg_y_squares_to_the_branch_point_product():
     factor x - e is (x0 - e) s^2, as the leg defines it: recomputed from the
     rounded x it would carry the rounding of e, far above its own size."""
     for curve, z0, z1, y0, extra_t in _random_legs():
-        sp = SheetPath(curve, z0, z1, y0)
+        sp = _leg(curve, z0, z1, y0)
         for t in (NODES, extra_t, np.array([0.0, 0.5, 1.0])):
             x, y = sp.xy_at(t)
             _assert_on_curve(y, x[:, None] - np.asarray(curve.branch_points), (z0, z1))
@@ -323,7 +363,59 @@ def test_route_parity_matches_the_walk_on_every_route(triples):
         rows = periods._u_rows(curve)
         for pts in _routes(curve, p, q):
             _, y_ref = _reference_along(curve, pts, p.y, rows, bundle.quad_tol)
-            assert _same_y(route_end_y(curve, pts, p.y), y_ref), (curve.branch_points, pts)
+            assert _same_y(Route(curve, pts, p.y).y_end, y_ref), (curve.branch_points, pts)
+
+
+def _bits(*values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+def _assert_route_is_the_chain(curve, pts, y0):
+    """Per leg the same z0, z1, sign and crossed, and the same y_end, in bits."""
+    route, (chain, y_end) = Route(curve, pts, y0), _chain(curve, pts, y0)
+    assert len(route.legs) == len(chain), pts
+    for leg, ref in zip(route.legs, chain):
+        got, want = ((v.z0, v.z1, v.sign, v.y_end) for v in (leg, ref))
+        assert _bits(*got) == _bits(*want), pts
+        assert np.array_equal(leg.crossed, ref.crossed), pts
+    assert _bits(route.y_end) == _bits(y_end), pts
+    return sum(int(ref.crossed.sum()) for ref in chain)
+
+
+def test_route_pass_equals_the_leg_chain(triples):
+    """Every candidate route of the triples, each also with repeated
+    vertices (legs of length 0) at its start, inside and at its end, and
+    a route of one repeated point: its y_end is y0 and its integral 0."""
+    crossings = 0
+    for curve, bundle, p, q in triples:
+        for pts in _routes(curve, p, q):
+            crossings += _assert_route_is_the_chain(curve, pts, p.y)
+            _assert_route_is_the_chain(curve, pts[:1] + pts[:2] + pts[1:] + pts[-1:], q.y)
+    assert crossings > 100
+    std = curve_from_branch_points(STANDARD_POINTS)
+    # vertices on the cuts of x - 1 and x - 2, and legs across four cuts at once
+    pts = (0.5 + 0.75j, 0.5, 0.5 - 0.75j, -1.5 - 1.0j, -1.5 + 1.0j, 0.25, 0.75, -3.0, -2.5)
+    for sheet in (1, -1):
+        assert _assert_route_is_the_chain(std, pts, std.lift(pts[0], sheet).y) == 2 + 4
+    y0 = std.lift(0.5 + 1.0j).y
+    route = Route(std, (0.5 + 1.0j,) * 3, y0)
+    assert route.legs == [] and route.y_end == y0 == _chain(std, (0.5 + 1.0j,) * 3, y0)[1]
+    got = paths.integrate_rows_along(route, periods._u_rows(std), 1e-12)
+    assert got.dtype == complex and np.array_equal(got, [0.0, 0.0])
+
+
+def test_an_integrated_route_is_freed_by_its_last_reference():
+    """Its legs hold no reference back to it: a cycle would keep every
+    route until the cycle collector ran, and the peak memory of a run of
+    Abel maps grew by about 0.5 MB."""
+    curve = curve_from_branch_points(STANDARD_POINTS)
+    p, q = curve.lift(0.5 + 1.0j), curve.lift(2.6 + 0.3j)
+    route = Route(curve, _routes(curve, p, q)[2], p.y)
+    paths.integrate_rows_along(route, periods._u_rows(curve), 1e-12)
+    assert len(route.legs) >= 10
+    gone = weakref.ref(route)
+    del route
+    assert gone() is None
 
 
 def test_abel_map_equals_the_every_route_pipeline(triples):
@@ -340,18 +432,82 @@ def test_abel_map_integrates_only_the_route_it_keeps(monkeypatch):
     curve = curve_from_branch_points(STANDARD_POINTS)
     bundle = compute_periods(curve)
     p, q = curve.lift(0.5 + 1.0j), curve.lift(2.6 + 0.3j)
-    ends = [route_end_y(curve, pts, p.y) for pts in _routes(curve, p, q)]
+    routes = _routes(curve, p, q)
+    ends = [Route(curve, pts, p.y).y_end for pts in routes]
     assert [abs(y - q.y) <= abs(y + q.y) for y in ends] == [False, False, True]
     calls = []
     along = periods.integrate_rows_along
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return along(*args, **kwargs)
+    def counted(route, *args, **kwargs):
+        calls.append(route)
+        return along(route, *args, **kwargs)
 
     monkeypatch.setattr(periods, "integrate_rows_along", counted)
     abel_map(curve, bundle, p, q)
-    assert calls == [_routes(curve, p, q)[2]]
+    assert len(calls) == 1 and calls[0].y0 == p.y
+    assert calls[0].z.tolist() == list(routes[2])
+
+
+#: A curve on which straight route pieces from the far point passing 1e-3 to
+#: 1.3e-3 from a branch point, just outside ``PATH_CLEARANCE`` and so with
+#: no detour, made ``abel_map`` raise ``QuadratureNonConvergence`` ("panel
+#: [0.73938, 0.73938] still moving at depth 26") while legs matched y
+#: against a stepping walk; (P, sheet, Q, sheet) of 12 maps P -> Q that did.
+NEAR_MISS_CURVE = (0.0398 - 0.6312j, 0.4050 - 0.8278j, 1.5501 + 0.5467j, 0.4767 - 0.5175j,
+                   -1.2053 + 0.2852j)
+#: The point the second and third candidate routes go through (``_candidate_routes``).
+_CENTER = sum(NEAR_MISS_CURVE) / 5
+_RADIUS = 1.6 * max(abs(e - _CENTER) for e in NEAR_MISS_CURVE) + 1.0
+NEAR_MISS_FAR = _CENTER + _RADIUS * np.exp(1j * np.pi / 7)
+NEAR_MISS_MAPS = [
+    (1.8064174808883422 + 1.8826854820829029j, 1, -0.6439688222525555 - 1.571293819903866j, 1),
+    (-2.2673339896257043 - 2.1579518222913885j, 1, -0.38396228132939525 - 1.3873052911094912j, -1),
+    (-2.1545489463370893 - 2.0504061668131417j, -1, 0.29933117365466666 - 0.9038210607474988j, -1),
+    (0.8728537630824578 - 2.1875211896721587j, 1, -1.1939410468041456 - 1.3342085953230667j, 1),
+    (2.3123655512152217 + 0.21163250742073725j, -1, -1.0907509081899547 - 1.2753511755314415j, -1),
+    (1.6299171383850934 + 0.6789879479836762j, -1, -0.4517367001140338 - 1.4353107917220056j, 1),
+    (-0.9332332678317645 + 1.7024913657599114j, 1, -0.28362438760070896 - 1.316320968218772j, -1),
+    (-1.4217350366827501 - 0.10873629974755561j, -1, -0.13728047551130196 - 1.2127521586751073j, 1),
+    (1.686615249094844 + 1.0040132752384654j, 1, 0.1180521525939211 - 1.0323573227565381j, -1),
+    (-1.6121796715049812 - 1.4825256016997117j, -1, -0.6890990965509229 - 1.6035371560508227j, 1),
+    (0.7997607916497347 - 0.078704501327302j, -1, 0.15750292445232406 - 1.0043810583615116j, 1),
+    (-1.9493891921272182 - 0.7743892517703876j, 1, -0.4109606978856202 - 1.4064893526118736j, -1),
+]
+
+
+def _near_miss_maps(rng, n):
+    """n (P, Q) pairs whose piece from the far point to Q passes 1e-3 to
+    1.3e-3 from a branch point and ends 0.02 to 1.5 past it."""
+    out = []
+    while len(out) < n:
+        e = NEAR_MISS_CURVE[rng.integers(5)]
+        u = (e - NEAR_MISS_FAR) / abs(e - NEAR_MISS_FAR)
+        aim = e + rng.choice([1, -1]) * rng.uniform(1.0e-3, 1.3e-3) * 1j * u
+        reach = aim - NEAR_MISS_FAR
+        q = NEAR_MISS_FAR + reach * (1 + rng.uniform(0.02, 1.5) / abs(reach))
+        p = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
+        if min(abs(x - b) for x in (p, q) for b in NEAR_MISS_CURVE) > 0.05:
+            out += [(p, rng.choice([1, -1]), q, sheet) for sheet in (1, -1)]
+    return out
+
+
+def test_route_pieces_just_outside_the_clearance_integrate():
+    """The maps that failed, and 160 more drawn alike, go through: each map
+    P -> Q and Q -> P returns, and the two add to a lattice vector."""
+    curve = curve_from_branch_points(NEAR_MISS_CURVE)
+    bundle = compute_periods(curve)
+    via_far = 0
+    for x, sp, y, sq in NEAR_MISS_MAPS + _near_miss_maps(np.random.default_rng(7304), 160):
+        p, q = curve.lift(x, sp), curve.lift(y, sq)
+        direct, via, _ = _routes(curve, p, q)
+        there = abel_map(curve, bundle, p, q)
+        assert periods.lattice_distance(there + abel_map(curve, bundle, q, p), bundle.tau) < 1e-9, (x, y)
+        end = Route(curve, direct, p.y).y_end
+        if abs(end - q.y) > abs(end + q.y):
+            via_far += 1
+            assert NEAR_MISS_FAR in via
+            assert 1e-3 < min(segment_distance(NEAR_MISS_FAR, q.x, e) for e in NEAR_MISS_CURVE) < 1.3e-3
+    assert via_far >= 80
 
 
 GL_NODES, GL_WEIGHTS = nleg.leggauss(32)
@@ -477,22 +633,24 @@ def test_leg_quadrature_matches_the_recursion(against_reference):
         del against_reference[:]
         routes = _routes(curve, p, q)
         for pts in routes:
-            paths.integrate_rows_along(curve, pts, p.y, periods._u_rows(curve), bundle.quad_tol)
+            paths.integrate_rows_along(Route(curve, pts, p.y), periods._u_rows(curve), bundle.quad_tol)
         legs = [n for _, n, _, _ in against_reference]
         assert legs == [len(pts) - 1 for pts in routes] and legs[1] >= 2 and legs[2] >= 10, legs
     assert refined
 
 
 def test_route_walk_equals_the_leg_by_leg_sum(triples):
-    """One walk over all legs of a route gives the bits of one walk per
-    ``SheetPath`` leg: the many-leg x and y are the leg's, and the parts
-    add from the first.  A repeated vertex is a leg of length 0, skipped."""
+    """One walk over all legs of a route gives the bits of one walk per leg
+    of the leg-by-leg chain: the many-leg x and y are the leg's, and the
+    parts add from the first.  A repeated vertex is a leg of length 0,
+    skipped."""
     for curve, bundle, p, q in triples[:12]:
         rows = periods._u_rows(curve)
         routes = _routes(curve, p, q)
         for pts in routes + [routes[1][:2] + routes[1][1:]]:
-            got = paths.integrate_rows_along(curve, pts, p.y, rows, bundle.quad_tol)
-            want = _reference_along(curve, pts, p.y, rows, bundle.quad_tol, path=SheetPath)
+            route = Route(curve, pts, p.y)
+            got = paths.integrate_rows_along(route, rows, bundle.quad_tol), route.y_end
+            want = _reference_along(curve, pts, p.y, rows, bundle.quad_tol, path=_ChainLeg)
             assert np.array_equal(got[0], want[0]) and got[1] == want[1], (curve.branch_points, pts)
     assert {curve.genus for curve, *_ in triples[:12]} == {1, 2}
 

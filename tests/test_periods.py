@@ -367,3 +367,27 @@ def test_points_off_the_curve_are_rejected(scale, standard_curve):
         abel_map(curve, b, p, off)
     with pytest.raises(ValueError, match="not on the curve"):
         abel_map(curve, b, off, p)
+
+
+def test_point_check_keeps_its_decisions_at_the_threshold():
+    """The check refuses exactly the points that its numpy formulation,
+    kept here, refuses: y moved so that the defect of y^2 sits from 0.98 to
+    1.02 times the threshold 1e-9 of the size of its terms."""
+    rng = np.random.default_rng(5)
+    decisions = []
+    for _ in range(12):
+        curve = random_curve(rng)
+        for x in 1.5 * rng.standard_normal(4) + 1.5j * rng.standard_normal(4):
+            y = curve.lift(x).y
+            size = 4.0 * np.prod([abs(x) + abs(e) for e in curve.branch_points])
+            for r in np.linspace(0.98, 1.02, 9):
+                p = CurvePoint(complex(x), y * (1 + r * 1e-9 * size / (2 * abs(y) ** 2)))
+                refuse = abs(p.y ** 2 - curve.y_squared(p.x)) > 1e-9 * size
+                try:
+                    periods._check_point(curve, p)
+                except ValueError:
+                    decisions.append((refuse, True))
+                else:
+                    decisions.append((refuse, False))
+    assert all(want == got for want, got in decisions)
+    assert {want for want, _ in decisions} == {True, False}
