@@ -14,7 +14,10 @@ value.  It prints each run whose exit code or output bytes differ and, where
 both outputs parse as JSON, the largest move of their numbers, where it sits
 and the two values.  It marks a move beyond ROUNDOFF_MOVE, and outputs that
 cannot be compared number by number, so that a roundoff-level move can be
-told from a wrong number.  A number moves by |a - b| relative to itself,
+told from a wrong number.  A --format text output prints the numbers of its
+JSON twin, the same command and curve with no extra options, so it is judged
+by that twin: marked when the twin is marked, or when the twin's bytes are
+equal while the text differs.  A number moves by |a - b| relative to itself,
 except in the defect fields, and the sides they compare, which are judged
 against the scale of those sides as ``identities.relative_defect`` judges a
 defect (``field_scales``).  Exits 1 on any exit-code, status or sign change
@@ -193,16 +196,22 @@ def main(argv) -> int:
     sys.stdout.writelines(f"bytes differ, parsed value equal: {run}\n" for run in formatting)
     print(f"{len(changes)} exit-code or status changes and {len(flips)} sign changes over "
           f"{len(old)} runs, {differing} reports differ in value, {bytes_differ} in bytes")
-    named_diffs = [run for run, result in old_named.items() if new_named[run] != result]
-    beyond = 0
+    # a text variant after its JSON twin, which judges it
+    named_diffs = sorted((run for run, result in old_named.items() if new_named[run] != result),
+                         key=lambda run: run.endswith(" text"))
+    flagged = {}
     for run in named_diffs:
-        move, where = largest_move(old_named[run][1], new_named[run][1])
-        flagged = move is None or move > ROUNDOFF_MOVE
-        beyond += flagged
-        print(f"output differs: {run}; largest move "
-              f"{'-' if move is None else f'{move:.3e}'} {where}{' BEYOND ROUNDOFF' if flagged else ''}")
+        twin = run.removesuffix(" text")
+        if twin == run:
+            move, where = largest_move(old_named[run][1], new_named[run][1])
+            flagged[run] = move is None or move > ROUNDOFF_MOVE
+            note = f"largest move {'-' if move is None else f'{move:.3e}'} {where}"
+        else:
+            flagged[run] = flagged.get(twin, True)
+            note = f"judged by {twin}" if twin in flagged else f"{twin} has equal bytes"
+        print(f"output differs: {run}; {note}{' BEYOND ROUNDOFF' if flagged[run] else ''}")
     print(f"{len(named_diffs)} of {len(old_named)} (command, curve, variant) outputs differ, "
-          f"{beyond} of them beyond roundoff ({ROUNDOFF_MOVE:g})")
+          f"{sum(flagged.values())} of them beyond roundoff ({ROUNDOFF_MOVE:g})")
     return 1 if changes or flips or formatting or named_diffs else 0
 
 

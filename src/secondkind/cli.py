@@ -46,7 +46,7 @@ from .identities import (
     thomae_genus1_defect,
     weierstrass_eta,
 )
-from .periods import DEFAULT_QUAD_TOL, compute_periods, gate_tolerances
+from .periods import DEFAULT_QUAD_TOL, compute_periods
 from .theta import DEFAULT_THETA_TOL, half_period, theta_table
 
 STANDARD_BRANCH_POINTS = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -360,11 +360,10 @@ def _expand_report(curve, bundle, tt, m, order) -> dict:
 # -------------------------------------------------------------- verify suite
 
 def _gate_entries(bundle) -> list:
-    sym_tol, _ = gate_tolerances(bundle.quad_tol)
     eig = float(bundle.im_tau_min_eig)
     return [
         _scalar("gate_legendre", bundle.legendre_defect, bundle.legendre_gate),
-        _scalar("gate_tau_asymmetry", bundle.tau_asymmetry, sym_tol),
+        _scalar("gate_tau_asymmetry", bundle.tau_asymmetry, bundle.tau_gate),
         IdentityEntry("gate_im_tau_positive", complex(eig), 0j,
                       max(0.0, -eig), None, "pass" if eig > 0 else "fail"),
         _scalar("gate_eta_prime_consistency", bundle.eta_prime_consistency, bundle.eta_prime_gate),

@@ -7,9 +7,11 @@ is the k-th chain cycle.  The basis
     a_k = chain(2k-2),   b_k = chain(2k-1) + chain(2k+1) + ...
 
 is symplectic whenever the chain orientations are coherent.  Orientations
-are not assumed: every sign pattern is tried in a fixed order and the first
-one whose period matrices pass the Legendre relation, tau symmetry, and
-Im tau > 0 is accepted.  These certificates are exactly the properties every
+are not assumed: the sign patterns are tried in a fixed order, up to a global
+sign, and the first one whose period matrices pass the Legendre relation,
+tau symmetry, and Im tau > 0 is accepted.  Negating every chain negates all
+four period blocks exactly and leaves every gate's bits unchanged, so chain
+0 is kept at +1.  These certificates are exactly the properties every
 downstream formula relies on, so a certified bundle is correct by
 construction regardless of how the branch points sit in the plane.
 
@@ -64,19 +66,21 @@ _QUAD_TOL_RANGE = (1e-14, 1e-6)
 LEGENDRE_GATE_CAP = 1e-3
 
 
-def gate_tolerances(quad_tol: float) -> tuple:
-    """(tau symmetry gate, base Legendre gate) at a quadrature tolerance.
-
-    The tau symmetry gate is relative to max |tau|.  The base Legendre gate
-    is scaled by the magnitudes it checks (``_scaled_gate``) for the
-    Legendre relation and the eta' consistency.
-    """
-    return max(1e-10, 100.0 * quad_tol), max(1e-9, 1000.0 * quad_tol)
-
-
 def _scaled_gate(base: float, magnitude: float) -> float:
     """The base gate grown with the magnitude of what it checks, capped."""
     return min(base * max(1.0, magnitude), LEGENDRE_GATE_CAP)
+
+
+@functools.cache
+def _cycle_basis(g: int) -> np.ndarray:
+    """Rows a_1..a_g, b_1..b_g of the basis over the 2g chains (module
+    docstring), read-only."""
+    basis = np.zeros((2 * g, 2 * g))
+    for j in range(g):
+        basis[j, 2 * j] = 1.0
+        basis[g + j, 2 * j + 1 :: 2] = 1.0
+    basis.flags.writeable = False
+    return basis
 
 
 def chain_intersection_matrix(g: int) -> np.ndarray:
@@ -87,16 +91,8 @@ def chain_intersection_matrix(g: int) -> np.ndarray:
     [[0, I], [-I, 0]].
     """
     n = 2 * g
-    c = np.zeros((n, n))
-    for k in range(n - 1):
-        c[k, k + 1] = 1.0
-        c[k + 1, k] = -1.0
-    basis = np.zeros((n, n))
-    for j in range(g):
-        basis[j, 2 * j] = 1.0  # a_j = chain 2j
-        for k in range(2 * j + 1, n, 2):
-            basis[g + j, k] = 1.0  # b_j = chain (2j+1) + chain (2j+3) + ...
-    return basis @ c @ basis.T
+    basis = _cycle_basis(g)
+    return basis @ (np.eye(n, k=1) - np.eye(n, k=-1)) @ basis.T
 
 
 @dataclass
@@ -109,7 +105,8 @@ class PeriodBundle:
     for genus 2.  ``chain_signs`` are the certified orientations of the
     chains of the homology basis: chain k joins canonical branch points k
     and k+1, a_j is chain 2j and b_j is chains 2j+1, 2j+3, ... (module
-    docstring).
+    docstring).  ``tau_gate``, ``legendre_gate`` and ``eta_prime_gate`` are
+    the thresholds the certification applied.
     """
 
     omega: np.ndarray
@@ -123,6 +120,7 @@ class PeriodBundle:
     legendre_gate: float
     eta_prime_gate: float
     tau_asymmetry: float
+    tau_gate: float
     kappa_asymmetry: float
     im_tau_min_eig: float
     eta_prime_consistency: float
@@ -245,21 +243,21 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
     rows = _period_numerators(curve)
     chains = 2.0 * chain_integrals(pts, [(k, k + 1) for k in range(n_chains)], rows, quad_tol)
 
-    sym_gate, leg_base = gate_tolerances(quad_tol)
+    # the tau symmetry gate grows with max |tau|, the base Legendre gate with
+    # the magnitudes it checks (``_scaled_gate``); the bundle records each gate
+    sym_gate, leg_base = max(1e-10, 100.0 * quad_tol), max(1e-9, 1000.0 * quad_tol)
 
-    for signs in itertools.product((1, -1), repeat=n_chains):
-        cyc = chains * np.asarray(signs, dtype=float)[None, :]
-        a_cols = np.column_stack([cyc[:, 2 * j] for j in range(g)])
-        b_cols = np.column_stack(
-            [cyc[:, 2 * j + 1 :: 2].sum(axis=1) for j in range(g)]
-        )
-        two_w, two_e = a_cols[:g, :], -a_cols[g:, :]
-        two_wp, two_ep = b_cols[:g, :], -b_cols[g:, :]
+    for signs in itertools.product((1, -1), repeat=n_chains - 1):
+        signs = (1, *signs)
+        # columns a_1..a_g, b_1..b_g; rows (2 omega, -2 eta) over them
+        cyc = (chains * np.asarray(signs, dtype=float)) @ _cycle_basis(g).T
+        two_w, two_wp, two_e, two_ep = cyc[:g, :g], cyc[:g, g:], -cyc[g:, :g], -cyc[g:, g:]
         if abs(np.linalg.det(two_w)) < 1e-12:
             continue
         tau = np.linalg.solve(two_w, two_wp)
         tau_asym = float(np.max(np.abs(tau - tau.T)))
-        if tau_asym > sym_gate * max(1.0, float(np.max(np.abs(tau)))):
+        tau_gate = sym_gate * max(1.0, float(np.max(np.abs(tau))))
+        if tau_asym > tau_gate:
             continue
         tau_sym = 0.5 * (tau + tau.T)
         eig_min = float(np.linalg.eigvalsh(tau_sym.imag)[0])
@@ -295,6 +293,7 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
             legendre_gate=leg_gate,
             eta_prime_gate=eta_p_gate,
             tau_asymmetry=tau_asym,
+            tau_gate=tau_gate,
             kappa_asymmetry=kappa_asym,
             im_tau_min_eig=eig_min,
             eta_prime_consistency=eta_p_cons,
@@ -340,9 +339,9 @@ def _check_point(curve: HyperellipticCurve, p: CurvePoint) -> None:
         raise ValueError(f"point ({p.x:.6g}, {p.y:.6g}) is not on the curve")
 
 
-def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint,
-             to: CurvePoint, quad_tol: float | None = None):
-    """(2 omega)^{-1} integral of the u-basis from ``frm`` to ``to``.
+def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint, to: CurvePoint):
+    """(2 omega)^{-1} integral of the u-basis from ``frm`` to ``to``, at the
+    bundle's quadrature tolerance.
 
     The path is the first of ``_candidate_routes`` along which y, continued
     analytically from ``frm``, ends on the sheet of ``to``; the choice needs
@@ -351,7 +350,6 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint,
     An endpoint lying on a branch point (y = 0) is integrated with the
     regularized s^2 substitution.
     """
-    tol = bundle.quad_tol if quad_tol is None else quad_tol
     _check_point(curve, frm)
     _check_point(curve, to)
     rows = _u_rows(curve)
@@ -369,14 +367,14 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint,
     if frm_idx is not None:
         # reverse the regularized direction: integral from e to x equals
         # minus the integral from x into e on the same sheet
-        total = -_integral_into_branch(curve, to, frm_idx, rows, tol)
+        total = -_integral_into_branch(curve, to, frm_idx, rows, bundle.quad_tol)
     elif to_idx is not None:
-        total = _integral_into_branch(curve, frm, to_idx, rows, tol)
+        total = _integral_into_branch(curve, frm, to_idx, rows, bundle.quad_tol)
     else:
-        for pts in _candidate_routes(frm.x, to.x, curve.branch_points, PATH_CLEARANCE):
+        for pts in _candidate_routes(frm.x, to.x, curve.branch_points):
             route = Route(curve, pts, frm.y)
             if abs(route.y_end - to.y) <= abs(route.y_end + to.y):
-                total = integrate_rows_along(route, rows, tol)
+                total = integrate_rows_along(route, rows, bundle.quad_tol)
                 break
         else:
             raise PathThroughBranchPoint("endpoint sheet does not match continuation "
@@ -384,7 +382,7 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint,
     return bundle.inv_two_omega @ total
 
 
-def _candidate_routes(z0: complex, z1: complex, branch, clearance: float):
+def _candidate_routes(z0: complex, z1: complex, branch):
     """Routes from z0 to z1 in successively adjusted homotopy classes.
 
     First the direct polyline; then a route via a point far outside the
@@ -393,12 +391,12 @@ def _candidate_routes(z0: complex, z1: complex, branch, clearance: float):
     so it is guaranteed to swap sheets relative to the second route, and it
     runs far from every obstacle.
     """
-    yield polyline_with_clearance(z0, z1, branch, clearance)
+    yield polyline_with_clearance(z0, z1, branch, PATH_CLEARANCE)
     center = sum(branch) / len(branch)
     rad = 1.6 * max(abs(e - center) for e in branch) + 1.0
     zfar = center + rad * np.exp(1j * np.pi / 7)
-    head = polyline_with_clearance(z0, zfar, branch, clearance)
-    tail = polyline_with_clearance(zfar, z1, branch, clearance)
+    head = polyline_with_clearance(z0, zfar, branch, PATH_CLEARANCE)
+    tail = polyline_with_clearance(zfar, z1, branch, PATH_CLEARANCE)
     yield head + tail[1:]
     loop = tuple(
         center + rad * np.exp(1j * (np.pi / 7 + 2.0 * np.pi * k / 8.0)) for k in range(1, 8)
@@ -420,9 +418,9 @@ def _integral_into_branch(curve, start: CurvePoint, e_index: int, rows, tol):
             + integrate_rows_to_branch_point(curve, e_index, x_stage, route.y_end, rows, tol))
 
 
-def abel_from_infinity(curve: HyperellipticCurve, bundle: PeriodBundle,
-                       to: CurvePoint, quad_tol: float | None = None) -> np.ndarray:
-    """(2 omega)^{-1} integral of u from the point at infinity to ``to``.
+def abel_from_infinity(curve: HyperellipticCurve, bundle: PeriodBundle, to: CurvePoint) -> np.ndarray:
+    """(2 omega)^{-1} integral of u from the point at infinity to ``to``, at
+    the bundle's quadrature tolerance.
 
     Regularized near infinity by x = 1/xi^2: along the real xi segment
     [0, xi_far] the integrand of u_i is -xi^(2g-2i) / sqrt(T(xi)) with T the
@@ -430,7 +428,6 @@ def abel_from_infinity(curve: HyperellipticCurve, bundle: PeriodBundle,
     for x_far well outside the branch points.  The remaining finite path is
     handled by abel_map.
     """
-    tol = bundle.quad_tol if quad_tol is None else quad_tol
     g = curve.genus
     x_far = 40.0 * branch_scale(curve.branch_points) ** 2 * np.exp(1j * np.pi / 7)
     xi_far = 1.0 / np.sqrt(x_far)  # principal; fixes the sheet at infinity
@@ -441,10 +438,10 @@ def abel_from_infinity(curve: HyperellipticCurve, bundle: PeriodBundle,
         tv = npoly.polyval(xi, tpoly)
         return np.vstack([-(xi ** (2 * g - 2 * i)) / np.sqrt(tv) for i in range(1, g + 1)]) * xi_far
 
-    tail = adaptive_gl(rows_xi, 0.0, 1.0, tol)
+    tail = adaptive_gl(rows_xi, 0.0, 1.0, bundle.quad_tol)
     y_far = 2.0 * xi_far ** (-(2 * g + 1)) * np.sqrt(complex(npoly.polyval(complex(xi_far), tpoly)))
     far_point = CurvePoint(complex(x_far), complex(y_far), 1)
-    finite = abel_map(curve, bundle, far_point, to, quad_tol=tol)
+    finite = abel_map(curve, bundle, far_point, to)
     return bundle.inv_two_omega @ tail + finite
 
 

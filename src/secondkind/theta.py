@@ -270,7 +270,6 @@ class ThetaTable:
         self.radius = radius
         self.tol = tol
         self.lam_min = lam_min
-        self.winding = tuple(inv_two_omega.T)
         self.characteristics = all_characteristics(self.genus)
         self.odd, self.even = classify_characteristics(self.genus)
         self.odd_codes, self.even_codes = (np.array([ch.code for ch in chars])

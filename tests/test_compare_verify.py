@@ -87,3 +87,25 @@ def test_kappa_route_defects_are_judged_against_kappa(cv, new, flagged):
     moved["defects"]["odd_3"] = new
     move, where = cv.largest_move(json.dumps(old), json.dumps(moved))
     assert (move > cv.ROUNDOFF_MOVE) == flagged and "defects.odd_3" in where, (move, where)
+
+
+@pytest.mark.parametrize("twin, flagged", [
+    ("roundoff", False),  # the twin moved by an ulp of its sides
+    ("real", True),       # the twin moved for real
+    ("equal", True),      # the twin's bytes are equal: the text changed alone
+])
+def test_text_outputs_are_judged_by_their_json_twin(cv, monkeypatch, capsys, twin, flagged):
+    old = json.dumps(_report())
+    twins = {"roundoff": _moved(defect=1.26616439638219e-16, rhs_im=-4.865000748204892)[1],
+             "real": json.dumps(_report(defect=3e-9, rhs_im=-4.865000748204891 + 1.5e-8)),
+             "equal": old}
+    # text first: the twin must be judged before its text variant
+    runs = {"verify unit_square text": [0, "rosenhain_classical_24 pass 0\n"],
+            "verify unit_square": [0, old]}
+    moved = {"verify unit_square text": [0, "rosenhain_classical_24 pass 1.266e-16\n"],
+             "verify unit_square": [0, twins[twin]]}
+    monkeypatch.setattr(cv, "reports", {"old": ({}, runs), "new": ({}, moved)}.__getitem__)
+    assert cv.main(["old", "new"]) == 1
+    text = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("output differs: verify unit_square text")]
+    assert len(text) == 1 and text[0].endswith("BEYOND ROUNDOFF") == flagged, text

@@ -38,7 +38,6 @@ from secondkind.errors import QuadratureNonConvergence
 from secondkind.paths import (
     _MAX_DEPTH,
     _MAX_PANELS,
-    PATH_CLEARANCE,
     BranchLegPath,
     CutCrossings,
     Route,
@@ -173,7 +172,7 @@ def _reference_along(curve, points, y0, rows_fn, tol, path=_ReferenceSheetPath):
 
 
 def _routes(curve, frm, to):
-    return list(periods._candidate_routes(frm.x, to.x, curve.branch_points, PATH_CLEARANCE))
+    return list(periods._candidate_routes(frm.x, to.x, curve.branch_points))
 
 
 def _reference_abel_map(curve, bundle, frm, to):

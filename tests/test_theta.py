@@ -192,8 +192,8 @@ def test_third_tensor_against_directional_values(standard_table):
             assert abs(got - want) < 1e-8 * scale
 
 
-def test_directional_table_is_winding_contraction(standard_table):
-    u, v = (np.asarray(w, dtype=complex) for w in standard_table.winding)
+def test_directional_table_is_winding_contraction(standard_bundle, standard_table):
+    u, v = standard_bundle.winding
     dgrad, dhess, dthird = standard_table.directional
     for ch in all_characteristics(2):
         ent = standard_table.entry(ch)
