@@ -17,13 +17,18 @@ cannot be compared number by number, so that a roundoff-level move can be
 told from a wrong number.  A --format text output prints the numbers of its
 JSON twin, the same command and curve with no extra options, so it is judged
 by that twin: marked when the twin is marked, or when the twin's bytes are
-equal while the text differs.  A number moves by |a - b| relative to itself,
-except in the defect fields, and the sides they compare, which are judged
-against the scale of those sides as ``identities.relative_defect`` judges a
-defect (``field_scales``).  Exits 1 on any exit-code, status or sign change
-of the first pass, on any report of the first pass whose bytes differ while
-its parsed value is equal (a change of number formatting), and on any
-difference of the second.
+equal while the text differs.  A library pass computes, on the same six
+curves, outputs that no command prints: ``abel_map`` between two lifted
+points, into and out of every branch point, and ``abel_from_infinity`` to
+every branch point, each written as JSON [re, im] pairs (or as the refusal
+it raised) and judged like a named output.  A number moves by |a - b|
+relative to itself, except in the defect fields, and the sides they
+compare, which are judged against the scale of those sides as
+``identities.relative_defect`` judges a defect (``field_scales``).  Exits
+1 on any exit-code, status or sign change of the first pass, on any report
+of the first pass whose bytes differ while its parsed value is equal (a
+change of number formatting), and on any difference of the second pass or
+of the library pass.
 """
 
 import json
@@ -61,6 +66,39 @@ CURVES = {
     "unit_square": {"branch_points": [0, 1, [0, 1], [1, 1], [2, 1]]},
 }
 
+#: Defines library_outputs(curves): {"curve map": [0, JSON] or [2, error]}.
+LIBRARY = """
+import json
+from secondkind import abel_from_infinity, abel_map, compute_periods
+from secondkind.cli import parse_curve
+from secondkind.curves import CurvePoint
+from secondkind.errors import SecondKindError
+
+
+def library_outputs(curves):
+    out = {}
+    for name, spec in curves.items():
+        curve = parse_curve(json.dumps(spec))
+        bundle = compute_periods(curve)
+        e = curve.branch_points
+        center = sum(e) / len(e)
+        r = max(abs(z - center) for z in e)
+        p = curve.lift(center + r * (0.31 + 0.52j))
+        maps = [("P -> Q", p, curve.lift(center - r * (0.63 + 0.27j), -1))]
+        for k, z in enumerate(e):
+            branch = CurvePoint(z, 0j)
+            maps += [(f"P -> e{k}", p, branch), (f"e{k} -> P", branch, p),
+                     (f"oo -> e{k}", None, branch)]
+        for label, frm, to in maps:
+            try:
+                v = (abel_from_infinity(curve, bundle, to) if frm is None
+                     else abel_map(curve, bundle, frm, to))
+                out[f"{name} {label}"] = [0, json.dumps([[z.real, z.imag] for z in v.tolist()])]
+            except SecondKindError as ex:
+                out[f"{name} {label}"] = [2, f"{type(ex).__name__}: {ex}"]
+    return out
+"""
+
 RUNNER = """
 import contextlib, io, json, sys, warnings
 from secondkind.cli import main
@@ -80,13 +118,13 @@ for command, options in commands.items():
             with contextlib.redirect_stdout(io.StringIO()) as buf:
                 code = main([command, "--curve", json.dumps(curve), *extra])
             named[f"{command} {name}{variant}"] = [code, buf.getvalue()]
-json.dump([out, named], sys.stdout)
+json.dump([out, named, library_outputs(curves)], sys.stdout)
 """
 
 
 def reports(src: str) -> list:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    run = subprocess.run([sys.executable, "-c", RUNNER, json.dumps([COMMANDS, CURVES])],
+    run = subprocess.run([sys.executable, "-c", LIBRARY + RUNNER, json.dumps([COMMANDS, CURVES])],
                          env=env, check=True, stdout=subprocess.PIPE, text=True)
     return json.loads(run.stdout)
 
@@ -162,10 +200,33 @@ def largest_move(text0: str, text1: str) -> tuple:
     return move, f"at {path or '.'} ({a!r} vs {b!r})"
 
 
+def judge(old: dict, new: dict, what: str) -> int:
+    """Print each output whose exit code or bytes differ between two runs,
+    with its largest move, marked when beyond roundoff; a text variant is
+    judged by its JSON twin.  Returns the number that differ."""
+    # a text variant after its JSON twin, which judges it
+    diffs = sorted((run for run, result in old.items() if new[run] != result),
+                   key=lambda run: run.endswith(" text"))
+    flagged = {}
+    for run in diffs:
+        twin = run.removesuffix(" text")
+        if twin == run:
+            move, where = largest_move(old[run][1], new[run][1])
+            flagged[run] = move is None or move > ROUNDOFF_MOVE
+            note = f"largest move {'-' if move is None else f'{move:.3e}'} {where}"
+        else:
+            flagged[run] = flagged.get(twin, True)
+            note = f"judged by {twin}" if twin in flagged else f"{twin} has equal bytes"
+        print(f"output differs: {run}; {note}{' BEYOND ROUNDOFF' if flagged[run] else ''}")
+    print(f"{len(diffs)} of {len(old)} {what} outputs differ, "
+          f"{sum(flagged.values())} of them beyond roundoff ({ROUNDOFF_MOVE:g})")
+    return len(diffs)
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         sys.exit(__doc__)
-    (old, old_named), (new, new_named) = (reports(src) for src in argv)
+    (old, old_named, old_library), (new, new_named, new_library) = (reports(src) for src in argv)
     changes, flips, moved, unequal, differing, bytes_differ, formatting = [], [], {}, set(), 0, 0, []
     for run, (code0, text0) in old.items():
         code1, text1 = new[run]
@@ -196,23 +257,9 @@ def main(argv) -> int:
     sys.stdout.writelines(f"bytes differ, parsed value equal: {run}\n" for run in formatting)
     print(f"{len(changes)} exit-code or status changes and {len(flips)} sign changes over "
           f"{len(old)} runs, {differing} reports differ in value, {bytes_differ} in bytes")
-    # a text variant after its JSON twin, which judges it
-    named_diffs = sorted((run for run, result in old_named.items() if new_named[run] != result),
-                         key=lambda run: run.endswith(" text"))
-    flagged = {}
-    for run in named_diffs:
-        twin = run.removesuffix(" text")
-        if twin == run:
-            move, where = largest_move(old_named[run][1], new_named[run][1])
-            flagged[run] = move is None or move > ROUNDOFF_MOVE
-            note = f"largest move {'-' if move is None else f'{move:.3e}'} {where}"
-        else:
-            flagged[run] = flagged.get(twin, True)
-            note = f"judged by {twin}" if twin in flagged else f"{twin} has equal bytes"
-        print(f"output differs: {run}; {note}{' BEYOND ROUNDOFF' if flagged[run] else ''}")
-    print(f"{len(named_diffs)} of {len(old_named)} (command, curve, variant) outputs differ, "
-          f"{sum(flagged.values())} of them beyond roundoff ({ROUNDOFF_MOVE:g})")
-    return 1 if changes or flips or formatting or named_diffs else 0
+    named_diffs = judge(old_named, new_named, "(command, curve, variant)")
+    library_diffs = judge(old_library, new_library, "library (curve, map)")
+    return 1 if changes or flips or formatting or named_diffs or library_diffs else 0
 
 
 if __name__ == "__main__":

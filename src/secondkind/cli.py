@@ -273,7 +273,7 @@ def _periods_report(curve: HyperellipticCurve, bundle) -> dict:
     }
 
 
-def _theta_report(bundle, tt) -> dict:
+def _theta_report(tt) -> dict:
     chars = []
     for ch in tt.characteristics:
         ent = tt.entry(ch)
@@ -607,7 +607,7 @@ def run(args) -> int:
         return 0
     tt = theta_table(bundle, tol=args.theta_tol)
     if args.command == "theta":
-        _emit(_theta_report(bundle, tt), args.format)
+        _emit(_theta_report(tt), args.format)
         return 0
     if args.command == "match":
         if curve.genus != 2:

@@ -57,19 +57,19 @@ class HyperellipticCurve:
             return 0.0 + 0.0j
         return self.lam[k]
 
-    def y_squared(self, x):
-        """Evaluate y^2 = 4 prod (x - e_k) in product form (stable near roots)."""
-        x = np.asarray(x, dtype=complex)
-        out = np.full(x.shape, 4.0, dtype=complex)
+    def y_squared(self, x) -> complex:
+        """y^2 = 4 prod (x - e_k) at one point x, in product form (stable
+        near roots), in Python complex arithmetic."""
+        x, out = complex(x), 4.0 + 0j
         for e in self.branch_points:
             out = out * (x - e)
-        return out if out.shape else complex(out)
+        return out
 
     def lift(self, x, sheet: int = 1) -> "CurvePoint":
         """Point above x on the sheet marked by the sign of the principal root."""
         if sheet not in (1, -1):
             raise ValueError("sheet must be +1 or -1")
-        y = sheet * np.sqrt(complex(self.y_squared(x)))
+        y = sheet * np.sqrt(self.y_squared(x))
         return CurvePoint(complex(x), complex(y), sheet)
 
 

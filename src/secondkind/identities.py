@@ -469,4 +469,4 @@ def omega_a_period(curve: HyperellipticCurve, bundle: PeriodBundle, j: int,
         val = (f / (4.0 * (x - r.x) ** 2) + 2.0 * np.einsum("i,in->n", kz, xs)) / r.y
         return val[None, :]
 
-    return complex(a_cycle_integral(curve, bundle, j - 1, rows)[0])
+    return complex(a_cycle_integral(bundle, j - 1, rows)[0])

@@ -48,7 +48,7 @@ _MAX_PANELS = 2048
 
 
 def adaptive_gl(f, a, b, tol: float):
-    """Integrate the row-vector function f over [a, b] adaptively.
+    """Integrate the row-vector function f over each interval [a_k, b_k] adaptively.
 
     f maps a 1-D array of nodes to an array (rows, nodes).  Panels are
     bisected until two refinement levels agree within the locally allocated
@@ -62,19 +62,18 @@ def adaptive_gl(f, a, b, tol: float):
     panel still moves at depth ``_MAX_DEPTH`` or the next level would take
     its tree past ``_MAX_PANELS`` panels.
 
-    With 1-D arrays a and b of n intervals the n trees are walked as one
-    forest, one call of f per level for all of them, and the result is
+    a and b are 1-D arrays of n interval bounds: the n trees are walked as
+    one forest, one call of f per level for all of them, and the result is
     (rows, n).  Each tree keeps its own scale, accept test and budget, so
-    each column has the bits of a call on its interval alone.  f then
+    each column has the bits of a one-interval call on its interval.  f
     receives complex nodes t + 1j k, the parameter t and the index k of its
-    interval, both exact; with scalar a and b it receives real t.
+    interval, both exact.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a, b = np.atleast_1d(a).astype(float), np.atleast_1d(b).astype(float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     n = len(a)
     m = 0.5 * (a + b)
     tree = np.arange(n)
-    est = _panels(f, _interleave(a, a, m), _interleave(b, m, b), None if scalar else np.repeat(tree, 3))
+    est = _panels(f, _interleave(a, a, m), _interleave(b, m, b), np.repeat(tree, 3))
     whole, left, right = est[:, 0::3], est[:, 1::3], est[:, 2::3]
     scale = np.fmax(1.0, np.max(np.abs(whole), axis=0))
     tol_density = tol * scale / (b - a)
@@ -82,9 +81,8 @@ def adaptive_gl(f, a, b, tol: float):
     levels, spent = [], np.full(n, 3)
 
     def where(k):
-        panel = f"panel [{lo[k]:.6g}, {hi[k]:.6g}]"
         i = tree[k]
-        return panel if scalar else f"{panel} of interval {i} [{a[i]:.6g}, {b[i]:.6g}]"
+        return f"panel [{lo[k]:.6g}, {hi[k]:.6g}] of interval {i} [{a[i]:.6g}, {b[i]:.6g}]"
 
     for depth in range(_MAX_DEPTH + 1):
         better = left + right
@@ -108,13 +106,13 @@ def adaptive_gl(f, a, b, tol: float):
         tree = np.repeat(tree[moving], 2)
         whole = _interleave(left[:, moving], right[:, moving])
         m = 0.5 * (lo + hi)
-        est = _panels(f, _interleave(lo, m), _interleave(m, hi), None if scalar else np.repeat(tree, 2))
+        est = _panels(f, _interleave(lo, m), _interleave(m, hi), np.repeat(tree, 2))
         left, right = est[:, 0::2], est[:, 1::2]
     total = levels[-1][0]
     for better, moving in reversed(levels[:-1]):
         better[:, moving] = total[:, 0::2] + total[:, 1::2]
         total = better
-    return total[:, 0] if scalar else total
+    return total
 
 
 def _interleave(*cols):
@@ -127,13 +125,11 @@ def _interleave(*cols):
 
 def _panels(f, lo, hi, tree):
     """Gauss-Legendre estimates of f over the panels [lo, hi], (rows, panels),
-    from one call of f on all their nodes; with the tree index of each
-    panel the nodes carry it as their imaginary part."""
+    from one call of f on all their nodes, which carry the tree index of
+    their panel as their imaginary part."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    if tree is not None:
-        t = t.astype(complex)
-        t.imag = np.repeat(tree, len(_GL_NODES))
+    t = (mid[:, None] + half[:, None] * _GL_NODES).ravel().astype(complex)
+    t.imag = np.repeat(tree, len(_GL_NODES))
     vals = np.asarray(f(t))
     # panel by panel, each a (rows, 32) product with the weights as one panel was
     per_panel = vals.reshape(len(vals), len(lo), len(_GL_NODES)).transpose(1, 0, 2)
@@ -156,18 +152,21 @@ def segment_distance(z0: complex, z1: complex, p: complex) -> float:
     return abs(p - _segment_foot(z0, z1, p))
 
 
-def polyline_with_clearance(z0, z1, obstacles, clearance: float, _depth: int = 0):
+def polyline_with_clearance(z0, z1, obstacles):
     """Waypoints from z0 to z1 keeping interior clearance from obstacles.
 
-    The clearance is at least 1e-4 of the distance from z0 to z1, so a long
-    route keeps a margin relative to its own length.  Obstacles closer than
-    the clearance to either endpoint do not trigger detours (the endpoints
-    themselves are the caller's responsibility).
+    The clearance is ``PATH_CLEARANCE``, raised to 1e-4 of the distance from
+    z0 to z1 so that a long route keeps a margin relative to its own length.
+    Obstacles closer than the clearance to either endpoint do not trigger
+    detours (the endpoints themselves are the caller's responsibility).
     """
     z0, z1 = complex(z0), complex(z1)
-    if _depth == 0:
-        clearance = max(clearance, 1e-4 * abs(z1 - z0))
-    if _depth > 12:
+    return _detour(z0, z1, obstacles, max(PATH_CLEARANCE, 1e-4 * abs(z1 - z0)), 0)
+
+
+def _detour(z0: complex, z1: complex, obstacles, clearance: float, depth: int):
+    """The waypoints of ``polyline_with_clearance`` at a fixed clearance."""
+    if depth > 12:
         raise PathThroughBranchPoint("detour recursion exceeded depth 12")
     worst, wdist = None, np.inf
     for e in obstacles:
@@ -184,8 +183,8 @@ def polyline_with_clearance(z0, z1, obstacles, clearance: float, _depth: int = 0
     if abs(away) < 1e-14 * max(1.0, abs(worst)):
         away = 1j * d / abs(d)  # path runs through the point: detour left
     waypoint = worst + away / abs(away) * 2 * clearance
-    left = polyline_with_clearance(z0, waypoint, obstacles, clearance, _depth + 1)
-    right = polyline_with_clearance(waypoint, z1, obstacles, clearance, _depth + 1)
+    left = _detour(z0, waypoint, obstacles, clearance, depth + 1)
+    right = _detour(waypoint, z1, obstacles, clearance, depth + 1)
     return left + right[1:]
 
 
@@ -341,9 +340,9 @@ def integrate_rows_to_branch_point(curve, e_index, x0, y0, rows_fn, tol):
     bp = BranchLegPath(curve, e_index, x0, y0)
     jac = 2 * (complex(x0) - bp.e)
 
-    def f(snodes):
-        return np.asarray(rows_fn(*bp.xy_at(snodes))) * (jac * snodes)
+    def f(nodes):
+        s = nodes.real
+        return np.asarray(rows_fn(*bp.xy_at(s))) * (jac * s)
 
     # orientation: s runs 1 -> 0 going into the branch point
-    val = adaptive_gl(f, 0.0, 1.0, tol)
-    return -val
+    return -adaptive_gl(f, np.zeros(1), np.ones(1), tol)[:, 0]

@@ -45,7 +45,6 @@ from .curves import (
 )
 from .errors import HomologyConstructionFailure, PathThroughBranchPoint
 from .paths import (
-    PATH_CLEARANCE,
     CutCrossings,
     Route,
     adaptive_gl,
@@ -330,12 +329,11 @@ def _u_rows(curve: HyperellipticCurve):
 
 def _check_point(curve: HyperellipticCurve, p: CurvePoint) -> None:
     # relative to the size of the terms of y^2 = 4 prod (x - e_k) at x, so
-    # the check is covariant under scaling and translating the branch points;
-    # scalar arithmetic gives the bits of curve.y_squared at one point
-    size, y2 = 4.0, 4.0 + 0j
+    # the check is covariant under scaling and translating the branch points
+    size = 4.0
     for e in curve.branch_points:
-        size, y2 = size * (abs(p.x) + abs(e)), y2 * (p.x - e)
-    if abs(p.y ** 2 - y2) > 1e-9 * size:
+        size *= abs(p.x) + abs(e)
+    if abs(p.y ** 2 - curve.y_squared(p.x)) > 1e-9 * size:
         raise ValueError(f"point ({p.x:.6g}, {p.y:.6g}) is not on the curve")
 
 
@@ -391,12 +389,12 @@ def _candidate_routes(z0: complex, z1: complex, branch):
     so it is guaranteed to swap sheets relative to the second route, and it
     runs far from every obstacle.
     """
-    yield polyline_with_clearance(z0, z1, branch, PATH_CLEARANCE)
+    yield polyline_with_clearance(z0, z1, branch)
     center = sum(branch) / len(branch)
     rad = 1.6 * max(abs(e - center) for e in branch) + 1.0
     zfar = center + rad * np.exp(1j * np.pi / 7)
-    head = polyline_with_clearance(z0, zfar, branch, PATH_CLEARANCE)
-    tail = polyline_with_clearance(zfar, z1, branch, PATH_CLEARANCE)
+    head = polyline_with_clearance(z0, zfar, branch)
+    tail = polyline_with_clearance(zfar, z1, branch)
     yield head + tail[1:]
     loop = tuple(
         center + rad * np.exp(1j * (np.pi / 7 + 2.0 * np.pi * k / 8.0)) for k in range(1, 8)
@@ -413,7 +411,7 @@ def _integral_into_branch(curve, start: CurvePoint, e_index: int, rows, tol):
     direction = (start.x - e) / abs(start.x - e)
     stage_dist = min(0.35 * gap, abs(start.x - e))
     x_stage = e + direction * stage_dist
-    route = Route(curve, polyline_with_clearance(start.x, x_stage, others, PATH_CLEARANCE), start.y)
+    route = Route(curve, polyline_with_clearance(start.x, x_stage, others), start.y)
     return (integrate_rows_along(route, rows, tol)
             + integrate_rows_to_branch_point(curve, e_index, x_stage, route.y_end, rows, tol))
 
@@ -433,20 +431,19 @@ def abel_from_infinity(curve: HyperellipticCurve, bundle: PeriodBundle, to: Curv
     xi_far = 1.0 / np.sqrt(x_far)  # principal; fixes the sheet at infinity
     tpoly = t_coefficients(curve)
 
-    def rows_xi(t):
-        xi = xi_far * t
+    def rows_xi(nodes):
+        xi = xi_far * nodes.real
         tv = npoly.polyval(xi, tpoly)
         return np.vstack([-(xi ** (2 * g - 2 * i)) / np.sqrt(tv) for i in range(1, g + 1)]) * xi_far
 
-    tail = adaptive_gl(rows_xi, 0.0, 1.0, bundle.quad_tol)
+    tail = adaptive_gl(rows_xi, np.zeros(1), np.ones(1), bundle.quad_tol)[:, 0]
     y_far = 2.0 * xi_far ** (-(2 * g + 1)) * np.sqrt(complex(npoly.polyval(complex(xi_far), tpoly)))
     far_point = CurvePoint(complex(x_far), complex(y_far), 1)
     finite = abel_map(curve, bundle, far_point, to)
     return bundle.inv_two_omega @ tail + finite
 
 
-def a_cycle_integral(curve: HyperellipticCurve, bundle: PeriodBundle, j: int,
-                     numerators_fn) -> np.ndarray:
+def a_cycle_integral(bundle: PeriodBundle, j: int, numerators_fn) -> np.ndarray:
     """Loop integral over the cycle a_j of numerators(x)/y dx.
 
     Only the part of the integrand odd in y contributes to a loop integral

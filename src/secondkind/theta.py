@@ -178,8 +178,8 @@ def _orders(table: np.ndarray, g: int) -> tuple:
             table[..., 1 + g + g * g :].reshape(*lead, g, g, g))
 
 
-def _jet(z, checked, eps, eps_prime, tol):
-    """theta[eps; eps'] and its z-derivatives of order 1..3 at z, and the radius.
+def _jet(z, checked, ch: Characteristic, tol):
+    """theta[ch] and its z-derivatives of order 1..3 at z.
 
     Each public entry point calls _check_tau itself, so that its conditioning
     warning names their caller, and passes its result as checked.  The terms
@@ -190,51 +190,28 @@ def _jet(z, checked, eps, eps_prime, tol):
     tau, y, lam_min = checked
     g = tau.shape[0]
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    eps_prime = np.atleast_1d(np.asarray(eps_prime, dtype=float))
-    radius = _pick_radius(lam_min, tol)
-    center = np.rint(-eps - np.linalg.solve(y, z.imag)).astype(int)
-    q = _box(center, radius) + eps
+    center = np.rint(-ch.eps - np.linalg.solve(y, z.imag)).astype(int)
+    q = _box(center, _pick_radius(lam_min, tol)) + ch.eps
     mono, scale = _monomials(q)
     quad = mono[:, 1 + g : 1 + g + g * g] @ tau.reshape(-1)
-    terms = np.exp(1j * np.pi * quad + 2j * np.pi * (q @ (z + eps_prime)))
-    return _orders((terms.real @ mono + 1j * (terms.imag @ mono)) * scale, g), radius
+    terms = np.exp(1j * np.pi * quad + 2j * np.pi * (q @ (z + ch.eps_prime)))
+    return _orders((terms.real @ mono + 1j * (terms.imag @ mono)) * scale, g)
 
 
-def _read(jet: tuple, deriv) -> complex:
-    """The partial derivative of multi-index deriv (total order <= 3) from a jet."""
-    g = jet[1].shape[0]
-    deriv = tuple(int(d) for d in deriv) if deriv else (0,) * g
-    if len(deriv) != g or min(deriv) < 0 or sum(deriv) > 3:
-        raise ValueError(f"deriv must be {g} nonnegative orders of total at most 3, got {deriv}")
-    axes = tuple(axis for axis, power in enumerate(deriv) for _ in range(power))
-    return complex(jet[len(axes)][axes])
-
-
-def theta_raw(z, tau, eps, eps_prime, deriv=(), tol: float = DEFAULT_THETA_TOL):
-    """Lattice sum for arbitrary real characteristic vectors.
-
-    deriv is a multi-index (per-coordinate derivative orders, total <= 3).
-    Returns (value, radius used).  Accuracy is absolute at the natural scale
-    exp(pi Im(z)^T (Im tau)^{-1} Im(z)) of the function.
-    """
+def theta_eval(z, tau, ch: Characteristic, tol: float = DEFAULT_THETA_TOL) -> complex:
+    """theta[ch](z; tau): the value of ``theta_jet``."""
     _check_tol(tol)
-    jet, radius = _jet(z, _check_tau(tau), eps, eps_prime, tol)
-    return _read(jet, deriv), radius
-
-
-def theta_eval(z, tau, ch: Characteristic, deriv=(), tol: float = DEFAULT_THETA_TOL) -> complex:
-    """theta[ch](z; tau), or a termwise partial derivative of it."""
-    _check_tol(tol)
-    jet, _ = _jet(z, _check_tau(tau), ch.eps, ch.eps_prime, tol)
-    return _read(jet, deriv)
+    return complex(_jet(z, _check_tau(tau), ch, tol)[0])
 
 
 def theta_jet(z, tau, ch: Characteristic, tol: float = DEFAULT_THETA_TOL) -> tuple:
-    """theta[ch] at z with its gradient, Hessian and third z-derivative, all termwise."""
+    """theta[ch] at z with its gradient, Hessian and third z-derivative, all termwise.
+
+    Accuracy is absolute at the natural scale exp(pi Im(z)^T (Im tau)^{-1}
+    Im(z)) of the function.
+    """
     _check_tol(tol)
-    jet, _ = _jet(z, _check_tau(tau), ch.eps, ch.eps_prime, tol)
-    return jet
+    return _jet(z, _check_tau(tau), ch, tol)
 
 
 @dataclass(frozen=True, eq=False)

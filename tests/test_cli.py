@@ -420,6 +420,21 @@ def test_malformed_json_is_reported(capsys):
     assert "error" in rep
 
 
+@pytest.mark.parametrize("curve", ["[-2, -1, 0, 1, 2]", '"standard"', "5", "null"])
+def test_curve_json_that_is_not_an_object_is_reported(capsys, curve):
+    code, rep = _run_json(capsys, ["periods", "--curve", curve])
+    assert code == 2
+    assert rep["error"] == {"type": "ValueError", "message": "curve JSON must be an object"}
+
+
+def test_curve_and_curve_file_together_are_reported(capsys, tmp_path):
+    path = tmp_path / "curve.json"
+    path.write_text(STANDARD, encoding="utf-8")
+    code, rep = _run_json(capsys, ["periods", "--curve", STANDARD, "--curve-file", str(path)])
+    assert code == 2
+    assert rep["error"] == {"type": "ValueError", "message": "pass --curve or --curve-file, not both"}
+
+
 def test_missing_curve_is_reported(capsys):
     code, rep = _run_json(capsys, ["theta"])
     assert code == 2

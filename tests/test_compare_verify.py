@@ -3,7 +3,8 @@
 Within an identity entry the numbers are judged against the scale of the
 entry's sides, as ``identities.relative_defect`` judges the entry: a defect
 that moves from 0 to 1.3e-16 moved by 100% of itself but by an ulp of its
-sides.  The reports here are synthetic, in the shape ``verify`` writes.
+sides.  The reports here are synthetic, in the shape ``verify`` writes, and
+so are the library outputs, in the shape of its library pass.
 """
 
 import copy
@@ -11,6 +12,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_verify.py"
@@ -67,14 +69,15 @@ def test_main_marks_only_the_real_move(cv, monkeypatch, capsys):
     runs = {"verify unit_square": [0, old], "verify unit_square options": [0, old]}
     moved = copy.deepcopy(runs)
     moved["verify unit_square"][1], moved["verify unit_square options"][1] = roundoff, real
-    monkeypatch.setattr(cv, "reports", {"old": ({}, runs), "new": ({}, moved)}.__getitem__)
+    monkeypatch.setattr(cv, "reports", {"old": ({}, runs, {}), "new": ({}, moved, {})}.__getitem__)
     assert cv.main(["old", "new"]) == 1
     lines = capsys.readouterr().out.splitlines()
     differs = [line for line in lines if line.startswith("output differs")]
     assert len(differs) == 2
     assert not differs[0].endswith("BEYOND ROUNDOFF") and differs[1].endswith("BEYOND ROUNDOFF")
-    assert lines[-1] == ("2 of 2 (command, curve, variant) outputs differ, "
-                         "1 of them beyond roundoff (1e-12)")
+    assert lines[-2:] == ["2 of 2 (command, curve, variant) outputs differ, "
+                          "1 of them beyond roundoff (1e-12)",
+                          "0 of 0 library (curve, map) outputs differ, 0 of them beyond roundoff (1e-12)"]
 
 
 @pytest.mark.parametrize("new, flagged", [(7.771561172376096e-16, False), (3e-9, True)])
@@ -104,8 +107,45 @@ def test_text_outputs_are_judged_by_their_json_twin(cv, monkeypatch, capsys, twi
             "verify unit_square": [0, old]}
     moved = {"verify unit_square text": [0, "rosenhain_classical_24 pass 1.266e-16\n"],
              "verify unit_square": [0, twins[twin]]}
-    monkeypatch.setattr(cv, "reports", {"old": ({}, runs), "new": ({}, moved)}.__getitem__)
+    monkeypatch.setattr(cv, "reports", {"old": ({}, runs, {}), "new": ({}, moved, {})}.__getitem__)
     assert cv.main(["old", "new"]) == 1
     text = [line for line in capsys.readouterr().out.splitlines()
             if line.startswith("output differs: verify unit_square text")]
     assert len(text) == 1 and text[0].endswith("BEYOND ROUNDOFF") == flagged, text
+
+
+def test_library_pass_writes_every_map(cv):
+    """On a genus-1 curve: P -> Q, and into, out of and from infinity to each
+    of its 3 branch points, each as g [re, im] pairs.  A map out of a branch
+    point is minus the map into it, exactly."""
+    namespace = {}
+    exec(cv.LIBRARY, namespace)
+    out = namespace["library_outputs"]({"generic_g1": cv.CURVES["generic_g1"]})
+    assert len(out) == 1 + 3 * 3 and all(code == 0 for code, _ in out.values()), out
+    maps = {run: np.array(json.loads(text)) for run, (_, text) in out.items()}
+    assert {v.shape for v in maps.values()} == {(1, 2)}
+    for k in range(3):
+        assert np.array_equal(maps[f"generic_g1 e{k} -> P"], -maps[f"generic_g1 P -> e{k}"])
+
+
+def test_library_outputs_are_judged_like_named_outputs(cv, monkeypatch, capsys):
+    def pairs(*values):
+        return json.dumps([[v.real, v.imag] for v in values])
+
+    a, b = 0.36745409711311544 + 0.40097175491427756j, 0.20805056623808793 - 0.02341830377271395j
+    failed = "QuadratureNonConvergence: panel budget of 2048 spent"
+    old = {"standard P -> e0": [0, pairs(a, b)], "standard oo -> e0": [0, pairs(a, b)],
+           "standard e0 -> P": [0, pairs(-a, -b)], "shifted_48 oo -> e0": [2, failed]}
+    moved = dict(old)
+    moved["standard P -> e0"] = [0, pairs(a * (1 + 2e-16), b)]  # roundoff
+    moved["standard oo -> e0"] = [0, pairs(a, b * (1 + 1e-9))]  # a real move
+    moved["shifted_48 oo -> e0"] = [0, pairs(a, b)]             # a refusal that now returns
+    monkeypatch.setattr(cv, "reports", {"old": ({}, {}, old), "new": ({}, {}, moved)}.__getitem__)
+    assert cv.main(["old", "new"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    flagged = {line.split("; ")[0].removeprefix("output differs: "): line.endswith("BEYOND ROUNDOFF")
+               for line in lines if line.startswith("output differs")}
+    assert flagged == {"standard P -> e0": False, "standard oo -> e0": True, "shifted_48 oo -> e0": True}
+    assert lines[-1] == "3 of 4 library (curve, map) outputs differ, 2 of them beyond roundoff (1e-12)"
+    monkeypatch.setattr(cv, "reports", {"old": ({}, {}, old), "new": ({}, {}, dict(old))}.__getitem__)
+    assert cv.main(["old", "new"]) == 0

@@ -67,7 +67,7 @@ class _ReferenceSheetPath:
             dt = 1.0 - t if abs(leg) == 0 else min(1.0 - t, max(0.2 * d / abs(leg), 1e-7))
             while True:
                 x_next = self.z0 + leg * (t + dt)
-                cand = np.sqrt(complex(curve.y_squared(x_next)))
+                cand = np.sqrt(curve.y_squared(x_next))
                 keep = cand if abs(cand - y) <= abs(cand + y) else -cand
                 if abs(keep - y) < 0.5 * abs(cand):
                     break
@@ -83,7 +83,7 @@ class _ReferenceSheetPath:
     def xy_at(self, t):
         t = np.asarray(t, dtype=float)
         x = self.z0 + (self.z1 - self.z0) * t
-        root = np.sqrt(np.asarray(self.curve.y_squared(x), dtype=complex))
+        root = np.sqrt(np.array([self.curve.y_squared(v) for v in x]))
         idx = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 1)
         anchor = self.ys[idx]
         return x, np.where(np.abs(root - anchor) <= np.abs(root + anchor), root, -root)
@@ -165,7 +165,8 @@ def _reference_along(curve, points, y0, rows_fn, tol, path=_ReferenceSheetPath):
             continue
         sp = path(curve, z0, z1, y)
         leg = z1 - z0
-        part = adaptive_gl(lambda t: np.asarray(rows_fn(*sp.xy_at(t))) * leg, 0.0, 1.0, tol)
+        part = adaptive_gl(lambda z: np.asarray(rows_fn(*sp.xy_at(z.real))) * leg,
+                           np.zeros(1), np.ones(1), tol)[:, 0]
         total = part if total is None else total + part
         y = sp.y_end
     return total, y
@@ -548,9 +549,7 @@ def _indexed(x, k):
 
 def _per_interval(f, a, b):
     """(integrand, a, b) of each interval of an ``adaptive_gl`` call as a
-    call of its own on real nodes; scalar bounds are one interval."""
-    if np.ndim(a) == 0:
-        return [(f, a, b)]
+    call of its own on real nodes."""
     return [(lambda x, k=k: f(_indexed(x, k)), a[k], b[k]) for k in range(len(a))]
 
 
@@ -560,8 +559,7 @@ def against_reference(monkeypatch):
     its integrand, once per interval: per interval the same multiset of
     nodes and the same bits, for any number of rows (each panel is still one
     (rows, 32) product with the weights).  Yields (rows, intervals, batched
-    calls, reference calls) per call; a call on scalar bounds counts as one
-    interval."""
+    calls, reference calls) per call."""
     seen = []
     batched = paths.adaptive_gl
 
@@ -574,11 +572,8 @@ def against_reference(monkeypatch):
 
         got = batched(recorded, a, b, tol)
         nodes = np.concatenate(got_nodes)
-        if np.ndim(a) == 0:
-            mine = [(nodes, got)]
-        else:
-            assert got.shape[1] == len(a) and np.array_equal(np.unique(nodes.imag), np.arange(len(a)))
-            mine = [(nodes.real[nodes.imag == k], got[:, k]) for k in range(len(a))]
+        assert got.shape[1] == len(a) and np.array_equal(np.unique(nodes.imag), np.arange(len(a)))
+        mine = [(nodes.real[nodes.imag == k], got[:, k]) for k in range(len(a))]
         runs = _per_interval(f, a, b)
         reference_calls = 0
         for (g, lo, hi), (own_nodes, value) in zip(runs, mine, strict=True):
@@ -625,7 +620,7 @@ def test_leg_quadrature_matches_the_recursion(against_reference):
         abel_map(curve, bundle, p, q)
         abel_map(curve, bundle, q, r)
         abel_from_infinity(curve, bundle, p)
-        periods.a_cycle_integral(curve, bundle, 0, lambda x: (x * x)[None, :])
+        periods.a_cycle_integral(bundle, 0, lambda x: (x * x)[None, :])
         rows = {n for n, _, _, _ in against_reference}
         assert rows == {1, curve.genus}, rows
         refined |= any(c > 1 for _, _, c, _ in against_reference)
@@ -663,13 +658,13 @@ def _bumps(z):
 
 def test_forest_columns_are_calls_on_their_own_intervals():
     """Each tree keeps its own scale, accept test and nodes: its column has
-    the bits of a call on its interval alone."""
+    the bits of a one-interval call on its interval."""
     a, b = np.array([0.0, -1.0, 2.0, -3.0]), np.array([1.0, 1.0, 2.5, 3.0])
     got = adaptive_gl(_bumps, a, b, 1e-12)
     assert got.shape == (2, 4)
     for k in range(4):
-        alone = adaptive_gl(lambda t, k=k: _bumps(_indexed(t, k)), a[k], b[k], 1e-12)
-        assert alone.shape == (2,) and np.array_equal(got[:, k], alone), k
+        alone = adaptive_gl(lambda z, k=k: _bumps(_indexed(z.real, k)), a[k:k + 1], b[k:k + 1], 1e-12)
+        assert alone.shape == (2, 1) and np.array_equal(got[:, k], alone[:, 0]), k
 
 
 def test_budget_and_depth_are_kept_per_tree():
@@ -685,7 +680,7 @@ def test_budget_and_depth_are_kept_per_tree():
                              r"of interval 2 \[0, 1\] still moving at depth \d+$"):
         adaptive_gl(lambda z: nodes.append(z) or noisy(z), np.zeros(4), np.ones(4), 1e-14)
     with pytest.raises(QuadratureNonConvergence, match="panel budget"):
-        adaptive_gl(_counted(lambda t: noisy(_indexed(t, 2)), alone), 0.0, 1.0, 1e-14)
+        adaptive_gl(_counted(lambda z: noisy(_indexed(z.real, 2)), alone), np.zeros(1), np.ones(1), 1e-14)
     k = np.concatenate(nodes).imag
     assert np.count_nonzero(k == 2) == sum(alone) <= 32 * _MAX_PANELS
     assert np.count_nonzero(k == 0) > 8 * 32 and np.count_nonzero(k % 2) == 2 * 3 * 32
@@ -715,9 +710,9 @@ def _counted(f, sizes):
 def test_nonconvergent_integrand_fails_within_the_panel_budget():
     sizes = []
     with pytest.raises(QuadratureNonConvergence,
-                       match=rf"panel budget of {_MAX_PANELS} spent: "
-                             r"panel \[0, [0-9.e-]+\] still moving at depth \d+"):
-        adaptive_gl(_counted(_hash_noise, sizes), 0.0, 1.0, 1e-14)
+                       match=rf"^panel budget of {_MAX_PANELS} spent: panel \[0, [0-9.e-]+\] "
+                             r"of interval 0 \[0, 1\] still moving at depth \d+$"):
+        adaptive_gl(_counted(lambda z: _hash_noise(z.real), sizes), np.zeros(1), np.ones(1), 1e-14)
     assert sum(sizes) <= 32 * _MAX_PANELS
 
 
@@ -728,8 +723,9 @@ def test_singular_integrand_fails_at_the_depth_limit():
         return np.vstack([np.abs(x - 1.0 / 3.0) ** -0.5] * 2)
 
     sizes = []
-    with pytest.raises(QuadratureNonConvergence, match=rf"^panel \[.*still moving at depth {_MAX_DEPTH}$"):
-        adaptive_gl(_counted(f, sizes), 0.0, 1.0, 1e-12)
+    with pytest.raises(QuadratureNonConvergence,
+                       match=rf"^panel \[.* of interval 0 \[0, 1\] still moving at depth {_MAX_DEPTH}$"):
+        adaptive_gl(_counted(lambda z: f(z.real), sizes), np.zeros(1), np.ones(1), 1e-12)
     with pytest.raises(QuadratureNonConvergence, match=rf"still moving at depth {_MAX_DEPTH}$"):
         _reference_gl(f, 0.0, 1.0, 1e-12)
     assert sum(sizes) < 32 * _MAX_PANELS

@@ -19,7 +19,7 @@ from secondkind import (
 from secondkind import periods
 from secondkind.cli import random_curve
 from secondkind.curves import CurvePoint
-from secondkind.errors import HomologyConstructionFailure
+from secondkind.errors import HomologyConstructionFailure, PathThroughBranchPoint
 from secondkind.periods import LEGENDRE_GATE_CAP, a_cycle_integral, chain_intersection_matrix
 
 
@@ -148,7 +148,7 @@ def test_a_cycle_recovers_first_kind_columns(standard_curve, standard_bundle):
         return np.vstack([np.ones_like(x), x])
 
     for j in range(2):
-        col = a_cycle_integral(standard_curve, standard_bundle, j, monomials)
+        col = a_cycle_integral(standard_bundle, j, monomials)
         assert np.max(np.abs(col - standard_bundle.two_omega[:, j])) < 1e-9
 
 
@@ -201,6 +201,20 @@ def test_abel_map_from_a_branch_point(standard_curve, standard_bundle):
                     got = abel_map(curve, b, CurvePoint(e, 0.0), q)
                     want = abel_from_infinity(curve, b, q) - from_inf
                     assert lattice_distance(got - want, b.tau) < 1e-12, (e, x, sheet)
+
+
+def test_abel_map_refuses_a_path_it_cannot_regularise(standard_curve, standard_bundle):
+    """Both endpoints on branch points, and a start 1e-14 from the branch
+    point it runs into, whose regularised leg would have length 0."""
+    curve, b = standard_curve, standard_bundle
+    e = curve.branch_points
+    with pytest.raises(PathThroughBranchPoint, match="^both endpoints on branch points"):
+        abel_map(curve, b, CurvePoint(e[0], 0.0), CurvePoint(e[3], 0.0))
+    for k in (0, 3):
+        near = curve.lift(e[k] + 1e-14)
+        assert abs(near.y) > 1e-8  # not itself taken for the branch point
+        with pytest.raises(PathThroughBranchPoint, match="^zero-length regularized leg$"):
+            abel_map(curve, b, near, CurvePoint(e[k], 0.0))
 
 
 def test_lattice_distance_basics():

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import secondkind.theta as theta_mod
 from secondkind import char, theta_eval, theta_table
-from secondkind.theta import all_characteristics, char_add, half_period, theta_jet, theta_raw
+from secondkind.errors import NotSiegelPoint
+from secondkind.theta import all_characteristics, char_add, half_period, theta_jet
 
 BRUTE_RADIUS = 12
 
@@ -87,7 +88,7 @@ def test_genus1_derivatives_match_mpmath(lemniscatic_bundle):
     odd = char((1,), (1,))
     z = 0.2 - 0.07j
     for k in (1, 2, 3):
-        ours = theta_eval(np.array([z]), lemniscatic_bundle.tau, odd, deriv=(k,))
+        ours = theta_jet(np.array([z]), lemniscatic_bundle.tau, odd)[k][(0,) * k]
         ref = -(mpmath.pi**k) * mpmath.jtheta(1, mpmath.pi * z, q, derivative=k)
         assert abs(ours - complex(ref)) < 1e-11 * max(1.0, abs(complex(ref)))
 
@@ -238,20 +239,6 @@ def test_parity_under_negation(skew_table):
         assert abs(a - sgn * b) < 1e-12
 
 
-def test_characteristic_shift_identities(skew_table):
-    # integer shifts of the characteristic: lattice reindex and pure phase
-    tau = skew_table.tau
-    z = np.array([0.21 - 0.05j, 0.02 + 0.14j])
-    eps = np.array([0.5, 0.0])
-    epsp = np.array([0.5, 0.5])
-    base, _ = theta_raw(z, tau, eps, epsp)
-    top_shift, _ = theta_raw(z, tau, eps + np.array([1.0, 0.0]), epsp)
-    assert abs(top_shift - base) < 1e-13
-    bot_shift, _ = theta_raw(z, tau, eps, epsp + np.array([0.0, 1.0]))
-    phase = np.exp(2j * np.pi * eps @ np.array([0.0, 1.0]))
-    assert abs(bot_shift - phase * base) < 1e-13
-
-
 def test_quasi_periodicity(standard_table):
     tau = standard_table.tau
     ch = char((1, 0), (1, 1))
@@ -281,7 +268,9 @@ def test_tolerance_outside_the_open_range_is_refused(standard_bundle, tol):
     with pytest.raises(ValueError, match="tolerance"):
         theta_table(standard_bundle, tol=tol)
     with pytest.raises(ValueError, match="tolerance"):
-        theta_raw(np.zeros(2), standard_bundle.tau, np.zeros(2), np.zeros(2), tol=tol)
+        theta_eval(np.zeros(2), standard_bundle.tau, char((0, 0), (0, 0)), tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        theta_jet(np.zeros(2), standard_bundle.tau, char((0, 0), (0, 0)), tol=tol)
 
 
 def test_half_period_definition(standard_table):
@@ -406,6 +395,15 @@ def test_table_bytes_repeat_run_to_run(prefix, request):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("tau", [np.diag([1j, -0.5j]), np.array([[1j, 2j], [2j, 1j]]),
+                                 np.array([[0.3 + 0j]])])
+def test_tau_off_the_siegel_space_is_refused(tau):
+    """Im tau with an eigenvalue <= 0 (-0.5 and -1 for the genus-2 cases, 0 for genus 1)."""
+    bundle = SimpleNamespace(tau=tau, inv_two_omega=np.eye(len(tau)))
+    with pytest.raises(NotSiegelPoint, match="^min eigenvalue of Im tau = "):
+        theta_table(bundle)
+
+
 def test_conditioning_warning_names_the_caller():
     # lam_min = 0.03 is below CONDITIONING_FLOOR; the warning must point here,
     # not into the library, whichever entry point raised it
@@ -413,7 +411,6 @@ def test_conditioning_warning_names_the_caller():
     bundle = SimpleNamespace(tau=tau, inv_two_omega=np.eye(2))
     calls = (lambda: theta_table(bundle),
              lambda: theta_eval(np.zeros(2), tau, char((0, 0), (0, 0))),
-             lambda: theta_raw(np.zeros(2), tau, np.zeros(2), np.zeros(2)),
              lambda: theta_jet(np.zeros(2), tau, char((0, 0), (0, 0))))
     for call in calls:
         with pytest.warns(UserWarning, match="ill-conditioned") as record:
