@@ -6,7 +6,10 @@ The first pass runs verify --suite quick and --suite full on seeds 0-79.  It
 prints exit-code and status changes, sign changes (an entry whose recorded
 sign flips while its status stays), the number of reports whose parsed
 values differ and the number whose bytes differ, the ten largest defect
-differences by label and the unequal omega_*/gate_* labels.  The second
+differences by label and the unequal omega_*/gate_* labels.  It judges each
+report whose bytes differ by its largest move, as the second pass
+judges an output, and prints each report that moves beyond ROUNDOFF_MOVE,
+how many do, and the largest move of all with where it sits.  The second
 pass runs periods, theta, match, kappa, expand and verify on six named
 curves, each (command, curve) pair three times: as is, with
 --format text, and with every option the command reads set to a non-default
@@ -26,9 +29,9 @@ relative to itself, except in the defect fields, and the sides they
 compare, which are judged against the scale of those sides as
 ``identities.relative_defect`` judges a defect (``field_scales``).  Exits
 1 on any exit-code, status or sign change of the first pass, on any report
-of the first pass whose bytes differ while its parsed value is equal (a
-change of number formatting), and on any difference of the second pass or
-of the library pass.
+of the first pass that moves beyond ROUNDOFF_MOVE or whose bytes differ
+while its parsed value is equal (a change of number formatting), and on any
+difference of the second pass or of the library pass.
 """
 
 import json
@@ -200,6 +203,26 @@ def largest_move(text0: str, text1: str) -> tuple:
     return move, f"at {path or '.'} ({a!r} vs {b!r})"
 
 
+def judge_reports(old: dict, new: dict) -> int:
+    """Judge each verify report whose bytes differ between two runs by its
+    largest move: print the reports that move beyond ROUNDOFF_MOVE, how many
+    do and the largest move of all.  Returns how many do."""
+    beyond, largest = 0, (0.0, "none")
+    for run, (_, text0) in old.items():
+        text1 = new[run][1]
+        if text0 == text1:
+            continue
+        move, where = largest_move(text0, text1)
+        if move is None or move > ROUNDOFF_MOVE:
+            beyond += 1
+            print(f"report moves beyond roundoff: {run}; largest move "
+                  f"{'-' if move is None else f'{move:.3e}'} {where}")
+        largest = max(largest, (float("inf") if move is None else move, f"{run} {where}"))
+    print(f"{beyond} reports move beyond roundoff ({ROUNDOFF_MOVE:g}); "
+          f"largest move {largest[0]:.3e} {largest[1]}")
+    return beyond
+
+
 def judge(old: dict, new: dict, what: str) -> int:
     """Print each output whose exit code or bytes differ between two runs,
     with its largest move, marked when beyond roundoff; a text variant is
@@ -257,9 +280,10 @@ def main(argv) -> int:
     sys.stdout.writelines(f"bytes differ, parsed value equal: {run}\n" for run in formatting)
     print(f"{len(changes)} exit-code or status changes and {len(flips)} sign changes over "
           f"{len(old)} runs, {differing} reports differ in value, {bytes_differ} in bytes")
+    beyond = judge_reports(old, new)
     named_diffs = judge(old_named, new_named, "(command, curve, variant)")
     library_diffs = judge(old_library, new_library, "library (curve, map)")
-    return 1 if changes or flips or formatting or named_diffs or library_diffs else 0
+    return 1 if changes or flips or formatting or beyond or named_diffs or library_diffs else 0
 
 
 if __name__ == "__main__":

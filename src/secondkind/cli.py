@@ -417,12 +417,7 @@ def _battery_genus2(curve, args, rng, omega_pairs: int) -> list:
     checks.extend(_entry_dict(e) for e in rosenhain_defects(bundle, tt, m, tol).entries)
     checks.extend(_entry_dict(e) for e in rosenhain_gamma_pairs(bundle, tt, m, tol).entries)
 
-    for i in range(1, 6):
-        for j in range(i + 1, 6):
-            checks.extend(
-                _entry_dict(e)
-                for e in jacobi_inversion_check(curve, bundle, tt, m, i, j, tol).entries
-            )
+    checks.extend(_entry_dict(e) for e in jacobi_inversion_check(curve, bundle, tt, m, tol).entries)
 
     if omega_pairs > 0:
         a_vec = half_period(m.chars[0], bundle.tau)
@@ -439,8 +434,7 @@ def _battery_genus2(curve, args, rng, omega_pairs: int) -> list:
                 checks.append(_entry_dict(_scalar(f"omega_stencil_{idx}", d, tol)))
             except SecondKindError as exn:
                 checks.append(_error_dict(f"omega_stencil_{idx}", exn))
-        for j in (1, 2):
-            ap = omega_a_period(curve, bundle, j, r_last)
+        for j, ap in enumerate(omega_a_period(curve, bundle, r_last).tolist(), 1):
             checks.append(_entry_dict(identity_entry(f"omega_a_period_{j}", ap, 0.0,
                                                      min(tol, DEFAULT_IDENTITY_TOL))))
     return checks

@@ -48,19 +48,20 @@ class BranchMatching:
     """Bijection between odd characteristics and finite branch points.
 
     chars[k] is the odd characteristic matched to branch point k+1 (canonical
-    order); residuals[k] is the relative matching error; even_pairs maps the
-    sorted 1-based pair (i, j) to its even characteristic.
+    order); residuals[k] is the relative matching error.
 
     The code index: odd_codes holds the codes of delta_1 .. delta_5, gamma;
     row r of even_quads the four even codes of delta_i + delta_j + delta_k,
-    (i, j) = ODD_PAIRS[r] and k in ODD_REST[r].  Its last column on the
-    BRANCH_ROWS holds the codes of even_pairs, in their order.
+    (i, j) = ODD_PAIRS[r] and k in ODD_REST[r].  On the BRANCH_ROWS, whose
+    k are the three branch points outside the pair and gamma, its last
+    column holds the even characteristic delta_i + delta_j + gamma of each
+    branch pair: the 10 even codes, once each, which the Jacobi inversion
+    and the even-pair kappa routes gather.
     """
 
     chars: tuple
     gamma: Characteristic
     residuals: tuple
-    even_pairs: dict
     branch_values: tuple
     odd_codes: np.ndarray
     even_quads: np.ndarray
@@ -70,13 +71,6 @@ class BranchMatching:
         if not 1 <= i <= len(self.chars):
             raise IndexError(f"branch label {i} out of range")
         return self.chars[i - 1]
-
-
-def even_char_for_pair(m: BranchMatching, i: int, j: int) -> Characteristic:
-    """Even characteristic delta_i + delta_j + gamma for the pair {i, j}."""
-    if not (1 <= i <= 5 and 1 <= j <= 5 and i != j):
-        raise ValueError("pair labels must be distinct and in 1..5")
-    return m.even_pairs[(min(i, j), max(i, j))]
 
 
 def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
@@ -127,15 +121,12 @@ def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
     evens = set(tt.even_codes.tolist())
     assert all(len(set(q)) == 4 and set(q) <= evens for q in even_quads.tolist()), \
         "Rosenhain characteristics must be even and distinct"
-    branch_codes = even_quads[BRANCH_ROWS, 3].tolist()
-    assert set(branch_codes) == evens, "pairs must exhaust even classes"
+    assert set(even_quads[BRANCH_ROWS, 3].tolist()) == evens, "pairs must exhaust even classes"
     odd_codes.flags.writeable = even_quads.flags.writeable = False
     return BranchMatching(
         chars=chars,
         gamma=gamma,
         residuals=tuple(residuals[k] for k in range(5)),
-        even_pairs={(i + 1, j + 1): tt.characteristics[c]
-                    for (i, j), c in zip(ODD_PAIRS[BRANCH_ROWS].tolist(), branch_codes)},
         branch_values=tuple(values[k] for k in range(5)),
         odd_codes=odd_codes,
         even_quads=even_quads,

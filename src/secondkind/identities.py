@@ -25,9 +25,9 @@ import numpy as np
 
 from .curves import CurvePoint, HyperellipticCurve, branch_scale, kleinian_polar
 from .errors import StencilDegenerate
-from .correspondence import BRANCH_ROWS, ODD_PAIRS, ODD_REST, BranchMatching, even_char_for_pair
+from .correspondence import BRANCH_ROWS, ODD_PAIRS, ODD_REST, BranchMatching
 from .paths import PATH_CLEARANCE
-from .periods import PeriodBundle, a_cycle_integral, abel_map
+from .periods import PeriodBundle, a_cycle_integrals, abel_map
 from .theta import ThetaTable, char, theta_jet
 
 #: Below this magnitude on both sides a defect is reported absolutely.
@@ -46,6 +46,11 @@ OMEGA_SYMMETRY_TOL = 1e-12
 #: each, and the pairs as 1-based label tuples.
 _BRANCH_PAIRS, _BRANCH_REST = ODD_PAIRS[BRANCH_ROWS], ODD_REST[BRANCH_ROWS, :3]
 _PAIR_LABELS = tuple((i + 1, j + 1) for i, j in _BRANCH_PAIRS.tolist())
+
+#: jacobi_inversion_check's labels: pair by pair, and p22, p12, p11 and the
+#: polar form of p11 within each pair.
+_JACOBI_LABELS = [f"jacobi_{name}_{i}{j}" for i, j in _PAIR_LABELS
+                  for name in ("p22", "p12", "p11", "p11_polar")]
 
 #: rosenhain_defects' (15, 2) classical and higher entries that it keeps, and
 #: their labels: row-major, so each pair's classical entry precedes its higher.
@@ -131,12 +136,12 @@ def identity_entry(label, lhs, rhs, tol, applicable=True) -> IdentityEntry:
     return identity_entries((label,), [lhs], [rhs], tol, applicable=[applicable])[0]
 
 
-def _branch_pairs(bundle: PeriodBundle, rows=slice(None)):
+def _branch_pairs(bundle: PeriodBundle):
     """e_i, e_j and the symmetric function e_i e_j (k + m + n) + k m n of the
-    branch pairs {i, j} of _BRANCH_PAIRS[rows]; k, m, n are the three
-    remaining branch points."""
+    10 branch pairs {i, j} of _BRANCH_PAIRS; k, m, n are the three remaining
+    branch points."""
     e = np.asarray(bundle.canonical_points)
-    (ei, ej), rest = e[_BRANCH_PAIRS[rows].T], e[_BRANCH_REST[rows]]
+    (ei, ej), rest = e[_BRANCH_PAIRS.T], e[_BRANCH_REST]
     return ei, ej, ei * ej * rest.sum(axis=-1) + rest.prod(axis=-1)
 
 
@@ -391,33 +396,43 @@ def weierstrass_eta(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
 
 
 def jacobi_inversion_check(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
-                           m: BranchMatching, i: int, j: int,
-                           tol: float = DEFAULT_IDENTITY_TOL) -> IdentityDefects:
-    """Kleinian p-function values at the divisor of the branch pair {i, j}.
+                           m: BranchMatching, tol: float = DEFAULT_IDENTITY_TOL) -> IdentityDefects:
+    """Kleinian p-function values at the divisors of the 10 branch pairs {i, j}.
 
-    p_ab = -2 kappa_ab - Theta_ab[eps_ij]/Theta[eps_ij]; compared against
-    the symmetric functions of e_i, e_j and against the two-point polar.
+    p_ab = -2 kappa_ab - Theta_ab[eps]/Theta[eps], where eps = delta_i +
+    delta_j + gamma is the last column of the pair's row of even_quads; p22,
+    p12 and p11 are compared against e_i + e_j, -e_i e_j and the symmetric
+    function of _branch_pairs, and p11 also against the two-point polar
+    F(e_i, e_j) / (4 (e_i - e_j)^2).  Four entries per pair, pair by pair.
     """
-    code = even_char_for_pair(m, i, j).code
-    row = _PAIR_LABELS.index((min(i, j), max(i, j)))
-    ei, ej, sym11 = (complex(v) for v in _branch_pairs(bundle, row))
-    th, hess = complex(tt.values[code]), tt.directional[1][code].tolist()
-    p22, p12, p11 = (-2.0 * bundle.kappa[a, b] - hess[a][b] / th for a, b in ((1, 1), (0, 1), (0, 0)))
+    codes = m.even_quads[BRANCH_ROWS, 3]
+    ei, ej, sym11 = _branch_pairs(bundle)
+    p = -2.0 * bundle.kappa - tt.directional[1][codes] / tt.values[codes, None, None]
     polar11 = kleinian_polar(curve, ei, ej) / (4.0 * (ei - ej) ** 2)
-    return IdentityDefects(identity_entries(
-        [f"jacobi_{name}_{i}{j}" for name in ("p22", "p12", "p11", "p11_polar")],
-        [p22, p12, p11, p11], [ei + ej, -ei * ej, sym11, polar11], tol))
+    lhs = np.stack([p[:, 1, 1], p[:, 0, 1], p[:, 0, 0], p[:, 0, 0]], axis=1)
+    rhs = np.stack([ei + ej, -ei * ej, sym11, polar11], axis=1)
+    return IdentityDefects(identity_entries(_JACOBI_LABELS, lhs.ravel(), rhs.ravel(), tol))
+
+
+def _polar_part(curve: HyperellipticCurve, kappa: np.ndarray, x: np.ndarray, z: complex):
+    """F(x, z) / (4 (x - z)^2) + 2 (1, x)^T kappa (1, z) at each x of an array:
+    y(x) y(z) times the bi-differential, less 1/(2 (x - z)^2) of it.
+
+    Over y(x) y(z) it is the part of the bi-differential odd in y(x), the
+    only part that an a-cycle integral keeps.
+    """
+    g = curve.genus
+    kz = kappa @ np.array([z ** t for t in range(g)])
+    xs = np.vstack([x ** t for t in range(g)])
+    return kleinian_polar(curve, x, z) / (4.0 * (x - z) ** 2) + 2.0 * np.einsum("i,in->n", kz, xs)
 
 
 def omega_algebraic(curve: HyperellipticCurve, bundle: PeriodBundle,
                     q: CurvePoint, r: CurvePoint) -> complex:
-    """Coefficient of the symmetric bi-differential against dx dz."""
-    g = curve.genus
-    xs = np.array([q.x ** t for t in range(g)])
-    zs = np.array([r.x ** t for t in range(g)])
-    f = kleinian_polar(curve, q.x, r.x)
-    core = (2.0 * q.y * r.y + f) / (4.0 * (q.x - r.x) ** 2)
-    return (core + 2.0 * xs @ bundle.kappa @ zs) / (q.y * r.y)
+    """Coefficient of the symmetric bi-differential against dx dz:
+    _polar_part / (y_q y_r) + 1/(2 (x_q - x_r)^2)."""
+    polar = complex(_polar_part(curve, bundle.kappa, np.array([q.x]), r.x)[0])
+    return polar / (q.y * r.y) + 1.0 / (2.0 * (q.x - r.x) ** 2)
 
 
 def omega_consistency(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
@@ -448,25 +463,13 @@ def omega_consistency(curve: HyperellipticCurve, bundle: PeriodBundle, tt: Theta
     return relative_defect(omega_algebraic(curve, bundle, q, r), mixed)
 
 
-def omega_a_period(curve: HyperellipticCurve, bundle: PeriodBundle, j: int,
-                   r: CurvePoint) -> complex:
-    """Integral of the bi-differential over the a_j cycle (j 1-based).
+def omega_a_period(curve: HyperellipticCurve, bundle: PeriodBundle, r: CurvePoint) -> np.ndarray:
+    """Integrals of the bi-differential at r over the cycles a_1 .. a_g, all
+    in one quadrature walk.
 
     The part of the integrand even in y cancels between the sheets; the odd
-    part is integrated by the regular segment quadrature.  The result must
-    vanish for a normalized bi-differential.
+    part, _polar_part / (y y_r), is integrated by the regular segment
+    quadrature.  Each entry must vanish for a normalized bi-differential.
     """
-    g = curve.genus
-    if not 1 <= j <= g:
-        raise ValueError("cycle label must be in 1..genus")
-    kap = bundle.kappa
-    zs = np.array([r.x ** t for t in range(g)])
-    kz = kap @ zs
-
-    def rows(x):
-        f = kleinian_polar(curve, x, r.x)
-        xs = np.vstack([x ** t for t in range(g)])
-        val = (f / (4.0 * (x - r.x) ** 2) + 2.0 * np.einsum("i,in->n", kz, xs)) / r.y
-        return val[None, :]
-
-    return complex(a_cycle_integral(bundle, j - 1, rows)[0])
+    return a_cycle_integrals(
+        bundle, lambda x: (_polar_part(curve, bundle.kappa, x, r.x) / r.y)[None, :])[0]

@@ -327,13 +327,18 @@ def _u_rows(curve: HyperellipticCurve):
     return rows
 
 
-def _check_point(curve: HyperellipticCurve, p: CurvePoint) -> None:
-    # relative to the size of the terms of y^2 = 4 prod (x - e_k) at x, so
-    # the check is covariant under scaling and translating the branch points
+def _y_squared_size(curve: HyperellipticCurve, x: complex) -> float:
+    """4 prod (|x| + |e_k|): the size of the terms of y^2 = 4 prod (x - e_k)
+    at x.  A gate on y^2 relative to it is covariant under scaling and
+    translating the branch points."""
     size = 4.0
     for e in curve.branch_points:
-        size *= abs(p.x) + abs(e)
-    if abs(p.y ** 2 - curve.y_squared(p.x)) > 1e-9 * size:
+        size *= abs(x) + abs(e)
+    return size
+
+
+def _check_point(curve: HyperellipticCurve, p: CurvePoint) -> None:
+    if abs(p.y ** 2 - curve.y_squared(p.x)) > 1e-9 * _y_squared_size(curve, p.x):
         raise ValueError(f"point ({p.x:.6g}, {p.y:.6g}) is not on the curve")
 
 
@@ -345,16 +350,17 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint, t
     analytically from ``frm``, ends on the sheet of ``to``; the choice needs
     no quadrature (``paths.Route.y_end``), and only that route is integrated,
     from the arrays its choice built.
-    An endpoint lying on a branch point (y = 0) is integrated with the
-    regularized s^2 substitution.
+    An endpoint lying on a branch point is integrated with the regularized
+    s^2 substitution; an endpoint lies on one when |y|^2 is at most 1e-20 of
+    the size of the terms of y^2 at its x (``_y_squared_size``), a test that
+    scales with the branch points as y^2 does.
     """
     _check_point(curve, frm)
     _check_point(curve, to)
     rows = _u_rows(curve)
-    scale = branch_scale(curve.branch_points)
 
     def is_branch(p: CurvePoint):
-        if abs(p.y) > 1e-8 * scale:
+        if abs(p.y) ** 2 > 1e-20 * _y_squared_size(curve, p.x):
             return None
         k = int(np.argmin([abs(p.x - e) for e in curve.branch_points]))
         return k
@@ -443,15 +449,17 @@ def abel_from_infinity(curve: HyperellipticCurve, bundle: PeriodBundle, to: Curv
     return bundle.inv_two_omega @ tail + finite
 
 
-def a_cycle_integral(bundle: PeriodBundle, j: int, numerators_fn) -> np.ndarray:
-    """Loop integral over the cycle a_j of numerators(x)/y dx.
+def a_cycle_integrals(bundle: PeriodBundle, numerators_fn) -> np.ndarray:
+    """Loop integrals of numerators(x)/y dx over the cycles a_1 .. a_g, one
+    column per cycle, all in one quadrature walk over the a-chains.
 
     Only the part of the integrand odd in y contributes to a loop integral
     (the even part cancels between the two sheets), and that part doubles,
-    so the cycle integral is 2 x (sign) x (segment integral) of chain 2j,
-    at the bundle's quadrature tolerance.
+    so the integral over a_j is 2 x (sign) x (segment integral) of chain
+    2j - 2, at the bundle's quadrature tolerance.
     """
-    k = 2 * j
-    return 2.0 * bundle.chain_signs[k] * chain_integrals(
-        bundle.canonical_points, [(k, k + 1)], numerators_fn, bundle.quad_tol
-    )[:, 0]
+    g = bundle.genus
+    signs = np.asarray(bundle.chain_signs[: 2 * g : 2], dtype=float)
+    return 2.0 * signs * chain_integrals(
+        bundle.canonical_points, [(2 * j, 2 * j + 1) for j in range(g)], numerators_fn,
+        bundle.quad_tol)

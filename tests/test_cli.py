@@ -12,6 +12,7 @@ import pytest
 
 from secondkind import cli
 from secondkind.cli import _dump, _num, main, parse_curve, random_curve
+from secondkind.errors import HomologyConstructionFailure, StencilDegenerate
 
 COMMANDS = ("periods", "theta", "match", "kappa", "expand", "verify")
 
@@ -384,6 +385,41 @@ def test_verify_reports_an_uncertified_expansion(capsys):
     entry, = [c for c in checks if c["identity"] == "kappa_route_expansion"]
     assert entry["error"].startswith("IncompatibleSystem: expansion system condition number")
     assert [c["identity"] for c in checks if c["status"] == "fail"] == ["kappa_route_expansion"]
+
+
+def test_verify_reports_a_refused_curve(capsys, monkeypatch):
+    """A refusal anywhere in a curve's battery is that curve's one entry."""
+    def refuse(*args):
+        raise HomologyConstructionFailure("no chain orientation produced a certified canonical basis")
+
+    monkeypatch.setattr(cli, "compute_periods", refuse)
+    code, rep = _run_json(capsys, ["verify"])
+    assert code == 1 and rep["status"] == "fail" and rep["failures"] == 1
+    (report,) = rep["curves"]
+    assert report["failures"] == 1
+    assert report["checks"] == [{
+        "identity": "curve_pipeline", "status": "fail",
+        "error": "HomologyConstructionFailure: no chain orientation produced a certified "
+                 "canonical basis"}]
+    code, text = _run(capsys, ["verify", "--format", "text"])
+    assert code == 1
+    assert ("fail  curve_pipeline               HomologyConstructionFailure: no chain "
+            "orientation produced a certified canonical basis") in map(str.strip, text.splitlines())
+
+
+def test_verify_reports_a_refused_stencil(capsys, monkeypatch):
+    def refuse(*args):
+        raise StencilDegenerate("the two points are too close to each other")
+
+    monkeypatch.setattr(cli, "omega_consistency", refuse)
+    code, rep = _run_json(capsys, ["verify"])
+    assert code == 1 and rep["failures"] == 1
+    checks = rep["curves"][0]["checks"]
+    assert [c for c in checks if c["status"] == "fail"] == [{
+        "identity": "omega_stencil_1", "status": "fail",
+        "error": "StencilDegenerate: the two points are too close to each other"}]
+    # the entries after it are still made
+    assert [c["identity"] for c in checks[-2:]] == ["omega_a_period_1", "omega_a_period_2"]
 
 
 @pytest.mark.parametrize("argv, curve", [

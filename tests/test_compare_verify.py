@@ -80,6 +80,28 @@ def test_main_marks_only_the_real_move(cv, monkeypatch, capsys):
                           "0 of 0 library (curve, map) outputs differ, 0 of them beyond roundoff (1e-12)"]
 
 
+@pytest.mark.parametrize("moved, beyond", [
+    (_moved(defect=1.26616439638219e-16, rhs_im=-4.865000748204892)[1], False),  # roundoff
+    (json.dumps(_report(defect=3e-9, rhs_im=-4.865000748204891 + 1.5e-8)), True),  # a real move
+])
+def test_first_pass_judges_each_verify_report(cv, monkeypatch, capsys, moved, beyond):
+    """Every verify report moves in value; only a move beyond roundoff is
+    marked, and it alone makes the exit code 1."""
+    old = json.dumps(_report())
+    runs = {"quick seed 0": [0, old], "full seed 0": [0, old]}
+    new = {"quick seed 0": [0, moved], "full seed 0": [0, old]}
+    monkeypatch.setattr(cv, "reports", {"old": (runs, {}, {}), "new": (new, {}, {})}.__getitem__)
+    assert cv.main(["old", "new"]) == int(beyond)
+    lines = capsys.readouterr().out.splitlines()
+    marked = [line for line in lines if line.startswith("report moves beyond roundoff")]
+    summary, = [line for line in lines if " reports move beyond roundoff (1e-12)" in line]
+    move, _ = cv.largest_move(old, moved)
+    assert summary.startswith(f"{int(beyond)} reports move beyond roundoff (1e-12); "
+                              f"largest move {move:.3e} quick seed 0 at .curves[0].checks[0]")
+    assert marked == ([f"report moves beyond roundoff: quick seed 0; largest move {move:.3e} "
+                       f"at .curves[0].checks[0].defect (0.0 vs 3e-09)"] if beyond else [])
+
+
 @pytest.mark.parametrize("new, flagged", [(7.771561172376096e-16, False), (3e-9, True)])
 def test_kappa_route_defects_are_judged_against_kappa(cv, new, flagged):
     """Each of the kappa command's defects is max |kappa_route - kappa_direct|."""

@@ -5,8 +5,9 @@ import pytest
 
 from secondkind import abel_consistency, bolza_match, compute_periods, theta_table
 from secondkind.cli import random_curve
-from secondkind.correspondence import even_char_for_pair
-from secondkind.theta import char_add, classify_characteristics
+from secondkind.correspondence import BRANCH_ROWS, ODD_PAIRS
+from secondkind.errors import AmbiguousMatching, NoGamma
+from secondkind.theta import ThetaTable, char_add, classify_characteristics
 
 
 def test_standard_matching_shape(standard_matching):
@@ -28,20 +29,25 @@ def test_branch_values_reproduce_canonical_points(standard_matching, standard_bu
     assert np.max(np.abs(vals - pts)) < 1e-8
 
 
-def test_even_pairs_exhaust_even_characteristics(standard_matching):
-    m = standard_matching
-    assert len(m.even_pairs) == 10
-    assert all(i < j for (i, j) in m.even_pairs)
-    chars = list(m.even_pairs.values())
+def _pair_chars(m, tt):
+    """The characteristics at even_quads[BRANCH_ROWS, 3], one per branch pair."""
+    return [tt.characteristics[c] for c in m.even_quads[BRANCH_ROWS, 3].tolist()]
+
+
+def test_even_pairs_exhaust_even_characteristics(standard_matching, standard_table):
+    chars = _pair_chars(standard_matching, standard_table)
+    assert len(chars) == 10
     assert all(not ch.is_odd for ch in chars)
     _, even = classify_characteristics(2)
     assert set(chars) == set(even)
 
 
-def test_even_pair_is_delta_sum_plus_gamma(standard_matching):
+def test_even_pair_is_delta_sum_plus_gamma(standard_matching, standard_table):
     m = standard_matching
-    for (i, j), ch in m.even_pairs.items():
-        assert ch == char_add(char_add(m.delta(i), m.delta(j)), m.gamma)
+    pairs = ODD_PAIRS[BRANCH_ROWS].tolist()
+    assert pairs == [[i, j] for i in range(5) for j in range(i + 1, 5)]
+    for (i, j), ch in zip(pairs, _pair_chars(m, standard_table), strict=True):
+        assert ch == char_add(char_add(m.delta(i + 1), m.delta(j + 1)), m.gamma)
 
 
 def test_delta_accessor_bounds(standard_matching):
@@ -49,15 +55,6 @@ def test_delta_accessor_bounds(standard_matching):
         standard_matching.delta(0)
     with pytest.raises(IndexError):
         standard_matching.delta(6)
-
-
-def test_pair_accessor_validates(standard_matching):
-    m = standard_matching
-    assert even_char_for_pair(m, 2, 1) == even_char_for_pair(m, 1, 2)
-    with pytest.raises(ValueError):
-        even_char_for_pair(m, 3, 3)
-    with pytest.raises(ValueError):
-        even_char_for_pair(m, 0, 4)
 
 
 def test_skew_curve_matches_cleanly(skew_matching):
@@ -99,3 +96,22 @@ def test_matching_stable_under_quadrature_tolerance(standard_curve, standard_mat
 def test_genus1_table_is_rejected(lemniscatic_table, lemniscatic_curve):
     with pytest.raises(ValueError):
         bolza_match(lemniscatic_table, lemniscatic_curve)
+
+
+def test_a_table_of_another_curve_is_refused(standard_table, skew_curve):
+    with pytest.raises(AmbiguousMatching, match="matches no branch point"):
+        bolza_match(standard_table, skew_curve)
+
+
+@pytest.mark.parametrize("w, message", [
+    (np.eye(2), "no odd characteristic with degenerate Theta_2"),
+    (np.zeros((2, 2)), "all directional derivatives vanish"),
+])
+def test_a_table_without_gamma_is_refused(standard_table, standard_curve, w, message):
+    """The standard table's arrays contracted with W = I (plain derivatives,
+    none of whose Theta_2 is degenerate) or with W = 0."""
+    tt = standard_table
+    rebuilt = ThetaTable(tt.tau, (tt.values, tt.grads, tt.hessians, tt.thirds), tt.radius,
+                         tt.tol, tt.lam_min, w)
+    with pytest.raises(NoGamma, match=message):
+        bolza_match(rebuilt, standard_curve)

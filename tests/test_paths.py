@@ -607,7 +607,7 @@ def test_leg_quadrature_matches_the_recursion(against_reference):
     """Genus-2 and genus-1 Abel legs, straight and into a branch point, every
     candidate route (the direct one, the one via the far point, and that one
     with its loop) in one walk each, the xi tail of ``abel_from_infinity``,
-    and one-row chain numerators."""
+    and one-row numerators over every a-chain in one walk."""
     cases = [(curve_from_branch_points(STANDARD_POINTS), (0.5 + 1.0j, 2.6 + 0.3j, -1.5 + 0.5j)),
              (curve_from_branch_points(SKEW_POINTS), (0.3 - 0.2j, -2.4 + 0.1j, 1.1 - 0.3j)),
              (curve_from_branch_points((-1.0, 0.0, 1.0)), (0.5 + 0.7j, 2.0 - 1.0j, -3.0 + 0.1j)),
@@ -620,7 +620,7 @@ def test_leg_quadrature_matches_the_recursion(against_reference):
         abel_map(curve, bundle, p, q)
         abel_map(curve, bundle, q, r)
         abel_from_infinity(curve, bundle, p)
-        periods.a_cycle_integral(bundle, 0, lambda x: (x * x)[None, :])
+        periods.a_cycle_integrals(bundle, lambda x: (x * x)[None, :])
         rows = {n for n, _, _, _ in against_reference}
         assert rows == {1, curve.genus}, rows
         refined |= any(c > 1 for _, _, c, _ in against_reference)

@@ -19,8 +19,8 @@ from secondkind import (
 from secondkind import periods
 from secondkind.cli import random_curve
 from secondkind.curves import CurvePoint
-from secondkind.errors import HomologyConstructionFailure, PathThroughBranchPoint
-from secondkind.periods import LEGENDRE_GATE_CAP, a_cycle_integral, chain_intersection_matrix
+from secondkind.errors import HomologyConstructionFailure, PathThroughBranchPoint, SecondKindError
+from secondkind.periods import LEGENDRE_GATE_CAP, a_cycle_integrals, chain_intersection_matrix
 
 
 # y^2 = 4x^3 - 4x has square symmetry: tau = i and the real half-period
@@ -147,9 +147,9 @@ def test_a_cycle_recovers_first_kind_columns(standard_curve, standard_bundle):
         x = np.asarray(x)
         return np.vstack([np.ones_like(x), x])
 
-    for j in range(2):
-        col = a_cycle_integral(standard_bundle, j, monomials)
-        assert np.max(np.abs(col - standard_bundle.two_omega[:, j])) < 1e-9
+    cols = a_cycle_integrals(standard_bundle, monomials)
+    assert cols.shape == (2, 2)
+    assert np.max(np.abs(cols - standard_bundle.two_omega)) < 1e-9
 
 
 def test_branch_point_images_are_half_periods(standard_curve, standard_bundle):
@@ -454,3 +454,32 @@ def test_point_check_keeps_its_decisions_at_the_threshold():
                     decisions.append((refuse, False))
     assert all(want == got for want, got in decisions)
     assert {want for want, _ in decisions} == {True, False}
+
+
+def test_a_point_near_a_branch_point_is_not_taken_for_it(standard_curve, standard_bundle,
+                                                          monkeypatch):
+    """The branch-point test of abel_map judges |y|^2 against the size of the
+    terms of y^2 at x.  A length gate on |y| took lift(1.001e-3) on the
+    standard curve scaled by 1e-3 (|y| = 4.9e-9) for the branch point 1e-3
+    and returned the map into it, 1.3e-2 off modulo the lattice; the Abel map
+    is scale invariant, so each point must give the unscaled map or a
+    refusal.  CurvePoint(e, 0) and lift(e) still take the regularised leg."""
+    s = 1e-3
+    curve = curve_from_branch_points([s * e for e in standard_curve.branch_points])
+    b = compute_periods(curve)
+    start = 0.5 + 1.0j
+    for x in (1.001, 1.003, 1.03, 1.3):
+        want = abel_map(standard_curve, standard_bundle, standard_curve.lift(start),
+                        standard_curve.lift(x))
+        try:
+            got = abel_map(curve, b, curve.lift(s * start), curve.lift(s * x))
+        except SecondKindError:
+            continue
+        assert lattice_distance(got - want, standard_bundle.tau) < 1e-12, x
+    legs, into = [], periods.integrate_rows_to_branch_point
+    monkeypatch.setattr(periods, "integrate_rows_to_branch_point",
+                        lambda *args: legs.append(args[1]) or into(*args))
+    for k, e in enumerate(curve.branch_points):
+        for to in (CurvePoint(e, 0j), curve.lift(e)):
+            abel_map(curve, b, curve.lift(s * start), to)
+            assert legs.pop() == k and not legs
