@@ -6,17 +6,16 @@ The first pass runs verify --suite quick and --suite full on seeds 0-79.  It
 prints exit-code and status changes, sign changes (an entry whose recorded
 sign flips while its status stays), the number of reports whose parsed
 values differ and the number whose bytes differ, the ten largest defect
-differences by label and the unequal omega_*/gate_* labels.  It judges each
-report whose bytes differ by its largest move, as the second pass
-judges an output, and prints each report that moves beyond ROUNDOFF_MOVE,
-how many do, and the largest move of all with where it sits.  The second
-pass runs periods, theta, match, kappa, expand and verify on six named
-curves, each (command, curve) pair three times: as is, with
---format text, and with every option the command reads set to a non-default
-value.  It prints each run whose exit code or output bytes differ and, where
-both outputs parse as JSON, the largest move of their numbers, where it sits
-and the two values.  It marks a move beyond ROUNDOFF_MOVE, and outputs that
-cannot be compared number by number, so that a roundoff-level move can be
+differences by label and the unequal omega_*/gate_* labels, and judges
+each report whose bytes differ by its largest move, as the second pass
+judges an output (``judge``).  The second pass runs periods, theta, match,
+kappa, expand and verify on six named curves, each (command, curve) pair
+three times: as is, with --format text, and with every option the command
+reads set to a non-default value.  It prints each run whose exit code or
+output bytes differ and, where both outputs parse as JSON, the largest move
+of their numbers, where it sits and the two values, then the largest move
+of the pass.  It marks a move beyond ROUNDOFF_MOVE, and outputs that cannot
+be compared number by number, so that a roundoff-level move can be
 told from a wrong number.  A --format text output prints the numbers of its
 JSON twin, the same command and curve with no extra options, so it is judged
 by that twin: marked when the twin is marked, or when the twin's bytes are
@@ -35,6 +34,7 @@ difference of the second pass or of the library pass.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -203,47 +203,33 @@ def largest_move(text0: str, text1: str) -> tuple:
     return move, f"at {path or '.'} ({a!r} vs {b!r})"
 
 
-def judge_reports(old: dict, new: dict) -> int:
-    """Judge each verify report whose bytes differ between two runs by its
-    largest move: print the reports that move beyond ROUNDOFF_MOVE, how many
-    do and the largest move of all.  Returns how many do."""
-    beyond, largest = 0, (0.0, "none")
-    for run, (_, text0) in old.items():
-        text1 = new[run][1]
-        if text0 == text1:
-            continue
-        move, where = largest_move(text0, text1)
-        if move is None or move > ROUNDOFF_MOVE:
-            beyond += 1
-            print(f"report moves beyond roundoff: {run}; largest move "
-                  f"{'-' if move is None else f'{move:.3e}'} {where}")
-        largest = max(largest, (float("inf") if move is None else move, f"{run} {where}"))
-    print(f"{beyond} reports move beyond roundoff ({ROUNDOFF_MOVE:g}); "
-          f"largest move {largest[0]:.3e} {largest[1]}")
-    return beyond
-
-
-def judge(old: dict, new: dict, what: str) -> int:
+def judge(old: dict, new: dict, what: str) -> tuple:
     """Print each output whose exit code or bytes differ between two runs,
-    with its largest move, marked when beyond roundoff; a text variant is
-    judged by its JSON twin.  Returns the number that differ."""
+    with its largest move, marked when beyond roundoff, and the largest move
+    of all with where it sits; a text variant is judged by its JSON twin.
+    Returns (how many differ, how many of them are marked)."""
     # a text variant after its JSON twin, which judges it
     diffs = sorted((run for run, result in old.items() if new[run] != result),
                    key=lambda run: run.endswith(" text"))
-    flagged = {}
+    flagged, moves = {}, {}
     for run in diffs:
         twin = run.removesuffix(" text")
         if twin == run:
             move, where = largest_move(old[run][1], new[run][1])
             flagged[run] = move is None or move > ROUNDOFF_MOVE
+            moves[run] = (math.inf if move is None else move, where)
             note = f"largest move {'-' if move is None else f'{move:.3e}'} {where}"
         else:
             flagged[run] = flagged.get(twin, True)
             note = f"judged by {twin}" if twin in flagged else f"{twin} has equal bytes"
         print(f"output differs: {run}; {note}{' BEYOND ROUNDOFF' if flagged[run] else ''}")
+    if moves:
+        run, (move, where) = max(moves.items(), key=lambda item: item[1][0])
+        print(f"largest move of the {what} outputs {move:.3e}: {run} {where}")
+    beyond = sum(flagged.values())
     print(f"{len(diffs)} of {len(old)} {what} outputs differ, "
-          f"{sum(flagged.values())} of them beyond roundoff ({ROUNDOFF_MOVE:g})")
-    return len(diffs)
+          f"{beyond} of them beyond roundoff ({ROUNDOFF_MOVE:g})")
+    return len(diffs), beyond
 
 
 def main(argv) -> int:
@@ -280,9 +266,10 @@ def main(argv) -> int:
     sys.stdout.writelines(f"bytes differ, parsed value equal: {run}\n" for run in formatting)
     print(f"{len(changes)} exit-code or status changes and {len(flips)} sign changes over "
           f"{len(old)} runs, {differing} reports differ in value, {bytes_differ} in bytes")
-    beyond = judge_reports(old, new)
-    named_diffs = judge(old_named, new_named, "(command, curve, variant)")
-    library_diffs = judge(old_library, new_library, "library (curve, map)")
+    # a verify report may move at roundoff; a named or library output may not move
+    _, beyond = judge(old, new, "verify (suite, seed)")
+    named_diffs, _ = judge(old_named, new_named, "(command, curve, variant)")
+    library_diffs, _ = judge(old_library, new_library, "library (curve, map)")
     return 1 if changes or flips or formatting or beyond or named_diffs or library_diffs else 0
 
 

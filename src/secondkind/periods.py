@@ -328,12 +328,15 @@ def _u_rows(curve: HyperellipticCurve):
 
 
 def _y_squared_size(curve: HyperellipticCurve, x: complex) -> float:
-    """4 prod (|x| + |e_k|): the size of the terms of y^2 = 4 prod (x - e_k)
-    at x.  A gate on y^2 relative to it is covariant under scaling and
-    translating the branch points."""
+    """4 prod (|x - e_k| + d), d = max |e_i - e_j|: the scale of
+    y^2 = 4 prod (x - e_k) at x.  Like y^2 it takes a factor |s|^(2g+1) when
+    x and the branch points are scaled by s and none when they are
+    translated, so a gate on y^2 relative to it is invariant under both."""
+    e = curve.branch_points
+    d = max(abs(a - b) for a in e for b in e)
     size = 4.0
-    for e in curve.branch_points:
-        size *= abs(x) + abs(e)
+    for ek in e:
+        size *= abs(x - ek) + d
     return size
 
 
@@ -352,8 +355,8 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint, t
     from the arrays its choice built.
     An endpoint lying on a branch point is integrated with the regularized
     s^2 substitution; an endpoint lies on one when |y|^2 is at most 1e-20 of
-    the size of the terms of y^2 at its x (``_y_squared_size``), a test that
-    scales with the branch points as y^2 does.
+    the scale of y^2 at its x (``_y_squared_size``), a test that moves with
+    the branch points as y^2 does under scaling and translation.
     """
     _check_point(curve, frm)
     _check_point(curve, to)

@@ -85,7 +85,7 @@ def test_main_marks_only_the_real_move(cv, monkeypatch, capsys):
     (json.dumps(_report(defect=3e-9, rhs_im=-4.865000748204891 + 1.5e-8)), True),  # a real move
 ])
 def test_first_pass_judges_each_verify_report(cv, monkeypatch, capsys, moved, beyond):
-    """Every verify report moves in value; only a move beyond roundoff is
+    """One verify report moves in value; only a move beyond roundoff is
     marked, and it alone makes the exit code 1."""
     old = json.dumps(_report())
     runs = {"quick seed 0": [0, old], "full seed 0": [0, old]}
@@ -93,13 +93,14 @@ def test_first_pass_judges_each_verify_report(cv, monkeypatch, capsys, moved, be
     monkeypatch.setattr(cv, "reports", {"old": (runs, {}, {}), "new": (new, {}, {})}.__getitem__)
     assert cv.main(["old", "new"]) == int(beyond)
     lines = capsys.readouterr().out.splitlines()
-    marked = [line for line in lines if line.startswith("report moves beyond roundoff")]
-    summary, = [line for line in lines if " reports move beyond roundoff (1e-12)" in line]
-    move, _ = cv.largest_move(old, moved)
-    assert summary.startswith(f"{int(beyond)} reports move beyond roundoff (1e-12); "
-                              f"largest move {move:.3e} quick seed 0 at .curves[0].checks[0]")
-    assert marked == ([f"report moves beyond roundoff: quick seed 0; largest move {move:.3e} "
-                       f"at .curves[0].checks[0].defect (0.0 vs 3e-09)"] if beyond else [])
+    move, where = cv.largest_move(old, moved)
+    assert [line for line in lines if line.startswith("output differs")] == [
+        f"output differs: quick seed 0; largest move {move:.3e} {where}"
+        + (" BEYOND ROUNDOFF" if beyond else "")]
+    assert lines[-4:-2] == [
+        f"largest move of the verify (suite, seed) outputs {move:.3e}: quick seed 0 {where}",
+        f"1 of 2 verify (suite, seed) outputs differ, {int(beyond)} of them beyond roundoff (1e-12)"]
+    assert (".curves[0].checks[0].defect (0.0 vs 3e-09)" in where) == beyond
 
 
 @pytest.mark.parametrize("new, flagged", [(7.771561172376096e-16, False), (3e-9, True)])

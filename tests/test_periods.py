@@ -442,7 +442,8 @@ def test_point_check_keeps_its_decisions_at_the_threshold():
         curve = random_curve(rng)
         for x in 1.5 * rng.standard_normal(4) + 1.5j * rng.standard_normal(4):
             y = curve.lift(x).y
-            size = 4.0 * np.prod([abs(x) + abs(e) for e in curve.branch_points])
+            e = np.array(curve.branch_points)
+            size = 4.0 * np.prod(abs(x - e) + abs(e[:, None] - e).max())
             for r in np.linspace(0.98, 1.02, 9):
                 p = CurvePoint(complex(x), y * (1 + r * 1e-9 * size / (2 * abs(y) ** 2)))
                 refuse = abs(p.y ** 2 - curve.y_squared(p.x)) > 1e-9 * size
@@ -458,28 +459,43 @@ def test_point_check_keeps_its_decisions_at_the_threshold():
 
 def test_a_point_near_a_branch_point_is_not_taken_for_it(standard_curve, standard_bundle,
                                                           monkeypatch):
-    """The branch-point test of abel_map judges |y|^2 against the size of the
-    terms of y^2 at x.  A length gate on |y| took lift(1.001e-3) on the
-    standard curve scaled by 1e-3 (|y| = 4.9e-9) for the branch point 1e-3
-    and returned the map into it, 1.3e-2 off modulo the lattice; the Abel map
-    is scale invariant, so each point must give the unscaled map or a
-    refusal.  CurvePoint(e, 0) and lift(e) still take the regularised leg."""
-    s = 1e-3
-    curve = curve_from_branch_points([s * e for e in standard_curve.branch_points])
-    b = compute_periods(curve)
-    start = 0.5 + 1.0j
-    for x in (1.001, 1.003, 1.03, 1.3):
-        want = abel_map(standard_curve, standard_bundle, standard_curve.lift(start),
-                        standard_curve.lift(x))
-        try:
-            got = abel_map(curve, b, curve.lift(s * start), curve.lift(s * x))
-        except SecondKindError:
-            continue
-        assert lattice_distance(got - want, standard_bundle.tau) < 1e-12, x
+    """The branch-point test of abel_map judges |y|^2 against the scale of
+    y^2 at x.  A length gate on |y| took lift(1.001e-3) on the standard
+    curve scaled by 1e-3 (|y| = 4.9e-9) for the branch point 1e-3, and a
+    gate against 4 prod (|x| + |e_k|) took e + 2e-12 on the standard curve
+    shifted by 48 for e; both returned the map into the branch point, off by
+    1e-2 and 4e-7 modulo the lattice.  The Abel map is invariant under
+    scaling and translating the curve, so each point must give the map on
+    the standard curve or a refusal.  That map is taken through the nearest
+    branch point e, whose regularised legs converge where a direct path to
+    e + 2e-12 cannot.  CurvePoint(e, 0) and lift(e) still take the
+    regularised leg."""
+    std, start = standard_curve, 0.5 + 1.0j
+
+    def through_branch_point(x):
+        e = CurvePoint(min(std.branch_points, key=lambda e: abs(x - e)), 0j)
+        return (abel_map(std, standard_bundle, std.lift(start), e)
+                + abel_map(std, standard_bundle, e, std.lift(x)))
+
+    cases = [(lambda z: 1e-3 * z, (1.001, 1.003, 1.03, 1.3)),
+             (lambda z: z + 48.0, [e + d for e in std.branch_points for d in (2e-12, 1e-3)])]
+    moved = []
+    for move, xs in cases:
+        curve = curve_from_branch_points([move(e) for e in std.branch_points])
+        b = compute_periods(curve)
+        moved.append((curve, b, move))
+        for x in xs:
+            want = through_branch_point(x)
+            try:
+                got = abel_map(curve, b, curve.lift(move(start)), curve.lift(move(x)))
+            except SecondKindError:
+                continue
+            assert lattice_distance(got - want, standard_bundle.tau) < 1e-12, x
     legs, into = [], periods.integrate_rows_to_branch_point
     monkeypatch.setattr(periods, "integrate_rows_to_branch_point",
                         lambda *args: legs.append(args[1]) or into(*args))
-    for k, e in enumerate(curve.branch_points):
-        for to in (CurvePoint(e, 0j), curve.lift(e)):
-            abel_map(curve, b, curve.lift(s * start), to)
-            assert legs.pop() == k and not legs
+    for curve, b, move in moved:
+        for k, e in enumerate(curve.branch_points):
+            for to in (CurvePoint(e, 0j), curve.lift(e)):
+                abel_map(curve, b, curve.lift(move(start)), to)
+                assert legs.pop() == k and not legs
