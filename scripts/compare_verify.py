@@ -26,7 +26,8 @@ every branch point, each written as JSON [re, im] pairs (or as the refusal
 it raised) and judged like a named output.  A number moves by |a - b|
 relative to itself, except in the defect fields, and the sides they
 compare, which are judged against the scale of those sides as
-``identities.relative_defect`` judges a defect (``field_scales``).  Exits
+``identities.relative_defect`` judges a defect, and in the expand
+command's residual, which is relative already (``field_scales``).  Exits
 1 on any exit-code, status or sign change of the first pass, on any report
 of the first pass that moves beyond ROUNDOFF_MOVE or whose bytes differ
 while its parsed value is equal (a change of number formatting), and on any
@@ -153,12 +154,16 @@ def field_scales(v0: dict, v1: dict) -> dict:
     (lhs, rhs, defect) has its sides judged against S; its defect is
     |lhs - rhs| already divided by S, so it is judged as it stands.  Each of
     the kappa command's ``defects`` is max |kappa_route - kappa_direct|,
-    judged against S = max |kappa_direct|."""
+    judged against S = max |kappa_direct|.  The expand command's
+    ``residual`` is already divided by max(1, max |b|) of its system, as a
+    defect is by its sides, so it too is judged as it stands."""
     if {"lhs", "rhs", "defect"} <= v0.keys():
         side = _size(v0["lhs"], v0["rhs"], v1["lhs"], v1["rhs"])
         return {"lhs": side, "rhs": side, "defect": 1.0}
     if {"kappa_direct", "defects"} <= v0.keys():
         return {"defects": _size(v0["kappa_direct"], v1["kappa_direct"])}
+    if {"residual", "residual_tol"} <= v0.keys():
+        return {"residual": 1.0}
     return {}
 
 

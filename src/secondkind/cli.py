@@ -27,7 +27,7 @@ from .curves import (
     curve_from_coefficients,
 )
 from .errors import SecondKindError
-from .expansion import DEFAULT_ORDER, RESIDUAL_TOL, expansion_match
+from .expansion import DEFAULT_ORDER, RESIDUAL_TOL, expansion_match, match_series
 from .identities import (
     DEFAULT_IDENTITY_TOL,
     GENUS1_IDENTITY_TOL,
@@ -345,14 +345,15 @@ def _series_dict(s, order: int) -> dict:
 
 def _expand_report(curve, bundle, tt, m, order) -> dict:
     ex = expansion_match(curve, bundle, tt, m, order=order)
-    basis = {f"{a}{b}": _series_dict(s, order) for (a, b), s in sorted(ex["basis"].items())}
-    theta_side = {ch.label(): _series_dict(s, order) for ch, s in ex["theta_side"].items()}
+    series = match_series(ex)
+    basis = {f"{a}{b}": _series_dict(s, order) for (a, b), s in sorted(series["basis"].items())}
+    theta_side = {ch.label(): _series_dict(s, order) for ch, s in series["theta_side"].items()}
     return {
         "order": int(order),
         "kappa": _mat(ex["kappa"]),
         "residual": float(ex["residual"]),
         "residual_tol": float(RESIDUAL_TOL),
-        "algebraic": {"base": _series_dict(ex["base"], order), "kappa_basis": basis},
+        "algebraic": {"base": _series_dict(series["base"], order), "kappa_basis": basis},
         "theta_side": theta_side,
     }
 

@@ -17,8 +17,10 @@ series there, so products and reciprocals are known on the whole window;
 the Laurent factors xi^-2 are exact, and the two derivatives of H cost the
 two extra orders.  The theta side takes all admissible characteristics at
 once: H and T are matrix products of the table's directional derivatives
-with G and GGG, and 1/H is one row-wise reciprocal.  Only the returned series
-are ``TruncatedSeries``, each truncated to ``order``.
+with G and GGG, and 1/H = -S/P is closed form, P being a polynomial of
+degree at most 2 in xi^2 (``_sfw_rows``).  ``expansion_match`` returns
+coefficient rows; ``match_series`` wraps them as ``TruncatedSeries``, each
+truncated to ``order``, for the report that prints them.
 
 The branch of y at infinity is fixed to the + square root.  Flipping it
 negates every g_a and h_a simultaneously, which leaves both connection
@@ -33,7 +35,7 @@ import numpy as np
 from .curves import HyperellipticCurve, second_kind_numerators, t_coefficients
 from .errors import GammaCharacteristic, IncompatibleSystem
 from .periods import PeriodBundle
-from .series import TruncatedSeries, mul_rows, reciprocal_rows, sqrt_coeffs
+from .series import TruncatedSeries, mul_rows, reciprocal_coeffs, sqrt_coeffs
 from .theta import Characteristic, ThetaTable
 
 #: Default truncation order for connection expansions.
@@ -62,7 +64,7 @@ def local_frame(curve: HyperellipticCurve, order: int) -> dict:
     g = curve.genus
     n = order + 3
     big_s = sqrt_coeffs(_fit(t_coefficients(curve), n))
-    s = reciprocal_rows(big_s)
+    s = reciprocal_coeffs(big_s)
     gs = np.stack([-_fit(s, n, 2 * (g - a)) for a in range(1, g + 1)])
     gg = mul_rows(gs[:, None], gs[None, :]).reshape(g * g, n)
     ggg = mul_rows(gg[:, None], gs[None, :]).reshape(g ** 3, n)
@@ -113,6 +115,23 @@ def skw_series(curve: HyperellipticCurve, kappa=None, order: int = DEFAULT_ORDER
     return TruncatedSeries.make(-2, base, order)
 
 
+def _reciprocal_h(grad: np.ndarray, big_s: np.ndarray) -> np.ndarray:
+    """1/H = -S/P on the window of S, one row per row of the gradient.
+
+    H = sum_a Theta_a g_a with g_a = -xi^(2(g-a)) s is -P s, where
+    P = sum_a Theta_a xi^(2(g-a)).  At g = 1, 1/P is 1/Theta_1; at g = 2 it
+    is the geometric series (1/Theta_2) sum_j (-Theta_1/Theta_2)^j xi^(2j).
+    """
+    rows, g = grad.shape
+    lead = grad[:, -1]
+    steps = np.empty((rows, (len(big_s) + 1) // 2), dtype=complex)
+    steps[:, 0] = 1.0 / lead
+    steps[:, 1:] = (-grad[:, 0] / lead)[:, None] if g == 2 else 0.0
+    inv_p = np.zeros((rows, len(big_s)), dtype=complex)
+    inv_p[:, ::2] = np.cumprod(steps, axis=1)
+    return -mul_rows(inv_p, big_s)
+
+
 def _sfw_rows(fr: dict, tt: ThetaTable, chars) -> np.ndarray:
     """Theta-side connection on xi^0..xi^order, one row per characteristic.
 
@@ -121,6 +140,9 @@ def _sfw_rows(fr: dict, tt: ThetaTable, chars) -> np.ndarray:
     normalized differential frame, and the connection is
     H''/H - 3/2 (H'/H)^2 - 2 T/H.  The degree-2 contraction Q would add
     3/2 (Q/H)^2, but the Hessian of an odd theta function vanishes at z = 0.
+    1/H = -S/P is closed form (``_reciprocal_h``); it needs genus <= 2, as
+    ``compute_periods`` refuses any higher genus, and Theta_g != 0, which the
+    admissibility gate below guarantees.
     """
     dgrad, _, dthird = tt.directional
     codes = [ch.code for ch in chars]
@@ -137,7 +159,8 @@ def _sfw_rows(fr: dict, tt: ThetaTable, chars) -> np.ndarray:
     k = np.arange(1, h.shape[1])
     h1 = h[:, 1:] * k
     h2 = h1[:, 1:] * k[:-1]
-    ratio, rest = mul_rows(np.stack([h1[:, :n], h2 - 2.0 * t3[:, :n]]), reciprocal_rows(h)[:, :n])
+    inv_h = _reciprocal_h(grad, fr["S"][:n])
+    ratio, rest = mul_rows(np.stack([h1[:, :n], h2 - 2.0 * t3[:, :n]]), inv_h)
     return rest - 1.5 * mul_rows(ratio, ratio)
 
 
@@ -160,9 +183,11 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
 
     Equations are collected at even exponents from xi^-2 up to the
     truncation order, across every admissible odd characteristic, and
-    solved by least squares.  Returns the base and kappa-basis series, the
-    theta-side series per characteristic, the solved kappa, the relative
-    residual, and the rank and condition number of the system.  Raises
+    solved by least squares.  Returns coefficient rows, not series: the
+    base and each kappa-basis entry on xi^-2..xi^order, the theta side per
+    characteristic on xi^0..xi^order (``match_series`` wraps them), and the
+    solved kappa, the relative residual, and the rank and condition number
+    of the system.  Raises
     ValueError for a negative order, and IncompatibleSystem unless the
     system certifies kappa: below order 4(g-1) a column is zero (the kappa_ab
     series starts at xi^(2(2g-a-b))) and the rank falls short of g(g+1)/2; a
@@ -180,9 +205,12 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     sides = _sfw_rows(fr, tt, chars)
     # even exponents xi^-2, xi^0, ..., xi^order; the theta side has no xi^-2 term
     even = slice(0, None, 2)
-    a = np.tile(np.stack([basis[k][even] for k in keys], axis=1), (len(chars), 1))
-    b = (np.pad(sides, ((0, 0), (2, 0)))[:, even] - base[even]).ravel()
-    if not a.any(axis=0).all():
+    cols = np.stack([basis[k][even] for k in keys], axis=1)
+    a = np.broadcast_to(cols, (len(chars),) + cols.shape).reshape(-1, len(keys))
+    b = np.zeros((len(chars), len(cols)), dtype=complex)
+    b[:, 1:] = sides[:, even]
+    b = (b - base[even]).ravel()
+    if not cols.any(axis=0).all():
         raise IncompatibleSystem(
             f"expansion system has rank below {len(keys)} at order {order}"
         )
@@ -203,14 +231,26 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
         kappa[aa - 1, bb - 1] = sol[k]
         kappa[bb - 1, aa - 1] = sol[k]
     return {
-        "base": TruncatedSeries.make(-2, base, order),
-        "basis": {key: TruncatedSeries.make(-2, c, order) for key, c in basis.items()},
-        "theta_side": {ch: TruncatedSeries.make(0, row, order) for ch, row in zip(chars, sides)},
+        "base": base,
+        "basis": basis,
+        "theta_side": dict(zip(chars, sides)),
         "kappa": kappa,
         "residual": resid,
         "condition": condition,
         "rank": int(rank),
         "order": order,
+    }
+
+
+def match_series(ex: dict) -> dict:
+    """The rows of an ``expansion_match`` result as ``TruncatedSeries``:
+    "base" and "basis" from xi^-2, "theta_side" from xi^0, to the order."""
+    order = ex["order"]
+    return {
+        "base": TruncatedSeries.make(-2, ex["base"], order),
+        "basis": {key: TruncatedSeries.make(-2, c, order) for key, c in ex["basis"].items()},
+        "theta_side": {ch: TruncatedSeries.make(0, row, order)
+                       for ch, row in ex["theta_side"].items()},
     }
 
 

@@ -12,6 +12,8 @@ complete knowledge (sums, products, monomial division).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,7 +195,7 @@ class TruncatedSeries:
                 return TruncatedSeries(-self.e0, (1.0 / c[0],), INF_ORDER)
             raise ValueError("reciprocal of an exact polynomial is not polynomial; truncate() first")
         # b = xi^L (c0 + ...), known to order T: 1/b known on [-L, T - 2L]
-        return TruncatedSeries.make(-self.e0, reciprocal_rows(c), self.order - 2 * self.e0)
+        return TruncatedSeries.make(-self.e0, reciprocal_coeffs(c), self.order - 2 * self.e0)
 
     def sqrt(self) -> "TruncatedSeries":
         """Principal square root; needs even valuation and nonzero lead."""
@@ -250,33 +252,48 @@ class TruncatedSeries:
 # -- dense power series ------------------------------------------------------
 # c[..., k] is the coefficient of xi^k; a product, reciprocal or root of series
 # known on xi^0..xi^(n-1) is known there too, so the kernels keep the length.
+# mul_rows is batched: its leading axes broadcast, and one call multiplies every
+# row of a stack.  sqrt_coeffs and reciprocal_coeffs take one series and run
+# their triangular recurrences on Python complex numbers, which at these
+# lengths cost less than numpy's per-call overhead.  Neither is a linear solve:
+# LU with partial pivoting loses digits on rows whose coefficients grow.
+
+
+@functools.lru_cache(maxsize=8)
+def _lag_index(n: int) -> tuple:
+    """(index, upper) of the n x n lower-triangular Toeplitz matrix:
+    entry [k, i] is b[k - i], and zero where upper[k, i] (k < i)."""
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    index, upper = np.maximum(lag, 0), lag < 0
+    index.setflags(write=False)
+    upper.setflags(write=False)
+    return index, upper
 
 
 def mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise product a * b on the common window; leading axes broadcast."""
-    n = a.shape[-1]
-    lag = np.subtract.outer(np.arange(n), np.arange(n))  # lag[k, i] = k - i
-    toeplitz = np.where(lag >= 0, b[..., np.maximum(lag, 0)], 0.0)
+    index, upper = _lag_index(a.shape[-1])
+    toeplitz = np.where(upper, 0.0, b[..., index])
     # einsum, not @: at these sizes a complex BLAS call costs resident memory, not time
     return np.einsum("...ki,...i->...k", toeplitz, a)
 
 
-def reciprocal_rows(c: np.ndarray) -> np.ndarray:
-    """Row-wise 1/c by the triangular recurrence; needs c[..., 0] != 0."""
-    d = np.zeros_like(c)
-    d[..., 0] = 1.0 / c[..., 0]
-    for k in range(1, c.shape[-1]):
-        d[..., k] = -np.sum(c[..., 1 : k + 1] * d[..., k - 1 :: -1], axis=-1) / c[..., 0]
-    return d
-
-
-def sqrt_coeffs(c: np.ndarray) -> np.ndarray:
-    """Principal square root of one power series; needs c[0] != 0."""
-    s = np.zeros(len(c), dtype=complex)
-    s[0] = np.sqrt(c[0])
+def reciprocal_coeffs(c) -> np.ndarray:
+    """1/c of one power series by the triangular recurrence; needs c[0] != 0."""
+    c = np.asarray(c, dtype=complex).tolist()
+    d = [1.0 / c[0]]
     for k in range(1, len(c)):
-        s[k] = (c[k] - np.dot(s[1:k], s[k - 1 : 0 : -1])) / (2 * s[0])
-    return s
+        d.append(-sum(map(operator.mul, c[1 : k + 1], reversed(d))) / c[0])
+    return np.array(d, dtype=complex)
+
+
+def sqrt_coeffs(c) -> np.ndarray:
+    """Principal square root of one power series; needs c[0] != 0."""
+    c = np.asarray(c, dtype=complex).tolist()
+    s = [complex(np.sqrt(c[0]))]
+    for k in range(1, len(c)):
+        s.append((c[k] - sum(map(operator.mul, s[1:k], reversed(s[1:k])))) / (2 * s[0]))
+    return np.array(s, dtype=complex)
 
 
 def _coerce(v) -> TruncatedSeries:

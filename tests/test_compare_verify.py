@@ -172,3 +172,16 @@ def test_library_outputs_are_judged_like_named_outputs(cv, monkeypatch, capsys):
     assert lines[-1] == "3 of 4 library (curve, map) outputs differ, 2 of them beyond roundoff (1e-12)"
     monkeypatch.setattr(cv, "reports", {"old": ({}, {}, old), "new": ({}, {}, dict(old))}.__getitem__)
     assert cv.main(["old", "new"]) == 0
+
+
+@pytest.mark.parametrize("new, flagged", [(1.2e-15, False), (1e-9, True)])
+def test_expand_residual_is_judged_as_it_stands(cv, new, flagged):
+    """The expand report's residual is already relative to max(1, max |b|)."""
+    series = {"exponents": [0, 2], "coefficients": [[12.0, 0.0], [-3.0, 0.0]]}
+    old = {"order": 2, "kappa": [[[0.10969538340968964, 0]]], "residual": 1e-15,
+           "residual_tol": 1e-6, "algebraic": {"base": series, "kappa_basis": {"11": series}},
+           "theta_side": {"[1;1]": series}}
+    moved = copy.deepcopy(old)
+    moved["residual"] = new
+    move, where = cv.largest_move(json.dumps(old), json.dumps(moved))
+    assert (move > cv.ROUNDOFF_MOVE) == flagged and ".residual" in where, (move, where)

@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,8 +19,8 @@ from secondkind import (
 from secondkind import expansion
 from secondkind.curves import second_kind_numerators, t_coefficients
 from secondkind.errors import GammaCharacteristic, IncompatibleSystem
-from secondkind.expansion import local_frame
-from secondkind.series import TruncatedSeries, mul_rows, schwarzian
+from secondkind.expansion import _reciprocal_h, local_frame, match_series
+from secondkind.series import TruncatedSeries, mul_rows, reciprocal_coeffs, schwarzian, sqrt_coeffs
 
 
 def _coeff_map(series, lo, hi):
@@ -174,6 +175,26 @@ def test_ill_conditioned_system_is_refused(points):
             solve(curve, bundle, tt, m)
 
 
+def test_wide_curve_at_high_order_is_refused_by_its_condition():
+    # the refusal must stay the condition number's (8e19 here), not a residual
+    # that a lossy series division lets grow past the gate
+    curve = curve_from_branch_points((-100.0, -1.0, 0.0, 1.0, 100.0))
+    bundle = compute_periods(curve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small Im tau is flagged, not refused
+        tt = theta_table(bundle)
+    with pytest.raises(IncompatibleSystem, match="condition number"):
+        expansion_match(curve, bundle, tt, bolza_match(tt, curve), order=80)
+
+
+def test_high_order_residual_stays_at_roundoff(standard_curve, standard_bundle,
+                                               standard_table, standard_matching):
+    # 6.6e-14 at order 40; an LU solve gave 1.0e-11 for s = 1/S, 1.3e-12 for -S/P
+    out = expansion_match(standard_curve, standard_bundle, standard_table,
+                          standard_matching, order=40)
+    assert out["residual"] <= 2e-13
+
+
 def test_order_below_full_rank_is_refused(standard_curve, standard_bundle, standard_table,
                                           standard_matching):
     args = (standard_curve, standard_bundle, standard_table, standard_matching)
@@ -182,6 +203,66 @@ def test_order_below_full_rank_is_refused(standard_curve, standard_bundle, stand
     with pytest.raises(ValueError):
         expansion_match(*args, order=-1)
     assert expansion_match(*args, order=4)["rank"] == 3
+
+
+# ------------------------------- the one-series kernels, against 40 digits
+# The triangular recurrences, and 1/H = -S/P, against the same recurrences
+# run in mpmath at 40 digits, on rows whose coefficients grow like 1.5^k.
+# Dividing series by LU with partial pivoting fails the bound: on such rows
+# np.linalg.solve was 3e-11 to 1e-8 off at n = 43.
+
+def _growing_row(rng, n):
+    c = 1.5 ** np.arange(n) * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    c[0] = 1.0 + 0.5j
+    return c
+
+
+def _mp_reciprocal(c):
+    d = [1 / c[0]]
+    for k in range(1, len(c)):
+        d.append(-mpmath.fsum(c[i] * d[k - i] for i in range(1, k + 1)) / c[0])
+    return d
+
+
+def _mp_sqrt(c):
+    s = [mpmath.sqrt(c[0])]
+    for k in range(1, len(c)):
+        s.append((c[k] - mpmath.fsum(s[i] * s[k - i] for i in range(1, k))) / (2 * s[0]))
+    return s
+
+
+def _relative_error(row, ref):
+    ref = np.array([complex(v) for v in ref])
+    return float(np.max(np.abs(row - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", [15, 43])
+def test_one_series_kernels_match_40_digits(n):
+    rng = np.random.default_rng(n)
+    with mpmath.workdps(40):
+        for _ in range(3):
+            c = _growing_row(rng, n)
+            exact = [mpmath.mpc(v) for v in c]
+            assert _relative_error(reciprocal_coeffs(c), _mp_reciprocal(exact)) <= 1e-13
+            assert _relative_error(sqrt_coeffs(c), _mp_sqrt(exact)) <= 1e-13
+
+
+@pytest.mark.parametrize("genus, n", [(1, 15), (2, 15), (2, 43)])
+def test_closed_form_reciprocal_h_matches_40_digits(genus, n):
+    # -S/P against the recurrence for 1/H, with H = -P s and s = 1/S
+    rng = np.random.default_rng(genus * n)
+    big_s = _growing_row(rng, n)
+    grad = rng.uniform(-1.5, 1.5, (3, genus)) + 1j * rng.uniform(-1.5, 1.5, (3, genus))
+    grad[:, -1] = 1.0 + 0.3j
+    inv_h = _reciprocal_h(grad, big_s)
+    with mpmath.workdps(40):
+        s = _mp_reciprocal([mpmath.mpc(v) for v in big_s])
+        for row, theta in zip(inv_h, grad):
+            p = [mpmath.mpc(0)] * n
+            for a, t in enumerate(theta, start=1):
+                p[2 * (genus - a)] = mpmath.mpc(t)
+            h = [-mpmath.fsum(p[i] * s[k - i] for i in range(k + 1)) for k in range(n)]
+            assert _relative_error(row, _mp_reciprocal(h)) <= 1e-13
 
 
 # ------------------------------------------- the dense kernel, by oracle
@@ -256,7 +337,7 @@ def test_dense_kernel_matches_series_construction(prefix, genus2, request):
     base, basis, sides = _reference_match(curve, bundle, tt, list(out["theta_side"]),
                                           out["order"])
     ref = dict(_returned_series({"base": base, "basis": basis, "theta_side": sides}))
-    for key, s in _returned_series(out):
+    for key, s in _returned_series(match_series(out)):
         r = ref[key]
         assert (s.e0, s.order) == (r.e0, r.order), key
         scale = float(np.max(np.abs(r.arr)))
@@ -269,8 +350,8 @@ def test_dense_window_is_honest(prefix, genus2, request):
     # the order-16 window truncated to 12 must give the order-12 results:
     # no coefficient up to the order depends on where the window stops
     curve, bundle, tt, m = _pipeline(prefix, genus2, request)
-    lo = dict(_returned_series(expansion_match(curve, bundle, tt, m, order=12)))
-    hi = dict(_returned_series(expansion_match(curve, bundle, tt, m, order=16)))
+    lo = dict(_returned_series(match_series(expansion_match(curve, bundle, tt, m, order=12))))
+    hi = dict(_returned_series(match_series(expansion_match(curve, bundle, tt, m, order=16))))
     for key, s in lo.items():
         cut = hi[key].truncate(12)
         assert (cut.e0, cut.order) == (s.e0, s.order), key
