@@ -33,8 +33,8 @@ from .identities import (
     GENUS1_IDENTITY_TOL,
     KAPPA_ROUTE_TOL,
     OMEGA_SYMMETRY_TOL,
-    IdentityEntry,
-    identity_entry,
+    IdentityDefects,
+    identity_entries,
     jacobi_inversion_check,
     kappa_report,
     omega_a_period,
@@ -59,25 +59,12 @@ def _num(x) -> str:
     return format(x, ".17g")
 
 
-#: JSON text of each dict key seen, with its colon; keys come from the report
-#: builders, never from input, so this stays small
-_KEY_TEXT: dict = {}
-
-
-def _key(k) -> str:
-    if type(k) is not str:
-        return json.dumps(str(k)) + ":"
-    text = _KEY_TEXT.get(k)
-    if text is None:
-        text = _KEY_TEXT[k] = json.dumps(k) + ":"
-    return text
-
-
 def _dump(obj) -> str:
     """Deterministic JSON with fixed 17-significant-digit floats.
 
     Dispatches on the exact type of the values the report builders make;
-    _dump_other takes the rest (tuples, numpy scalars, subclasses).
+    _dump_other takes the rest (tuples, numpy scalars, subclasses).  An
+    IdentityDefects block in a list is a run of its entries (_dump_block).
     """
     t = type(obj)
     if t is float:
@@ -87,7 +74,9 @@ def _dump(obj) -> str:
             return f"[{obj[0] + 0.0:.17g},{obj[1] + 0.0:.17g}]"
         return "[" + ",".join([_dump(v) for v in obj]) + "]"
     if t is dict:
-        return "{" + ",".join([_key(k) + _dump(v) for k, v in obj.items()]) + "}"
+        return "{" + ",".join([_json_str(str(k)) + ":" + _dump(v) for k, v in obj.items()]) + "}"
+    if t is IdentityDefects:
+        return _dump_block(obj)
     if t is str:
         return _json_str(obj)
     if t is int:
@@ -101,7 +90,7 @@ def _dump(obj) -> str:
 
 def _dump_other(obj) -> str:
     if isinstance(obj, dict):
-        return "{" + ",".join(_key(k) + _dump(v) for k, v in obj.items()) + "}"
+        return "{" + ",".join(_json_str(str(k)) + ":" + _dump(v) for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_dump(v) for v in obj) + "]"
     if isinstance(obj, (int, np.integer)):  # bool has no subclasses, so not a bool here
@@ -111,6 +100,25 @@ def _dump_other(obj) -> str:
     if isinstance(obj, str):
         return _json_str(obj)
     raise TypeError(f"unserializable value of type {type(obj).__name__}")
+
+
+def _signs(block: IdentityDefects, text: str) -> list:
+    """text.format(sign) per entry of a signed block, "" per entry of an unsigned one."""
+    if block.sign is None:
+        return [""] * len(block.label)
+    return [text.format(s) for s in block.sign.tolist()]
+
+
+def _dump_block(b: IdentityDefects) -> str:
+    """The block's entries as JSON objects joined by commas, keys in the order
+    identity, lhs, rhs, defect, sign (signed blocks only), status."""
+    return ",".join([
+        f'{{"identity":{_json_str(label)},"lhs":[{lr + 0.0:.17g},{li + 0.0:.17g}],'
+        f'"rhs":[{rr + 0.0:.17g},{ri + 0.0:.17g}],"defect":{d + 0.0:.17g}{sign},'
+        f'"status":{_json_str(status)}}}'
+        for label, lr, li, rr, ri, d, sign, status in zip(
+            b.label, b.lhs.real.tolist(), b.lhs.imag.tolist(), b.rhs.real.tolist(),
+            b.rhs.imag.tolist(), b.defect.tolist(), _signs(b, ',"sign":{}'), b.status)])
 
 
 def _pair(z) -> list:
@@ -127,19 +135,6 @@ def _char_ints(ch) -> list:
     return [int(v) for v in ch.top] + [int(v) for v in ch.bottom]
 
 
-def _entry_dict(e: IdentityEntry) -> dict:
-    d = {
-        "identity": e.label,
-        "lhs": _pair(e.lhs),
-        "rhs": _pair(e.rhs),
-        "defect": float(e.defect),
-    }
-    if e.sign is not None:
-        d["sign"] = int(e.sign)
-    d["status"] = e.status
-    return d
-
-
 def _error_dict(label: str, ex: Exception) -> dict:
     return {
         "identity": label,
@@ -148,9 +143,12 @@ def _error_dict(label: str, ex: Exception) -> dict:
     }
 
 
-def _scalar(label: str, value: float, tol: float) -> IdentityEntry:
-    v = float(value)
-    return IdentityEntry(label, complex(v), 0j, v, None, "pass" if v < tol else "fail")
+def _gates(labels, lhs, defect, passed) -> IdentityDefects:
+    """Scalar gates as an unsigned block: lhs is the gated value, rhs 0."""
+    lhs = np.asarray(lhs, dtype=float)
+    return IdentityDefects(tuple(labels), lhs.astype(complex), np.zeros(lhs.shape, complex),
+                           np.asarray(defect, dtype=float), None,
+                           tuple(np.where(passed, "pass", "fail").tolist()))
 
 
 def _curve_dict(curve: HyperellipticCurve) -> dict:
@@ -309,8 +307,6 @@ def _kappa_gap(ex: dict, bundle) -> float:
 def _kappa_report_g2(curve, bundle, tt, m, order) -> dict:
     rep = kappa_report(curve, bundle, tt, m)
     ex = expansion_match(curve, bundle, tt, m, order=order)
-    defects = dict(rep.defect_table)
-    defects["expansion"] = _kappa_gap(ex, bundle)
     return {
         "kappa_direct": _mat(rep.kappa_direct),
         "kappa_even_pair": {f"{i}{j}": _mat(v) for (i, j), v in sorted(rep.kappa_by_even_pair.items())},
@@ -318,19 +314,17 @@ def _kappa_report_g2(curve, bundle, tt, m, order) -> dict:
         "kappa_odd": {str(i + 1): _mat(rep.kappa_by_odd[m.delta(i + 1)]) for i in range(5)},
         "kappa_odd_sum": _mat(rep.kappa_odd_sum),
         "kappa_expansion": _mat(ex["kappa"]),
-        "defects": {k: float(v) for k, v in defects.items()},
+        "defects": {**rep.defect_table, "expansion": _kappa_gap(ex, bundle)},
     }
 
 
 def _kappa_report_g1(curve, bundle, tt, order) -> dict:
     ex = expansion_match(curve, bundle, tt, None, order=order)
-    checks = [_entry_dict(e) for e in weierstrass_eta(curve, bundle, tt).entries]
-    checks.append(_entry_dict(thomae_genus1_defect(tt)))
     return {
         "kappa_direct": _mat(bundle.kappa),
         "kappa_expansion": _mat(ex["kappa"]),
         "defects": {"expansion": _kappa_gap(ex, bundle)},
-        "identities": checks,
+        "identities": [weierstrass_eta(curve, bundle, tt), thomae_genus1_defect(tt)],
     }
 
 
@@ -360,26 +354,25 @@ def _expand_report(curve, bundle, tt, m, order) -> dict:
 
 # -------------------------------------------------------------- verify suite
 
-def _gate_entries(bundle) -> list:
+def _gate_entries(bundle) -> IdentityDefects:
     eig = float(bundle.im_tau_min_eig)
-    return [
-        _scalar("gate_legendre", bundle.legendre_defect, bundle.legendre_gate),
-        _scalar("gate_tau_asymmetry", bundle.tau_asymmetry, bundle.tau_gate),
-        IdentityEntry("gate_im_tau_positive", complex(eig), 0j,
-                      max(0.0, -eig), None, "pass" if eig > 0 else "fail"),
-        _scalar("gate_eta_prime_consistency", bundle.eta_prime_consistency, bundle.eta_prime_gate),
-    ]
+    legendre, tau, eta = bundle.legendre_defect, bundle.tau_asymmetry, bundle.eta_prime_consistency
+    return _gates(("gate_legendre", "gate_tau_asymmetry", "gate_im_tau_positive",
+                   "gate_eta_prime_consistency"),
+                  [legendre, tau, eig, eta], [legendre, tau, max(0.0, -eig), eta],
+                  [legendre < bundle.legendre_gate, tau < bundle.tau_gate, eig > 0,
+                   eta < bundle.eta_prime_gate])
 
 
-def _expansion_checks(curve, bundle, tt, m, order: int) -> list:
+def _expansion_checks(curve, bundle, tt, m, order: int):
+    """The expansion route's gap and residual as a block, or its refusal."""
     try:
         ex = expansion_match(curve, bundle, tt, m, order=order)
     except SecondKindError as exn:
-        return [_error_dict("kappa_route_expansion", exn)]
-    return [
-        _entry_dict(_scalar("kappa_route_expansion", _kappa_gap(ex, bundle), KAPPA_ROUTE_TOL)),
-        _entry_dict(_scalar("expansion_residual", ex["residual"], RESIDUAL_TOL)),
-    ]
+        return _error_dict("kappa_route_expansion", exn)
+    v = np.array([_kappa_gap(ex, bundle), ex["residual"]])
+    return _gates(("kappa_route_expansion", "expansion_residual"), v, v,
+                  v < [KAPPA_ROUTE_TOL, RESIDUAL_TOL])
 
 
 def _omega_points(rng: np.random.Generator, curve: HyperellipticCurve):
@@ -399,61 +392,56 @@ def _omega_points(rng: np.random.Generator, curve: HyperellipticCurve):
 
 
 def _battery_genus2(curve, args, rng, omega_pairs: int) -> list:
+    """The genus-2 checks as IdentityDefects blocks and refusal dicts, in report order."""
     tol = args.tol
-    checks: list = []
     bundle = compute_periods(curve, args.quad_tol)
-    checks.extend(_entry_dict(e) for e in _gate_entries(bundle))
     tt = theta_table(bundle, tol=args.theta_tol)
     m = bolza_match(tt, curve)
-    checks.append(_entry_dict(_scalar("gate_matching_residual", max(m.residuals),
-                                      MATCH_RESIDUAL_TOL)))
-
-    rep = kappa_report(curve, bundle, tt, m)
-    for name, d in rep.defect_table.items():
-        checks.append(_entry_dict(_scalar(f"kappa_route_{name}", d, KAPPA_ROUTE_TOL)))
-    checks.extend(_expansion_checks(curve, bundle, tt, m, args.order))
-
-    checks.extend(_entry_dict(e) for e in thomae_defects(curve, bundle, tt, m, tol).entries)
-
-    checks.extend(_entry_dict(e) for e in rosenhain_defects(bundle, tt, m, tol).entries)
-    checks.extend(_entry_dict(e) for e in rosenhain_gamma_pairs(bundle, tt, m, tol).entries)
-
-    checks.extend(_entry_dict(e) for e in jacobi_inversion_check(curve, bundle, tt, m, tol).entries)
+    res = max(m.residuals)
+    routes = kappa_report(curve, bundle, tt, m).defect_table
+    gaps = np.array(list(routes.values()))
+    checks = [
+        _gate_entries(bundle),
+        _gates(("gate_matching_residual",), [res], [res], [res < MATCH_RESIDUAL_TOL]),
+        _gates([f"kappa_route_{name}" for name in routes], gaps, gaps, gaps < KAPPA_ROUTE_TOL),
+        _expansion_checks(curve, bundle, tt, m, args.order),
+        thomae_defects(curve, bundle, tt, m, tol),
+        rosenhain_defects(bundle, tt, m, tol),
+        rosenhain_gamma_pairs(bundle, tt, m, tol),
+        jacobi_inversion_check(curve, bundle, tt, m, tol),
+    ]
 
     if omega_pairs > 0:
         a_vec = half_period(m.chars[0], bundle.tau)
-        r_last = None
         for idx in range(1, omega_pairs + 1):
             q, r = _omega_points(rng, curve)
-            r_last = r
-            checks.append(_entry_dict(identity_entry(
-                f"omega_symmetry_{idx}",
-                omega_algebraic(curve, bundle, q, r),
-                omega_algebraic(curve, bundle, r, q), min(tol, OMEGA_SYMMETRY_TOL))))
+            checks.append(identity_entries(
+                (f"omega_symmetry_{idx}",), [omega_algebraic(curve, bundle, q, r)],
+                [omega_algebraic(curve, bundle, r, q)], min(tol, OMEGA_SYMMETRY_TOL)))
             try:
                 d = omega_consistency(curve, bundle, tt, q, r, a_vec)
-                checks.append(_entry_dict(_scalar(f"omega_stencil_{idx}", d, tol)))
             except SecondKindError as exn:
                 checks.append(_error_dict(f"omega_stencil_{idx}", exn))
-        for j, ap in enumerate(omega_a_period(curve, bundle, r_last).tolist(), 1):
-            checks.append(_entry_dict(identity_entry(f"omega_a_period_{j}", ap, 0.0,
-                                                     min(tol, DEFAULT_IDENTITY_TOL))))
+            else:
+                checks.append(_gates((f"omega_stencil_{idx}",), [d], [d], [d < tol]))
+        ap = omega_a_period(curve, bundle, r)
+        checks.append(identity_entries([f"omega_a_period_{j}" for j in range(1, len(ap) + 1)],
+                                       ap, np.zeros(len(ap)), min(tol, DEFAULT_IDENTITY_TOL)))
     return checks
 
 
 def _battery_genus1(curve, args) -> list:
+    """The genus-1 checks as IdentityDefects blocks and refusal dicts, in report order."""
     tol = min(args.tol, GENUS1_IDENTITY_TOL)
-    checks: list = []
     bundle = compute_periods(curve, args.quad_tol)
-    checks.extend(_entry_dict(e) for e in _gate_entries(bundle))
     tt = theta_table(bundle, tol=args.theta_tol)
-    checks.extend(_entry_dict(e) for e in weierstrass_eta(curve, bundle, tt, tol).entries)
-    checks.append(_entry_dict(thomae_genus1_defect(tt, tol)))
-    checks.extend(_expansion_checks(curve, bundle, tt, None, args.order))
-    return checks
+    return [_gate_entries(bundle), weierstrass_eta(curve, bundle, tt, tol),
+            thomae_genus1_defect(tt, tol), _expansion_checks(curve, bundle, tt, None, args.order)]
 
 
 def _verify(args) -> tuple[dict, int]:
+    if not 0.0 < args.tol < np.inf:
+        raise ValueError(f"identity tolerance must lie in (0, inf), got {args.tol}")
     given = _load_curve(args)
     curves: list[tuple[str, HyperellipticCurve]] = []
     if given is not None:
@@ -482,7 +470,8 @@ def _verify(args) -> tuple[dict, int]:
                 checks = _battery_genus1(curve, args)
         except SecondKindError as exn:
             checks = [_error_dict("curve_pipeline", exn)]
-        n_fail = sum(1 for c in checks if c["status"] == "fail")
+        n_fail = sum(c.status.count("fail") if type(c) is IdentityDefects else c["status"] == "fail"
+                     for c in checks)
         failures += n_fail
         curve_reports.append({
             "name": name,
@@ -512,28 +501,24 @@ def _verify(args) -> tuple[dict, int]:
 
 def _render_text(report: dict, out) -> None:
     def walk(d, prefix=""):
-        if isinstance(d, dict) and "identity" in d and "status" in d:
-            defect = d.get("defect")
-            tail = f"defect={defect:.3e}" if defect is not None else d.get("error", "")
-            sign = f" sign={d['sign']:+d}" if "sign" in d else ""
-            print(f"{prefix}{d['status']:>4}  {d['identity']:<28} {tail}{sign}", file=out)
-            return
-        if isinstance(d, dict):
+        if isinstance(d, IdentityDefects):
+            for label, defect, sign, status in zip(d.label, d.defect.tolist(),
+                                                   _signs(d, " sign={:+d}"), d.status):
+                print(f"{prefix}{status:>4}  {label:<28} defect={defect:.3e}{sign}", file=out)
+        elif isinstance(d, dict) and "identity" in d and "status" in d:  # an _error_dict
+            print(f"{prefix}{d['status']:>4}  {d['identity']:<28} {d['error']}", file=out)
+        elif isinstance(d, dict):
             for k, v in d.items():
                 if isinstance(v, (dict, list)):
                     print(f"{prefix}{k}:", file=out)
                     walk(v, prefix + "  ")
                 else:
                     print(f"{prefix}{k}: {v}", file=out)
-            return
-        if isinstance(d, list):
+        elif isinstance(d, list):
             for v in d:
-                if isinstance(v, (dict, list)):
-                    walk(v, prefix)
-                else:
-                    print(f"{prefix}{v}", file=out)
-            return
-        print(f"{prefix}{d}", file=out)
+                walk(v, prefix)
+        else:
+            print(f"{prefix}{d}", file=out)
 
     walk(report)
 

@@ -11,10 +11,10 @@ bi-differential.
 
 Each family gathers its theta constants from the ThetaTable arrays at the
 rows of the matching's code index (odd_codes, even_quads) and meets its
-sides in one identity_entries call.  The directional derivatives Theta_a,
+sides in one identity_entries call, which returns the family as one block
+of columns (IdentityDefects).  The directional derivatives Theta_a,
 Theta_ab, Theta_abc, contractions of plain z-derivatives of theta at z = 0
-with the winding vectors (columns of (2 omega)^{-1}), are
-ThetaTable.directional.
+with the winding vectors (columns of (2 omega)^{-1}), are ThetaTable.directional.
 """
 
 from __future__ import annotations
@@ -59,11 +59,18 @@ _ROSENHAIN_LABELS = [f"rosenhain_{family}_{i + 1}{j + 1}" for i, j in ODD_PAIRS.
                      for family in ("classical", "higher")[: 1 + (j < 5)]]
 
 
-def relative_defect(lhs: complex, rhs: complex) -> float:
-    """|lhs - rhs| relative to the larger side; absolute when both tiny."""
-    big = max(abs(lhs), abs(rhs))
-    d = abs(lhs - rhs)
-    return d if big < ABSOLUTE_FLOOR else d / big
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, bit for bit as Python's abs of a complex (np.abs is not)."""
+    return np.hypot(z.real, z.imag)
+
+
+def relative_defect(lhs, rhs) -> np.ndarray:
+    """|lhs - rhs| relative to the larger side, elementwise; absolute where
+    both sides are below ABSOLUTE_FLOOR."""
+    lhs, rhs = np.asarray(lhs, dtype=complex), np.asarray(rhs, dtype=complex)
+    big, d = np.maximum(_modulus(lhs), _modulus(rhs)), _modulus(lhs - rhs)
+    small = big < ABSOLUTE_FLOOR
+    return np.where(small, d, d / np.where(small, 1.0, big))
 
 
 @dataclass(frozen=True)
@@ -80,22 +87,33 @@ class IdentityEntry:
 
 @dataclass(frozen=True, eq=False)
 class IdentityDefects:
-    """Ordered collection of identity entries, addressable by label."""
+    """An identity family as columns, one row per entry, addressable by label;
+    sign is None for an unsigned family."""
 
-    entries: tuple
+    label: tuple
+    lhs: np.ndarray
+    rhs: np.ndarray
+    defect: np.ndarray
+    sign: np.ndarray | None
+    status: tuple
+
+    @property
+    def entries(self) -> tuple:
+        """One IdentityEntry per row, in order."""
+        signs = [None] * len(self.label) if self.sign is None else self.sign.tolist()
+        return tuple(map(IdentityEntry, self.label, self.lhs.tolist(), self.rhs.tolist(),
+                         self.defect.tolist(), signs, self.status))
 
     def __getitem__(self, label: str) -> IdentityEntry:
-        for e in self.entries:
-            if e.label == label:
-                return e
-        raise KeyError(label)
+        return dict(zip(self.label, self.entries))[label]
 
     def labels(self):
-        return tuple(e.label for e in self.entries)
+        return self.label
 
     def max_defect(self) -> float:
-        vals = [e.defect for e in self.entries if e.status != "n/a"]
-        return max(vals) if vals else 0.0
+        """Largest defect of the applicable entries; NaN if any of them is NaN."""
+        d = self.defect[np.array(self.status) != "n/a"]
+        return float(d.max()) if d.size else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,30 +128,23 @@ class KappaReport:
     defect_table: dict
 
 
-def identity_entries(labels, lhs, rhs, tol, signed=False, applicable=None) -> tuple:
-    """One entry per label from the arrays of both sides, compared by relative_defect.
+def identity_entries(labels, lhs, rhs, tol, signed=False, applicable=True) -> IdentityDefects:
+    """The block of one entry per label from the arrays of both sides,
+    compared by relative_defect.
 
     With signed, each entry is lhs = +/- rhs: it compares s lhs with rhs for
     the sign s in {1, -1} that fits better (1 on a tie) and records s.
-    applicable holds a flag per entry, all true by default; an entry whose
-    flag is false gets status n/a.
+    applicable holds a flag per entry (or one for all); an entry whose flag
+    is false gets status n/a.
     """
-    entries, sign = [], None
-    for label, a, b, ok in zip(labels, np.asarray(lhs, dtype=complex).tolist(),
-                               np.asarray(rhs, dtype=complex).tolist(),
-                               applicable or [True] * len(labels)):
-        if signed:
-            sign = 1 if abs(a - b) <= abs(-a - b) else -1
-            a = sign * a
-        d = relative_defect(a, b)
-        entries.append(IdentityEntry(label, a, b, d, sign,
-                                     ("pass" if d < tol else "fail") if ok else "n/a"))
-    return tuple(entries)
-
-
-def identity_entry(label, lhs, rhs, tol, applicable=True) -> IdentityEntry:
-    """Entry comparing two sides by relative_defect; status n/a when not applicable."""
-    return identity_entries((label,), [lhs], [rhs], tol, applicable=[applicable])[0]
+    lhs, rhs = np.asarray(lhs, dtype=complex), np.asarray(rhs, dtype=complex)
+    sign = None
+    if signed:
+        sign = np.where(_modulus(lhs - rhs) <= _modulus(-lhs - rhs), 1, -1)
+        lhs = sign * lhs
+    d = relative_defect(lhs, rhs)
+    status = np.where(applicable, np.where(d < tol, "pass", "fail"), "n/a")
+    return IdentityDefects(tuple(labels), lhs, rhs, d, sign, tuple(status.tolist()))
 
 
 def _branch_pairs(bundle: PeriodBundle):
@@ -289,17 +300,19 @@ def thomae_defects(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTab
     lam4_zero = _subleading_vanishes(lam4, bundle.canonical_points)
     s112, s122, s222 = _odd_ratio_sums(tt, m)
     (e11, e12), (_, e22) = _even_ratio_sum(tt)
-    return IdentityDefects(identity_entries(
+    return identity_entries(
         ("thomae_222", "thomae_122", "thomae_112"),
         [s222, 4.0 * s122 - 4.0 * e12, 4.0 * s112 - 2.0 * e11], [1.5 * e22, lam3, lam2],
-        tol, applicable=[True, lam4_zero, lam4_zero]))
+        tol, applicable=[True, lam4_zero, lam4_zero])
 
 
-def thomae_genus1_defect(tt: ThetaTable, tol: float = GENUS1_IDENTITY_TOL) -> IdentityEntry:
-    """Genus-1 analog: theta1'''/theta1' equals the sum of theta_k''/theta_k."""
+def thomae_genus1_defect(tt: ThetaTable, tol: float = GENUS1_IDENTITY_TOL) -> IdentityDefects:
+    """Genus-1 analog: theta1'''/theta1' equals the sum of theta_k''/theta_k,
+    as the one-entry block thomae_genus1."""
     if tt.genus != 1:
         raise ValueError("genus-1 table required")
-    return identity_entry("thomae_genus1", *_genus1_ratios(tt), tol)
+    ratio3, sum2 = _genus1_ratios(tt)
+    return identity_entries(("thomae_genus1",), [ratio3], [sum2], tol)
 
 
 def _rosenhain_sides(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching) -> tuple:
@@ -334,8 +347,8 @@ def rosenhain_defects(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching,
     lhs = np.stack([np.pi ** 2 * prod, np.pi ** 2 * det_w * prod], axis=1)
     rhs = np.stack([gi[:, 0] * gj[:, 1] - gi[:, 1] * gj[:, 0],
                     t222[i] * t2[j] - t222[j] * t2[i]], axis=1)
-    return IdentityDefects(identity_entries(_ROSENHAIN_LABELS, lhs[_ROSENHAIN_KEEP],
-                                            rhs[_ROSENHAIN_KEEP], tol, signed=True))
+    return identity_entries(_ROSENHAIN_LABELS, lhs[_ROSENHAIN_KEEP], rhs[_ROSENHAIN_KEEP],
+                            tol, signed=True)
 
 
 def rosenhain_gamma_pairs(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching,
@@ -369,9 +382,9 @@ def rosenhain_gamma_pairs(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatchin
     relation.
     """
     prod, det_w, t2, t222 = _rosenhain_sides(bundle, tt, m)
-    return IdentityDefects(identity_entries([f"rosenhain_gamma_{i}6" for i in range(1, 6)],
-                                            2.0 * np.pi ** 2 * det_w * prod[~BRANCH_ROWS],
-                                            t222[5] * t2[:5], tol, signed=True))
+    return identity_entries([f"rosenhain_gamma_{i}6" for i in range(1, 6)],
+                            2.0 * np.pi ** 2 * det_w * prod[~BRANCH_ROWS],
+                            t222[5] * t2[:5], tol, signed=True)
 
 
 def weierstrass_eta(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
@@ -388,11 +401,11 @@ def weierstrass_eta(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     w = bundle.omega[0, 0]
     eta = bundle.eta[0, 0]
     ratio3, sum2 = _genus1_ratios(tt)
-    return IdentityDefects(identity_entries(
+    return identity_entries(
         ("weierstrass_kappa", "weierstrass_eta_sum", "weierstrass_eta_third"),
         [eta / (2.0 * w), eta, eta],
         [lam2 / 24.0 - ratio3 / (24.0 * w ** 2), -sum2 / (12.0 * w), -ratio3 / (12.0 * w)],
-        tol, applicable=[True, lam2_zero, lam2_zero]))
+        tol, applicable=[True, lam2_zero, lam2_zero])
 
 
 def jacobi_inversion_check(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
@@ -411,7 +424,7 @@ def jacobi_inversion_check(curve: HyperellipticCurve, bundle: PeriodBundle, tt: 
     polar11 = kleinian_polar(curve, ei, ej) / (4.0 * (ei - ej) ** 2)
     lhs = np.stack([p[:, 1, 1], p[:, 0, 1], p[:, 0, 0], p[:, 0, 0]], axis=1)
     rhs = np.stack([ei + ej, -ei * ej, sym11, polar11], axis=1)
-    return IdentityDefects(identity_entries(_JACOBI_LABELS, lhs.ravel(), rhs.ravel(), tol))
+    return identity_entries(_JACOBI_LABELS, lhs.ravel(), rhs.ravel(), tol)
 
 
 def _polar_part(curve: HyperellipticCurve, kappa: np.ndarray, x: np.ndarray, z: complex):
@@ -460,7 +473,7 @@ def omega_consistency(curve: HyperellipticCurve, bundle: PeriodBundle, tt: Theta
     value, grad, hess, _ = theta_jet(z, tt.tau, char((0,) * g, (0,) * g), tol=tt.tol)
     vq, vr = (bundle.inv_two_omega @ np.array([p.x ** t for t in range(g)]) / p.y for p in (q, r))
     mixed = -vq @ (hess / value - np.outer(grad, grad) / value ** 2) @ vr
-    return relative_defect(omega_algebraic(curve, bundle, q, r), mixed)
+    return float(relative_defect(omega_algebraic(curve, bundle, q, r), mixed))
 
 
 def omega_a_period(curve: HyperellipticCurve, bundle: PeriodBundle, r: CurvePoint) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 from secondkind import cli
 from secondkind.cli import _dump, _num, main, parse_curve, random_curve
 from secondkind.errors import HomologyConstructionFailure, StencilDegenerate
+from secondkind.identities import IdentityDefects
 
 COMMANDS = ("periods", "theta", "match", "kappa", "expand", "verify")
 
@@ -39,13 +40,30 @@ def test_float_format_is_17_significant_digits():
     assert _num(-0.0) == "0"
 
 
+def _entry_dicts(block: IdentityDefects) -> list:
+    """A block's entries in the entry-dict layout of a report: identity, lhs,
+    rhs, defect, sign when the block is signed, status."""
+    dicts = []
+    for e in block.entries:
+        d = {"identity": e.label, "lhs": [e.lhs.real, e.lhs.imag],
+             "rhs": [e.rhs.real, e.rhs.imag], "defect": e.defect}
+        if e.sign is not None:
+            d["sign"] = e.sign
+        d["status"] = e.status
+        dicts.append(d)
+    return dicts
+
+
 def _reference_dump(obj) -> str:
-    """The isinstance-chain serializer that _dump must match byte for byte."""
+    """The isinstance-chain serializer that _dump must match byte for byte;
+    a block in a list is the run of its entry dicts."""
     if isinstance(obj, dict):
         return "{" + ",".join(json.dumps(str(k)) + ":" + _reference_dump(v)
                               for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_reference_dump(v) for v in obj) + "]"
+        items = [d for v in obj
+                 for d in (_entry_dicts(v) if isinstance(v, IdentityDefects) else [v])]
+        return "[" + ",".join(_reference_dump(v) for v in items) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -337,6 +355,7 @@ def test_degenerate_curve_is_reported(capsys):
     (["expand", "--order", "-3"], "ValueError"),
     *((["expand", "--order", str(order)], "IncompatibleSystem") for order in range(4)),
     (["kappa", "--order", "3"], "IncompatibleSystem"),
+    *((["verify", "--tol", tol], "ValueError") for tol in ("nan", "inf", "0", "-1")),
 ])
 def test_out_of_range_options_are_reported(capsys, argv, error):
     # below order 4 the genus-2 system has rank 1-2 of 3 and its kappa is
@@ -405,6 +424,28 @@ def test_verify_reports_a_refused_curve(capsys, monkeypatch):
     assert code == 1
     assert ("fail  curve_pipeline               HomologyConstructionFailure: no chain "
             "orientation produced a certified canonical basis") in map(str.strip, text.splitlines())
+
+
+def _entry_line(entry: dict) -> str:
+    """The text line of a verify entry, under "  checks:"."""
+    tail = f"defect={entry['defect']:.3e}" if "defect" in entry else entry["error"]
+    sign = f" sign={entry['sign']:+d}" if "sign" in entry else ""
+    return f"    {entry['status']:>4}  {entry['identity']:<28} {tail}{sign}"
+
+
+@pytest.mark.parametrize("argv", [[], ["--suite", "full", "--seed", "3"], ["--tol", "1e-30"],
+                                  ["--order", "80"]])
+def test_verify_text_lines_follow_the_json_report(capsys, argv):
+    # a passing run, a failing one and one with a refused expansion
+    _, rep = _run_json(capsys, ["verify", *argv])
+    _, text = _run(capsys, ["verify", "--format", "text", *argv])
+    lines, start = text.splitlines(), 0
+    for curve in rep["curves"]:
+        want = ["  checks:", *map(_entry_line, curve["checks"]), f"  failures: {curve['failures']}"]
+        start = lines.index("  checks:", start)
+        assert lines[start:start + len(want)] == want, curve["name"]
+        start += len(want)
+    assert lines.count("  checks:") == len(rep["curves"])
 
 
 def test_verify_reports_a_refused_stencil(capsys, monkeypatch):

@@ -80,7 +80,7 @@ def test_thomae_restricted_forms_marked_na(skew_curve, skew_bundle, skew_table,
 
 def test_thomae_genus1(lemniscatic_table, generic_g1_table, standard_table):
     for tt in (lemniscatic_table, generic_g1_table):
-        e = thomae_genus1_defect(tt)
+        e = thomae_genus1_defect(tt)["thomae_genus1"]
         assert e.status == "pass"
         assert e.defect < 1e-11
     with pytest.raises(ValueError):
@@ -284,10 +284,15 @@ def test_omega_a_periods_vanish(standard_curve, standard_bundle):
 # of the matching.  The reference below is their formulation one
 # characteristic at a time, with char_add chains and one entry per call.
 
+def _scalar_relative_defect(lhs: complex, rhs: complex) -> float:
+    big = max(abs(lhs), abs(rhs))
+    d = abs(lhs - rhs)
+    return d if big < identities.ABSOLUTE_FLOOR else d / big
+
+
 def _ref_entry(label, lhs, rhs, tol, sign=None, applicable=True):
     lhs, rhs = complex(lhs), complex(rhs)
-    big, d = max(abs(lhs), abs(rhs)), abs(lhs - rhs)
-    d = d if big < identities.ABSOLUTE_FLOOR else d / big
+    d = _scalar_relative_defect(lhs, rhs)
     status = "n/a" if not applicable else ("pass" if d < tol else "fail")
     return IdentityEntry(label, lhs, rhs, d, sign, status)
 
@@ -458,3 +463,34 @@ def test_relative_defect_scales():
     assert relative_defect(0.0, 0.0) == 0.0
     assert relative_defect(2.0, 1.0) == pytest.approx(0.5)
     assert relative_defect(1e-20, 0.0) == pytest.approx(1e-20, abs=1e-30)
+
+
+def test_relative_defect_equals_the_scalar_formula_bit_for_bit():
+    # moduli from 1e-30 to 1e30, so both sides, one side or neither is below
+    # ABSOLUTE_FLOOR; zero sides, real sides, and sides that nearly agree
+    rng = np.random.default_rng(20240)
+    n = 30000
+
+    def sides():
+        z = 10.0 ** rng.uniform(-30, 30, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        z[rng.uniform(size=n) < 0.05] = 0.0
+        real = rng.uniform(size=n) < 0.1
+        z[real] = z[real].real
+        return z
+
+    lhs, rhs = sides(), sides()
+    near = rng.uniform(size=n) < 0.3
+    rhs[near] = lhs[near] * (1.0 + 1e-12 * rng.standard_normal(near.sum()))
+    want = [_scalar_relative_defect(a, b) for a, b in zip(lhs.tolist(), rhs.tolist())]
+    assert relative_defect(lhs, rhs).tolist() == want
+
+
+def test_max_defect_keeps_a_nan_in_either_order():
+    nan = float("nan")
+    for lhs in ([2.0, nan], [nan, 2.0]):
+        d = identities.identity_entries(("a", "b"), lhs, [1.0, 1.0], 1e-8)
+        assert np.isnan(d.max_defect()), lhs
+    # a NaN of an entry that does not apply is not a defect
+    d = identities.identity_entries(("a", "b"), [2.0, nan], [1.0, 1.0], 1e-8,
+                                    applicable=[True, False])
+    assert d.max_defect() == 0.5
