@@ -27,11 +27,15 @@ it raised) and judged like a named output.  A number moves by |a - b|
 relative to itself, except in the defect fields, and the sides they
 compare, which are judged against the scale of those sides as
 ``identities.relative_defect`` judges a defect, and in the expand
-command's residual, which is relative already (``field_scales``).  Exits
-1 on any exit-code, status or sign change of the first pass, on any report
-of the first pass that moves beyond ROUNDOFF_MOVE or whose bytes differ
-while its parsed value is equal (a change of number formatting), and on any
-difference of the second pass or of the library pass.
+command's residual, which is relative already (``field_scales``).  An
+output whose exit code changes is marked whatever its text.  Exits 1 on
+any exit-code, status or sign change of the first pass, on any report of
+the first pass that moves beyond ROUNDOFF_MOVE or whose bytes differ while
+its parsed value is equal (a change of number formatting), and on any
+marked output of the second or library pass: one that moves beyond
+ROUNDOFF_MOVE, cannot be compared number by number, or changes its exit
+code.  An output of those passes that moves at roundoff only is printed
+but does not fail the comparison.
 """
 
 import json
@@ -210,23 +214,28 @@ def largest_move(text0: str, text1: str) -> tuple:
 
 def judge(old: dict, new: dict, what: str) -> tuple:
     """Print each output whose exit code or bytes differ between two runs,
-    with its largest move, marked when beyond roundoff, and the largest move
-    of all with where it sits; a text variant is judged by its JSON twin.
-    Returns (how many differ, how many of them are marked)."""
+    with its largest move, marked when beyond roundoff or when its exit code
+    changed, and the largest move of all with where it sits; a text variant
+    is judged by its JSON twin.  Returns (how many differ, how many of them
+    are marked)."""
     # a text variant after its JSON twin, which judges it
     diffs = sorted((run for run, result in old.items() if new[run] != result),
                    key=lambda run: run.endswith(" text"))
     flagged, moves = {}, {}
     for run in diffs:
         twin = run.removesuffix(" text")
+        (code0, text0), (code1, text1) = old[run], new[run]
         if twin == run:
-            move, where = largest_move(old[run][1], new[run][1])
+            move, where = largest_move(text0, text1)
             flagged[run] = move is None or move > ROUNDOFF_MOVE
             moves[run] = (math.inf if move is None else move, where)
             note = f"largest move {'-' if move is None else f'{move:.3e}'} {where}"
         else:
             flagged[run] = flagged.get(twin, True)
             note = f"judged by {twin}" if twin in flagged else f"{twin} has equal bytes"
+        if code0 != code1:
+            flagged[run] = True
+            note += f"; exit code {code0} -> {code1}"
         print(f"output differs: {run}; {note}{' BEYOND ROUNDOFF' if flagged[run] else ''}")
     if moves:
         run, (move, where) = max(moves.items(), key=lambda item: item[1][0])
@@ -271,11 +280,12 @@ def main(argv) -> int:
     sys.stdout.writelines(f"bytes differ, parsed value equal: {run}\n" for run in formatting)
     print(f"{len(changes)} exit-code or status changes and {len(flips)} sign changes over "
           f"{len(old)} runs, {differing} reports differ in value, {bytes_differ} in bytes")
-    # a verify report may move at roundoff; a named or library output may not move
-    _, beyond = judge(old, new, "verify (suite, seed)")
-    named_diffs, _ = judge(old_named, new_named, "(command, curve, variant)")
-    library_diffs, _ = judge(old_library, new_library, "library (curve, map)")
-    return 1 if changes or flips or formatting or beyond or named_diffs or library_diffs else 0
+    # any output may move at roundoff
+    beyond = sum(judge(*runs)[1] for runs in (
+        (old, new, "verify (suite, seed)"),
+        (old_named, new_named, "(command, curve, variant)"),
+        (old_library, new_library, "library (curve, map)")))
+    return 1 if changes or flips or formatting or beyond else 0
 
 
 if __name__ == "__main__":

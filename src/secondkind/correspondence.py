@@ -84,39 +84,38 @@ def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
     if tt.genus != 2:
         raise ValueError("bolza_match needs a genus-2 table")
     th = tt.directional[0][tt.odd_codes]
-    mx = float(np.max(np.abs(th[:, 1])))
+    t2 = th[:, 1]
+    mx = float(np.max(np.abs(t2)))
     if mx == 0.0:
         raise NoGamma("all directional derivatives vanish")
-    small = [ch for ch, t2 in zip(tt.odd, th[:, 1]) if abs(t2) < GAMMA_THRESHOLD * mx]
-    if not small:
+    # np.hypot is Python's abs bit for bit; np.abs of an array is not
+    degenerate = np.hypot(t2.real, t2.imag) < GAMMA_THRESHOLD * mx
+    small, rest = np.flatnonzero(degenerate), np.flatnonzero(~degenerate)
+    if not small.size:
         raise NoGamma("no odd characteristic with degenerate Theta_2")
-    if len(small) > 1:
-        raise AmbiguousMatching(f"{len(small)} Theta_2-degenerate characteristics")
-    gamma = small[0]
+    if small.size > 1:
+        raise AmbiguousMatching(f"{small.size} Theta_2-degenerate characteristics")
 
-    points = canonical_branch_order(curve.branch_points)
-    taken: dict[int, Characteristic] = {}
-    residuals: dict[int, float] = {}
-    values: dict[int, complex] = {}
-    for ch, (t1, t2) in zip(tt.odd, th):
-        if ch == gamma:
-            continue
-        ratio = complex(-t1 / t2)
-        dists = [abs(ratio - e) for e in points]
-        k = int(np.argmin(dists))
-        rel = dists[k] / max(1.0, abs(points[k]))
-        if rel > MATCH_RESIDUAL_TOL:
-            raise AmbiguousMatching(
-                f"ratio {ratio:.6g} matches no branch point (residual {rel:.2e})"
-            )
-        if k in taken:
-            raise AmbiguousMatching(f"branch point {k + 1} claimed twice")
-        taken[k] = ch
-        residuals[k] = rel
-        values[k] = ratio
+    # the five other characteristics in odd order, each to its nearest branch point
+    ratios = -th[rest, 0] / t2[rest]
+    points = np.array(canonical_branch_order(curve.branch_points))
+    diff = ratios[:, None] - points
+    dists = np.hypot(diff.real, diff.imag)
+    ks = np.argmin(dists, axis=1)
+    rel = dists.min(axis=1) / np.maximum(1.0, np.hypot(points.real, points.imag)[ks])
+    # refused at the first characteristic that fails, the residual checked first
+    claimed = np.argmax(ks[:, None] == ks, axis=1) < np.arange(len(ks))
+    failed = (rel > MATCH_RESIDUAL_TOL) | claimed
+    if failed.any():
+        i = int(np.argmax(failed))
+        if rel[i] > MATCH_RESIDUAL_TOL:
+            raise AmbiguousMatching(f"ratio {complex(ratios[i]):.6g} matches no branch point "
+                                    f"(residual {rel[i]:.2e})")
+        raise AmbiguousMatching(f"branch point {ks[i] + 1} claimed twice")
 
-    chars = tuple(taken[k] for k in range(5))
-    odd_codes = np.array([ch.code for ch in chars + (gamma,)])
+    by_point = np.argsort(ks)
+    chars = tuple(tt.odd[i] for i in rest[by_point])
+    odd_codes = tt.odd_codes[np.append(rest[by_point], small)]
     even_quads = odd_codes[ODD_PAIRS[:, :1]] ^ odd_codes[ODD_PAIRS[:, 1:]] ^ odd_codes[ODD_REST]
     evens = set(tt.even_codes.tolist())
     assert all(len(set(q)) == 4 and set(q) <= evens for q in even_quads.tolist()), \
@@ -125,9 +124,9 @@ def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
     odd_codes.flags.writeable = even_quads.flags.writeable = False
     return BranchMatching(
         chars=chars,
-        gamma=gamma,
-        residuals=tuple(residuals[k] for k in range(5)),
-        branch_values=tuple(values[k] for k in range(5)),
+        gamma=tt.odd[small[0]],
+        residuals=tuple(rel[by_point].tolist()),
+        branch_values=tuple(ratios[by_point].tolist()),
         odd_codes=odd_codes,
         even_quads=even_quads,
     )

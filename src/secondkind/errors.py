@@ -53,7 +53,7 @@ class AmbiguousMatching(SecondKindError):
 
 
 class NoGamma(SecondKindError):
-    """No (or more than one) odd characteristic annihilates the second winding derivative."""
+    """No odd characteristic annihilates the second winding derivative."""
 
 
 class GammaCharacteristic(SecondKindError):

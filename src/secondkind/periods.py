@@ -7,8 +7,8 @@ is the k-th chain cycle.  The basis
     a_k = chain(2k-2),   b_k = chain(2k-1) + chain(2k+1) + ...
 
 is symplectic whenever the chain orientations are coherent.  Orientations
-are not assumed: the sign patterns are tried in a fixed order, up to a global
-sign, and the first one whose period matrices pass the Legendre relation,
+are not assumed: all sign patterns, up to a global sign, are judged in one
+array pass, and the first whose period matrices pass the Legendre relation,
 tau symmetry, and Im tau > 0 is accepted.  Negating every chain negates all
 four period blocks exactly and leaves every gate's bits unchanged, so chain
 0 is kept at +1.  These certificates are exactly the properties every
@@ -65,9 +65,9 @@ _QUAD_TOL_RANGE = (1e-14, 1e-6)
 LEGENDRE_GATE_CAP = 1e-3
 
 
-def _scaled_gate(base: float, magnitude: float) -> float:
-    """The base gate grown with the magnitude of what it checks, capped."""
-    return min(base * max(1.0, magnitude), LEGENDRE_GATE_CAP)
+def _scaled_gate(base: float, magnitude):
+    """The base gate grown with the magnitude of what it checks, capped, elementwise."""
+    return np.minimum(base * np.maximum(1.0, magnitude), LEGENDRE_GATE_CAP)
 
 
 @functools.cache
@@ -152,19 +152,20 @@ def _symplectic_j(g: int) -> tuple:
     return out
 
 
-def _block_legendre_defect(omega, omega_prime, eta, eta_prime) -> float:
-    g = omega.shape[0]
-    m = np.empty((2 * g, 2 * g), dtype=complex)
-    m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:] = omega, omega_prime, eta, eta_prime
+def _block_legendre_defect(omega, omega_prime, eta, eta_prime):
+    """Max-norm Legendre defect of each (g, g) block stacked on leading axes."""
+    g = omega.shape[-1]
+    m = np.empty(omega.shape[:-2] + (2 * g, 2 * g), dtype=complex)
+    m[..., :g, :g], m[..., :g, g:], m[..., g:, :g], m[..., g:, g:] = omega, omega_prime, eta, eta_prime
     jj, half_pi_jj = _symplectic_j(g)
-    return float(np.max(np.abs(m @ jj @ m.T + half_pi_jj)))
+    return np.max(np.abs(m @ jj @ m.mT + half_pi_jj), axis=(-2, -1))
 
 
 def legendre_defect(bundle: PeriodBundle) -> float:
     """Max-norm deviation of the generalized Legendre relation."""
-    return _block_legendre_defect(
+    return float(_block_legendre_defect(
         bundle.omega, bundle.omega_prime, bundle.eta, bundle.eta_prime
-    )
+    ))
 
 
 def _chain_integrand(points, segments, numerators_fn):
@@ -218,7 +219,8 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
     """Compute 2omega, 2omega', 2eta, 2eta', tau, kappa with certification.
 
     Raises HomologyConstructionFailure when no chain orientation passes the
-    Legendre/symmetry/positivity gates (pathological configurations), and
+    Legendre/symmetry/positivity gates (pathological configurations), with
+    |det 2 omega| or the gates of the pattern closest to passing, and
     QuadratureNonConvergence when a segment integral cannot reach quad_tol.
     """
     if not (_QUAD_TOL_RANGE[0] <= quad_tol <= _QUAD_TOL_RANGE[1]):
@@ -230,15 +232,11 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
     scale = branch_scale(pts)
     n_chains = 2 * g
     for k in range(n_chains):
-        seg_a, seg_b = pts[k], pts[k + 1]
         for j, e in enumerate(pts):
-            if j in (k, k + 1):
-                continue
-            d = segment_distance(seg_a, seg_b, e)
-            if d < 1e-6 * scale:
+            d = segment_distance(pts[k], pts[k + 1], e)
+            if j not in (k, k + 1) and d < 1e-6 * scale:
                 raise HomologyConstructionFailure(
-                    f"branch point {j} sits on segment ({k}, {k + 1}) (distance {d:.2e})"
-                )
+                    f"branch point {j} sits on segment ({k}, {k + 1}) (distance {d:.2e})")
     rows = _period_numerators(curve)
     chains = 2.0 * chain_integrals(pts, [(k, k + 1) for k in range(n_chains)], rows, quad_tol)
 
@@ -246,62 +244,64 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
     # the magnitudes it checks (``_scaled_gate``); the bundle records each gate
     sym_gate, leg_base = max(1e-10, 100.0 * quad_tol), max(1e-9, 1000.0 * quad_tol)
 
-    for signs in itertools.product((1, -1), repeat=n_chains - 1):
-        signs = (1, *signs)
-        # columns a_1..a_g, b_1..b_g; rows (2 omega, -2 eta) over them
-        cyc = (chains * np.asarray(signs, dtype=float)) @ _cycle_basis(g).T
-        two_w, two_wp, two_e, two_ep = cyc[:g, :g], cyc[:g, g:], -cyc[g:, :g], -cyc[g:, g:]
-        if abs(np.linalg.det(two_w)) < 1e-12:
-            continue
-        tau = np.linalg.solve(two_w, two_wp)
-        tau_asym = float(np.max(np.abs(tau - tau.T)))
-        tau_gate = sym_gate * max(1.0, float(np.max(np.abs(tau))))
-        if tau_asym > tau_gate:
-            continue
-        tau_sym = 0.5 * (tau + tau.T)
-        eig_min = float(np.linalg.eigvalsh(tau_sym.imag)[0])
-        if eig_min <= 0.0:
-            continue
-        defect = _block_legendre_defect(two_w / 2, two_wp / 2, two_e / 2, two_ep / 2)
-        # the relation is bilinear in (omega, omega') and (eta, eta'), so its
-        # roundoff grows with the product of their magnitudes
-        w_hat = 0.5 * float(np.max(np.abs(np.hstack([two_w, two_wp]))))
-        e_hat = 0.5 * float(np.max(np.abs(np.hstack([two_e, two_ep]))))
-        leg_gate = _scaled_gate(leg_base, w_hat * e_hat)
-        if defect > leg_gate:
-            continue
-
-        inv_two_w = np.linalg.inv(two_w)
-        kappa_raw = (two_e / 2) @ inv_two_w
-        kappa_asym = float(np.max(np.abs(kappa_raw - kappa_raw.T)))
-        kappa = 0.5 * (kappa_raw + kappa_raw.T)
-        eta_p_pred = kappa @ two_wp - 1j * np.pi * inv_two_w.T
-        eta_p_cons = float(np.max(np.abs(eta_p_pred - two_ep / 2)))
-        # the roundoff of the consistency grows with |eta'| as the
-        # Legendre roundoff grows with the products of the periods
-        eta_p_gate = _scaled_gate(leg_base, 0.5 * float(np.max(np.abs(two_ep))))
-        return PeriodBundle(
-            omega=two_w / 2,
-            omega_prime=two_wp / 2,
-            eta=two_e / 2,
-            eta_prime=two_ep / 2,
-            tau=tau_sym,
-            kappa=kappa,
-            inv_two_omega=inv_two_w,
-            legendre_defect=defect,
-            legendre_gate=leg_gate,
-            eta_prime_gate=eta_p_gate,
-            tau_asymmetry=tau_asym,
-            tau_gate=tau_gate,
-            kappa_asymmetry=kappa_asym,
-            im_tau_min_eig=eig_min,
-            eta_prime_consistency=eta_p_cons,
-            chain_signs=tuple(signs),
-            canonical_points=pts,
-            quad_tol=quad_tol,
-        )
-    raise HomologyConstructionFailure(
-        "no chain orientation produced a certified canonical basis"
+    # every sign pattern at once, in itertools.product order; columns a_1..a_g,
+    # b_1..b_g and rows (2 omega, -2 eta) over them, one stack entry per pattern
+    patterns = [(1, *signs) for signs in itertools.product((1, -1), repeat=n_chains - 1)]
+    cyc = (chains * np.array(patterns, dtype=float)[:, None, :]) @ _cycle_basis(g).T
+    two_w, two_wp, two_e, two_ep = cyc[:, :g, :g], cyc[:, :g, g:], -cyc[:, g:, :g], -cyc[:, g:, g:]
+    # a pattern only negates columns of 2 omega, which leaves |det| unchanged
+    det = abs(np.linalg.det(two_w[0]))
+    if det < 1e-12:
+        raise HomologyConstructionFailure("no chain orientation produced a certified canonical "
+                                          f"basis; |det 2 omega| = {det:.2e} against 1e-12")
+    tau = np.linalg.solve(two_w, two_wp)
+    tau_asym = np.max(np.abs(tau - tau.mT), axis=(1, 2))
+    tau_gate = sym_gate * np.maximum(1.0, np.max(np.abs(tau), axis=(1, 2)))
+    tau_sym = 0.5 * (tau + tau.mT)
+    eig_min = np.linalg.eigvalsh(tau_sym.imag)[:, 0]
+    defect = _block_legendre_defect(two_w / 2, two_wp / 2, two_e / 2, two_ep / 2)
+    # the relation is bilinear in (omega, omega') and (eta, eta'), so its
+    # roundoff grows with the product of their magnitudes
+    w_hat = 0.5 * np.max(np.abs(cyc[:, :g]), axis=(1, 2))
+    e_hat = 0.5 * np.max(np.abs(cyc[:, g:]), axis=(1, 2))
+    leg_gate = _scaled_gate(leg_base, w_hat * e_hat)
+    passed = (tau_asym <= tau_gate) & (eig_min > 0.0) & (defect <= leg_gate)
+    k = int(np.argmax(passed))
+    if not passed[k]:
+        k = int(np.argmin(defect / leg_gate))
+        raise HomologyConstructionFailure(
+            "no chain orientation produced a certified canonical basis; closest signs "
+            f"{patterns[k]}: Legendre defect {defect[k]:.2e} against gate {leg_gate[k]:.2e}, tau "
+            f"asymmetry {tau_asym[k]:.1e} against {tau_gate[k]:.2e}, min eig Im tau {eig_min[k]:.2g}")
+    two_w, two_wp, two_e, two_ep = two_w[k], two_wp[k], two_e[k], two_ep[k]
+    inv_two_w = np.linalg.inv(two_w)
+    kappa_raw = (two_e / 2) @ inv_two_w
+    kappa_asym = float(np.max(np.abs(kappa_raw - kappa_raw.T)))
+    kappa = 0.5 * (kappa_raw + kappa_raw.T)
+    eta_p_pred = kappa @ two_wp - 1j * np.pi * inv_two_w.T
+    eta_p_cons = float(np.max(np.abs(eta_p_pred - two_ep / 2)))
+    # the roundoff of the consistency grows with |eta'| as the
+    # Legendre roundoff grows with the products of the periods
+    eta_p_gate = float(_scaled_gate(leg_base, 0.5 * float(np.max(np.abs(two_ep)))))
+    return PeriodBundle(
+        omega=two_w / 2,
+        omega_prime=two_wp / 2,
+        eta=two_e / 2,
+        eta_prime=two_ep / 2,
+        tau=tau_sym[k],
+        kappa=kappa,
+        inv_two_omega=inv_two_w,
+        legendre_defect=float(defect[k]),
+        legendre_gate=float(leg_gate[k]),
+        eta_prime_gate=eta_p_gate,
+        tau_asymmetry=float(tau_asym[k]),
+        tau_gate=float(tau_gate[k]),
+        kappa_asymmetry=kappa_asym,
+        im_tau_min_eig=float(eig_min[k]),
+        eta_prime_consistency=eta_p_cons,
+        chain_signs=patterns[k],
+        canonical_points=pts,
+        quad_tol=quad_tol,
     )
 
 

@@ -80,6 +80,28 @@ def test_main_marks_only_the_real_move(cv, monkeypatch, capsys):
                           "0 of 0 library (curve, map) outputs differ, 0 of them beyond roundoff (1e-12)"]
 
 
+@pytest.mark.parametrize("where", [1, 2], ids=["named", "library"])
+@pytest.mark.parametrize("change, code, marked", [
+    ("roundoff", 0, False),  # an ulp of the sides
+    ("real", 0, True),       # a move beyond roundoff
+    ("none", 2, True),       # the same text under another exit code
+])
+def test_named_and_library_passes_exit_1_on_a_marked_output_only(cv, monkeypatch, capsys,
+                                                                 where, change, code, marked):
+    old = json.dumps(_report())
+    text = {"roundoff": _moved(defect=1.26616439638219e-16, rhs_im=-4.865000748204892)[1],
+            "real": json.dumps(_report(defect=3e-9, rhs_im=-4.865000748204891 + 1.5e-8)),
+            "none": old}[change]
+    runs, moved = [{}, {}, {}], [{}, {}, {}]
+    runs[where]["standard run"], moved[where]["standard run"] = [0, old], [code, text]
+    monkeypatch.setattr(cv, "reports", {"old": runs, "new": moved}.__getitem__)
+    assert cv.main(["old", "new"]) == int(marked)
+    differs = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("output differs")]
+    assert len(differs) == 1 and differs[0].endswith("BEYOND ROUNDOFF") == marked, differs
+    assert ("; exit code 0 -> 2" in differs[0]) == bool(code)
+
+
 @pytest.mark.parametrize("moved, beyond", [
     (_moved(defect=1.26616439638219e-16, rhs_im=-4.865000748204892)[1], False),  # roundoff
     (json.dumps(_report(defect=3e-9, rhs_im=-4.865000748204891 + 1.5e-8)), True),  # a real move
@@ -131,7 +153,7 @@ def test_text_outputs_are_judged_by_their_json_twin(cv, monkeypatch, capsys, twi
     moved = {"verify unit_square text": [0, "rosenhain_classical_24 pass 1.266e-16\n"],
              "verify unit_square": [0, twins[twin]]}
     monkeypatch.setattr(cv, "reports", {"old": ({}, runs, {}), "new": ({}, moved, {})}.__getitem__)
-    assert cv.main(["old", "new"]) == 1
+    assert cv.main(["old", "new"]) == int(flagged)
     text = [line for line in capsys.readouterr().out.splitlines()
             if line.startswith("output differs: verify unit_square text")]
     assert len(text) == 1 and text[0].endswith("BEYOND ROUNDOFF") == flagged, text

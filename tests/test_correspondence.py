@@ -115,3 +115,36 @@ def test_a_table_without_gamma_is_refused(standard_table, standard_curve, w, mes
                          tt.tol, tt.lam_min, w)
     with pytest.raises(NoGamma, match=message):
         bolza_match(rebuilt, standard_curve)
+
+
+def _with_directional(tt, grads):
+    """The table ``tt`` with ``directional[0]`` = grads: grads contracted with W = I."""
+    return ThetaTable(tt.tau, (tt.values, grads, tt.hessians, tt.thirds), tt.radius, tt.tol,
+                      tt.lam_min, np.eye(2))
+
+
+def test_two_degenerate_characteristics_are_refused(standard_table, standard_matching,
+                                                     standard_curve):
+    grads = standard_table.directional[0].copy()
+    grads[[standard_matching.gamma.code, standard_matching.delta(1).code], 1] = 0
+    with pytest.raises(AmbiguousMatching, match="^2 Theta_2-degenerate characteristics$"):
+        bolza_match(_with_directional(standard_table, grads), standard_curve)
+
+
+@pytest.mark.parametrize("theta_2_scale, message", [
+    (1.0, "^branch point 1 claimed twice$"),
+    # delta_2 then fails both checks, and the residual is checked first
+    (1.001, "^ratio .* matches no branch point"),
+], ids=["copied", "perturbed"])
+def test_delta_1_in_place_of_delta_2_is_refused(standard_table, standard_matching, standard_curve,
+                                                theta_2_scale, message):
+    """delta_2's row replaced by delta_1's, which precedes it in odd order:
+    both ratios are e_1, or delta_2's is 1e-3 off it."""
+    tt, m = standard_table, standard_matching
+    assert tt.odd.index(m.delta(1)) < tt.odd.index(m.delta(2))
+    grads = tt.directional[0].copy()
+    same = bolza_match(_with_directional(tt, grads.copy()), standard_curve)
+    assert [ch.label() for ch in same.chars] == [ch.label() for ch in m.chars]
+    grads[m.delta(2).code] = grads[m.delta(1).code] * [1.0, theta_2_scale]
+    with pytest.raises(AmbiguousMatching, match=message):
+        bolza_match(_with_directional(tt, grads), standard_curve)

@@ -65,13 +65,65 @@ def test_negating_every_chain_keeps_the_gates_bits(fixture, request, monkeypatch
         assert getattr(n, field) == getattr(b, field), field
 
 
+def _linalg_calls(monkeypatch) -> dict:
+    """Record (argument, result) of each np.linalg.det and np.linalg.solve call."""
+    calls = {"det": [], "solve": []}
+    for name, log in calls.items():
+        def recorded(a, *rest, fn=getattr(np.linalg, name), log=log):
+            log.append((a, fn(a, *rest)))
+            return log[-1][1]
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
 def test_a_refusal_tries_half_the_sign_patterns(standard_curve, monkeypatch):
+    """All 2^(2g-1) = 8 patterns of the +500 refusal are judged in one pass:
+    one |det 2 omega|, which a pattern cannot move, and one solve on a stack
+    of 8 systems."""
     shifted = curve_from_branch_points([e + 500.0 for e in standard_curve.branch_points])
-    calls, det = [], np.linalg.det
-    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a) or det(a))
+    calls = _linalg_calls(monkeypatch)
     with pytest.raises(HomologyConstructionFailure, match="no chain orientation"):
         compute_periods(shifted)
-    assert len(calls) == 2 ** 3
+    assert [a.shape for a, _ in calls["det"]] == [(2, 2)]
+    assert [a.shape for a, _ in calls["solve"]] == [(8, 2, 2)]
+
+
+def test_a_genus1_curve_judges_both_sign_patterns(generic_g1_curve, monkeypatch):
+    calls = _linalg_calls(monkeypatch)
+    compute_periods(generic_g1_curve)
+    assert [a.shape for a, _ in calls["det"]] == [(1, 1)]
+    assert [a.shape for a, _ in calls["solve"]] == [(2, 1, 1)]
+
+
+def test_a_branch_point_on_a_segment_is_refused():
+    curve = curve_from_branch_points([-2, -1, 0, 1e-7, 2])
+    message = r"branch point 3 sits on segment \(1, 2\)"
+    with pytest.raises(HomologyConstructionFailure, match=message):
+        compute_periods(curve)
+
+
+def test_a_scaled_curve_is_refused_by_the_determinant(standard_curve, monkeypatch):
+    """|det 2 omega| = 2.37 / s^2 on the standard curve scaled by s, so the
+    absolute 1e-12 gate refuses from s ~ 1.54e6, before any other gate."""
+    scaled = curve_from_branch_points([3e6 * e for e in standard_curve.branch_points])
+    calls = _linalg_calls(monkeypatch)
+    with pytest.raises(HomologyConstructionFailure, match="no chain orientation"):
+        compute_periods(scaled)
+    assert calls["det"] and not calls["solve"]
+    assert all(abs(d) == pytest.approx(2.63e-13, rel=1e-2) for _, d in calls["det"])
+
+
+@pytest.mark.parametrize("shift, scale, why", [
+    # the rounding of the Legendre relation on a shifted curve (ROADMAP item 3)
+    (500.0, 1.0, r"; closest signs \(1, 1, 1, 1\): Legendre defect 7\.8\de-03 against gate "
+                 r"1\.00e-03, tau asymmetry 4\.\de-14 against 1\.25e-10, min eig Im tau 0\.61$"),
+    (0.0, 3e6, r"; \|det 2 omega\| = 2\.6\de-13 against 1e-12$"),
+], ids=["shifted", "scaled"])
+def test_a_refusal_says_why(standard_curve, shift, scale, why):
+    curve = curve_from_branch_points([scale * e + shift for e in standard_curve.branch_points])
+    with pytest.raises(HomologyConstructionFailure,
+                       match="^no chain orientation produced a certified canonical basis" + why):
+        compute_periods(curve)
 
 
 @pytest.mark.parametrize("fixture", [
