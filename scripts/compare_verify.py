@@ -20,10 +20,13 @@ told from a wrong number.  A --format text output prints the numbers of its
 JSON twin, the same command and curve with no extra options, so it is judged
 by that twin: marked when the twin is marked, or when the twin's bytes are
 equal while the text differs.  A library pass computes, on the same six
-curves, outputs that no command prints: ``abel_map`` between two lifted
-points, into and out of every branch point, and ``abel_from_infinity`` to
-every branch point, each written as JSON [re, im] pairs (or as the refusal
-it raised) and judged like a named output.  A number moves by |a - b|
+curves, outputs that no command prints: ``abel_map`` from a lifted point
+P to both lifts Q and Q' of another, into and out of every branch point,
+``abel_from_infinity`` to every branch point, and the two maps to Q and Q'
+again after all the others: where one of them takes the loop route, its
+repeat reuses the loop that the first call integrated.  Each is written as
+JSON [re, im] pairs (or as the refusal it raised) and judged like a named
+output.  A number moves by |a - b|
 relative to itself, except in the defect fields, and the sides they
 compare, which are judged against the scale of those sides as
 ``identities.relative_defect`` judges a defect, and in the expand
@@ -91,12 +94,14 @@ def library_outputs(curves):
         e = curve.branch_points
         center = sum(e) / len(e)
         r = max(abs(z - center) for z in e)
-        p = curve.lift(center + r * (0.31 + 0.52j))
-        maps = [("P -> Q", p, curve.lift(center - r * (0.63 + 0.27j), -1))]
+        p, q = curve.lift(center + r * (0.31 + 0.52j)), center - r * (0.63 + 0.27j)
+        to_q = [("P -> Q", p, curve.lift(q, -1)), ("P -> Q'", p, curve.lift(q))]
+        maps = list(to_q)
         for k, z in enumerate(e):
             branch = CurvePoint(z, 0j)
             maps += [(f"P -> e{k}", p, branch), (f"e{k} -> P", branch, p),
                      (f"oo -> e{k}", None, branch)]
+        maps += [(f"{label} again", frm, to) for label, frm, to in to_q]
         for label, frm, to in maps:
             try:
                 v = (abel_from_infinity(curve, bundle, to) if frm is None

@@ -238,9 +238,10 @@ class Route:
     """y = sqrt(P(x)) continued along a polyline from (points[0], y0) in one
     pass over its vertices z, zero-length legs dropped: one ``CutCrossings``
     row per leg.  Consecutive legs share a vertex, where their principal
-    products 2 prod_k sqrt(z - e_k) agree, so leg k has the first leg's sign
-    times (-1)^(the crossings before it), and y_end is the principal product
-    at the last vertex times the parity of all of them (y0 with no leg).
+    products 2 prod_k sqrt(z - e_k) agree, so y at vertex k is sign[k] times
+    the principal product there, sign[k] the first vertex's sign times
+    (-1)^(the crossings before it), and leg k carries sign[k]; y_end is the
+    principal product at the last vertex times its sign (y0 with no leg).
     Negating a root is exact, so these are the bits of continuing leg after
     leg.  ``legs`` is built only when the route is integrated."""
 
@@ -252,13 +253,12 @@ class Route:
         w = z[:, None] - self.e
         self.cuts = CutCrossings(w[:-1], (z[1:] - z[:-1])[:, None], w[1:])
         flips = np.concatenate(([0], np.cumsum(self.cuts.crossed.sum(axis=1)))) % 2
-        sign = _sign_toward(2.0 * np.sqrt(w[0]).prod(), self.y0) * (1.0 - 2.0 * flips)
-        self.sign = sign[:-1]
-        self.y_end = complex(sign[-1] * (2.0 * np.sqrt(w[-1]).prod())) if len(z) > 1 else self.y0
+        self.sign = _sign_toward(2.0 * np.sqrt(w[0]).prod(), self.y0) * (1.0 - 2.0 * flips)
+        self.y_end = complex(self.sign[-1] * (2.0 * np.sqrt(w[-1]).prod())) if len(z) > 1 else self.y0
 
     @functools.cached_property
     def legs(self) -> list:
-        return [SheetPath(self, k) for k in range(len(self.sign))]
+        return [SheetPath(self, k) for k in range(len(self.z) - 1)]
 
 
 class SheetPath:
@@ -282,14 +282,15 @@ class SheetPath:
         return _legs_xy(self.z0, self.z1, self.sign, self.e, self.cuts, t, self.k)
 
 
-def integrate_rows_along(route: Route, rows_fn, tol):
-    """Integral vector of rows_fn(x, y) dx along a built ``Route``, rows_fn
-    mapping (x_nodes, y_nodes) to an array (rows, nodes).  The legs are the
-    trees of one ``adaptive_gl`` walk, and their parts are added from the
-    first."""
+def leg_integrals(route: Route, rows_fn, tol):
+    """Integral vector of rows_fn(x, y) dx along each leg of a built
+    ``Route``, one column per leg (rows, legs), rows_fn mapping (x_nodes,
+    y_nodes) to an array (rows, nodes).  The legs are the trees of one
+    ``adaptive_gl`` walk, so each column has the bits of its leg walked
+    alone."""
     n = len(route.legs)
     if not n:
-        return np.zeros(np.shape(rows_fn(route.z, np.array([route.y0])))[0], dtype=complex)
+        return np.zeros((np.shape(rows_fn(route.z, np.array([route.y0])))[0], 0), dtype=complex)
     z0, z1, sign, e, cuts = route.z[:-1], route.z[1:], route.sign, route.e, route.cuts
     leg = z1 - z0
 
@@ -297,8 +298,18 @@ def integrate_rows_along(route: Route, rows_fn, tol):
         k = nodes.imag.astype(int)
         return np.asarray(rows_fn(*_legs_xy(z0[k], z1[k], sign[k], e, cuts, nodes.real, k))) * leg[k]
 
-    parts = adaptive_gl(f, np.zeros(n), np.ones(n), tol)
-    return functools.reduce(np.add, parts.T)
+    return adaptive_gl(f, np.zeros(n), np.ones(n), tol)
+
+
+def add_legs(parts):
+    """The columns of ``leg_integrals`` added from the first; 0 with none."""
+    return functools.reduce(np.add, parts.T) if parts.shape[1] else np.zeros(len(parts), dtype=complex)
+
+
+def integrate_rows_along(route: Route, rows_fn, tol):
+    """Integral vector of rows_fn(x, y) dx along a built ``Route``: its
+    ``leg_integrals``, added from the first leg."""
+    return add_legs(leg_integrals(route, rows_fn, tol))
 
 
 class BranchLegPath:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,10 @@ from .paths import (
     CutCrossings,
     Route,
     adaptive_gl,
+    add_legs,
     integrate_rows_along,
     integrate_rows_to_branch_point,
+    leg_integrals,
     polyline_with_clearance,
     segment_distance,
 )
@@ -327,22 +330,79 @@ def _u_rows(curve: HyperellipticCurve):
     return rows
 
 
-def _y_squared_size(curve: HyperellipticCurve, x: complex) -> float:
-    """4 prod (|x - e_k| + d), d = max |e_i - e_j|: the scale of
-    y^2 = 4 prod (x - e_k) at x.  Like y^2 it takes a factor |s|^(2g+1) when
-    x and the branch points are scaled by s and none when they are
-    translated, so a gate on y^2 relative to it is invariant under both."""
-    e = curve.branch_points
-    d = max(abs(a - b) for a in e for b in e)
+#: The ``_AbelRoutes`` of every live curve ``abel_map`` has seen, by ``id``;
+#: an entry is dropped when its curve is collected.
+_ABEL_ROUTES: dict = {}
+
+
+class _AbelRoutes:
+    """What ``abel_map`` keeps of one curve for as long as the curve lives
+    (``_abel_routes``): the branch spread d = max |e_i - e_j| of
+    ``_y_squared_size``; the far point and the loop around every branch
+    point of ``_candidate_routes``; and, per quadrature tolerance, the
+    integrals along the loop's 8 legs at sign +1 with the parity p of the
+    loop's cut crossings (``loop_legs``).  It holds numbers and arrays
+    only, never the curve, which would then never be collected, nor a
+    ``Route``."""
+
+    def __init__(self, branch):
+        self.spread = max(abs(a - b) for a in branch for b in branch)
+        center = sum(branch) / len(branch)
+        rad = 1.6 * max(abs(e - center) for e in branch) + 1.0
+        self.far = center + rad * np.exp(1j * np.pi / 7)
+        self.loop = tuple(
+            center + rad * np.exp(1j * (np.pi / 7 + 2.0 * np.pi * k / 8.0)) for k in range(1, 8)
+        ) + (self.far,)
+        self._loop_legs = {}
+
+    def loop_legs(self, curve: HyperellipticCurve, rows, tol: float) -> tuple:
+        """(columns, p): the integrals of the u-basis ``rows`` along the legs
+        of the loop from the far point round every branch point and back,
+        one read-only column per leg, with y continued from the principal
+        product 2 prod sqrt(far - e_k) (sign +1), and the parity p of the
+        loop's cut crossings.  The loop is walked once per tolerance."""
+        legs = self._loop_legs.get(tol)
+        if legs is None:
+            y0 = 2.0 * np.sqrt(self.far - np.asarray(curve.branch_points, dtype=complex)).prod()
+            route = Route(curve, (self.far,) + self.loop, y0)
+            columns = leg_integrals(route, rows, tol)
+            columns.flags.writeable = False
+            legs = self._loop_legs[tol] = (columns, int(route.cuts.crossed.sum()) % 2)
+        return legs
+
+
+def _abel_routes(curve: HyperellipticCurve) -> _AbelRoutes:
+    """The ``_AbelRoutes`` of this curve object, made on first use.  It is
+    keyed by identity: a value-equal curve made elsewhere has its own."""
+    routes = _ABEL_ROUTES.get(id(curve))
+    if routes is None:
+        routes = _ABEL_ROUTES[id(curve)] = _AbelRoutes(curve.branch_points)
+        weakref.finalize(curve, _ABEL_ROUTES.pop, id(curve), None)
+    return routes
+
+
+def _y_squared_size(curve: HyperellipticCurve, x: complex, spread: float) -> float:
+    """4 prod (|x - e_k| + d), d = max |e_i - e_j| the branch spread
+    (``_AbelRoutes.spread``): the scale of y^2 = 4 prod (x - e_k) at x.
+    Like y^2 it takes a factor |s|^(2g+1) when x and the branch points are
+    scaled by s and none when they are translated, so a gate on y^2
+    relative to it is invariant under both."""
     size = 4.0
-    for ek in e:
-        size *= abs(x - ek) + d
+    for ek in curve.branch_points:
+        size *= abs(x - ek) + spread
     return size
 
 
-def _check_point(curve: HyperellipticCurve, p: CurvePoint) -> None:
-    if abs(p.y ** 2 - curve.y_squared(p.x)) > 1e-9 * _y_squared_size(curve, p.x):
+def _check_point(curve: HyperellipticCurve, p: CurvePoint, size: float) -> None:
+    """Refuse p unless y^2 matches P(x) to 1e-9 of ``size``, its
+    ``_y_squared_size``."""
+    if abs(p.y ** 2 - curve.y_squared(p.x)) > 1e-9 * size:
         raise ValueError(f"point ({p.x:.6g}, {p.y:.6g}) is not on the curve")
+
+
+def _on_sheet(y_end: complex, y: complex) -> bool:
+    """Whether a route ending at y_end ends on the sheet of y."""
+    return abs(y_end - y) <= abs(y_end + y)
 
 
 def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint, to: CurvePoint):
@@ -351,24 +411,31 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint, t
 
     The path is the first of ``_candidate_routes`` along which y, continued
     analytically from ``frm``, ends on the sheet of ``to``; the choice needs
-    no quadrature (``paths.Route.y_end``), and only that route is integrated,
-    from the arrays its choice built.
+    no quadrature (``paths.Route.y_end``).  A direct route or a route via
+    the far point is integrated alone, from the arrays its choice built.
+    The loop route is the route via the far point with a loop spliced in
+    there, so only the far route's legs are integrated, in one walk, and
+    the loop's legs come from the curve's ``_AbelRoutes``: they are walked
+    once per (curve, tolerance) and held while the curve lives
+    (``_route_integral``).
     An endpoint lying on a branch point is integrated with the regularized
     s^2 substitution; an endpoint lies on one when |y|^2 is at most 1e-20 of
-    the scale of y^2 at its x (``_y_squared_size``), a test that moves with
-    the branch points as y^2 does under scaling and translation.
+    the scale of y^2 at its x (``_y_squared_size``, computed once per
+    endpoint), a test that moves with the branch points as y^2 does under
+    scaling and translation.
     """
-    _check_point(curve, frm)
-    _check_point(curve, to)
+    routes = _abel_routes(curve)
+    sizes = [_y_squared_size(curve, p.x, routes.spread) for p in (frm, to)]
+    for p, size in zip((frm, to), sizes):
+        _check_point(curve, p, size)
     rows = _u_rows(curve)
 
-    def is_branch(p: CurvePoint):
-        if abs(p.y) ** 2 > 1e-20 * _y_squared_size(curve, p.x):
+    def is_branch(p: CurvePoint, size: float):
+        if abs(p.y) ** 2 > 1e-20 * size:
             return None
-        k = int(np.argmin([abs(p.x - e) for e in curve.branch_points]))
-        return k
+        return int(np.argmin([abs(p.x - e) for e in curve.branch_points]))
 
-    frm_idx, to_idx = is_branch(frm), is_branch(to)
+    frm_idx, to_idx = (is_branch(p, size) for p, size in zip((frm, to), sizes))
     if frm_idx is not None and to_idx is not None:
         raise PathThroughBranchPoint("both endpoints on branch points; split the path")
     if frm_idx is not None:
@@ -378,37 +445,57 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint, t
     elif to_idx is not None:
         total = _integral_into_branch(curve, frm, to_idx, rows, bundle.quad_tol)
     else:
-        for pts in _candidate_routes(frm.x, to.x, curve.branch_points):
-            route = Route(curve, pts, frm.y)
-            if abs(route.y_end - to.y) <= abs(route.y_end + to.y):
-                total = integrate_rows_along(route, rows, bundle.quad_tol)
-                break
-        else:
-            raise PathThroughBranchPoint("endpoint sheet does not match continuation "
-                                         "along any route")
+        total = _route_integral(curve, routes, frm, to, rows, bundle.quad_tol)
     return bundle.inv_two_omega @ total
 
 
-def _candidate_routes(z0: complex, z1: complex, branch):
+def _route_integral(curve, routes: _AbelRoutes, frm: CurvePoint, to: CurvePoint, rows, tol):
+    """Integral of the u-basis along the first of ``_candidate_routes`` that
+    ends on the sheet of ``to``, with the bits of one walk over its legs.
+
+    The loop route is head + loop + tail, the far route head + tail.  Its
+    loop legs carry s times the loop's own signs, s the sign the far route
+    brings into the far point, and its tail legs the far route's times
+    (-1)^p; negating a column is exact and each column of a walk has the
+    bits of its leg walked alone (``paths.leg_integrals``), so the far
+    route's columns and the loop's, added in the route's leg order, are
+    that walk's sum.
+    """
+    for pts in itertools.islice(_candidate_routes(curve, frm.x, to.x), 2):
+        route = Route(curve, pts, frm.y)
+        if _on_sheet(route.y_end, to.y):
+            return integrate_rows_along(route, rows, tol)
+    loop, p = routes.loop_legs(curve, rows, tol)
+    # the loop route ends at the far route's y_end times (-1)^p, so past
+    # this test p is odd and the tail legs are the far route's negated
+    if not _on_sheet(-route.y_end if p else route.y_end, to.y):
+        raise PathThroughBranchPoint("endpoint sheet does not match continuation "
+                                     "along any route")
+    parts = leg_integrals(route, rows, tol)
+    h = int(np.argmax(route.z == routes.far))  # the head's legs
+    return add_legs(np.concatenate(
+        (parts[:, :h], loop if route.sign[h] > 0 else -loop, -parts[:, h:]), axis=1))
+
+
+def _candidate_routes(curve: HyperellipticCurve, z0: complex, z1: complex):
     """Routes from z0 to z1 in successively adjusted homotopy classes.
 
     First the direct polyline; then a route via a point far outside the
-    branch points; then the same route with a loop inserted around ALL
-    branch points.  The loop winds around an odd number of them (2g + 1),
-    so it is guaranteed to swap sheets relative to the second route, and it
-    runs far from every obstacle.
+    branch points; then the same route with a loop inserted at the far
+    point around ALL branch points.  The loop winds around an odd number of
+    them (2g + 1), so its cut crossings have odd parity p and it is
+    guaranteed to swap sheets relative to the second route, and it runs
+    far from every obstacle.  The far point and the loop depend on the
+    curve alone and are held with its ``_AbelRoutes``; ``abel_map``
+    integrates the loop once per tolerance and splices it into the second
+    route (``_route_integral``).
     """
+    branch, routes = curve.branch_points, _abel_routes(curve)
     yield polyline_with_clearance(z0, z1, branch)
-    center = sum(branch) / len(branch)
-    rad = 1.6 * max(abs(e - center) for e in branch) + 1.0
-    zfar = center + rad * np.exp(1j * np.pi / 7)
-    head = polyline_with_clearance(z0, zfar, branch)
-    tail = polyline_with_clearance(zfar, z1, branch)
+    head = polyline_with_clearance(z0, routes.far, branch)
+    tail = polyline_with_clearance(routes.far, z1, branch)
     yield head + tail[1:]
-    loop = tuple(
-        center + rad * np.exp(1j * (np.pi / 7 + 2.0 * np.pi * k / 8.0)) for k in range(1, 8)
-    ) + (zfar,)
-    yield head + loop + tail[1:]
+    yield head + routes.loop + tail[1:]
 
 
 def _integral_into_branch(curve, start: CurvePoint, e_index: int, rows, tol):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from secondkind import abel_from_infinity, abel_map, compute_periods, curve_from_branch_points
-from test_paths import _per_interval, _reference_gl
+from test_paths import _per_interval, _reference_gl, _routes
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -56,8 +56,11 @@ def test_quadrature_keeps_the_traced_contract(monkeypatch):
     """The tracer wraps ``adaptive_gl(f, a, b, tol)`` and counts the nodes
     its integrand receives, so f must get 1-D node arrays of whole 32-node
     panels; ``paths.panels`` then counts integrand calls, one per level.
-    All chains of a curve are one call, and so are all legs of a route, and
-    the nodes counted are those of the recursion run interval by interval."""
+    All chains of a curve are one call, and so are all legs of a route.  A
+    map along the loop route walks the far route's legs in one call, and
+    the first such map on a curve walks the loop's 8 legs in one more;
+    ``paths.legs`` counts the legs walked.  The nodes counted are those of
+    the recursion run interval by interval."""
     paths = _module("paths")
     assert list(inspect.signature(paths.adaptive_gl).parameters) == ["f", "a", "b", "tol"]
     sizes, calls = [], []
@@ -73,16 +76,21 @@ def test_quadrature_keeps_the_traced_contract(monkeypatch):
 
     monkeypatch.setattr(paths, "adaptive_gl", recorded)
     monkeypatch.setattr(_module("periods"), "adaptive_gl", recorded)
+    curve = curve_from_branch_points((-2.0, -1.0, 0.0, 1.0, 2.0))
+    p, q = curve.lift(0.5 + 1.0j), curve.lift(2.6 + 0.3j)
+    far_legs = len(paths.Route(curve, _routes(curve, p, q)[1], p.y).legs)
     tracer = _spans().Tracer()
     tracer.install()
     try:
-        curve = curve_from_branch_points((-2.0, -1.0, 0.0, 1.0, 2.0))
         bundle = compute_periods(curve)
         assert tracer.counts["paths.quad_calls"] == 1
         # only the route via the far point with its loop ends on q's sheet
-        abel_map(curve, bundle, curve.lift(0.5 + 1.0j), curve.lift(2.6 + 0.3j))
-        assert tracer.counts["paths.quad_calls"] == 2
-        assert tracer.counts["paths.legs"] >= 10
+        abel_map(curve, bundle, p, q)
+        assert tracer.counts["paths.quad_calls"] == 3
+        assert tracer.counts["paths.legs"] == far_legs + 8
+        abel_map(curve, bundle, p, q)
+        assert tracer.counts["paths.quad_calls"] == 4
+        assert tracer.counts["paths.legs"] == 2 * far_legs + 8
         abel_from_infinity(curve, bundle, curve.lift(-1.0))
     finally:
         tracer.uninstall()

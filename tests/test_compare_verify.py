@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from secondkind import periods
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_verify.py"
 
 
@@ -159,18 +161,28 @@ def test_text_outputs_are_judged_by_their_json_twin(cv, monkeypatch, capsys, twi
     assert len(text) == 1 and text[0].endswith("BEYOND ROUNDOFF") == flagged, text
 
 
-def test_library_pass_writes_every_map(cv):
-    """On a genus-1 curve: P -> Q, and into, out of and from infinity to each
-    of its 3 branch points, each as g [re, im] pairs.  A map out of a branch
-    point is minus the map into it, exactly."""
-    namespace = {}
+def test_library_pass_writes_every_map(cv, monkeypatch):
+    """On a genus-1 curve: P -> Q and P -> Q' (both lifts of one x), into,
+    out of and from infinity to each of its 3 branch points, and the two
+    maps to Q and Q' again, each as g [re, im] pairs.  One of the first two
+    takes the loop route, and its repeat reuses the loop: each repeat equals
+    its first call.  A map out of a branch point is minus the map into it,
+    exactly."""
+    namespace, walked = {}, []
+    along = periods.leg_integrals
+    monkeypatch.setattr(periods, "leg_integrals",
+                        lambda route, *args: walked.append(len(route.z)) or along(route, *args))
     exec(cv.LIBRARY, namespace)
     out = namespace["library_outputs"]({"generic_g1": cv.CURVES["generic_g1"]})
-    assert len(out) == 1 + 3 * 3 and all(code == 0 for code, _ in out.values()), out
+    assert len(out) == 2 + 3 * 3 + 2 and all(code == 0 for code, _ in out.values()), out
     maps = {run: np.array(json.loads(text)) for run, (_, text) in out.items()}
     assert {v.shape for v in maps.values()} == {(1, 2)}
     for k in range(3):
         assert np.array_equal(maps[f"generic_g1 e{k} -> P"], -maps[f"generic_g1 P -> e{k}"])
+    for label in ("P -> Q", "P -> Q'"):
+        assert out[f"generic_g1 {label} again"] == out[f"generic_g1 {label}"]
+    # the loop (8 legs) once, then the far route's legs for the map and its repeat
+    assert walked[0] == 9 and len(walked) == 3 and walked[1] == walked[2] < 9, walked
 
 
 def test_library_outputs_are_judged_like_named_outputs(cv, monkeypatch, capsys):

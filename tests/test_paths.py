@@ -19,6 +19,7 @@ one call per interval, is kept here as the reference.  Interval by
 interval, both evaluate the same nodes and give the same bits.
 """
 
+import gc
 import weakref
 
 import numpy as np
@@ -173,7 +174,7 @@ def _reference_along(curve, points, y0, rows_fn, tol, path=_ReferenceSheetPath):
 
 
 def _routes(curve, frm, to):
-    return list(periods._candidate_routes(frm.x, to.x, curve.branch_points))
+    return list(periods._candidate_routes(curve, frm.x, to.x))
 
 
 def _reference_abel_map(curve, bundle, frm, to):
@@ -429,23 +430,101 @@ def test_abel_map_equals_the_every_route_pipeline(triples):
 
 
 def test_abel_map_integrates_only_the_route_it_keeps(monkeypatch):
+    """Only the third route ends on q's sheet.  On a fresh curve the first
+    map walks the loop once and the far route's legs once; a second map on
+    the same curve walks the far route's legs only.  Both give the bits of
+    one walk over the whole loop route."""
     curve = curve_from_branch_points(STANDARD_POINTS)
     bundle = compute_periods(curve)
     p, q = curve.lift(0.5 + 1.0j), curve.lift(2.6 + 0.3j)
     routes = _routes(curve, p, q)
     ends = [Route(curve, pts, p.y).y_end for pts in routes]
     assert [abs(y - q.y) <= abs(y + q.y) for y in ends] == [False, False, True]
+    rows = periods._u_rows(curve)
+    want = bundle.inv_two_omega @ paths.integrate_rows_along(Route(curve, routes[2], p.y), rows,
+                                                             bundle.quad_tol)
+    # the loop route is the far route with the loop from the far point spliced in
+    held = periods._abel_routes(curve)
+    loop = [held.far, *held.loop]
+    h = routes[1].index(held.far)
+    assert list(routes[2]) == list(routes[1][:h]) + loop + list(routes[1][h + 1:])
     calls = []
-    along = periods.integrate_rows_along
+    for name in ("integrate_rows_along", "leg_integrals"):
+        monkeypatch.setattr(periods, name, lambda route, *args, name=name, walk=getattr(periods, name):
+                            calls.append((name, route.z.tolist())) or walk(route, *args))
+    first = abel_map(curve, bundle, p, q)
+    assert calls == [("leg_integrals", loop), ("leg_integrals", list(routes[1]))]
+    del calls[:]
+    second = abel_map(curve, bundle, p, q)
+    assert calls == [("leg_integrals", list(routes[1]))]
+    assert np.array_equal(first, want) and np.array_equal(second, want)
+    assert _bits(*first) == _bits(*second) == _bits(*want)
 
-    def counted(route, *args, **kwargs):
-        calls.append(route)
-        return along(route, *args, **kwargs)
 
-    monkeypatch.setattr(periods, "integrate_rows_along", counted)
-    abel_map(curve, bundle, p, q)
-    assert len(calls) == 1 and calls[0].y0 == p.y
-    assert calls[0].z.tolist() == list(routes[2])
+def _one_walk_map(curve, bundle, frm, to):
+    """(map, route index): the Abel map along the first candidate route
+    ending on to's sheet, all its legs in one walk."""
+    for k, pts in enumerate(_routes(curve, frm, to)):
+        route = Route(curve, pts, frm.y)
+        if abs(route.y_end - to.y) <= abs(route.y_end + to.y):
+            total = paths.integrate_rows_along(route, periods._u_rows(curve), bundle.quad_tol)
+            return bundle.inv_two_omega @ total, k
+    raise AssertionError("no route ends on the sheet of the target")
+
+
+@pytest.mark.parametrize("points", [STANDARD_POINTS, SKEW_POINTS, "near_miss",
+                                    (-1.3 + 0.2j, 0.5 - 0.1j, 0.9 - 0.3j)],
+                         ids=["standard", "skew", "near_miss", "genus1"])
+def test_warm_loop_maps_equal_one_walk_over_the_loop_route(points, monkeypatch):
+    """Every map, with the loop walked on the first loop map of a curve
+    object at a tolerance and reused after, has the bits of one walk over
+    its route: at two tolerances on one curve object, on a value-equal
+    second object, and from and to the far point itself, where the far
+    route's head or tail (or both) is empty.  The loop's crossings have odd
+    parity on every curve, and no ``Route`` outlives its map without the
+    cycle collector."""
+    points = NEAR_MISS_CURVE if points == "near_miss" else points
+    curve, twin = curve_from_branch_points(points), curve_from_branch_points(points)
+    assert twin == curve and twin is not curve
+    rng = np.random.default_rng(25)
+    xs = []
+    while len(xs) < 5:
+        x = complex(*rng.uniform(-2.5, 2.5, 2))
+        if min(abs(x - e) for e in points) > 0.05:
+            xs.append(x)
+    built, make = [], periods.Route
+    monkeypatch.setattr(periods, "Route", lambda *args: built.append(make(*args)) or built[-1])
+    collecting = gc.isenabled()
+    gc.disable()  # a route must be freed by its last reference, not by the collector
+    try:
+        _assert_warm_loop_maps(curve, twin, points, xs, built)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _assert_warm_loop_maps(curve, twin, points, xs, built):
+    for c in (curve, twin):
+        far = periods._abel_routes(c).far
+        for tol in (1e-12, 1e-9):
+            bundle = compute_periods(c, tol)
+            pairs = [(c.lift(a), c.lift(b, sheet)) for a, b in zip(xs, xs[1:]) for sheet in (1, -1)]
+            pairs += [(c.lift(far, s0), c.lift(x, s1)) for x in xs[:2] for s0 in (1, -1)
+                      for s1 in (1, -1)]
+            pairs += [(c.lift(x), c.lift(far, sheet)) for x in xs[:2] for sheet in (1, -1)]
+            pairs += [(c.lift(far), c.lift(far, -1)), (c.lift(far, -1), c.lift(far))]
+            kinds = []
+            for frm, to in pairs:
+                got = abel_map(c, bundle, frm, to)
+                gone = [weakref.ref(r) for r in built]
+                del built[:]
+                assert gone and all(r() is None for r in gone)
+                want, kind = _one_walk_map(c, bundle, frm, to)
+                assert np.array_equal(got, want), (points, tol, frm.x, to.x)
+                kinds.append(kind)
+            assert kinds.count(2) >= 6, kinds
+        held = periods._abel_routes(c)._loop_legs
+        assert sorted(held) == [1e-12, 1e-9] and [p for _, p in held.values()] == [1, 1]
 
 
 #: A curve on which straight route pieces from the far point passing 1e-3 to

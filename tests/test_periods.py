@@ -500,7 +500,8 @@ def test_point_check_keeps_its_decisions_at_the_threshold():
                 p = CurvePoint(complex(x), y * (1 + r * 1e-9 * size / (2 * abs(y) ** 2)))
                 refuse = abs(p.y ** 2 - curve.y_squared(p.x)) > 1e-9 * size
                 try:
-                    periods._check_point(curve, p)
+                    periods._check_point(curve, p, periods._y_squared_size(
+                        curve, p.x, periods._abel_routes(curve).spread))
                 except ValueError:
                     decisions.append((refuse, True))
                 else:
