@@ -1,5 +1,5 @@
 """Path integration support: branch-point avoidance, analytic continuation
-of y = sqrt(P(x)) along polylines, and adaptive Gauss-Legendre quadrature.
+of y = sqrt(P(x)) along polylines, and Gauss-Legendre quadrature.
 
 y = 2 prod_k sqrt(x - e_k) is continued exactly, factor by factor
 (Molin-Neurohr): on a straight leg each factor moves on a line, and its
@@ -10,11 +10,17 @@ all its legs in one pass over its vertices, and with them the sheet of each
 leg and of its end, before any quadrature runs; its legs are integrated from
 the same arrays, y from that continued product alone, never a root of y^2.
 
-``adaptive_gl`` bisects 32-node Gauss-Legendre panels, one refinement
-level per integrand call, and walks the intervals of one call (all chains
-of a curve, all legs of a route) as one forest: every integrand here is a
-handful of numpy operations on a node array, so one call on all the panels
-of a level costs about what one call on a single panel did.
+Every rule here is the 32-node Gauss-Legendre panel.  ``leg_integrals``
+splits each straight leg into pieces fixed by the branch points alone,
+halving a piece while a branch point lies inside its Bernstein ellipse
+(Molin-Neurohr's rule for their Abel-Jacobi map), and takes one panel per
+piece: all pieces of a route are one integrand call, with no estimate of
+the error and no second evaluation.  ``adaptive_gl`` bisects panels until
+two refinement levels agree, one level per integrand call, and walks the
+intervals of one call as one forest; it integrates the period chains, the
+s^2 leg into a branch point and the xi tail of ``abel_from_infinity``.
+Every integrand here is a handful of numpy operations on a node array, so
+one call on many panels costs about what one call on a single panel did.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ _GL_NODES, _GL_WEIGHTS = nleg.leggauss(32)
 #: 1e-4 of the length of a longer leg.
 PATH_CLEARANCE = 1e-3
 
+#: The deepest bisection of ``adaptive_gl`` and the most halvings of a leg's
+#: piece (``leg_integrals``).
 _MAX_DEPTH = 26
 
 #: Panels one ``adaptive_gl`` call may evaluate, in the manner of QUADPACK's
@@ -44,6 +52,9 @@ _MAX_DEPTH = 26
 #: tests while the path clearance was absolute; 59 with it relative to the
 #: leg) and 47 over the benchmark workloads and verify seeds 0-79.  2048 is
 #: more than ten times that, and it stops a call after at most 65,536 nodes.
+#: It is also the most pieces one straight leg may take (``leg_integrals``):
+#: a leg took at most 15 on the ``abel_paths`` inputs and 23 on the 3.6e6-long
+#: far legs of the standard curve shifted by 300.
 _MAX_PANELS = 2048
 
 
@@ -128,11 +139,21 @@ def _panels(f, lo, hi, tree):
     from one call of f on all their nodes, which carry the tree index of
     their panel as their imaginary part."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t = (mid[:, None] + half[:, None] * _GL_NODES).ravel().astype(complex)
+    t = _panel_nodes(mid, half).astype(complex)
     t.imag = np.repeat(tree, len(_GL_NODES))
-    vals = np.asarray(f(t))
-    # panel by panel, each a (rows, 32) product with the weights as one panel was
-    per_panel = vals.reshape(len(vals), len(lo), len(_GL_NODES)).transpose(1, 0, 2)
+    return _panel_sums(np.asarray(f(t)), half)
+
+
+def _panel_nodes(mid, half):
+    """The 32 nodes of each panel mid +- half, panel after panel."""
+    return (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+
+
+def _panel_sums(vals, half):
+    """Gauss-Legendre estimates (rows, panels) from integrand values (rows,
+    32 per panel) at ``_panel_nodes``: panel by panel, each a (rows, 32)
+    product with the weights as one panel was."""
+    per_panel = vals.reshape(len(vals), len(half), len(_GL_NODES)).transpose(1, 0, 2)
     return half * (per_panel @ _GL_WEIGHTS).T
 
 
@@ -225,12 +246,19 @@ def _sign_toward(v: complex, target: complex) -> float:
     return 1.0 if abs(v - target) <= abs(v + target) else -1.0
 
 
-def _legs_xy(z0, z1, sign, e, cuts, t, rows):
+def _legs_x(z0, z1, t, back):
+    """x at parameters t on straight legs from z0 to z1, from the nearer end
+    of the leg: z0 + d t, or z1 - d back with back = 1 - t."""
+    d = z1 - z0
+    return np.where(t <= 0.5, z0 + d * t, z1 - d * back)
+
+
+def _legs_xy(z0, z1, sign, e, cuts, t, back, rows):
     """(x, y) at parameters t on straight legs from z0 to z1, each point
     with the z0, z1, sign and ``cuts`` row of its leg: x from the nearer end
-    of the leg, y = sign 2 prod_k sqrt(x - e_k) continued along it."""
-    d = z1 - z0
-    x = np.where(t <= 0.5, z0 + d * t, z1 - d * (1.0 - t))
+    of the leg (``_legs_x``) and y = sign 2 prod_k sqrt(x - e_k) continued
+    along it."""
+    x = _legs_x(z0, z1, t, back)
     return x, sign * cuts.product(x[..., None] - e, rows)
 
 
@@ -279,26 +307,158 @@ class SheetPath:
     def xy_at(self, t):
         """(x, y) arrays at parameters t in [0, 1]."""
         t = np.asarray(t, dtype=float)
-        return _legs_xy(self.z0, self.z1, self.sign, self.e, self.cuts, t, self.k)
+        return _legs_xy(self.z0, self.z1, self.sign, self.e, self.cuts, t, 1.0 - t, self.k)
+
+
+#: K of the piece rule: a piece whose branch points all lie outside its
+#: Bernstein ellipse of parameter rho* = (K / quad_tol)^(1/64) takes one
+#: 32-node panel (``_leg_pieces``).
+_PIECE_K = 1e4
+
+
+def _leg_pieces(tau, tol: float, where):
+    """The pieces of the legs [0, 1] in t, by geometry alone: lists (j,
+    leg, split) with one array per halving level, the pieces
+    [j, j + 1] 2^-depth of the legs leg and whether each is halved; level 0
+    holds the legs themselves and each level the halves of the pieces
+    halved on the level above, in order.
+
+    tau (legs, branch points) holds the parameter t of each branch point on
+    the line of each leg.  A piece [a, b] is halved while some branch point
+    lies inside its Bernstein ellipse E_rho* (foci a and b): with
+    u = (2 tau - a - b) / (b - a), the parameter rho = |u + sqrt(u - 1)
+    sqrt(u + 1)|, folded to rho >= 1, is below rho* exactly when
+    |u - 1| + |u + 1| = rho + 1/rho is below rho* + 1/rho*, which is
+    |tau - a| + |tau - b| < (b - a) (rho* + 1/rho*) / 2.  Halving at
+    midpoints grades the pieces geometrically toward a near branch point.
+
+    The rule.  1/y has square-root branch points only, so on a piece whose
+    nearest branch point has parameter rho the integrand is analytic in
+    E_r for every r < rho, and the 32-point Gauss-Legendre error is at most
+    (64/15) M r^(-64) / (r^2 - 1), M the largest |integrand| on E_r
+    (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3).
+    Take r = (1 - 1/64) rho: then r^(-64) <= e rho^(-64), and E_r keeps at
+    least (rho + 1) / (64 (rho - 1)) of the piece's distance to the branch
+    point, so M is at most about 4 times the size of the integrand on the
+    piece near rho*; with rho* near 1.8, (64/15) e 4 / (rho*^2 - 1) is
+    about 20.  K = 1e4 keeps a factor of about 500 over that for the sum
+    over a leg's pieces and for cancellation in the leg's integral, and
+    K rho*^(-64) = quad_tol.  Seen from a piece much longer than their
+    spread, several branch points act as one stronger singularity, as on
+    the far legs of translated curves; ``tests/test_leg_reference.py``
+    checks such legs against 30-digit integrals, and with K = 100 they
+    still pass.
+
+    ``where(leg, a, b)`` names a piece.  Raises ``QuadratureNonConvergence``
+    when a piece still has a branch point inside its ellipse after
+    ``_MAX_DEPTH`` halvings, or a leg would have more than ``_MAX_PANELS``
+    pieces.
+    """
+    rho = (_PIECE_K / tol) ** (1.0 / 64.0)
+    reach = 0.5 * (rho + 1.0 / rho)
+    n = len(tau)
+    j, leg, levels, count = np.zeros(n), np.arange(n), ([], [], []), 0
+    for depth in range(_MAX_DEPTH + 1):
+        # piece [j h, (j + 1) h]; tau - a and tau - b in units of its width h
+        c = tau[leg] * 2.0 ** depth - j[:, None]
+        split = (np.abs(c) + np.abs(c - 1.0) < reach).any(axis=1)
+        for out, v in zip(levels, (j, leg, split)):
+            out.append(v)
+        if not split.any():
+            return levels
+        h, count = 0.5 ** depth, count + len(j)
+        j, leg = j[split], leg[split]
+        if depth == _MAX_DEPTH:
+            raise QuadratureNonConvergence(
+                f"{where(leg[0], j[0] * h, (j[0] + 1.0) * h)} has a branch point inside its "
+                f"Bernstein ellipse rho* = {rho:.3g} after {depth} halvings")
+        count -= len(j)  # the pieces kept so far
+        if count + 2 * len(j) > _MAX_PANELS:  # all legs' pieces; only then each leg's
+            kept = ~np.concatenate(levels[2])
+            pieces = np.bincount(np.concatenate(levels[1])[kept], minlength=n)
+            over = pieces + 2 * np.bincount(leg, minlength=n) > _MAX_PANELS
+            if over.any():
+                k = int(np.argmax(leg == np.argmax(over)))
+                raise QuadratureNonConvergence(f"piece budget of {_MAX_PANELS} spent: "
+                                               f"{where(leg[k], j[k] * h, (j[k] + 1.0) * h)} "
+                                               "still to be halved")
+        j, leg = _interleave(2.0 * j, 2.0 * j + 1.0), np.repeat(leg, 2)
 
 
 def leg_integrals(route: Route, rows_fn, tol):
     """Integral vector of rows_fn(x, y) dx along each leg of a built
     ``Route``, one column per leg (rows, legs), rows_fn mapping (x_nodes,
-    y_nodes) to an array (rows, nodes).  The legs are the trees of one
-    ``adaptive_gl`` walk, so each column has the bits of its leg walked
-    alone."""
+    y_nodes) to an array (rows, nodes).
+
+    Each leg [0, 1] in t is split into pieces by the geometry of the branch
+    points alone (``_leg_pieces``), each piece takes one 32-node
+    Gauss-Legendre panel, all pieces of all legs in one call of rows_fn, and
+    the pieces are added back in the order of their halving, a halved
+    piece the sum of its halves.  A leg's pieces and its sum depend on that
+    leg alone, so each column has the bits of its leg integrated alone.
+
+    The rounding of x bounds what the rule can certify.  A node
+    t = mid + h s of a piece of half width h, and 1 - t formed as
+    (1 - mid) - h s (1 - mid is exact on dyadic pieces), carry up to
+    u (h + min(t, 1 - t)) of rounding, u = eps / 2.  x, formed from the
+    nearer end as z0 + d t or z1 - d (1 - t), d the leg, then carries up to
+    u (|x| + |d| (h + 2 min(t, 1 - t))), at most eps (|x| + |d| (min(t,
+    1 - t) + h / 2)), and 1/y moves by |1/y| times that times
+    sum_k 1 / (2 |x - e_k|), its logarithmic derivative (the numerators'
+    share, g eps relative at most, and the few eps of the evaluation
+    itself are left out).  That density, with the largest |row| in place
+    of |1/y|, is integrated on the same panels; a leg whose total exceeds
+    quad_tol max(1, max |integral|) raises ``QuadratureNonConvergence``
+    naming the leg and its piece that moves most, as do the caps of
+    ``_leg_pieces``.
+    """
     n = len(route.legs)
     if not n:
         return np.zeros((np.shape(rows_fn(route.z, np.array([route.y0])))[0], 0), dtype=complex)
     z0, z1, sign, e, cuts = route.z[:-1], route.z[1:], route.sign, route.e, route.cuts
-    leg = z1 - z0
+    d = z1 - z0
+    tau = (e - z0[:, None]) / d[:, None]
 
-    def f(nodes):
-        k = nodes.imag.astype(int)
-        return np.asarray(rows_fn(*_legs_xy(z0[k], z1[k], sign[k], e, cuts, nodes.real, k))) * leg[k]
+    def where(k, a, b):
+        return f"piece [{a:.10g}, {b:.10g}] of leg {k} [{z0[k]:.6g}, {z1[k]:.6g}]"
 
-    return adaptive_gl(f, np.zeros(n), np.ones(n), tol)
+    js, legs, splits = _leg_pieces(tau, tol, where)
+    # every piece not halved, level after level, in one call of rows_fn
+    sizes = [len(split) for split in splits]
+    kept = ~np.concatenate(splits)
+    j, leg = np.concatenate(js)[kept], np.concatenate(legs)[kept]
+    width = np.repeat(0.5 ** np.arange(len(sizes)), sizes)[kept]
+    # each node also as its distance from the leg's end, 1 - mid exact on
+    # dyadic pieces, so x formed from the nearer end carries no rounding of t
+    half, mid = 0.5 * width, (j + 0.5) * width
+    t, back = _panel_nodes(mid, half), _panel_nodes(1.0 - mid, -half)
+    k = np.repeat(leg, len(_GL_NODES))
+    x = _legs_x(z0[k], z1[k], t, back)
+    w = x[:, None] - e
+    vals = np.asarray(rows_fn(x, sign[k] * cuts.product(w, k))) * d[k]
+    est = _panel_sums(vals, half)
+    # the pieces back in the order of their halving, each level's halved
+    # pieces from the level below, from the deepest level up
+    every = np.empty((len(est), len(kept)), dtype=est.dtype)
+    every[:, kept] = est
+    starts = np.cumsum([0] + sizes)
+    for level in range(len(sizes) - 2, -1, -1):
+        a, b, c = starts[level:level + 3]
+        every[:, a:b][:, splits[level]] = every[:, b:c:2] + every[:, b + 1:c:2]
+    total = every[:, :n]
+    # the rounding of x, node by node (docstring)
+    dx = np.abs(x) + np.abs(d[k]) * (np.minimum(t, back) + np.repeat(0.5 * half, len(_GL_NODES)))
+    drift = np.abs(vals).max(axis=0) * dx * ((1.0 / np.abs(w)) @ np.full(len(e), 0.5))
+    moves = np.finfo(float).eps * half * (drift.reshape(len(half), len(_GL_NODES)) @ _GL_WEIGHTS)
+    bound = np.bincount(leg, weights=moves, minlength=n)
+    over = bound > tol * np.fmax(1.0, np.max(np.abs(total), axis=0))
+    if over.any():
+        i = int(np.argmax(over))
+        p = int(np.argmax(np.where(leg == i, moves, -1.0)))
+        raise QuadratureNonConvergence(
+            f"{where(i, mid[p] - half[p], mid[p] + half[p])}: the rounding of x moves the "
+            f"integral by up to {bound[i]:.2e}, above quad_tol {tol:.1e}")
+    return total
 
 
 def add_legs(parts):

@@ -360,7 +360,7 @@ class _AbelRoutes:
         of the loop from the far point round every branch point and back,
         one read-only column per leg, with y continued from the principal
         product 2 prod sqrt(far - e_k) (sign +1), and the parity p of the
-        loop's cut crossings.  The loop is walked once per tolerance."""
+        loop's cut crossings.  The loop is integrated once per tolerance."""
         legs = self._loop_legs.get(tol)
         if legs is None:
             y0 = 2.0 * np.sqrt(self.far - np.asarray(curve.branch_points, dtype=complex)).prod()
@@ -414,10 +414,13 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint, t
     no quadrature (``paths.Route.y_end``).  A direct route or a route via
     the far point is integrated alone, from the arrays its choice built.
     The loop route is the route via the far point with a loop spliced in
-    there, so only the far route's legs are integrated, in one walk, and
-    the loop's legs come from the curve's ``_AbelRoutes``: they are walked
-    once per (curve, tolerance) and held while the curve lives
-    (``_route_integral``).
+    there, so only the far route's legs are integrated, all in one
+    integrand call, and the loop's legs come from the curve's
+    ``_AbelRoutes``: they are integrated once per (curve, tolerance) and
+    held while the curve lives (``_route_integral``).  Straight legs are
+    integrated on pieces fixed by the branch points, one 32-node panel each
+    (``paths.leg_integrals``), and refused by name where the pieces cannot
+    reach the tolerance.
     An endpoint lying on a branch point is integrated with the regularized
     s^2 substitution; an endpoint lies on one when |y|^2 is at most 1e-20 of
     the scale of y^2 at its x (``_y_squared_size``, computed once per
@@ -451,15 +454,16 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint, t
 
 def _route_integral(curve, routes: _AbelRoutes, frm: CurvePoint, to: CurvePoint, rows, tol):
     """Integral of the u-basis along the first of ``_candidate_routes`` that
-    ends on the sheet of ``to``, with the bits of one walk over its legs.
+    ends on the sheet of ``to``, with the bits of integrating all its legs
+    in one ``paths.leg_integrals`` call.
 
     The loop route is head + loop + tail, the far route head + tail.  Its
     loop legs carry s times the loop's own signs, s the sign the far route
     brings into the far point, and its tail legs the far route's times
-    (-1)^p; negating a column is exact and each column of a walk has the
-    bits of its leg walked alone (``paths.leg_integrals``), so the far
-    route's columns and the loop's, added in the route's leg order, are
-    that walk's sum.
+    (-1)^p; negating a column is exact and each column of a call has the
+    bits of its leg integrated alone (its pieces and their sum depend on
+    that leg only), so the far route's columns and the loop's, added in
+    the route's leg order, are the sum of one call over the loop route.
     """
     for pts in itertools.islice(_candidate_routes(curve, frm.x, to.x), 2):
         route = Route(curve, pts, frm.y)

@@ -56,11 +56,13 @@ def test_quadrature_keeps_the_traced_contract(monkeypatch):
     """The tracer wraps ``adaptive_gl(f, a, b, tol)`` and counts the nodes
     its integrand receives, so f must get 1-D node arrays of whole 32-node
     panels; ``paths.panels`` then counts integrand calls, one per level.
-    All chains of a curve are one call, and so are all legs of a route.  A
-    map along the loop route walks the far route's legs in one call, and
-    the first such map on a curve walks the loop's 8 legs in one more;
-    ``paths.legs`` counts the legs walked.  The nodes counted are those of
-    the recursion run interval by interval."""
+    All chains of a curve are one call.  Abel legs take no ``adaptive_gl``
+    call: a map along the loop route integrates the far route's legs on
+    their pieces, and the first such map on a curve the loop's 8 legs, so
+    ``paths.quad_calls`` stays 1 through both maps while ``paths.legs``
+    counts the legs integrated.  The xi tail of ``abel_from_infinity`` and
+    a leg into a branch point are one call each.  The nodes counted are
+    those of the recursion run interval by interval."""
     paths = _module("paths")
     assert list(inspect.signature(paths.adaptive_gl).parameters) == ["f", "a", "b", "tol"]
     sizes, calls = [], []
@@ -86,12 +88,15 @@ def test_quadrature_keeps_the_traced_contract(monkeypatch):
         assert tracer.counts["paths.quad_calls"] == 1
         # only the route via the far point with its loop ends on q's sheet
         abel_map(curve, bundle, p, q)
-        assert tracer.counts["paths.quad_calls"] == 3
+        assert tracer.counts["paths.quad_calls"] == 1
         assert tracer.counts["paths.legs"] == far_legs + 8
         abel_map(curve, bundle, p, q)
-        assert tracer.counts["paths.quad_calls"] == 4
+        assert tracer.counts["paths.quad_calls"] == 1
         assert tracer.counts["paths.legs"] == 2 * far_legs + 8
-        abel_from_infinity(curve, bundle, curve.lift(-1.0))
+        abel_from_infinity(curve, bundle, curve.lift(-1.5))
+        assert tracer.counts["paths.quad_calls"] == 2
+        abel_map(curve, bundle, p, curve.lift(1.0))
+        assert tracer.counts["paths.quad_calls"] == 3
     finally:
         tracer.uninstall()
     counts = tracer.summary(1)

@@ -13,10 +13,13 @@ y^2 and x from the start of the leg, so the legs must agree with them on
 the sheet at every node and in value to rounding, not in bits.
 
 ``adaptive_gl`` walks its bisection trees a level at a time, all the
-intervals of a call (the chains of a curve, the legs of a route) as one
-forest; the recursion it replaced, one integrand call per 32-node panel and
-one call per interval, is kept here as the reference.  Interval by
-interval, both evaluate the same nodes and give the same bits.
+intervals of a call (the chains of a curve, the a-chains) as one forest;
+the recursion it replaced, one integrand call per 32-node panel and one
+call per interval, is kept here as the reference.  Interval by interval,
+both evaluate the same nodes and give the same bits.  ``leg_integrals``
+integrates the legs of a route on pieces fixed by the branch points, all
+in one integrand call; a recursion over each leg's pieces, one panel per
+piece, is its reference, and gives the same bits.
 """
 
 import gc
@@ -138,7 +141,7 @@ class _ChainLeg:
 
     def xy_at(self, t):
         t = np.asarray(t, dtype=float)
-        return paths._legs_xy(self.z0, self.z1, self.sign, self.e, self.cuts, t, None)
+        return paths._legs_xy(self.z0, self.z1, self.sign, self.e, self.cuts, t, 1.0 - t, None)
 
 
 def _chain(curve, points, y0):
@@ -682,50 +685,133 @@ def test_chain_quadrature_matches_the_recursion(against_reference):
     assert sum(c for _, _, c, _ in against_reference) < 0.15 * sum(c for *_, c in against_reference)
 
 
+def _reference_legs(route, rows_fn, tol):
+    """The legs of a route one after another, each piece by a recursion:
+    a piece [a, b] of a leg is halved while some branch point has Bernstein
+    parameter rho = |u + sqrt(u - 1) sqrt(u + 1)|, u = (2 tau - a - b) /
+    (b - a), folded to rho >= 1, below rho* = (K / tol)^(1/64); a kept
+    piece takes one 32-node panel, its nodes also counted back from the
+    leg's end, and a halved piece is the sum of its halves.  (rows, legs)."""
+    rho_star = (paths._PIECE_K / tol) ** (1.0 / 64.0)
+    columns = []
+    for leg in route.legs:
+        d = leg.z1 - leg.z0
+        tau = (leg.e - leg.z0) / d
+
+        def piece(a, b, depth, leg=leg, d=d, tau=tau):
+            u = (2.0 * tau - a - b) / (b - a)
+            rho = np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))
+            if np.min(np.fmax(rho, 1.0 / rho)) < rho_star:
+                assert depth < _MAX_DEPTH
+                m = 0.5 * (a + b)
+                return piece(a, m, depth + 1) + piece(m, b, depth + 1)
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            t, back = mid + half * GL_NODES, (1.0 - mid) - half * GL_NODES
+            x, y = paths._legs_xy(leg.z0, leg.z1, leg.sign, leg.e, leg.cuts, t, back, leg.k)
+            return half * ((np.asarray(rows_fn(x, y)) * d) @ GL_WEIGHTS)
+
+        columns.append(piece(0.0, 1.0, 0))
+    return np.array(columns).T
+
+
 def test_leg_quadrature_matches_the_recursion(against_reference):
-    """Genus-2 and genus-1 Abel legs, straight and into a branch point, every
-    candidate route (the direct one, the one via the far point, and that one
-    with its loop) in one walk each, the xi tail of ``abel_from_infinity``,
-    and one-row numerators over every a-chain in one walk."""
+    """The xi tail of ``abel_from_infinity``, a leg into a branch point and
+    one-row numerators over every a-chain each take one ``adaptive_gl``
+    call, checked against the recursion; Abel legs, straight, genus 2 and
+    genus 1, take none.  Every candidate route (the direct one, the one via
+    the far point, and that one with its loop) has, leg by leg, the bits of
+    the recursion over its pieces."""
     cases = [(curve_from_branch_points(STANDARD_POINTS), (0.5 + 1.0j, 2.6 + 0.3j, -1.5 + 0.5j)),
              (curve_from_branch_points(SKEW_POINTS), (0.3 - 0.2j, -2.4 + 0.1j, 1.1 - 0.3j)),
              (curve_from_branch_points((-1.0, 0.0, 1.0)), (0.5 + 0.7j, 2.0 - 1.0j, -3.0 + 0.1j)),
              (curve_from_branch_points((0.3, -1.0 + 0.5j, 2.0j)), (0.5 + 0.7j, 2.0 - 1.0j, 0.3))]
-    refined = False
+    pieces, legs, depth = 0, 0, 0
     for curve, (x0, x1, x2) in cases:
         bundle = compute_periods(curve)
         del against_reference[:]
         p, q, r = curve.lift(x0), curve.lift(x1, -1), curve.lift(x2)
         abel_map(curve, bundle, p, q)
         abel_map(curve, bundle, q, r)
+        into_branch = int(x2 in curve.branch_points)
+        assert len(against_reference) == into_branch
         abel_from_infinity(curve, bundle, p)
+        abel_map(curve, bundle, q, curve.lift(curve.branch_points[1]))
         periods.a_cycle_integrals(bundle, lambda x: (x * x)[None, :])
-        rows = {n for n, _, _, _ in against_reference}
-        assert rows == {1, curve.genus}, rows
-        refined |= any(c > 1 for _, _, c, _ in against_reference)
-        del against_reference[:]
+        rows = [n for n, _, _, _ in against_reference]
+        assert rows == [curve.genus] * (2 + into_branch) + [1], rows
         routes = _routes(curve, p, q)
-        for pts in routes:
-            paths.integrate_rows_along(Route(curve, pts, p.y), periods._u_rows(curve), bundle.quad_tol)
-        legs = [n for _, n, _, _ in against_reference]
-        assert legs == [len(pts) - 1 for pts in routes] and legs[1] >= 2 and legs[2] >= 10, legs
-    assert refined
+        for tol in (bundle.quad_tol, 1e-6):
+            for pts in routes:
+                route = Route(curve, pts, p.y)
+                got = paths.leg_integrals(route, periods._u_rows(curve), tol)
+                want = _reference_legs(route, periods._u_rows(curve), tol)
+                assert got.shape == want.shape == (curve.genus, len(pts) - 1), pts
+                assert np.array_equal(got, want), (curve.branch_points, pts, tol)
+                tau = (route.e - route.z[:-1, None]) / (route.z[1:] - route.z[:-1])[:, None]
+                splits = paths._leg_pieces(tau, tol, None)[2]
+                pieces += sum(np.count_nonzero(~split) for split in splits)
+                legs, depth = legs + len(route.legs), max(depth, len(splits) - 1)
+        assert len(routes[1]) - 1 >= 2 and len(routes[2]) - 1 >= 10
+    # the halving and the sum in halving order are exercised
+    assert pieces > 1.5 * legs and depth >= 3, (pieces, legs, depth)
 
 
 def test_route_walk_equals_the_leg_by_leg_sum(triples):
-    """One walk over all legs of a route gives the bits of one walk per leg
-    of the leg-by-leg chain: the many-leg x and y are the leg's, and the
-    parts add from the first.  A repeated vertex is a leg of length 0,
-    skipped."""
+    """The legs of a route integrated together give the bits of each leg
+    integrated alone, as a one-leg route started from the y_end of the
+    last, and their parts add from the first.  A repeated vertex is a leg
+    of length 0, skipped."""
     for curve, bundle, p, q in triples[:12]:
         rows = periods._u_rows(curve)
         routes = _routes(curve, p, q)
         for pts in routes + [routes[1][:2] + routes[1][1:]]:
             route = Route(curve, pts, p.y)
-            got = paths.integrate_rows_along(route, rows, bundle.quad_tol), route.y_end
-            want = _reference_along(curve, pts, p.y, rows, bundle.quad_tol, path=_ChainLeg)
-            assert np.array_equal(got[0], want[0]) and got[1] == want[1], (curve.branch_points, pts)
+            columns = paths.leg_integrals(route, rows, bundle.quad_tol)
+            alone, y = [], p.y
+            for z0, z1 in zip(pts[:-1], pts[1:]):
+                if z0 != z1:
+                    leg = Route(curve, (z0, z1), y)
+                    alone.append(paths.leg_integrals(leg, rows, bundle.quad_tol)[:, 0])
+                    y = leg.y_end
+            assert np.array_equal(columns, np.array(alone).T), (curve.branch_points, pts)
+            got = paths.integrate_rows_along(route, rows, bundle.quad_tol)
+            assert np.array_equal(got, paths.add_legs(np.array(alone).T)) and route.y_end == y
     assert {curve.genus for curve, *_ in triples[:12]} == {1, 2}
+
+
+def _principal_route(curve, pts):
+    e = np.asarray(curve.branch_points, dtype=complex)
+    return Route(curve, pts, 2.0 * np.sqrt(pts[0] - e).prod())
+
+
+def test_a_leg_that_cannot_clear_its_branch_points_is_refused():
+    """A leg ending 1e-12 from a branch point, or running through one, still
+    has a piece with a branch point inside its ellipse after ``_MAX_DEPTH``
+    halvings; the refusal names the piece and its leg."""
+    std = curve_from_branch_points(STANDARD_POINTS)
+    rows = periods._u_rows(std)
+    for pts, k in (((0.5 + 1.0j, 1e-12 + 0.0j), 0), ((0.5 + 1.0j, 0.5 + 0.5j, -0.5 - 0.5j), 1)):
+        with pytest.raises(QuadratureNonConvergence,
+                           match=rf"^piece \[[0-9.]+, [0-9.]+\] of leg {k} \[.+\] has a branch point "
+                                 rf"inside its Bernstein ellipse rho\* = 1\.78 after {_MAX_DEPTH} "
+                                 r"halvings$"):
+            paths.leg_integrals(_principal_route(std, pts), rows, 1e-12)
+
+
+def test_the_piece_budget_is_kept_per_leg(monkeypatch):
+    """Legs ending 1e-3 from a branch point take 8 pieces and 1e-6 from one
+    18; with a budget of 12 a route of two 8-piece legs goes through and a
+    leg of 18 is refused by name."""
+    std = curve_from_branch_points(STANDARD_POINTS)
+    rows = periods._u_rows(std)
+    monkeypatch.setattr(paths, "_MAX_PANELS", 12)
+    two = _principal_route(std, (0.5 + 1.0j, 1e-3 + 0.0j, -0.5 + 1.0j))
+    assert np.all(np.isfinite(paths.leg_integrals(two, rows, 1e-12)))
+    three = _principal_route(std, (0.5 + 1.0j, 1e-3 + 0.0j, -0.5 + 1.0j, 1.0 + 1e-6j))
+    with pytest.raises(QuadratureNonConvergence,
+                       match=r"^piece budget of 12 spent: piece \[[0-9.]+, [0-9.]+\] of leg 2 "
+                             r"\[-0\.5\+1j, 1\+1e-06j\] still to be halved$"):
+        paths.leg_integrals(three, rows, 1e-12)
 
 
 def _bumps(z):

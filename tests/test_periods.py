@@ -19,7 +19,12 @@ from secondkind import (
 from secondkind import periods
 from secondkind.cli import random_curve
 from secondkind.curves import CurvePoint
-from secondkind.errors import HomologyConstructionFailure, PathThroughBranchPoint, SecondKindError
+from secondkind.errors import (
+    HomologyConstructionFailure,
+    PathThroughBranchPoint,
+    QuadratureNonConvergence,
+    SecondKindError,
+)
 from secondkind.periods import LEGENDRE_GATE_CAP, a_cycle_integrals, chain_intersection_matrix
 
 
@@ -552,3 +557,54 @@ def test_a_point_near_a_branch_point_is_not_taken_for_it(standard_curve, standar
             for to in (CurvePoint(e, 0j), curve.lift(e)):
                 abel_map(curve, b, curve.lift(move(start)), to)
                 assert legs.pop() == k and not legs
+
+
+#: Points P of the maps A(oo -> P) on the shifted standard curves.
+FINITE_TARGETS = (0.5 + 1.0j, -1.5 + 0.5j, 2.6 + 0.3j)
+
+
+@pytest.mark.parametrize("shift", [10.0, 20.0, 48.0, 100.0, 300.0])
+def test_maps_from_infinity_on_a_shifted_curve(standard_curve, standard_bundle, shift):
+    """A(oo -> e_k) for every k and A(oo -> P) on both sheets on the
+    standard curve shifted by s equal the maps on the standard curve modulo
+    the lattice, within 1e-14 + 1e-15 s (worst 3.1e-14, at +300).  The far
+    leg from 40 max|e|^2 runs 1e5 (+48) to 3.6e6 (+300) into the branch
+    points; bisected adaptively it spent its panel budget there, and from
+    +20 on every one of these maps was refused."""
+    curve = curve_from_branch_points([e + shift for e in standard_curve.branch_points])
+    bundle = compute_periods(curve)
+    bound = 1e-14 + 1e-15 * shift
+    pairs = [(CurvePoint(e + shift, 0j), CurvePoint(e, 0j)) for e in standard_curve.branch_points]
+    pairs += [(curve.lift(x + shift, sheet), standard_curve.lift(x, sheet))
+              for x in FINITE_TARGETS for sheet in (1, -1)]
+    for moved, still in pairs:
+        got = abel_from_infinity(curve, bundle, moved)
+        want = abel_from_infinity(standard_curve, standard_bundle, still)
+        assert lattice_distance(got - want, standard_bundle.tau) <= bound, (shift, still.x)
+
+
+def test_near_branch_maps_on_a_scaled_curve(standard_curve, standard_bundle):
+    """On the standard curve scaled by 1e-3 the routes via the far point
+    are about 1 long, against branch points 1e-3 apart.  The maps from
+    0.5 + 1i to points 1e-2 and 1e-4 from each branch point (scaled) equal
+    the maps on the standard curve modulo the lattice within 1e-13 (worst
+    1.0e-14); 6 of these 10 were refused when legs were bisected
+    adaptively.  At 1e-6 from a branch point the leg's end needs more than
+    ``_MAX_DEPTH`` halvings: there a map is right or refused by name."""
+    s, start = 1e-3, 0.5 + 1.0j
+    curve = curve_from_branch_points([s * e for e in standard_curve.branch_points])
+    bundle = compute_periods(curve)
+    refused = 0
+    for e in standard_curve.branch_points:
+        for r in (1e-2, 1e-4, 1e-6):
+            x = e + r * np.exp(0.7j)
+            want = abel_map(standard_curve, standard_bundle, standard_curve.lift(start),
+                            standard_curve.lift(x))
+            try:
+                got = abel_map(curve, bundle, curve.lift(s * start), curve.lift(s * x))
+            except QuadratureNonConvergence as err:
+                assert r == 1e-6 and "after 26 halvings" in str(err), (x, str(err))
+                refused += 1
+                continue
+            assert lattice_distance(got - want, standard_bundle.tau) <= 1e-13, x
+    assert refused <= 3
