@@ -24,12 +24,18 @@ curves, outputs that no command prints: ``abel_map`` from a lifted point
 P to both lifts Q and Q' of another, into and out of every branch point,
 ``abel_from_infinity`` to every branch point, and the two maps to Q and Q'
 again after all the others: where one of them takes the loop route, its
-repeat reuses the loop that the first call integrated.  Each is written as
-JSON [re, im] pairs (or as the refusal it raised) and judged like a named
-output.  A number moves by |a - b|
-relative to itself, except in the defect fields, and the sides they
-compare, which are judged against the scale of those sides as
-``identities.relative_defect`` judges a defect, and in the expand
+repeat reuses the loop that the first call integrated.  It adds maps whose
+legs take deep piece trees (``deep_outputs``): on the six curves, from P to
+points beside every branch point, off the line from P by 1e-4 and 1e-6 of
+the branch point's distance from P (BESIDE), on both sheets; and
+``abel_from_infinity`` on the standard curve shifted by +300 (FAR_CURVES),
+whose legs from the far point are about 3.6e6 long, to its branch points
+and to both lifts of P and of Q.  A change of piece layout or of the order
+in which pieces are added shows there.  Each is written as JSON [re, im]
+pairs (or as the refusal it raised) and judged like a named output.  A
+number moves by |a - b| relative to itself, except in the defect fields,
+and the sides they compare, which are judged against the scale of those
+sides as ``identities.relative_defect`` judges a defect, and in the expand
 command's residual, which is relative already (``field_scales``).  An
 output whose exit code changes is marked whatever its text.  Exits 1 on
 any exit-code, status or sign change of the first pass, on any report of
@@ -77,7 +83,16 @@ CURVES = {
     "unit_square": {"branch_points": [0, 1, [0, 1], [1, 1], [2, 1]]},
 }
 
-#: Defines library_outputs(curves): {"curve map": [0, JSON] or [2, error]}.
+#: The standard curve shifted by +300: the legs of ``abel_from_infinity``
+#: from its far point are about 3.6e6 long.
+FAR_CURVES = {"shifted_300": {"branch_points": [298, 299, 300, 301, 302]}}
+
+#: How far from a branch point, in units of its distance from P, the
+#: points Q of ``deep_outputs`` lie, off the line from P.
+BESIDE = (1e-4, 1e-6)
+
+#: Defines library_outputs(curves) and deep_outputs(curves, far_curves,
+#: beside), each {"curve map": [0, JSON] or [2, error]}.
 LIBRARY = """
 import json
 from secondkind import abel_from_infinity, abel_map, compute_periods
@@ -86,29 +101,57 @@ from secondkind.curves import CurvePoint
 from secondkind.errors import SecondKindError
 
 
+def _setup(spec):
+    curve = parse_curve(json.dumps(spec))
+    e = curve.branch_points
+    center = sum(e) / len(e)
+    r = max(abs(z - center) for z in e)
+    p, q = curve.lift(center + r * (0.31 + 0.52j)), center - r * (0.63 + 0.27j)
+    return curve, compute_periods(curve), p, q
+
+
+def _record(out, name, curve, bundle, maps):
+    for label, frm, to in maps:
+        try:
+            v = (abel_from_infinity(curve, bundle, to) if frm is None
+                 else abel_map(curve, bundle, frm, to))
+            out[f"{name} {label}"] = [0, json.dumps([[z.real, z.imag] for z in v.tolist()])]
+        except SecondKindError as ex:
+            out[f"{name} {label}"] = [2, f"{type(ex).__name__}: {ex}"]
+
+
 def library_outputs(curves):
     out = {}
     for name, spec in curves.items():
-        curve = parse_curve(json.dumps(spec))
-        bundle = compute_periods(curve)
-        e = curve.branch_points
-        center = sum(e) / len(e)
-        r = max(abs(z - center) for z in e)
-        p, q = curve.lift(center + r * (0.31 + 0.52j)), center - r * (0.63 + 0.27j)
+        curve, bundle, p, q = _setup(spec)
         to_q = [("P -> Q", p, curve.lift(q, -1)), ("P -> Q'", p, curve.lift(q))]
         maps = list(to_q)
-        for k, z in enumerate(e):
+        for k, z in enumerate(curve.branch_points):
             branch = CurvePoint(z, 0j)
             maps += [(f"P -> e{k}", p, branch), (f"e{k} -> P", branch, p),
                      (f"oo -> e{k}", None, branch)]
         maps += [(f"{label} again", frm, to) for label, frm, to in to_q]
-        for label, frm, to in maps:
-            try:
-                v = (abel_from_infinity(curve, bundle, to) if frm is None
-                     else abel_map(curve, bundle, frm, to))
-                out[f"{name} {label}"] = [0, json.dumps([[z.real, z.imag] for z in v.tolist()])]
-            except SecondKindError as ex:
-                out[f"{name} {label}"] = [2, f"{type(ex).__name__}: {ex}"]
+        _record(out, name, curve, bundle, maps)
+    return out
+
+
+def deep_outputs(curves, far_curves, beside):
+    out = {}
+    for name, spec in curves.items():
+        curve, bundle, p, _ = _setup(spec)
+        maps = []
+        for delta in beside:
+            for k, z in enumerate(curve.branch_points):
+                near = z + delta * 1j * (z - p.x)
+                maps += [(f"P -> beside e{k} {delta:g}", p, curve.lift(near, -1)),
+                         (f"P -> beside e{k} {delta:g}'", p, curve.lift(near))]
+        _record(out, name, curve, bundle, maps)
+    for name, spec in far_curves.items():
+        curve, bundle, p, q = _setup(spec)
+        maps = [(f"oo -> e{k}", None, CurvePoint(z, 0j)) for k, z in enumerate(curve.branch_points)]
+        maps += [(f"oo -> {label}", None, curve.lift(x, sheet))
+                 for label, x, sheet in (("P", p.x, 1), ("P'", p.x, -1), ("Q", q, 1), ("Q'", q, -1))]
+        _record(out, name, curve, bundle, maps)
     return out
 """
 
@@ -116,7 +159,7 @@ RUNNER = """
 import contextlib, io, json, sys, warnings
 from secondkind.cli import main
 warnings.simplefilter("ignore")
-commands, curves = json.loads(sys.argv[1])
+commands, curves, far_curves, beside = json.loads(sys.argv[1])
 out = {}
 for suite in ("quick", "full"):
     for seed in range(80):
@@ -131,13 +174,15 @@ for command, options in commands.items():
             with contextlib.redirect_stdout(io.StringIO()) as buf:
                 code = main([command, "--curve", json.dumps(curve), *extra])
             named[f"{command} {name}{variant}"] = [code, buf.getvalue()]
-json.dump([out, named, library_outputs(curves)], sys.stdout)
+json.dump([out, named, library_outputs(curves) | deep_outputs(curves, far_curves, beside)],
+          sys.stdout)
 """
 
 
 def reports(src: str) -> list:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    run = subprocess.run([sys.executable, "-c", LIBRARY + RUNNER, json.dumps([COMMANDS, CURVES])],
+    argv = json.dumps([COMMANDS, CURVES, FAR_CURVES, BESIDE])
+    run = subprocess.run([sys.executable, "-c", LIBRARY + RUNNER, argv],
                          env=env, check=True, stdout=subprocess.PIPE, text=True)
     return json.loads(run.stdout)
 

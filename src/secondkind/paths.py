@@ -4,8 +4,9 @@ of y = sqrt(P(x)) along polylines, and Gauss-Legendre quadrature.
 y = 2 prod_k sqrt(x - e_k) is continued exactly, factor by factor
 (Molin-Neurohr): on a straight leg each factor moves on a line, and its
 principal root changes branch only where that line crosses numpy's cut.
-``CutCrossings`` is the one home of that rule; the period chains of
-``periods.chain_integrals`` use it too.  A ``Route`` finds the crossings of
+``_cut_crossing`` is the one home of that rule, on arrays
+(``CutCrossings``, which the period chains of ``periods.chain_integrals``
+use too) and on Python scalars alike.  A ``Route`` finds the crossings of
 all its legs in one pass over its vertices, and with them the sheet of each
 leg and of its end, before any quadrature runs; its legs are integrated from
 the same arrays, y from that continued product alone, never a root of y^2.
@@ -15,10 +16,16 @@ splits each straight leg into pieces fixed by the branch points alone,
 halving a piece while a branch point lies inside its Bernstein ellipse
 (Molin-Neurohr's rule for their Abel-Jacobi map), and takes one panel per
 piece: all pieces of a route are one integrand call, with no estimate of
-the error and no second evaluation.  ``adaptive_gl`` bisects panels until
-two refinement levels agree, one level per integrand call, and walks the
-intervals of one call as one forest; it integrates the period chains, the
-s^2 leg into a branch point and the xi tail of ``abel_from_infinity``.
+the error and no second evaluation.  A route has a few vertices, a leg a
+few pieces and a curve at most five branch points, fewer than numpy's cost
+per call repays: the bookkeeping of vertices and pieces (the crossings and
+signs of a ``Route``, each leg's depth-first halving and the sums of its
+pieces) runs on Python scalars, and the work per node on arrays.
+
+``adaptive_gl`` bisects panels until two refinement levels agree, one
+level per integrand call, and walks the intervals of one call as one
+forest; it integrates the period chains, the s^2 leg into a branch point
+and the xi tail of ``abel_from_infinity``.
 Every integrand here is a handful of numpy operations on a node array, so
 one call on many panels costs about what one call on a single panel did.
 """
@@ -209,6 +216,18 @@ def _detour(z0: complex, z1: complex, obstacles, clearance: float, depth: int):
     return left + right[1:]
 
 
+def _cut_crossing(w0, dw, w1):
+    """(upper0, crossed) of factors moving on lines, w0 + dw t, arrays or
+    Python scalars alike (``CutCrossings``): upper0 whether w0 lies on the
+    closed upper side, crossed whether the root has changed branch by w1.
+    Im(conj(w0) dw) is formed from real products and one difference, never
+    from a complex product, which numpy may round with a fused multiply-add
+    where Python does not; so the arrays and the scalars take the same bits."""
+    upper0 = w0.imag >= 0
+    meets = (w0.real * dw.imag - w0.imag * dw.real) * dw.imag < 0
+    return upper0, meets & ((w1.imag >= 0) != upper0)
+
+
 class CutCrossings:
     """Branch changes of sqrt along factors moving on lines, w0 + dw t.
 
@@ -217,13 +236,20 @@ class CutCrossings:
     Im(conj(w0) dw) Im(dw) < 0; there the root has changed branch at w iff
     w and w0 lie on different closed sides, Im >= 0 and Im < 0.  ``crossed``
     marks the factors (last axis) that have changed branch by w1.  Leading
-    axes hold several sets of lines, one per leg or chain.
+    axes hold several sets of lines, one per leg or chain.  ``_cut_crossing``
+    is the one home of that rule; ``from_masks`` takes its result when it
+    was formed factor by factor on scalars (``Route``).
     """
 
     def __init__(self, w0, dw, w1):
-        self.upper0 = np.imag(w0) >= 0
-        meets = (np.conj(w0) * dw).imag * np.imag(dw) < 0
-        self.crossed = meets & ((np.imag(w1) >= 0) != self.upper0)
+        self.upper0, self.crossed = _cut_crossing(np.asarray(w0), dw, np.asarray(w1))
+
+    @classmethod
+    def from_masks(cls, upper0, crossed):
+        """The crossings of the bool arrays upper0 and crossed of ``_cut_crossing``."""
+        cuts = cls.__new__(cls)
+        cuts.upper0, cuts.crossed = upper0, crossed
+        return cuts
 
     def roots(self, w, rows=None):
         """sqrt(w_k), each root continued from w0 (one line per factor), at
@@ -271,18 +297,34 @@ class Route:
     (-1)^(the crossings before it), and leg k carries sign[k]; y_end is the
     principal product at the last vertex times its sign (y0 with no leg).
     Negating a root is exact, so these are the bits of continuing leg after
-    leg.  ``legs`` is built only when the route is integrated."""
+    leg.
+
+    A route has a few vertices and a few branch points, fewer than numpy's
+    cost per call repays: the factors z - e_k, the crossings of each leg
+    (``_cut_crossing``) and the signs are formed vertex by vertex on Python
+    scalars, and only the principal products at the two end vertices, and
+    the arrays a ``CutCrossings`` holds, go through numpy.  ``legs`` is
+    built only when the route is integrated."""
 
     def __init__(self, curve: HyperellipticCurve, points, y0: complex):
-        z = np.asarray(points, dtype=complex)
-        self.z = z = z[np.concatenate(([True], z[1:] != z[:-1]))]
+        pts = [complex(p) for p in points]
+        z = pts[:1] + [b for a, b in zip(pts, pts[1:]) if b != a]
+        self.z = np.array(z, dtype=complex)
         self.e = np.asarray(curve.branch_points, dtype=complex)
         self.y0 = complex(y0)
-        w = z[:, None] - self.e
-        self.cuts = CutCrossings(w[:-1], (z[1:] - z[:-1])[:, None], w[1:])
-        flips = np.concatenate(([0], np.cumsum(self.cuts.crossed.sum(axis=1)))) % 2
-        self.sign = _sign_toward(2.0 * np.sqrt(w[0]).prod(), self.y0) * (1.0 - 2.0 * flips)
-        self.y_end = complex(self.sign[-1] * (2.0 * np.sqrt(w[-1]).prod())) if len(z) > 1 else self.y0
+        e = self.e.tolist()
+        ends = 2.0 * np.sqrt(np.array([z[0], z[-1]])[:, None] - self.e).prod(axis=1)
+        sign, cut = [_sign_toward(ends[0], self.y0)], []  # cut: (upper0, crossed) per factor
+        w0 = [z[0] - ek for ek in e]
+        for a, b in zip(z, z[1:]):
+            w1, dw = [b - ek for ek in e], b - a
+            cut += [_cut_crossing(p, dw, q) for p, q in zip(w0, w1)]
+            sign.append(-sign[-1] if sum(c for _, c in cut[-len(e):]) % 2 else sign[-1])
+            w0 = w1
+        masks = np.array(cut, dtype=bool).reshape(len(z) - 1, len(e), 2)
+        self.cuts = CutCrossings.from_masks(masks[..., 0], masks[..., 1])
+        self.sign = np.array(sign)
+        self.y_end = complex(self.sign[-1] * ends[1]) if len(z) > 1 else self.y0
 
     @functools.cached_property
     def legs(self) -> list:
@@ -317,11 +359,9 @@ _PIECE_K = 1e4
 
 
 def _leg_pieces(tau, tol: float, where):
-    """The pieces of the legs [0, 1] in t, by geometry alone: lists (j,
-    leg, split) with one array per halving level, the pieces
-    [j, j + 1] 2^-depth of the legs leg and whether each is halved; level 0
-    holds the legs themselves and each level the halves of the pieces
-    halved on the level above, in order.
+    """The pieces of the legs [0, 1] in t, by geometry alone: for each leg
+    the list of its pieces (j, depth), [j, j + 1] 2^-depth, from left to
+    right.
 
     tau (legs, branch points) holds the parameter t of each branch point on
     the line of each leg.  A piece [a, b] is halved while some branch point
@@ -349,40 +389,62 @@ def _leg_pieces(tau, tol: float, where):
     checks such legs against 30-digit integrals, and with K = 100 they
     still pass.
 
-    ``where(leg, a, b)`` names a piece.  Raises ``QuadratureNonConvergence``
-    when a piece still has a branch point inside its ellipse after
-    ``_MAX_DEPTH`` halvings, or a leg would have more than ``_MAX_PANELS``
-    pieces.
+    A leg has a few pieces and a route a few branch points, too few for
+    numpy's cost per call: tau is read into Python complex numbers and each
+    leg is halved depth first, left half before right.  Piece [j h,
+    (j + 1) h], h = 2^-depth, is halved while |c| + |c - 1| < reach for
+    some c = tau 2^depth - j, tau - a and tau - b in units of its width.
+
+    ``where(leg, a, b)`` names a piece.  The legs are laid out in order,
+    and the first piece of a leg that breaks a cap refuses it with
+    ``QuadratureNonConvergence``: a piece that still has a branch point
+    inside its ellipse after ``_MAX_DEPTH`` halvings, or one whose halving
+    would give its leg more than ``_MAX_PANELS`` pieces, where the halving
+    stops.
     """
     rho = (_PIECE_K / tol) ** (1.0 / 64.0)
     reach = 0.5 * (rho + 1.0 / rho)
-    n = len(tau)
-    j, leg, levels, count = np.zeros(n), np.arange(n), ([], [], []), 0
-    for depth in range(_MAX_DEPTH + 1):
-        # piece [j h, (j + 1) h]; tau - a and tau - b in units of its width h
-        c = tau[leg] * 2.0 ** depth - j[:, None]
-        split = (np.abs(c) + np.abs(c - 1.0) < reach).any(axis=1)
-        for out, v in zip(levels, (j, leg, split)):
-            out.append(v)
-        if not split.any():
-            return levels
-        h, count = 0.5 ** depth, count + len(j)
-        j, leg = j[split], leg[split]
-        if depth == _MAX_DEPTH:
-            raise QuadratureNonConvergence(
-                f"{where(leg[0], j[0] * h, (j[0] + 1.0) * h)} has a branch point inside its "
-                f"Bernstein ellipse rho* = {rho:.3g} after {depth} halvings")
-        count -= len(j)  # the pieces kept so far
-        if count + 2 * len(j) > _MAX_PANELS:  # all legs' pieces; only then each leg's
-            kept = ~np.concatenate(levels[2])
-            pieces = np.bincount(np.concatenate(levels[1])[kept], minlength=n)
-            over = pieces + 2 * np.bincount(leg, minlength=n) > _MAX_PANELS
-            if over.any():
-                k = int(np.argmax(leg == np.argmax(over)))
+    layout = []
+    for k, taus in enumerate(tau.tolist()):
+        pieces, todo = [], [(0.0, 0)]  # the pieces still to test, the next one last
+        while todo:
+            j, depth = todo.pop()
+            s = 2.0 ** depth
+            if not any(abs(c) + abs(c - 1.0) < reach for c in [t * s - j for t in taus]):
+                pieces.append((j, depth))
+                continue
+            h = 0.5 ** depth
+            if depth == _MAX_DEPTH:
+                raise QuadratureNonConvergence(
+                    f"{where(k, j * h, (j + 1.0) * h)} has a branch point inside its "
+                    f"Bernstein ellipse rho* = {rho:.3g} after {depth} halvings")
+            if len(pieces) + len(todo) + 2 > _MAX_PANELS:  # its pieces once this one is halved
                 raise QuadratureNonConvergence(f"piece budget of {_MAX_PANELS} spent: "
-                                               f"{where(leg[k], j[k] * h, (j[k] + 1.0) * h)} "
+                                               f"{where(k, j * h, (j + 1.0) * h)} "
                                                "still to be halved")
-        j, leg = _interleave(2.0 * j, 2.0 * j + 1.0), np.repeat(leg, 2)
+            todo += [(2.0 * j + 1.0, depth + 1), (2.0 * j, depth + 1)]
+        layout.append(pieces)
+    return layout
+
+
+def _add_pieces(layout, est):
+    """The integral of each leg (rows, legs) from the estimates est (rows,
+    pieces) of the pieces of ``_leg_pieces``' layout, leg after leg, added
+    on Python complex numbers as the halving went: a halved piece is its
+    left half plus its right half.  Left to right, a piece whose depth is
+    that of the last unpaired piece is its right sibling, so the two are
+    added into their parent, which may pair in turn."""
+    values, columns = iter(est.T.tolist()), []
+    for pieces in layout:
+        done = []  # (depth, value) of the unpaired pieces, the deepest last
+        for _, depth in pieces:
+            v = next(values)
+            while done and done[-1][0] == depth:
+                v = [left + right for left, right in zip(done.pop()[1], v)]
+                depth -= 1
+            done.append((depth, v))
+        columns.append(done[0][1])
+    return np.array(columns, dtype=complex).T
 
 
 def leg_integrals(route: Route, rows_fn, tol):
@@ -394,8 +456,11 @@ def leg_integrals(route: Route, rows_fn, tol):
     points alone (``_leg_pieces``), each piece takes one 32-node
     Gauss-Legendre panel, all pieces of all legs in one call of rows_fn, and
     the pieces are added back in the order of their halving, a halved
-    piece the sum of its halves.  A leg's pieces and its sum depend on that
-    leg alone, so each column has the bits of its leg integrated alone.
+    piece the sum of its halves (``_add_pieces``).  The layout and the sums
+    run on Python scalars, a few per piece; the work per node (the nodes,
+    x, y, rows_fn, the panel sums and the rounding bound below) runs on
+    arrays.  A leg's pieces and its sum depend on that leg alone, so each
+    column has the bits of its leg integrated alone.
 
     The rounding of x bounds what the rule can certify.  A node
     t = mid + h s of a piece of half width h, and 1 - t formed as
@@ -422,12 +487,10 @@ def leg_integrals(route: Route, rows_fn, tol):
     def where(k, a, b):
         return f"piece [{a:.10g}, {b:.10g}] of leg {k} [{z0[k]:.6g}, {z1[k]:.6g}]"
 
-    js, legs, splits = _leg_pieces(tau, tol, where)
-    # every piece not halved, level after level, in one call of rows_fn
-    sizes = [len(split) for split in splits]
-    kept = ~np.concatenate(splits)
-    j, leg = np.concatenate(js)[kept], np.concatenate(legs)[kept]
-    width = np.repeat(0.5 ** np.arange(len(sizes)), sizes)[kept]
+    layout = _leg_pieces(tau, tol, where)
+    # every piece, leg after leg, in one call of rows_fn
+    flat = [(k, j, 0.5 ** depth) for k, pieces in enumerate(layout) for j, depth in pieces]
+    leg, j, width = (np.array(v) for v in zip(*flat))
     # each node also as its distance from the leg's end, 1 - mid exact on
     # dyadic pieces, so x formed from the nearer end carries no rounding of t
     half, mid = 0.5 * width, (j + 0.5) * width
@@ -437,15 +500,7 @@ def leg_integrals(route: Route, rows_fn, tol):
     w = x[:, None] - e
     vals = np.asarray(rows_fn(x, sign[k] * cuts.product(w, k))) * d[k]
     est = _panel_sums(vals, half)
-    # the pieces back in the order of their halving, each level's halved
-    # pieces from the level below, from the deepest level up
-    every = np.empty((len(est), len(kept)), dtype=est.dtype)
-    every[:, kept] = est
-    starts = np.cumsum([0] + sizes)
-    for level in range(len(sizes) - 2, -1, -1):
-        a, b, c = starts[level:level + 3]
-        every[:, a:b][:, splits[level]] = every[:, b:c:2] + every[:, b + 1:c:2]
-    total = every[:, :n]
+    total = _add_pieces(layout, est)
     # the rounding of x, node by node (docstring)
     dx = np.abs(x) + np.abs(d[k]) * (np.minimum(t, back) + np.repeat(0.5 * half, len(_GL_NODES)))
     drift = np.abs(vals).max(axis=0) * dx * ((1.0 / np.abs(w)) @ np.full(len(e), 0.5))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secondkind import periods
+from secondkind import paths, periods
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_verify.py"
 
@@ -219,3 +219,39 @@ def test_expand_residual_is_judged_as_it_stands(cv, new, flagged):
     moved["residual"] = new
     move, where = cv.largest_move(json.dumps(old), json.dumps(moved))
     assert (move > cv.ROUNDOFF_MOVE) == flagged and ".residual" in where, (move, where)
+
+
+def test_deep_maps_take_deep_piece_trees(cv, monkeypatch):
+    """``deep_outputs`` on a genus-1 curve: P to beside each of its 3 branch
+    points, on both sheets, off the line from P by 1e-4 or 1e-6 of the
+    branch point's distance from P; and from infinity on the standard curve
+    shifted by +300 to its 5 branch points and to P, P', Q and Q'.  Every
+    map returns; each map beside a branch point integrates a leg whose
+    pieces are at least 11 or 17 halvings deep, and the far legs are about
+    3.6e6 long."""
+    depths, lengths = [], []
+    layout, along = paths._leg_pieces, paths.leg_integrals
+
+    def deepest(*args):
+        out = layout(*args)
+        depths.append(max(d for leg in out for _, d in leg))
+        return out
+
+    def longest(route, *args):
+        lengths.append(np.max(np.abs(np.diff(route.z)), initial=0.0))
+        return along(route, *args)
+
+    monkeypatch.setattr(paths, "_leg_pieces", deepest)
+    for module in (paths, periods):
+        monkeypatch.setattr(module, "leg_integrals", longest)
+    namespace = {}
+    exec(cv.LIBRARY, namespace)
+    for delta, least in zip(cv.BESIDE, (11, 17)):
+        del depths[:]
+        out = namespace["deep_outputs"]({"generic_g1": cv.CURVES["generic_g1"]}, {}, [delta])
+        assert len(out) == 6 and all(code == 0 for code, _ in out.values()), out
+        assert sum(d >= least for d in depths) >= 6, (delta, depths)
+    del lengths[:]
+    out = namespace["deep_outputs"]({}, cv.FAR_CURVES, [])
+    assert len(out) == 9 and all(code == 0 for code, _ in out.values()), out
+    assert 3e6 < max(lengths) < 4e6, lengths

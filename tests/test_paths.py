@@ -3,12 +3,14 @@
 ``SheetPath`` and ``BranchLegPath`` take y from the product of the factors
 sqrt(x - e_k), each continued across its cut, and ``abel_map`` picks its
 route from their parity before integrating.  A ``Route`` builds all its
-legs in one pass over its vertices; the leg-by-leg chain it replaced, each
-leg with its own crossings, start sign and end value, is kept here as the
-reference and must give the same bits.  The references below are the
-stepping continuations they replaced, kept here verbatim in behaviour, and
-the pipeline that integrated every candidate route and kept the first one
-ending on the right sheet.  The references take y as the principal root of
+legs in one pass over its vertices, on Python scalars; the leg-by-leg
+chain it replaced, each leg with its own crossings, start sign and end
+value, is kept here as the reference and must give the same bits, and so
+must the same pass formed on arrays over all vertices at once, on random
+polylines.  The references below are the stepping continuations they
+replaced, kept here verbatim in behaviour, and the pipeline that
+integrated every candidate route and kept the first one ending on the
+right sheet.  The references take y as the principal root of
 y^2 and x from the start of the leg, so the legs must agree with them on
 the sheet at every node and in value to rounding, not in bits.
 
@@ -18,15 +20,19 @@ the recursion it replaced, one integrand call per 32-node panel and one
 call per interval, is kept here as the reference.  Interval by interval,
 both evaluate the same nodes and give the same bits.  ``leg_integrals``
 integrates the legs of a route on pieces fixed by the branch points, all
-in one integrand call; a recursion over each leg's pieces, one panel per
-piece, is its reference, and gives the same bits.
+in one integrand call, each leg halved depth first and its pieces added
+back on Python scalars; a recursion over each leg's pieces on arrays, one
+integrand call per piece, is its reference, and gives the same bits.
 """
 
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import legendre as nleg
 
 from secondkind import (
@@ -408,6 +414,49 @@ def test_route_pass_equals_the_leg_chain(triples):
     assert got.dtype == complex and np.array_equal(got, [0.0, 0.0])
 
 
+#: Coordinates on a coarse grid, signed zeros included, so that vertices
+#: fall on numpy's cut of some factor (Im w = 0 > Re w) and repeat often.
+_COORDS = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]),
+                    st.floats(-3.0, 3.0, allow_nan=False))
+_POINTS = st.builds(complex, _COORDS, _COORDS)
+
+
+def _array_route(e, points, y0):
+    """(z, cuts, sign, y_end) of a ``Route`` formed on arrays over all its
+    vertices at once: one ``CutCrossings`` over every leg, the signs from
+    the running parity of its crossings."""
+    z = np.asarray(points, dtype=complex)
+    z = z[np.concatenate(([True], z[1:] != z[:-1]))]
+    w = z[:, None] - e
+    cuts = CutCrossings(w[:-1], (z[1:] - z[:-1])[:, None], w[1:])
+    flips = np.concatenate(([0], np.cumsum(cuts.crossed.sum(axis=1)))) % 2
+    sign = paths._sign_toward(2.0 * np.sqrt(w[0]).prod(), y0) * (1.0 - 2.0 * flips)
+    y_end = complex(sign[-1] * (2.0 * np.sqrt(w[-1]).prod())) if len(z) > 1 else y0
+    return z, cuts, sign, y_end
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_POINTS, min_size=3, max_size=5),
+       st.lists(st.tuples(_POINTS, st.integers(1, 3)), min_size=1, max_size=6), _POINTS)
+@example([-2.0, -1.0, 0.0, 1.0, 2.0], [(0.5 + 0.75j, 1), (0.5, 2), (complex(0.5, -0.0), 1),
+                                       (0.5 - 0.75j, 1), (-3.0, 1), (complex(-3.0, -0.0), 1)], 1.0)
+@example([-2.0, -1.0, 0.0], [(complex(-0.5, -0.0), 3)], -1.0j)
+def test_route_scalars_equal_the_crossings_on_arrays(branch, runs, y0):
+    """``Route`` forms its crossings and signs vertex by vertex on scalars;
+    over the same vertices they are the arrays ``CutCrossings`` forms, in
+    bits: vertices on a factor's cut from either side and with either
+    signed zero, repeated vertices and routes of one vertex included."""
+    points = [v for v, times in runs for _ in range(times)]
+    route = Route(SimpleNamespace(branch_points=tuple(branch)), points, y0)
+    z, cuts, sign, y_end = _array_route(np.asarray(branch, dtype=complex), points, complex(y0))
+    assert _bits(*route.z) == _bits(*z)
+    for got, want in ((route.cuts.upper0, cuts.upper0), (route.cuts.crossed, cuts.crossed)):
+        assert got.dtype == want.dtype == bool and got.shape == want.shape == (len(z) - 1, len(branch))
+        assert np.array_equal(got, want)
+    assert route.sign.dtype == sign.dtype and route.sign.tobytes() == sign.tobytes()
+    assert _bits(route.y_end) == _bits(y_end)
+
+
 def test_an_integrated_route_is_freed_by_its_last_reference():
     """Its legs hold no reference back to it: a cycle would keep every
     route until the cycle collector ran, and the peak memory of a run of
@@ -748,9 +797,13 @@ def test_leg_quadrature_matches_the_recursion(against_reference):
                 assert got.shape == want.shape == (curve.genus, len(pts) - 1), pts
                 assert np.array_equal(got, want), (curve.branch_points, pts, tol)
                 tau = (route.e - route.z[:-1, None]) / (route.z[1:] - route.z[:-1])[:, None]
-                splits = paths._leg_pieces(tau, tol, None)[2]
-                pieces += sum(np.count_nonzero(~split) for split in splits)
-                legs, depth = legs + len(route.legs), max(depth, len(splits) - 1)
+                layout = paths._leg_pieces(tau, tol, None)
+                # each leg's pieces tile [0, 1] from left to right
+                ends = [[(j * 0.5 ** d, (j + 1.0) * 0.5 ** d) for j, d in leg] for leg in layout]
+                assert [(a[0][0], a[-1][1]) for a in ends] == [(0.0, 1.0)] * len(route.legs)
+                assert all(left[1] == right[0] for a in ends for left, right in zip(a, a[1:]))
+                pieces += sum(len(leg) for leg in layout)
+                legs, depth = legs + len(route.legs), max([depth] + [d for leg in layout for _, d in leg])
         assert len(routes[1]) - 1 >= 2 and len(routes[2]) - 1 >= 10
     # the halving and the sum in halving order are exercised
     assert pieces > 1.5 * legs and depth >= 3, (pieces, legs, depth)
