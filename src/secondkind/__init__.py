@@ -13,14 +13,8 @@ from .curves import (
     branch_points,
     curve_from_branch_points,
     curve_from_coefficients,
-    gap_sequence,
 )
-from .expansion import (
-    expansion_match,
-    kappa_from_expansion,
-    sfw_series,
-    skw_series,
-)
+from .expansion import expansion_match
 from .identities import (
     IdentityDefects,
     IdentityEntry,
@@ -44,7 +38,7 @@ from .periods import (
     lattice_distance,
     legendre_defect,
 )
-from .series import TruncatedSeries, schwarzian
+from .series import TruncatedSeries
 from .theta import Characteristic, ThetaTable, char, theta_eval, theta_table
 
 __version__ = "0.1.0"
@@ -70,9 +64,7 @@ __all__ = [
     "curve_from_branch_points",
     "curve_from_coefficients",
     "expansion_match",
-    "gap_sequence",
     "jacobi_inversion_check",
-    "kappa_from_expansion",
     "kappa_report",
     "lattice_distance",
     "legendre_defect",
@@ -81,9 +73,6 @@ __all__ = [
     "omega_consistency",
     "rosenhain_defects",
     "rosenhain_gamma_pairs",
-    "schwarzian",
-    "sfw_series",
-    "skw_series",
     "theta_eval",
     "theta_table",
     "thomae_defects",

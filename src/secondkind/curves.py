@@ -13,13 +13,12 @@ single point at infinity.  Coefficients are kept in ascending order
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateCurve, InvalidPair, RootFindingFailure
+from .errors import DegenerateCurve, RootFindingFailure
 
 #: Relative separation below which two branch points count as coincident.
 DEGENERACY_TOL = 1e-10
@@ -160,28 +159,6 @@ def curve_from_branch_points(points) -> HyperellipticCurve:
 def branch_points(curve: HyperellipticCurve):
     """Finite branch points in canonical (real, imaginary) sort order."""
     return canonical_branch_order(curve.branch_points)
-
-
-def gap_sequence(n: int, s: int):
-    """Weierstrass gap sequence at the point at infinity of an (n, s) curve.
-
-    The gaps are the positive integers not representable as alpha*n + beta*s
-    with alpha, beta >= 0; there are exactly (n-1)(s-1)/2 of them.
-    """
-    if n < 2 or s <= n or math.gcd(n, s) != 1:
-        raise InvalidPair(f"(n, s) = ({n}, {s}) needs 2 <= n < s and gcd 1")
-    frobenius = n * s - n - s
-    representable = [False] * (frobenius + 1)
-    representable[0] = True
-    for a in range(0, frobenius + 1, 1):
-        if representable[a]:
-            if a + n <= frobenius:
-                representable[a + n] = True
-            if a + s <= frobenius:
-                representable[a + s] = True
-    gaps = tuple(m for m in range(1, frobenius + 1) if not representable[m])
-    assert len(gaps) == (n - 1) * (s - 1) // 2
-    return gaps
 
 
 def kleinian_polar(curve: HyperellipticCurve, x, z):

@@ -22,10 +22,6 @@ class RootFindingFailure(SecondKindError):
     """Polynomial root polishing did not reach the required residual."""
 
 
-class InvalidPair(SecondKindError):
-    """(n, s) is not a valid curve signature: needs 2 <= n < s, gcd(n, s) = 1."""
-
-
 # periods and path integration
 
 class HomologyConstructionFailure(SecondKindError):
@@ -33,7 +29,9 @@ class HomologyConstructionFailure(SecondKindError):
 
 
 class QuadratureNonConvergence(SecondKindError):
-    """Adaptive quadrature hit the subdivision depth cap before converging."""
+    """A quadrature could not certify its tolerance: a panel or a leg's piece
+    hit the depth or panel cap, or the rounding of x moves a leg's integral
+    by more than quad_tol."""
 
 
 class PathThroughBranchPoint(SecondKindError):
@@ -60,11 +58,7 @@ class GammaCharacteristic(SecondKindError):
     """The distinguished characteristic of the point at infinity is not admissible here."""
 
 
-# series engine
-
-class ZeroLeadingCoefficient(SecondKindError):
-    """Series division or root requires a nonzero declared leading coefficient."""
-
+# expansion at infinity
 
 class OrderUnderflow(SecondKindError):
     """Truncation bookkeeping left an empty window of known coefficients."""

@@ -1,13 +1,13 @@
-"""Local expansions at infinity and recovery of kappa by series matching.
+"""Local expansions at infinity and recovery of kappa by coefficient matching.
 
 The local parameter at the infinite point is xi with x = 1/xi^2, under
 which y = 2 xi^-(2g+1) S(xi), S = sqrt(T), for an even polynomial T with
 unit constant term.  Both projective-connection representations are
 expanded in xi: the algebraic side (Schwarzian of x, the y''/y term, the
-Baker pairing, and the kappa quadratic form) and the theta side (built from
-H and T, contractions of theta derivatives with the normalized
-differentials).  Equating coefficients yields an affine system for the
-kappa entries.
+Baker pairing, and the kappa quadratic form; ``_skw_rows``) and the theta
+side (built from H and T, contractions of theta derivatives with the
+normalized differentials; ``_sfw_rows``).  Equating coefficients yields an
+affine system for the kappa entries, which ``expansion_match`` solves.
 
 ``local_frame`` is built once per curve and order.  It holds dense
 coefficient arrays on the window xi^0..xi^(order+2): S, s = 1/S, the
@@ -15,17 +15,19 @@ differentials g_a = u_a/dxi = -xi^(2(g-a)) s stacked as G, their products
 g_a g_b and g_a g_b g_c, and the Baker pairing.  Every quantity is a power
 series there, so products and reciprocals are known on the whole window;
 the Laurent factors xi^-2 are exact, and the two derivatives of H cost the
-two extra orders.  The theta side takes all admissible characteristics at
-once: H and T are matrix products of the table's directional derivatives
-with G and GGG, and 1/H = -S/P is closed form, P being a polynomial of
-degree at most 2 in xi^2 (``_sfw_rows``).  ``expansion_match`` returns
-coefficient rows; ``match_series`` wraps them as ``TruncatedSeries``, each
-truncated to ``order``, for the report that prints them.
+two extra orders.  All of it is formed by the row kernels of ``series``
+(``mul_rows``, ``sqrt_coeffs``, ``reciprocal_coeffs``).  The theta side
+takes all admissible characteristics at once: H and T are matrix products
+of the table's directional derivatives with G and GGG, and 1/H = -S/P is
+closed form, P being a polynomial of degree at most 2 in xi^2.
+``expansion_match`` returns coefficient rows; ``match_series`` wraps them
+as ``TruncatedSeries``, each cut at ``order``, for the report that prints
+them.
 
 The branch of y at infinity is fixed to the + square root.  Flipping it
 negates every g_a and h_a simultaneously, which leaves both connection
-series unchanged (all terms are quadratic in the frame), so the convention
-is unobservable downstream; it is tested, not assumed.
+series unchanged (every term is even in the frame), so the convention is
+unobservable downstream.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .curves import HyperellipticCurve, second_kind_numerators, t_coefficients
 from .errors import GammaCharacteristic, IncompatibleSystem
 from .periods import PeriodBundle
 from .series import TruncatedSeries, mul_rows, reciprocal_coeffs, sqrt_coeffs
-from .theta import Characteristic, ThetaTable
+from .theta import ThetaTable
 
 #: Default truncation order for connection expansions.
 DEFAULT_ORDER = 12
@@ -96,25 +98,6 @@ def _skw_rows(fr: dict):
     return base, basis
 
 
-def skw_series(curve: HyperellipticCurve, kappa=None, order: int = DEFAULT_ORDER):
-    """Algebraic projective connection as a xi-series.
-
-    With a numeric kappa returns the full series.  With kappa None returns
-    (base, basis): the kappa-independent part and a dict mapping the entry
-    label (a, b), a <= b 1-based, to the series multiplying kappa_ab.  The
-    xi^-2 coefficients of the base cancel between the three terms; the
-    cancellation is left in place as a numerical structural check.
-    """
-    base, basis = _skw_rows(local_frame(curve, order))
-    if kappa is None:
-        return (TruncatedSeries.make(-2, base, order),
-                {key: TruncatedSeries.make(-2, c, order) for key, c in basis.items()})
-    kappa = np.asarray(kappa)
-    for (a, b), c in basis.items():
-        base = base + complex(kappa[a - 1, b - 1]) * c
-    return TruncatedSeries.make(-2, base, order)
-
-
 def _reciprocal_h(grad: np.ndarray, big_s: np.ndarray) -> np.ndarray:
     """1/H = -S/P on the window of S, one row per row of the gradient.
 
@@ -164,19 +147,6 @@ def _sfw_rows(fr: dict, tt: ThetaTable, chars) -> np.ndarray:
     return rest - 1.5 * mul_rows(ratio, ratio)
 
 
-def sfw_series(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
-               m, odd_char: Characteristic, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Theta-side projective connection expanded at infinity.
-
-    The characteristic must satisfy the admissibility condition (H does not
-    vanish at infinity); gamma violates it.
-    """
-    if m is not None and odd_char == getattr(m, "gamma", None):
-        raise GammaCharacteristic("H vanishes at infinity for the Riemann-constant characteristic")
-    rows = _sfw_rows(local_frame(curve, order), tt, [odd_char])
-    return TruncatedSeries.make(0, rows[0], order)
-
-
 def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
                     m=None, order: int = DEFAULT_ORDER) -> dict:
     """Assemble and solve the coefficient-matching system for kappa.
@@ -187,9 +157,9 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     base and each kappa-basis entry on xi^-2..xi^order, the theta side per
     characteristic on xi^0..xi^order (``match_series`` wraps them), and the
     solved kappa, the relative residual, and the rank and condition number
-    of the system.  Raises
-    ValueError for a negative order, and IncompatibleSystem unless the
-    system certifies kappa: below order 4(g-1) a column is zero (the kappa_ab
+    of the system.  Raises ValueError for a negative order or a genus-2
+    curve without its matching m, and IncompatibleSystem unless the system
+    certifies kappa: below order 4(g-1) a column is zero (the kappa_ab
     series starts at xi^(2(2g-a-b))) and the rank falls short of g(g+1)/2; a
     relative residual over RESIDUAL_TOL signals an upstream inconsistency;
     and when cond * eps exceeds that gate, roundoff alone could too, so a
@@ -198,6 +168,8 @@ def expansion_match(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTa
     if order < 0:
         raise ValueError(f"expansion order must be >= 0, got {order}")
     g = curve.genus
+    if g == 2 and m is None:
+        raise ValueError("a genus-2 expansion needs the bolza_match result, got m=None")
     fr = local_frame(curve, order)
     base, basis = _skw_rows(fr)
     keys = sorted(basis.keys())
@@ -252,9 +224,3 @@ def match_series(ex: dict) -> dict:
         "theta_side": {ch: TruncatedSeries.make(0, row, order)
                        for ch, row in ex["theta_side"].items()},
     }
-
-
-def kappa_from_expansion(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
-                         m=None, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """kappa solved by matching the two connection expansions (``expansion_match``)."""
-    return expansion_match(curve, bundle, tt, m, order=order)["kappa"]

@@ -275,11 +275,29 @@ def test_kappa_genus2_routes(capsys):
     assert max(rep["defects"].values()) < 1e-7
 
 
+def _expand_starts(rep):
+    """First printed exponent of every expand row; each row must run to the order."""
+    alg = rep["algebraic"]
+    rows = {"base": alg["base"], **alg["kappa_basis"], **rep["theta_side"]}
+    for key, row in rows.items():
+        assert row["exponents"] == list(range(row["exponents"][0], rep["order"] + 1)), key
+    return {key: row["exponents"][0] for key, row in rows.items()}
+
+
 def test_expand_report(capsys):
     code, rep = _run_json(capsys, ["expand", "--curve", STANDARD])
     assert code == 0
     assert rep["residual"] < 1e-6
     assert "algebraic" in rep and "theta_side" in rep
+    # the windows start at each row's valuation: exactly-zero leading terms are trimmed
+    starts = _expand_starts(rep)
+    assert {k: starts.pop(k) for k in ("base", "11", "12", "22")} == {
+        "base": 2, "11": 4, "12": 2, "22": 0}
+    assert len(starts) == 5 and set(starts.values()) == {0}
+    curve = json.dumps({"branch_points": [[-1, 0], [0.3, 0], [1.2, 0.5]]})
+    code, rep = _run_json(capsys, ["expand", "--curve", curve])
+    assert code == 0
+    assert _expand_starts(rep) == {"base": 0, "11": 0, "[1;1]": 0}
 
 
 def test_verify_quick_passes(capsys):

@@ -1,11 +1,11 @@
-"""Curve construction, invariants of the odd-degree model, gap sequences."""
+"""Curve construction and invariants of the odd-degree model."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secondkind import branch_points, curve_from_branch_points, curve_from_coefficients, gap_sequence
+from secondkind import branch_points, curve_from_branch_points, curve_from_coefficients
 from secondkind.curves import (
     canonical_branch_order,
     kleinian_polar,
@@ -70,22 +70,6 @@ def test_lift_is_on_curve(skew_curve):
     assert abs(p.y**2 - skew_curve.y_squared(p.x)) < 1e-10
     q = skew_curve.lift(0.7 + 0.3j, sheet=-1)
     assert abs(p.y + q.y) < 1e-14
-
-
-def _gaps_by_sieve(n: int, s: int, limit: int = 200):
-    reachable = {a * n + b * s for a in range(limit) for b in range(limit)}
-    return tuple(k for k in range(1, n * s) if k not in reachable)
-
-
-@pytest.mark.parametrize("n,s", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5)])
-def test_gap_sequence_matches_sieve(n, s):
-    assert gap_sequence(n, s) == _gaps_by_sieve(n, s)
-
-
-def test_gap_sequence_weierstrass_count():
-    # genus = number of gaps for the (2, 2g+1) hyperelliptic point at infinity
-    assert len(gap_sequence(2, 5)) == 2
-    assert gap_sequence(2, 5) == (1, 3)
 
 
 def test_kleinian_polar_symmetric(skew_curve):

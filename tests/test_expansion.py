@@ -11,49 +11,55 @@ from secondkind import (
     compute_periods,
     curve_from_branch_points,
     expansion_match,
-    kappa_from_expansion,
-    sfw_series,
-    skw_series,
     theta_table,
 )
 from secondkind import expansion
 from secondkind.curves import second_kind_numerators, t_coefficients
 from secondkind.errors import GammaCharacteristic, IncompatibleSystem
-from secondkind.expansion import _reciprocal_h, local_frame, match_series
-from secondkind.series import TruncatedSeries, mul_rows, reciprocal_coeffs, schwarzian, sqrt_coeffs
+from secondkind.expansion import _reciprocal_h, _sfw_rows, local_frame, match_series
+from secondkind.series import TruncatedSeries, mul_rows, reciprocal_coeffs, sqrt_coeffs
+from series_reference import Series, schwarzian
 
 
-def _coeff_map(series, lo, hi):
-    return {k: series.coeff(k) for k in range(lo, hi + 1)}
+def _connection(ex, kappa):
+    """The algebraic side at ``kappa`` from the rows of ``expansion_match``:
+    base + sum_ab kappa_ab basis_ab, as a series from xi^-2 to the order."""
+    row = ex["base"]
+    for (a, b), c in ex["basis"].items():
+        row = row + complex(kappa[a - 1, b - 1]) * c
+    return TruncatedSeries.make(-2, row, ex["order"])
 
 
 # ------------------------------------------------------- algebraic side
 
-def test_genus1_leading_coefficients_affine_in_kappa(generic_g1_curve):
+def test_genus1_leading_coefficients_affine_in_kappa(generic_g1_curve, generic_g1_bundle,
+                                                    generic_g1_table):
     # with kappa left symbolic the expansion must be base + kappa * basis,
     # whose first two even coefficients have the closed forms below
     c = generic_g1_curve
     lam1, lam2 = c.lam_at(1), c.lam_at(2)
-    base, basis = skw_series(c, kappa=None)
-    b = basis[(1, 1)]
+    rows = match_series(expansion_match(c, generic_g1_bundle, generic_g1_table))
+    base, b = rows["base"], rows["basis"][(1, 1)]
     assert abs(base.coeff(0) - (-0.75 * lam2)) < 1e-12 * max(1.0, abs(lam2))
     assert abs(base.coeff(2) - (-1.5 * lam1 + (9.0 / 32.0) * lam2 ** 2)) < 1e-10
     assert abs(b.coeff(0) - 12.0) < 1e-12
     assert abs(b.coeff(2) - (-3.0 * lam2)) < 1e-10 * max(1.0, abs(lam2))
 
 
-def test_genus1_combined_series_matches_affine_form(lemniscatic_curve,
-                                                    lemniscatic_bundle):
-    kap = lemniscatic_bundle.kappa
-    full = skw_series(lemniscatic_curve, kappa=kap)
-    base, basis = skw_series(lemniscatic_curve, kappa=None)
+def test_genus1_combined_series_matches_affine_form(lemniscatic_curve, lemniscatic_bundle,
+                                                    lemniscatic_table):
+    # the affine form base + kappa * basis at the periods' kappa is the theta side
+    ex = expansion_match(lemniscatic_curve, lemniscatic_bundle, lemniscatic_table)
+    full = _connection(ex, lemniscatic_bundle.kappa)
+    (th,) = match_series(ex)["theta_side"].values()
     for k in range(-2, full.order + 1):
-        want = base.coeff(k) + kap[0, 0] * basis[(1, 1)].coeff(k)
-        assert abs(full.coeff(k) - want) < 1e-12
+        assert abs(full.coeff(k) - th.coeff(k)) < 1e-12, k
 
 
-def test_no_pole_in_connection(standard_curve, standard_bundle):
-    s = skw_series(standard_curve, kappa=standard_bundle.kappa)
+def test_no_pole_in_connection(standard_curve, standard_bundle, standard_table,
+                               standard_matching):
+    ex = expansion_match(standard_curve, standard_bundle, standard_table, standard_matching)
+    s = _connection(ex, standard_bundle.kappa)
     assert abs(s.coeff(-2)) < 1e-10
     assert abs(s.coeff(-1)) < 1e-14
 
@@ -74,16 +80,16 @@ def test_local_frame_reproduces_curve(standard_curve):
 
 def test_two_sides_agree_coefficientwise(standard_curve, standard_bundle,
                                          standard_table, standard_matching):
-    alg = skw_series(standard_curve, kappa=standard_bundle.kappa)
-    th = sfw_series(standard_curve, standard_bundle, standard_table,
-                    standard_matching, standard_matching.chars[0])
+    ex = expansion_match(standard_curve, standard_bundle, standard_table, standard_matching)
+    alg = _connection(ex, standard_bundle.kappa)
+    th = match_series(ex)["theta_side"][standard_matching.chars[0]]
     for k in range(-2, alg.order + 1):
         assert abs(alg.coeff(k) - th.coeff(k)) < 1e-9, k
 
 
 def test_theta_side_even(skew_curve, skew_bundle, skew_table, skew_matching):
-    th = sfw_series(skew_curve, skew_bundle, skew_table, skew_matching,
-                    skew_matching.chars[2])
+    ex = expansion_match(skew_curve, skew_bundle, skew_table, skew_matching)
+    th = match_series(ex)["theta_side"][skew_matching.chars[2]]
     for k in range(-1, th.order + 1, 2):
         assert abs(th.coeff(k)) < 1e-9
 
@@ -95,15 +101,18 @@ def test_genus1_theta_constant_term(lemniscatic_curve, lemniscatic_bundle,
     w = lemniscatic_bundle.omega[0, 0]
     lam2 = lemniscatic_curve.lam_at(2)
     want = -0.25 * lam2 - tt.thirds[odd.code, 0, 0, 0] / tt.grads[odd.code, 0] / (2.0 * w ** 2)
-    th = sfw_series(lemniscatic_curve, lemniscatic_bundle, tt, None, odd)
+    th = match_series(expansion_match(lemniscatic_curve, lemniscatic_bundle, tt))["theta_side"][odd]
     assert abs(th.coeff(0) - want) < 1e-12
 
 
-def test_degenerate_characteristic_is_rejected(standard_curve, standard_bundle,
-                                               standard_table, standard_matching):
-    with pytest.raises(GammaCharacteristic):
-        sfw_series(standard_curve, standard_bundle, standard_table,
-                   standard_matching, standard_matching.gamma)
+def test_degenerate_characteristic_is_rejected(request):
+    # gamma fails the theta side's admissibility gate: Theta_2[gamma] = 0
+    for prefix in ("standard", "skew"):
+        curve = request.getfixturevalue(f"{prefix}_curve")
+        tt = request.getfixturevalue(f"{prefix}_table")
+        m = request.getfixturevalue(f"{prefix}_matching")
+        with pytest.raises(GammaCharacteristic):
+            _sfw_rows(local_frame(curve, 12), tt, [m.gamma])
 
 
 # ------------------------------------------------------------ the match
@@ -113,9 +122,9 @@ def test_kappa_recovery_genus1(fixture_prefix, request):
     curve = request.getfixturevalue(f"{fixture_prefix}_curve")
     bundle = request.getfixturevalue(f"{fixture_prefix}_bundle")
     tt = request.getfixturevalue(f"{fixture_prefix}_table")
-    kap = kappa_from_expansion(curve, bundle, tt)
-    assert np.max(np.abs(kap - bundle.kappa)) < 1e-10
-    assert expansion_match(curve, bundle, tt)["rank"] == 1
+    out = expansion_match(curve, bundle, tt)
+    assert np.max(np.abs(out["kappa"] - bundle.kappa)) < 1e-10
+    assert out["rank"] == 1
 
 
 @pytest.mark.parametrize("fixture_prefix", ["standard", "skew"])
@@ -124,7 +133,7 @@ def test_kappa_recovery_genus2(fixture_prefix, request):
     bundle = request.getfixturevalue(f"{fixture_prefix}_bundle")
     tt = request.getfixturevalue(f"{fixture_prefix}_table")
     m = request.getfixturevalue(f"{fixture_prefix}_matching")
-    kap = kappa_from_expansion(curve, bundle, tt, m)
+    kap = expansion_match(curve, bundle, tt, m)["kappa"]
     assert np.max(np.abs(kap - bundle.kappa)) < 1e-9
 
 
@@ -142,18 +151,16 @@ def test_match_report_contents(standard_curve, standard_bundle, standard_table,
 
 def test_order_stability(standard_curve, standard_bundle, standard_table,
                          standard_matching):
-    k8 = kappa_from_expansion(standard_curve, standard_bundle, standard_table,
-                              standard_matching, order=8)
-    k12 = kappa_from_expansion(standard_curve, standard_bundle, standard_table,
-                               standard_matching, order=12)
+    args = (standard_curve, standard_bundle, standard_table, standard_matching)
+    k8 = expansion_match(*args, order=8)["kappa"]
+    k12 = expansion_match(*args, order=12)["kappa"]
     assert np.max(np.abs(k8 - k12)) < 1e-8
 
 
 def test_inconsistent_inputs_are_refused(standard_curve, standard_bundle,
                                          skew_table, skew_matching):
     with pytest.raises(IncompatibleSystem):
-        kappa_from_expansion(standard_curve, standard_bundle, skew_table,
-                             skew_matching)
+        expansion_match(standard_curve, standard_bundle, skew_table, skew_matching)
 
 
 @pytest.mark.parametrize("points", [
@@ -170,9 +177,8 @@ def test_ill_conditioned_system_is_refused(points):
         warnings.simplefilter("ignore")  # small Im tau is flagged, not refused
         tt = theta_table(bundle)
     m = bolza_match(tt, curve)
-    for solve in (expansion_match, kappa_from_expansion):
-        with pytest.raises(IncompatibleSystem, match="condition number"):
-            solve(curve, bundle, tt, m)
+    with pytest.raises(IncompatibleSystem, match="condition number"):
+        expansion_match(curve, bundle, tt, m)
 
 
 def test_wide_curve_at_high_order_is_refused_by_its_condition():
@@ -203,6 +209,12 @@ def test_order_below_full_rank_is_refused(standard_curve, standard_bundle, stand
     with pytest.raises(ValueError):
         expansion_match(*args, order=-1)
     assert expansion_match(*args, order=4)["rank"] == 3
+
+
+def test_genus2_without_matching_is_refused(standard_curve, standard_bundle, standard_table):
+    # the theta side of genus 2 runs over the matching's characteristics
+    with pytest.raises(ValueError, match="bolza_match"):
+        expansion_match(standard_curve, standard_bundle, standard_table)
 
 
 # ------------------------------- the one-series kernels, against 40 digits
@@ -268,24 +280,24 @@ def test_closed_form_reciprocal_h_matches_40_digits(genus, n):
 # ------------------------------------------- the dense kernel, by oracle
 
 def _reference_match(curve, bundle, tt, chars, order):
-    """Both connection sides built object by object from TruncatedSeries.
+    """Both connection sides built object by object from Series.
 
     The construction the dense kernel replaced: every intermediate is a
     series with its own pessimistic order bookkeeping.
     """
     g = curve.genus
     work = order + 4 * g + 8
-    x = TruncatedSeries.exact(-2, [1.0])
+    x = Series.exact(-2, [1.0])
     xp = x.diff()
-    sqrt_t = TruncatedSeries.exact(0, t_coefficients(curve)).truncate(work).sqrt()
-    y = 2.0 * TruncatedSeries.exact(-(2 * g + 1), [1.0]) * sqrt_t
-    gs = [-TruncatedSeries.exact(2 * (g - a), [1.0]) * sqrt_t.reciprocal()
+    sqrt_t = Series.exact(0, t_coefficients(curve)).truncate(work).sqrt()
+    y = 2.0 * Series.exact(-(2 * g + 1), [1.0]) * sqrt_t
+    gs = [-Series.exact(2 * (g - a), [1.0]) * sqrt_t.reciprocal()
           for a in range(1, g + 1)]
     base = schwarzian(x) - 1.5 * ((y.diff() / xp).diff() / xp / y) * (xp * xp)
     for a, q in enumerate(second_kind_numerators(curve)):
-        qx = TruncatedSeries.constant(0.0)
+        qx = Series.constant(0.0)
         for k, coef in enumerate(q):
-            qx = qx + complex(coef) * TruncatedSeries.exact(-2 * k, [1.0])
+            qx = qx + complex(coef) * Series.exact(-2 * k, [1.0])
         base = base + 6.0 * gs[a] * (qx * xp / (4.0 * y))
     basis = {(a, b): ((12.0 if a == b else 24.0) * gs[a - 1] * gs[b - 1]).truncate(order)
              for a in range(1, g + 1) for b in range(a, g + 1)}
@@ -296,7 +308,7 @@ def _reference_match(curve, bundle, tt, chars, order):
         grad_w = w.T @ ent.grad
         hess_w = w.T @ ent.hess @ w
         third_w = np.einsum("ijk,ia,jb,kc->abc", ent.third, w, w, w)
-        h = q = t3 = TruncatedSeries.constant(0.0)
+        h = q = t3 = Series.constant(0.0)
         for a in range(g):
             h = h + complex(grad_w[a]) * gs[a]
             for b in range(g):
@@ -353,10 +365,10 @@ def test_dense_window_is_honest(prefix, genus2, request):
     lo = dict(_returned_series(match_series(expansion_match(curve, bundle, tt, m, order=12))))
     hi = dict(_returned_series(match_series(expansion_match(curve, bundle, tt, m, order=16))))
     for key, s in lo.items():
-        cut = hi[key].truncate(12)
+        cut = TruncatedSeries.make(hi[key].e0, hi[key].coeffs, 12)
         assert (cut.e0, cut.order) == (s.e0, s.order), key
-        scale = float(np.max(np.abs(s.arr)))
-        assert np.max(np.abs(cut.arr - s.arr)) <= 1e-12 * scale, key
+        got, want = np.array(cut.coeffs), np.array(s.coeffs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(want))), key
 
 
 @pytest.mark.parametrize("prefix, genus2", [("standard", True), ("lemniscatic", False)])
