@@ -27,10 +27,10 @@ again after all the others: where one of them takes the loop route, its
 repeat reuses the loop that the first call integrated.  It adds maps whose
 legs take deep piece trees (``deep_outputs``): on the six curves, from P to
 points beside every branch point, off the line from P by 1e-4 and 1e-6 of
-the branch point's distance from P (BESIDE), on both sheets; and
-``abel_from_infinity`` on the standard curve shifted by +300 (FAR_CURVES),
-whose legs from the far point are about 3.6e6 long, to its branch points
-and to both lifts of P and of Q.  A change of piece layout or of the order
+the branch point's distance from P (BESIDE), on both sheets; and ``abel_map``
+on the standard curve shifted by +300 (FAR_CURVES) from the far point 40
+max|e|^2 exp(i pi / 7), lifted on the principal sheet, whose legs are about
+3.6e6 long, to its branch points and to both lifts of P and of Q.  A change of piece layout or of the order
 in which pieces are added shows there.  Each is written as JSON [re, im]
 pairs (or as the refusal it raised) and judged like a named output.  A
 number moves by |a - b| relative to itself, except in the defect fields,
@@ -83,8 +83,8 @@ CURVES = {
     "unit_square": {"branch_points": [0, 1, [0, 1], [1, 1], [2, 1]]},
 }
 
-#: The standard curve shifted by +300: the legs of ``abel_from_infinity``
-#: from its far point are about 3.6e6 long.
+#: The standard curve shifted by +300: the legs of ``abel_map`` from the
+#: far point 40 max|e|^2 exp(i pi / 7) are about 3.6e6 long.
 FAR_CURVES = {"shifted_300": {"branch_points": [298, 299, 300, 301, 302]}}
 
 #: How far from a branch point, in units of its distance from P, the
@@ -94,10 +94,11 @@ BESIDE = (1e-4, 1e-6)
 #: Defines library_outputs(curves) and deep_outputs(curves, far_curves,
 #: beside), each {"curve map": [0, JSON] or [2, error]}.
 LIBRARY = """
+import cmath
 import json
 from secondkind import abel_from_infinity, abel_map, compute_periods
 from secondkind.cli import parse_curve
-from secondkind.curves import CurvePoint
+from secondkind.curves import CurvePoint, branch_scale
 from secondkind.errors import SecondKindError
 
 
@@ -148,8 +149,9 @@ def deep_outputs(curves, far_curves, beside):
         _record(out, name, curve, bundle, maps)
     for name, spec in far_curves.items():
         curve, bundle, p, q = _setup(spec)
-        maps = [(f"oo -> e{k}", None, CurvePoint(z, 0j)) for k, z in enumerate(curve.branch_points)]
-        maps += [(f"oo -> {label}", None, curve.lift(x, sheet))
+        far = curve.lift(40.0 * branch_scale(curve.branch_points) ** 2 * cmath.exp(1j * cmath.pi / 7))
+        maps = [(f"far -> e{k}", far, CurvePoint(z, 0j)) for k, z in enumerate(curve.branch_points)]
+        maps += [(f"far -> {label}", far, curve.lift(x, sheet))
                  for label, x, sheet in (("P", p.x, 1), ("P'", p.x, -1), ("Q", q, 1), ("Q'", q, -1))]
         _record(out, name, curve, bundle, maps)
     return out

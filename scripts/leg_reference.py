@@ -23,11 +23,10 @@ The cases:
   each keeping 0.02 from every branch point;
 - ``near_miss``: legs of length 2.5 on a skew genus-2 curve passing 1e-3
   to 1e-6 of their length from a branch point;
-- ``far``: legs of the standard curve (-2, -1, 0, 1, 2) shifted by 48 and
-  by 300 from the far point 40 max(|e|)^2 exp(i pi / 7) of
-  ``periods.abel_from_infinity`` to the points 0.35 from e_0, e_2 and e_4
-  toward it (where its route into those branch points stages) and to
-  0.5 + 1i + the shift.
+- ``far``: long legs of the standard curve (-2, -1, 0, 1, 2) shifted by
+  48 and by 300, from the far point 40 max(|e|)^2 exp(i pi / 7) to the
+  points 0.35 from e_0, e_2 and e_4 toward it (where ``abel_map``'s route
+  into those branch points stages) and to 0.5 + 1i + the shift.
 """
 
 from __future__ import annotations

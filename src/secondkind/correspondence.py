@@ -134,13 +134,14 @@ def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
 
 def abel_consistency(curve: HyperellipticCurve, bundle: PeriodBundle,
                      matching: BranchMatching):
-    """Diagnostic: Abel image of each branch point against its half-period.
+    """Diagnostic: the matching against the branch points' half-periods.
 
-    For each finite branch point, (2 omega)^{-1} integral of u from infinity
-    to (e_i, 0) plus the Riemann-constant vector must equal the half-period
-    of delta_i modulo the lattice.  Returns the per-branch lattice distances;
-    the caller decides whether to warn.  Half-periods are 2-torsion, so the
-    check is insensitive to the overall sign of the integral.
+    For each finite branch point, its Abel image from infinity, the
+    half-period of its code in the chain basis (``abel_from_infinity``),
+    plus the Riemann-constant vector must equal the half-period of delta_i
+    modulo the lattice.  Returns the per-branch lattice distances; the
+    caller decides whether to warn.  Half-periods are 2-torsion, so the
+    check is insensitive to the overall sign of the image.
     """
     kvec = half_period(matching.gamma, bundle.tau)
     out = []

@@ -24,8 +24,8 @@ pieces) runs on Python scalars, and the work per node on arrays.
 
 ``adaptive_gl`` bisects panels until two refinement levels agree, one
 level per integrand call, and walks the intervals of one call as one
-forest; it integrates the period chains, the s^2 leg into a branch point
-and the xi tail of ``abel_from_infinity``.
+forest; it integrates the period chains and the s^2 leg into a branch
+point.
 Every integrand here is a handful of numpy operations on a node array, so
 one call on many panels costs about what one call on a single panel did.
 """
@@ -60,8 +60,8 @@ _MAX_DEPTH = 26
 #: leg) and 47 over the benchmark workloads and verify seeds 0-79.  2048 is
 #: more than ten times that, and it stops a call after at most 65,536 nodes.
 #: It is also the most pieces one straight leg may take (``leg_integrals``):
-#: a leg took at most 15 on the ``abel_paths`` inputs and 23 on the 3.6e6-long
-#: far legs of the standard curve shifted by 300.
+#: a leg took at most 15 on the ``abel_paths`` inputs and 23 on 3.6e6-long
+#: legs into the standard curve shifted by 300.
 _MAX_PANELS = 2048
 
 
@@ -385,7 +385,7 @@ def _leg_pieces(tau, tol: float, where):
     over a leg's pieces and for cancellation in the leg's integral, and
     K rho*^(-64) = quad_tol.  Seen from a piece much longer than their
     spread, several branch points act as one stronger singularity, as on
-    the far legs of translated curves; ``tests/test_leg_reference.py``
+    long legs into translated curves; ``tests/test_leg_reference.py``
     checks such legs against 30-digit integrals, and with K = 100 they
     still pass.
 

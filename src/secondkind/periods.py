@@ -42,7 +42,6 @@ from .curves import (
     branch_scale,
     canonical_branch_order,
     second_kind_numerators,
-    t_coefficients,
 )
 from .errors import HomologyConstructionFailure, PathThroughBranchPoint
 from .paths import (
@@ -95,6 +94,22 @@ def chain_intersection_matrix(g: int) -> np.ndarray:
     n = 2 * g
     basis = _cycle_basis(g)
     return basis @ (np.eye(n, k=1) - np.eye(n, k=-1)) @ basis.T
+
+
+@functools.cache
+def _branch_codes(g: int) -> np.ndarray:
+    """Row k, read-only: the code (a; b) of 2 A(oo -> e_k) mod 2, e_k the
+    k-th canonical branch point, so that A(oo -> e_k) is (a + tau b) / 2
+    modulo the lattice.  The last branch point has (1, ..., 1; 0) (Mumford,
+    Tata Lectures on Theta II, ch. IIIa 5).  Chain k, the loop over (e_k,
+    e_{k+1}), is twice the integral along it and row k of the inverse of
+    ``_cycle_basis`` in (a; b), so 2 A(oo -> e_k) is 2 A(oo -> e_{k+1})
+    plus that row modulo 2, whatever the chain's sign."""
+    steps = np.rint(np.linalg.inv(_cycle_basis(g))).astype(int)
+    # from the last point back: its code, then the rows of chains 2g - 1 .. 0
+    codes = np.cumsum(np.vstack([np.repeat([1, 0], g), steps[::-1]]), axis=0)[::-1] % 2
+    codes.flags.writeable = False
+    return codes
 
 
 @dataclass
@@ -393,11 +408,18 @@ def _y_squared_size(curve: HyperellipticCurve, x: complex, spread: float) -> flo
     return size
 
 
-def _check_point(curve: HyperellipticCurve, p: CurvePoint, size: float) -> None:
-    """Refuse p unless y^2 matches P(x) to 1e-9 of ``size``, its
-    ``_y_squared_size``."""
+def _branch_index(curve: HyperellipticCurve, p: CurvePoint, spread: float):
+    """Refuse p unless y^2 matches P(x) to 1e-9 of the scale of y^2 at its x
+    (``_y_squared_size``); then the index in ``curve.branch_points`` of the
+    branch point p lies on, or None.  p lies on one when |y|^2 is at most
+    1e-20 of that scale.  Both tests move with the branch points as y^2
+    does under scaling and translation."""
+    size = _y_squared_size(curve, p.x, spread)
     if abs(p.y ** 2 - curve.y_squared(p.x)) > 1e-9 * size:
         raise ValueError(f"point ({p.x:.6g}, {p.y:.6g}) is not on the curve")
+    if abs(p.y) ** 2 > 1e-20 * size:
+        return None
+    return int(np.argmin([abs(p.x - e) for e in curve.branch_points]))
 
 
 def _on_sheet(y_end: complex, y: complex) -> bool:
@@ -421,24 +443,12 @@ def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint, t
     integrated on pieces fixed by the branch points, one 32-node panel each
     (``paths.leg_integrals``), and refused by name where the pieces cannot
     reach the tolerance.
-    An endpoint lying on a branch point is integrated with the regularized
-    s^2 substitution; an endpoint lies on one when |y|^2 is at most 1e-20 of
-    the scale of y^2 at its x (``_y_squared_size``, computed once per
-    endpoint), a test that moves with the branch points as y^2 does under
-    scaling and translation.
+    An endpoint lying on a branch point (``_branch_index``) is integrated
+    with the regularized s^2 substitution.
     """
     routes = _abel_routes(curve)
-    sizes = [_y_squared_size(curve, p.x, routes.spread) for p in (frm, to)]
-    for p, size in zip((frm, to), sizes):
-        _check_point(curve, p, size)
+    frm_idx, to_idx = (_branch_index(curve, p, routes.spread) for p in (frm, to))
     rows = _u_rows(curve)
-
-    def is_branch(p: CurvePoint, size: float):
-        if abs(p.y) ** 2 > 1e-20 * size:
-            return None
-        return int(np.argmin([abs(p.x - e) for e in curve.branch_points]))
-
-    frm_idx, to_idx = (is_branch(p, size) for p, size in zip((frm, to), sizes))
     if frm_idx is not None and to_idx is not None:
         raise PathThroughBranchPoint("both endpoints on branch points; split the path")
     if frm_idx is not None:
@@ -517,30 +527,18 @@ def _integral_into_branch(curve, start: CurvePoint, e_index: int, rows, tol):
 
 
 def abel_from_infinity(curve: HyperellipticCurve, bundle: PeriodBundle, to: CurvePoint) -> np.ndarray:
-    """(2 omega)^{-1} integral of u from the point at infinity to ``to``, at
-    the bundle's quadrature tolerance.
-
-    Regularized near infinity by x = 1/xi^2: along the real xi segment
-    [0, xi_far] the integrand of u_i is -xi^(2g-2i) / sqrt(T(xi)) with T the
-    even polynomial 1 + sum_k lam_k xi^(2(2g+1-k)) / 4, which stays near 1
-    for x_far well outside the branch points.  The remaining finite path is
-    handled by abel_map.
-    """
-    g = curve.genus
-    x_far = 40.0 * branch_scale(curve.branch_points) ** 2 * np.exp(1j * np.pi / 7)
-    xi_far = 1.0 / np.sqrt(x_far)  # principal; fixes the sheet at infinity
-    tpoly = t_coefficients(curve)
-
-    def rows_xi(nodes):
-        xi = xi_far * nodes.real
-        tv = npoly.polyval(xi, tpoly)
-        return np.vstack([-(xi ** (2 * g - 2 * i)) / np.sqrt(tv) for i in range(1, g + 1)]) * xi_far
-
-    tail = adaptive_gl(rows_xi, np.zeros(1), np.ones(1), bundle.quad_tol)[:, 0]
-    y_far = 2.0 * xi_far ** (-(2 * g + 1)) * np.sqrt(complex(npoly.polyval(complex(xi_far), tpoly)))
-    far_point = CurvePoint(complex(x_far), complex(y_far), 1)
-    finite = abel_map(curve, bundle, far_point, to)
-    return bundle.inv_two_omega @ tail + finite
+    """(2 omega)^{-1} integral of u from infinity to ``to`` modulo the lattice,
+    at the bundle's quadrature tolerance: h_k = (a + tau b) / 2, (a; b) the
+    code of e_k (``_branch_codes``), e_k the branch point nearest ``to``, plus
+    the s^2 leg ``abel_map``(e_k -> ``to``) unless ``to`` lies on e_k."""
+    g, on = bundle.genus, _branch_index(curve, to, _abel_routes(curve).spread)
+    k = int(np.argmin([abs(to.x - e) for e in curve.branch_points])) if on is None else on
+    code = _branch_codes(g)[bundle.canonical_points.index(curve.branch_points[k])]
+    half = 0.5 * (code[:g] + bundle.tau @ code[g:])
+    if on is not None:
+        return half
+    rows, tol = _u_rows(curve), bundle.quad_tol
+    return half - bundle.inv_two_omega @ _integral_into_branch(curve, to, k, rows, tol)
 
 
 def a_cycle_integrals(bundle: PeriodBundle, numerators_fn) -> np.ndarray:

@@ -60,9 +60,10 @@ def test_quadrature_keeps_the_traced_contract(monkeypatch):
     call: a map along the loop route integrates the far route's legs on
     their pieces, and the first such map on a curve the loop's 8 legs, so
     ``paths.quad_calls`` stays 1 through both maps while ``paths.legs``
-    counts the legs integrated.  The xi tail of ``abel_from_infinity`` and
-    a leg into a branch point are one call each.  The nodes counted are
-    those of the recursion run interval by interval."""
+    counts the legs integrated.  An s^2 leg into a branch point is one call:
+    ``abel_from_infinity`` takes one, out of the branch point nearest its
+    target, and ``abel_map`` into a branch point another.  The nodes
+    counted are those of the recursion run interval by interval."""
     paths = _module("paths")
     assert list(inspect.signature(paths.adaptive_gl).parameters) == ["f", "a", "b", "tol"]
     sizes, calls = [], []
@@ -93,6 +94,7 @@ def test_quadrature_keeps_the_traced_contract(monkeypatch):
         abel_map(curve, bundle, p, q)
         assert tracer.counts["paths.quad_calls"] == 1
         assert tracer.counts["paths.legs"] == 2 * far_legs + 8
+        # the s^2 leg out of e_0, which ties with e_1 as the nearest
         abel_from_infinity(curve, bundle, curve.lift(-1.5))
         assert tracer.counts["paths.quad_calls"] == 2
         abel_map(curve, bundle, p, curve.lift(1.0))

@@ -224,11 +224,11 @@ def test_expand_residual_is_judged_as_it_stands(cv, new, flagged):
 def test_deep_maps_take_deep_piece_trees(cv, monkeypatch):
     """``deep_outputs`` on a genus-1 curve: P to beside each of its 3 branch
     points, on both sheets, off the line from P by 1e-4 or 1e-6 of the
-    branch point's distance from P; and from infinity on the standard curve
-    shifted by +300 to its 5 branch points and to P, P', Q and Q'.  Every
-    map returns; each map beside a branch point integrates a leg whose
-    pieces are at least 11 or 17 halvings deep, and the far legs are about
-    3.6e6 long."""
+    branch point's distance from P; and from the far point 40 max|e|^2
+    exp(i pi / 7) on the standard curve shifted by +300 to its 5 branch
+    points and to P, P', Q and Q'.  Every map returns; each map beside a
+    branch point integrates a leg whose pieces are at least 11 or 17
+    halvings deep, and the legs from the far point are about 3.6e6 long."""
     depths, lengths = [], []
     layout, along = paths._leg_pieces, paths.leg_integrals
 

@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
-from secondkind import abel_consistency, bolza_match, compute_periods, theta_table
+from secondkind import (
+    abel_consistency,
+    abel_from_infinity,
+    abel_map,
+    bolza_match,
+    compute_periods,
+    periods,
+    theta_table,
+)
 from secondkind.cli import random_curve
 from secondkind.correspondence import BRANCH_ROWS, ODD_PAIRS
+from secondkind.curves import CurvePoint, branch_scale
 from secondkind.errors import AmbiguousMatching, NoGamma
+from secondkind.periods import lattice_distance
 from secondkind.theta import ThetaTable, char_add, classify_characteristics
 
 
@@ -68,6 +78,22 @@ def test_abel_images_land_on_matched_half_periods(standard_curve, standard_bundl
     assert max(dists) < 1e-8
 
 
+#: Mumford's codes (a; b) of 2 A(oo -> e_k), k = 1 .. 2g + 1, for a basis
+#: built from chains between consecutive branch points (Tata Lectures on
+#: Theta II, ch. IIIa 5).
+MUMFORD_CODES = {
+    1: ((0, 1), (1, 1), (1, 0)),
+    2: ((0, 0, 1, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 0, 0)),
+}
+
+
+def test_branch_codes_are_mumfords_table():
+    for g, table in MUMFORD_CODES.items():
+        codes = periods._branch_codes(g)
+        assert codes.tolist() == [list(code) for code in table], g
+        assert not codes.flags.writeable
+
+
 #: Draws of ``random_curve(default_rng(0))`` whose Abel legs from far
 #: points raised ``QuadratureNonConvergence`` while x was formed from the
 #: start of the leg: on a leg about 100 long its absolute rounding, about
@@ -77,12 +103,34 @@ FAR_LEG_DRAWS = (5, 7, 8, 11, 14, 26, 28, 31, 33, 39)
 
 
 def test_abel_images_land_on_half_periods_after_long_legs():
+    """On the FAR_LEG_DRAWS, ``abel_map`` from the far point 40 max|e|^2
+    exp(i pi / 7), lifted on the principal sheet, to e_k minus the map to
+    e_0 is h_k - h_0 modulo the lattice to 1e-12, h_k = A(oo -> e_k) the
+    half-period of the code ``periods._branch_codes`` gives e_k.  On these
+    draws and on 40 draws of ``random_curve(default_rng(5))``, whose chains
+    take at least 5 sign patterns between them, ``abel_consistency`` finds
+    the matching on those half-periods to 1e-12: the codes do not depend on
+    the chains' signs."""
     rng = np.random.default_rng(0)
     curves = [random_curve(rng) for _ in range(max(FAR_LEG_DRAWS) + 1)]
-    for k in FAR_LEG_DRAWS:
-        bundle = compute_periods(curves[k])
-        dists = abel_consistency(curves[k], bundle, bolza_match(theta_table(bundle), curves[k]))
-        assert max(dists) < 1e-12, (k, dists)
+    rng = np.random.default_rng(5)
+    draws = [random_curve(rng) for _ in range(40)]
+    signs = set()
+    for curve, long_legs in [(curves[k], True) for k in FAR_LEG_DRAWS] + [(c, False) for c in draws]:
+        bundle = compute_periods(curve)
+        dists = abel_consistency(curve, bundle, bolza_match(theta_table(bundle), curve))
+        assert max(dists) < 1e-12, (curve.branch_points, dists)
+        if not long_legs:
+            signs.add(bundle.chain_signs)
+            continue
+        far = curve.lift(40.0 * branch_scale(curve.branch_points) ** 2 * np.exp(1j * np.pi / 7))
+        ends = [CurvePoint(e, 0j) for e in curve.branch_points]
+        legs = [abel_map(curve, bundle, far, e) for e in ends]
+        halves = [abel_from_infinity(curve, bundle, e) for e in ends]
+        for leg, half in zip(legs, halves, strict=True):
+            dist = lattice_distance(leg - legs[0] - (half - halves[0]), bundle.tau)
+            assert dist < 1e-12, (curve.branch_points, dist)
+    assert len(signs) >= 5
 
 
 def test_matching_stable_under_quadrature_tolerance(standard_curve, standard_matching):

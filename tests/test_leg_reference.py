@@ -5,8 +5,9 @@
 tanh-sinh split at the cut crossings and graded toward the foot of every
 branch point, 40 and 50 digits agreeing to 1e-30): 12 random legs keeping
 0.02 from the branch points, 8 legs passing 1e-3 to 1e-6 of their length
-from a branch point, and the far legs of ``abel_from_infinity`` on the
-standard curve shifted by 48 and by 300 (about 1e5 and 3.6e6 long).
+from a branch point, and long legs from the far point 40 max|e|^2
+exp(i pi / 7) into the standard curve shifted by 48 and by 300 (about 1e5
+and 3.6e6 long).
 
 ``paths.leg_integrals`` must give each within quad_tol max(1, |I|) or
 refuse it with ``QuadratureNonConvergence``.  At 1e-6, 1e-9 and 1e-12 it

@@ -16,7 +16,9 @@ the sheet at every node and in value to rounding, not in bits.
 
 ``adaptive_gl`` walks its bisection trees a level at a time, all the
 intervals of a call (the chains of a curve, the a-chains) as one forest;
-the recursion it replaced, one integrand call per 32-node panel and one
+its only other caller is the s^2 leg into a branch point, which
+``abel_from_infinity`` takes out of the branch point nearest its target.
+The recursion it replaced, one integrand call per 32-node panel and one
 call per interval, is kept here as the reference.  Interval by interval,
 both evaluate the same nodes and give the same bits.  ``leg_integrals``
 integrates the legs of a route on pieces fixed by the branch points, all
@@ -52,6 +54,7 @@ from secondkind.paths import (
     CutCrossings,
     Route,
     adaptive_gl,
+    polyline_with_clearance,
     segment_distance,
 )
 
@@ -622,6 +625,16 @@ def _near_miss_maps(rng, n):
     return out
 
 
+def test_a_long_leg_keeps_a_clearance_relative_to_its_length():
+    """A branch point 50 off a leg 1e6 long, far outside ``PATH_CLEARANCE``,
+    is within 1e-4 of the leg's length, so the route detours to keep that
+    much from it."""
+    e = 5e5 + 50j
+    pts = polyline_with_clearance(0j, 1e6 + 0j, [e])
+    assert len(pts) > 2
+    assert min(segment_distance(a, b, e) for a, b in zip(pts, pts[1:])) >= 100.0
+
+
 def test_route_pieces_just_outside_the_clearance_integrate():
     """The maps that failed, and 160 more drawn alike, go through: each map
     P -> Q and Q -> P returns, and the two add to a lattice vector."""
@@ -764,10 +777,10 @@ def _reference_legs(route, rows_fn, tol):
 
 
 def test_leg_quadrature_matches_the_recursion(against_reference):
-    """The xi tail of ``abel_from_infinity``, a leg into a branch point and
-    one-row numerators over every a-chain each take one ``adaptive_gl``
-    call, checked against the recursion; Abel legs, straight, genus 2 and
-    genus 1, take none.  Every candidate route (the direct one, the one via
+    """The s^2 leg of ``abel_from_infinity`` out of the branch point nearest
+    its target, a leg into a branch point and one-row numerators over every
+    a-chain each take one ``adaptive_gl`` call, checked against the
+    recursion; Abel legs, straight, genus 2 and genus 1, take none.  Every candidate route (the direct one, the one via
     the far point, and that one with its loop) has, leg by leg, the bits of
     the recursion over its pieces."""
     cases = [(curve_from_branch_points(STANDARD_POINTS), (0.5 + 1.0j, 2.6 + 0.3j, -1.5 + 0.5j)),
