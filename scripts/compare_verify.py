@@ -33,11 +33,15 @@ max|e|^2 exp(i pi / 7), lifted on the principal sheet, whose legs are about
 3.6e6 long, to its branch points and to both lifts of P and of Q.  A change of piece layout or of the order
 in which pieces are added shows there.  Each is written as JSON [re, im]
 pairs (or as the refusal it raised) and judged like a named output.  A
-number moves by |a - b| relative to itself, except in the defect fields,
-and the sides they compare, which are judged against the scale of those
-sides as ``identities.relative_defect`` judges a defect, and in the expand
-command's residual, which is relative already (``field_scales``).  An
-output whose exit code changes is marked whatever its text.  Exits 1 on
+number moves by |a - b| relative to the largest modulus of the JSON array
+it belongs to, over both outputs: a field of a list of records, such as
+the theta command's characteristics, is one array over the records
+(``array_scales``); a number in no array is judged against itself.  The
+defect fields, and the sides they compare, are judged against the scale of
+those sides as ``identities.relative_defect`` judges a defect, and the
+residual and defect fields that are relative or absolute already as they
+stand, as the verify gates judge them (``field_scales``).  An output whose
+exit code changes is marked whatever its text.  Exits 1 on
 any exit-code, status or sign change of the first pass, on any report of
 the first pass that moves beyond ROUNDOFF_MOVE or whose bytes differ while
 its parsed value is equal (a change of number formatting), and on any
@@ -59,6 +63,10 @@ from secondkind.identities import ABSOLUTE_FLOOR  # noqa: E402
 
 #: Largest move of a number that still reads as roundoff.
 ROUNDOFF_MOVE = 1e-12
+
+#: Scalar fields that are defects already, relative or absolute, judged as
+#: they stand: the match command's residual, the periods command's defects.
+DEFECT_SUFFIXES = ("defect", "residual", "asymmetry", "consistency")
 
 _PERIODS = ["--quad-tol", "1e-11"]
 _THETA = _PERIODS + ["--theta-tol", "1e-13"]
@@ -189,11 +197,17 @@ def reports(src: str) -> list:
     return json.loads(run.stdout)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _moduli(v) -> list:
-    """Moduli of the [re, im] pairs nested in v."""
-    if v and isinstance(v[0], list):
+    """Moduli of the [re, im] pairs nested in v, and of any other number in it."""
+    if isinstance(v, list):
+        if len(v) == 2 and all(map(_is_number, v)):
+            return [abs(complex(*v))]
         return [m for x in v for m in _moduli(x)]
-    return [abs(complex(*v))]
+    return [abs(v)] if _is_number(v) else []
 
 
 def _size(*sides) -> float:
@@ -210,33 +224,63 @@ def field_scales(v0: dict, v1: dict) -> dict:
     (lhs, rhs, defect) has its sides judged against S; its defect is
     |lhs - rhs| already divided by S, so it is judged as it stands.  Each of
     the kappa command's ``defects`` is max |kappa_route - kappa_direct|,
-    judged against S = max |kappa_direct|.  The expand command's
+    judged against S = max |kappa_direct|.  A scalar field named by
+    DEFECT_SUFFIXES is judged as it stands: the expand command's
     ``residual`` is already divided by max(1, max |b|) of its system, as a
-    defect is by its sides, so it too is judged as it stands."""
+    defect is by its sides, the match command's by max(1, |e_k|), and the
+    periods command's defects are absolute, as the verify gates judge
+    them."""
     if {"lhs", "rhs", "defect"} <= v0.keys():
         side = _size(v0["lhs"], v0["rhs"], v1["lhs"], v1["rhs"])
         return {"lhs": side, "rhs": side, "defect": 1.0}
     if {"kappa_direct", "defects"} <= v0.keys():
         return {"defects": _size(v0["kappa_direct"], v1["kappa_direct"])}
-    if {"residual", "residual_tol"} <= v0.keys():
-        return {"residual": 1.0}
-    return {}
+    return {k: 1.0 for k, v in v0.items() if k.endswith(DEFECT_SUFFIXES) and _is_number(v)}
 
 
-def number_pairs(a, b, path="", scale=None):
+def _is_array(v) -> bool:
+    """Whether v is a JSON array of numbers, nested or not."""
+    return isinstance(v, list) and all(_is_array(x) if isinstance(x, list) else _is_number(x)
+                                       for x in v)
+
+
+def array_scales(a: list, b: list) -> dict:
+    """What the numbers of two lists of flat records are judged against, by
+    field: the largest modulus of that field over every record of both, for
+    each field whose values are arrays.  The column of such a table, such as
+    the values or the gradients of the theta command's characteristics, is
+    one array.  A record is flat when no field holds a record or a list of
+    them; {} when the lists hold anything else."""
+    records = a + b
+    if not records or not all(isinstance(r, dict) and all(
+            _is_array(v) or not isinstance(v, (dict, list)) for v in r.values()) for r in records):
+        return {}
+    fields = set.intersection(*(set(r) for r in records))
+    return {k: max([0.0] + [m for r in records for m in _moduli(r[k])])
+            for k in fields if all(_is_array(r[k]) for r in records)}
+
+
+def number_pairs(a, b, path="", scale=None, columns=None):
     """(path, a, b, scale) for each number at the same place in two parsed
     JSON values, or None where their shapes or non-numeric entries differ.
-    scale is what the number's move is judged against, None for itself."""
+    scale is what the number's move is judged against, None for itself: the
+    largest modulus of the outermost array that holds it, over both values,
+    or of its field over a list of records (``array_scales``, passed to each
+    record as columns), unless ``field_scales`` judges its field."""
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             return None
-        scales = dict.fromkeys(a, scale) | field_scales(a, b)
+        scales = dict.fromkeys(a, scale) | (columns or {}) | field_scales(a, b)
         parts = [number_pairs(a[k], b[k], f"{path}.{k}", scales[k]) for k in a]
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             return None
-        parts = [number_pairs(x, y, f"{path}[{i}]", scale) for i, (x, y) in enumerate(zip(a, b))]
-    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        columns = array_scales(a, b)
+        if scale is None and not columns and _moduli(a + b):
+            scale = max(_moduli(a + b))
+        parts = [number_pairs(x, y, f"{path}[{i}]", scale, columns)
+                 for i, (x, y) in enumerate(zip(a, b))]
+    elif _is_number(a) and _is_number(b):
         return [(path, a, b, scale)]
     else:
         return [] if a == b else None
@@ -247,9 +291,9 @@ def number_pairs(a, b, path="", scale=None):
 
 def largest_move(text0: str, text1: str) -> tuple:
     """(move, where): the largest move over the numbers of two JSON outputs,
-    |a - b| over its scale or over max(|a|, |b|) where it has none, and
-    where it sits with the two values; move is None when the outputs cannot
-    be compared number by number."""
+    |a - b| over its scale (``number_pairs``) or over max(|a|, |b|) where it
+    has none, and where it sits with the two values; move is None when the
+    outputs cannot be compared number by number."""
     try:
         pairs = number_pairs(json.loads(text0), json.loads(text1))
     except json.JSONDecodeError:

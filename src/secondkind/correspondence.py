@@ -17,6 +17,7 @@ index into the theta table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 from .curves import CurvePoint, HyperellipticCurve, canonical_branch_order
 from .errors import AmbiguousMatching, NoGamma
 from .periods import PeriodBundle, abel_from_infinity, lattice_distance
-from .theta import Characteristic, ThetaTable, half_period
+from .theta import Characteristic, ThetaTable, classify_characteristics, half_period
 
 #: Relative threshold on |Theta_2| below which a characteristic is gamma.
 GAMMA_THRESHOLD = 1e-8
@@ -115,13 +116,7 @@ def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
 
     by_point = np.argsort(ks)
     chars = tuple(tt.odd[i] for i in rest[by_point])
-    odd_codes = tt.odd_codes[np.append(rest[by_point], small)]
-    even_quads = odd_codes[ODD_PAIRS[:, :1]] ^ odd_codes[ODD_PAIRS[:, 1:]] ^ odd_codes[ODD_REST]
-    evens = set(tt.even_codes.tolist())
-    assert all(len(set(q)) == 4 and set(q) <= evens for q in even_quads.tolist()), \
-        "Rosenhain characteristics must be even and distinct"
-    assert set(even_quads[BRANCH_ROWS, 3].tolist()) == evens, "pairs must exhaust even classes"
-    odd_codes.flags.writeable = even_quads.flags.writeable = False
+    odd_codes, even_quads = _code_index(tuple(tt.odd_codes[np.append(rest[by_point], small)].tolist()))
     return BranchMatching(
         chars=chars,
         gamma=tt.odd[small[0]],
@@ -130,6 +125,21 @@ def bolza_match(tt: ThetaTable, curve: HyperellipticCurve) -> BranchMatching:
         odd_codes=odd_codes,
         even_quads=even_quads,
     )
+
+
+@functools.cache
+def _code_index(odd: tuple) -> tuple:
+    """odd_codes and even_quads of ``BranchMatching``, read-only, for the
+    odd codes of delta_1 .. delta_5, gamma in that order.  They depend on
+    those six codes alone, so each ordering is built and checked once."""
+    odd_codes = np.array(odd)
+    even_quads = odd_codes[ODD_PAIRS[:, :1]] ^ odd_codes[ODD_PAIRS[:, 1:]] ^ odd_codes[ODD_REST]
+    evens = {ch.code for ch in classify_characteristics(2)[1]}
+    assert all(len(set(q)) == 4 and set(q) <= evens for q in even_quads.tolist()), \
+        "Rosenhain characteristics must be even and distinct"
+    assert set(even_quads[BRANCH_ROWS, 3].tolist()) == evens, "pairs must exhaust even classes"
+    odd_codes.flags.writeable = even_quads.flags.writeable = False
+    return odd_codes, even_quads
 
 
 def abel_consistency(curve: HyperellipticCurve, bundle: PeriodBundle,

@@ -142,7 +142,8 @@ def curve_from_coefficients(lam) -> HyperellipticCurve:
 def curve_from_branch_points(points) -> HyperellipticCurve:
     """Build a curve from finite branch points (kept in input order).
 
-    Coefficients come from expanding 4 prod (x - e_i).
+    Coefficients come from expanding 4 prod (x - e_i), one ``np.convolve``
+    per factor: the product ``npoly.polymul`` forms, without its checks.
     """
     pts = tuple(complex(e) for e in points)
     if len(pts) < 3 or len(pts) % 2 == 0:
@@ -152,7 +153,7 @@ def curve_from_branch_points(points) -> HyperellipticCurve:
     genus = (len(pts) - 1) // 2
     coeffs = np.array([4.0], dtype=complex)
     for e in pts:
-        coeffs = npoly.polymul(coeffs, np.array([-e, 1.0], dtype=complex))
+        coeffs = np.convolve(coeffs, np.array([-e, 1.0], dtype=complex))
     return HyperellipticCurve(genus, tuple(coeffs[: 2 * genus + 1]), pts)
 
 

@@ -41,7 +41,8 @@ class PathThroughBranchPoint(SecondKindError):
 # theta
 
 class NotSiegelPoint(SecondKindError):
-    """Imaginary part of the period matrix is not positive definite."""
+    """Imaginary part of the period matrix is not positive definite, or so
+    near singular that a theta sum would need a box beyond ``theta.MAX_RADIUS``."""
 
 
 # branch point / characteristic correspondence

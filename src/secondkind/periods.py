@@ -97,6 +97,16 @@ def chain_intersection_matrix(g: int) -> np.ndarray:
 
 
 @functools.cache
+def _sign_patterns(g: int) -> tuple:
+    """The chain sign patterns with chain 0 at +1, in ``itertools.product``
+    order, as tuples and as one read-only float array, a row per pattern."""
+    patterns = tuple((1, *signs) for signs in itertools.product((1, -1), repeat=2 * g - 1))
+    array = np.array(patterns, dtype=float)
+    array.flags.writeable = False
+    return patterns, array
+
+
+@functools.cache
 def _branch_codes(g: int) -> np.ndarray:
     """Row k, read-only: the code (a; b) of 2 A(oo -> e_k) mod 2, e_k the
     k-th canonical branch point, so that A(oo -> e_k) is (a + tau b) / 2
@@ -170,20 +180,17 @@ def _symplectic_j(g: int) -> tuple:
     return out
 
 
-def _block_legendre_defect(omega, omega_prime, eta, eta_prime):
-    """Max-norm Legendre defect of each (g, g) block stacked on leading axes."""
-    g = omega.shape[-1]
-    m = np.empty(omega.shape[:-2] + (2 * g, 2 * g), dtype=complex)
-    m[..., :g, :g], m[..., :g, g:], m[..., g:, :g], m[..., g:, g:] = omega, omega_prime, eta, eta_prime
-    jj, half_pi_jj = _symplectic_j(g)
-    return np.max(np.abs(m @ jj @ m.mT + half_pi_jj), axis=(-2, -1))
+def _block_legendre_defect(m):
+    """Max-norm Legendre defect of each (2g, 2g) matrix [[omega, omega'],
+    [eta, eta']] stacked on leading axes."""
+    jj, half_pi_jj = _symplectic_j(m.shape[-1] // 2)
+    return np.abs(m @ jj @ m.mT + half_pi_jj).max(axis=(-2, -1))
 
 
 def legendre_defect(bundle: PeriodBundle) -> float:
     """Max-norm deviation of the generalized Legendre relation."""
-    return float(_block_legendre_defect(
-        bundle.omega, bundle.omega_prime, bundle.eta, bundle.eta_prime
-    ))
+    return float(_block_legendre_defect(np.block(
+        [[bundle.omega, bundle.omega_prime], [bundle.eta, bundle.eta_prime]])))
 
 
 def _chain_integrand(points, segments, numerators_fn):
@@ -251,8 +258,10 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
     n_chains = 2 * g
     for k in range(n_chains):
         for j, e in enumerate(pts):
+            if j in (k, k + 1):
+                continue
             d = segment_distance(pts[k], pts[k + 1], e)
-            if j not in (k, k + 1) and d < 1e-6 * scale:
+            if d < 1e-6 * scale:
                 raise HomologyConstructionFailure(
                     f"branch point {j} sits on segment ({k}, {k + 1}) (distance {d:.2e})")
     rows = _period_numerators(curve)
@@ -262,10 +271,10 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
     # the magnitudes it checks (``_scaled_gate``); the bundle records each gate
     sym_gate, leg_base = max(1e-10, 100.0 * quad_tol), max(1e-9, 1000.0 * quad_tol)
 
-    # every sign pattern at once, in itertools.product order; columns a_1..a_g,
+    # every sign pattern at once (``_sign_patterns``); columns a_1..a_g,
     # b_1..b_g and rows (2 omega, -2 eta) over them, one stack entry per pattern
-    patterns = [(1, *signs) for signs in itertools.product((1, -1), repeat=n_chains - 1)]
-    cyc = (chains * np.array(patterns, dtype=float)[:, None, :]) @ _cycle_basis(g).T
+    patterns, signs = _sign_patterns(g)
+    cyc = (chains * signs[:, None, :]) @ _cycle_basis(g).T
     two_w, two_wp, two_e, two_ep = cyc[:, :g, :g], cyc[:, :g, g:], -cyc[:, g:, :g], -cyc[:, g:, g:]
     # a pattern only negates columns of 2 omega, which leaves |det| unchanged
     det = abs(np.linalg.det(two_w[0]))
@@ -273,15 +282,16 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
         raise HomologyConstructionFailure("no chain orientation produced a certified canonical "
                                           f"basis; |det 2 omega| = {det:.2e} against 1e-12")
     tau = np.linalg.solve(two_w, two_wp)
-    tau_asym = np.max(np.abs(tau - tau.mT), axis=(1, 2))
-    tau_gate = sym_gate * np.maximum(1.0, np.max(np.abs(tau), axis=(1, 2)))
+    tau_asym = np.abs(tau - tau.mT).max(axis=(1, 2))
+    tau_gate = sym_gate * np.maximum(1.0, np.abs(tau).max(axis=(1, 2)))
     tau_sym = 0.5 * (tau + tau.mT)
     eig_min = np.linalg.eigvalsh(tau_sym.imag)[:, 0]
-    defect = _block_legendre_defect(two_w / 2, two_wp / 2, two_e / 2, two_ep / 2)
+    # halving cyc and negating its eta rows gives [[omega, omega'], [eta, eta']] exactly
+    defect = _block_legendre_defect(cyc * np.repeat([0.5, -0.5], g)[:, None])
     # the relation is bilinear in (omega, omega') and (eta, eta'), so its
     # roundoff grows with the product of their magnitudes
-    w_hat = 0.5 * np.max(np.abs(cyc[:, :g]), axis=(1, 2))
-    e_hat = 0.5 * np.max(np.abs(cyc[:, g:]), axis=(1, 2))
+    w_hat = 0.5 * np.abs(cyc[:, :g]).max(axis=(1, 2))
+    e_hat = 0.5 * np.abs(cyc[:, g:]).max(axis=(1, 2))
     leg_gate = _scaled_gate(leg_base, w_hat * e_hat)
     passed = (tau_asym <= tau_gate) & (eig_min > 0.0) & (defect <= leg_gate)
     k = int(np.argmax(passed))
@@ -294,13 +304,13 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
     two_w, two_wp, two_e, two_ep = two_w[k], two_wp[k], two_e[k], two_ep[k]
     inv_two_w = np.linalg.inv(two_w)
     kappa_raw = (two_e / 2) @ inv_two_w
-    kappa_asym = float(np.max(np.abs(kappa_raw - kappa_raw.T)))
+    kappa_asym = float(np.abs(kappa_raw - kappa_raw.T).max())
     kappa = 0.5 * (kappa_raw + kappa_raw.T)
     eta_p_pred = kappa @ two_wp - 1j * np.pi * inv_two_w.T
-    eta_p_cons = float(np.max(np.abs(eta_p_pred - two_ep / 2)))
+    eta_p_cons = float(np.abs(eta_p_pred - two_ep / 2).max())
     # the roundoff of the consistency grows with |eta'| as the
     # Legendre roundoff grows with the products of the periods
-    eta_p_gate = float(_scaled_gate(leg_base, 0.5 * float(np.max(np.abs(two_ep)))))
+    eta_p_gate = float(_scaled_gate(leg_base, 0.5 * float(np.abs(two_ep).max())))
     return PeriodBundle(
         omega=two_w / 2,
         omega_prime=two_wp / 2,

@@ -28,11 +28,8 @@ DEFAULT_THETA_TOL = 1e-14
 #: Below this minimum eigenvalue of Im tau the sum is flagged as ill-conditioned.
 CONDITIONING_FLOOR = 0.05
 
-#: Number of (genus, radius) boxes whose tau-free arrays theta_table keeps.
-#: A sweep of mixed genus-1 and genus-2 curves asks for 9 or 10 boxes of
-#: radius 5 to 12; the 4 most recent serve about 85% of its tables.  A bound
-#: of 2 measured 5% slower over the sweep, one of 8 (over 97% hits) no faster.
-LATTICE_CACHE_SIZE = 4
+#: Largest box radius a theta sum may take; past it tau is refused.
+MAX_RADIUS = 2000
 
 
 @dataclass(frozen=True, order=True)
@@ -145,10 +142,11 @@ def _pick_radius(lam_min: float, tol: float) -> int:
     # absorbs polynomial growth from third-order derivative weights and the
     # count of boundary lattice points, (R-2) the recentring slack.
     mu = np.pi * lam_min
-    for radius in range(3, 2001):
+    for radius in range(3, MAX_RADIUS + 1):
         if np.exp(-mu * (radius - 2) ** 2) * (radius + 1) ** 3 <= tol:
             return radius
-    raise RuntimeError("theta truncation radius exceeds 2000; tau unusable")
+    raise NotSiegelPoint(f"theta truncation radius exceeds {MAX_RADIUS} at min eigenvalue of "
+                         f"Im tau {lam_min:.3e} and tolerance {tol:.1e}")
 
 
 def _box(center, radius: int) -> np.ndarray:
@@ -226,6 +224,15 @@ class CharEntry:
     radius: int
 
 
+@functools.cache
+def _parity_codes(g: int) -> tuple:
+    """The codes of the odd and of the even characteristics, as read-only arrays."""
+    out = tuple(np.array([ch.code for ch in chars]) for chars in classify_characteristics(g))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 class ThetaTable:
     """Theta-constant table at z = 0 for every characteristic of one tau.
 
@@ -249,8 +256,7 @@ class ThetaTable:
         self.lam_min = lam_min
         self.characteristics = all_characteristics(self.genus)
         self.odd, self.even = classify_characteristics(self.genus)
-        self.odd_codes, self.even_codes = (np.array([ch.code for ch in chars])
-                                           for chars in (self.odd, self.even))
+        self.odd_codes, self.even_codes = _parity_codes(self.genus)
         g, w = self.genus, inv_two_omega
         # the Kronecker powers of W contract the flattened tensors in one product each
         ww = (w[:, None, :, None] * w[None, :, None, :]).reshape(g * g, g * g)
@@ -262,35 +268,51 @@ class ThetaTable:
         )
         for arr in (*rows, *self.directional):
             arr.flags.writeable = False
-        self.entries = {
-            ch: CharEntry(ch, value, grad, hess, third, radius)
-            for ch, value, grad, hess, third in zip(self.characteristics, self.values.tolist(),
-                                                    self.grads, self.hessians, self.thirds)
-        }
 
     def entry(self, ch: Characteristic) -> CharEntry:
-        return self.entries[ch]
+        k = ch.code
+        return CharEntry(ch, complex(self.values[k]), self.grads[k], self.hessians[k],
+                         self.thirds[k], self.radius)
+
+    @property
+    def entries(self) -> dict:
+        """``entry(ch)`` of every characteristic, by characteristic."""
+        return {ch: self.entry(ch) for ch in self.characteristics}
 
 
-@functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
+#: The nested box of each genus: genus -> (radius, mono, phase, scale), as
+#: ``_lattice`` describes them, for the largest radius asked for so far.
+_LATTICES: dict = {}
+
+
 def _lattice(g: int, radius: int):
     """The tau-free arrays of theta_table's box |n_k| <= radius, all read-only.
 
     mono[b] holds, for each point q = n + eps of lattice b (eps = bits of b
     over 2), the real monomials 1, q, q q, q q q as one row of 1 + g + g^2 +
     g^3 columns.  phase[b, c] is i^(2q . 2eps') with eps' the bits of c, and
-    scale the (2 pi i)^k of each column's order k.  An entry takes
-    8 (2R+1)^g 2^g (1 + g + g^2 + g^3 + 2^(g+1)) bytes, about 0.4 MB at g = 2
-    and R = 11.
+    scale the (2 pi i)^k of each column's order k.  One box is held per
+    genus, its points n ordered by shell max |n_k| (stably within a shell),
+    so the box of every smaller radius is a prefix of it; the arrays
+    returned are zero-copy prefix views.  The held box is rebuilt only when
+    a larger radius is asked for.  It takes 8 (2R+1)^g 2^g (1 + g + g^2 +
+    g^3 + 2^(g+1)) bytes, about 0.5 MB at g = 2 and R = 13.
     """
-    bits = np.array(list(itertools.product((0, 1), repeat=g)))
-    q = _box((0,) * g, radius)[None, :, :] + bits[:, None, :] / 2.0
-    mono, scale = _monomials(q)
-    powers = np.einsum("bni,ci->bcn", (2 * q).astype(int), bits)
-    phase = np.array([1, 1j, -1, -1j])[powers % 4]
-    for arr in (mono, phase, scale):
-        arr.flags.writeable = False
-    return mono, phase, scale
+    held = _LATTICES.get(g)
+    if held is None or held[0] < radius:
+        n = _box((0,) * g, radius)
+        n = n[np.argsort(np.abs(n).max(axis=1), kind="stable")]
+        bits = np.array(list(itertools.product((0, 1), repeat=g)))
+        q = n[None, :, :] + bits[:, None, :] / 2.0
+        mono, scale = _monomials(q)
+        powers = np.einsum("bni,ci->bcn", (2 * q).astype(int), bits)
+        phase = np.array([1, 1j, -1, -1j])[powers % 4]
+        for arr in (mono, phase, scale):
+            arr.flags.writeable = False
+        held = _LATTICES[g] = (radius, mono, phase, scale)
+    _, mono, phase, scale = held
+    size = (2 * radius + 1) ** g
+    return mono[:, :size], phase[..., :size], scale
 
 
 def theta_table(bundle, tol: float = DEFAULT_THETA_TOL) -> ThetaTable:
@@ -302,10 +324,11 @@ def theta_table(bundle, tol: float = DEFAULT_THETA_TOL) -> ThetaTable:
     only multiply the term of q by exp(i pi q . 2eps'), a power of i since 2q
     is an integer vector, so every characteristic comes from one weighting of
     the Gaussian terms exp(i pi q^T tau q).  Everything but those terms is
-    tau-free and comes from _lattice, which keeps the arrays of the last
-    LATTICE_CACHE_SIZE (genus, radius) pairs.  The weighted terms meet the
-    real monomials 1, q, q q, q q q of each lattice in one real matrix
-    product per part, and order k is scaled by (2 pi i)^k afterwards.
+    tau-free and comes from _lattice, a prefix of the one nested box it
+    holds per genus.  The weighted terms meet the real monomials 1, q, q q,
+    q q q of each lattice in one real matrix product, whose rows are the
+    real and then the imaginary parts of the weights, and order k is scaled
+    by (2 pi i)^k afterwards.
     """
     _check_tol(tol)
     tau, _, lam_min = _check_tau(bundle.tau)
@@ -314,7 +337,8 @@ def theta_table(bundle, tol: float = DEFAULT_THETA_TOL) -> ThetaTable:
     mono, phase, scale = _lattice(g, radius)
     quad = mono[:, :, 1 + g : 1 + g + g * g] @ tau.reshape(-1)
     weights = phase * np.exp(1j * np.pi * quad)[:, None, :]
-    sums = weights.real @ mono + 1j * (weights.imag @ mono)
+    sums = np.concatenate([weights.real, weights.imag], axis=1) @ mono
+    sums = sums[:, : 2 ** g] + 1j * sums[:, 2 ** g :]
     rows = _orders((sums * scale).reshape(4 ** g, -1), g)
     return ThetaTable(tau, rows, radius, tol, lam_min, bundle.inv_two_omega)
 

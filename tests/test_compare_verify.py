@@ -255,3 +255,66 @@ def test_deep_maps_take_deep_piece_trees(cv, monkeypatch):
     out = namespace["deep_outputs"]({}, cv.FAR_CURVES, [])
     assert len(out) == 9 and all(code == 0 for code, _ in out.values()), out
     assert 3e6 < max(lengths) < 4e6, lengths
+
+
+def _theta_output(odd_value=(1.0e-17, -2.0e-17), even_value=(1.1658127861032388, 3.0e-17),
+                  even_grad_im=1.0e-17):
+    """The theta command's shape: one record per characteristic."""
+    return {"tau": [[[0, 1.25352000707922]]], "characteristics": [
+        {"char": [0, 0], "parity": 0, "value": list(even_value), "radius": 7,
+         "grad": [[0.0, even_grad_im]]},
+        {"char": [1, 1], "parity": 1, "value": list(odd_value), "radius": 7,
+         "grad": [[-2.0943951023931957, 0.7071067811865476]]},
+    ]}
+
+
+#: Pairs of outputs whose numbers move at roundoff of the arrays they belong
+#: to, or of the defects they are, each with the place of a number that moved
+#: by more than 5% of itself.
+_ROUNDOFF_FLIPS = {
+    "library map": ([[0.5, 3.0e-17], [0.2, 0.0]], [[0.5, -2.7e-17], [0.2, 0.0]], "[0][1]"),
+    "theta value": (_theta_output(), _theta_output(odd_value=(-1.2e-17, 0.0),
+                                                   even_value=(1.1658127861032388, -2.7e-17)),
+                    ".characteristics[1].value[0]"),
+    "theta grad": (_theta_output(), _theta_output(even_grad_im=-3.0e-17),
+                   ".characteristics[0].grad[0][1]"),
+    "match residual": ({"gamma": [1, 1, 0, 1], "pairs": [
+        {"branch_index": 1, "char": [0, 1, 0, 1], "residual": 2.9e-16}]},
+        {"gamma": [1, 1, 0, 1], "pairs": [
+            {"branch_index": 1, "char": [0, 1, 0, 1], "residual": 1.7e-16}]}, "residual"),
+    "periods defects": ({"legendre_defect": 4.4e-16, "tau_asymmetry": 0.0, "im_tau_min_eigenvalue": 0.61},
+                        {"legendre_defect": 2.2e-16, "tau_asymmetry": 5.6e-17,
+                         "im_tau_min_eigenvalue": 0.61}, ".tau_asymmetry"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROUNDOFF_FLIPS))
+def test_a_component_at_roundoff_size_may_flip(cv, case):
+    """A number at roundoff size of its array, or a defect at roundoff,
+    may change sign or vanish without being marked."""
+    old, new, at = _ROUNDOFF_FLIPS[case]
+    move, where = cv.largest_move(json.dumps(old), json.dumps(new))
+    assert move <= cv.ROUNDOFF_MOVE, (move, where)
+    # against themselves the same numbers moved by far more than roundoff
+    pairs = {p: (a, b) for p, a, b, _ in cv.number_pairs(old, new) if a != b}
+    assert any(at in p and abs(a - b) / max(abs(a), abs(b)) > 0.05 for p, (a, b) in pairs.items())
+
+
+@pytest.mark.parametrize("case, moved, at", [
+    ("library map", [[0.5 * (1 + 1e-9), 3.0e-17], [0.2, 0.0]], "[0][0]"),
+    ("theta value", _theta_output(even_value=(1.1658127861032388 * (1 + 1e-9), 3.0e-17)),
+     ".characteristics[0].value[0]"),
+    ("theta grad", _theta_output(odd_value=(1.0e-17, -2.0e-17))
+     | {"characteristics": [_theta_output()["characteristics"][0],
+                            _theta_output()["characteristics"][1]
+                            | {"grad": [[-2.0943951023931957 * (1 + 1e-9), 0.7071067811865476]]}]},
+     ".characteristics[1].grad[0][0]"),
+    ("match residual", {"gamma": [1, 1, 0, 1], "pairs": [
+        {"branch_index": 1, "char": [0, 1, 0, 1], "residual": 1e-9}]}, "residual"),
+])
+def test_a_move_of_the_largest_entry_is_marked(cv, case, moved, at):
+    """1e-9 of the largest entry of an array, or a defect that grows to
+    1e-9, is beyond roundoff."""
+    old = _ROUNDOFF_FLIPS[case][0]
+    move, where = cv.largest_move(json.dumps(old), json.dumps(moved))
+    assert move > cv.ROUNDOFF_MOVE and at in where, (move, where)

@@ -1,10 +1,15 @@
 """Period matrices: pinned closed forms, certification gates, Abel map."""
 
+import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import legendre as nleg
+from numpy.polynomial import polynomial as npoly
 
 from secondkind import (
     abel_from_infinity,
@@ -20,6 +25,7 @@ from secondkind import periods
 from secondkind.cli import random_curve
 from secondkind.curves import CurvePoint
 from secondkind.errors import (
+    DegenerateCurve,
     HomologyConstructionFailure,
     PathThroughBranchPoint,
     QuadratureNonConvergence,
@@ -187,6 +193,102 @@ def _reference_legendre_defect(omega, omega_prime, eta, eta_prime):
     return float(np.max(np.abs(m @ jj @ m.T + (0.5j * np.pi) * jj)))
 
 
+def _reference_pattern_search(chains, g, quad_tol):
+    """compute_periods' search over the chain orientations as written before
+    its sign patterns were held per genus: the patterns from
+    itertools.product and their float array built per call, the gates
+    reduced with np.max, the Legendre defect from the four (g, g) blocks.
+    Returns the cyc stack, the gates of every pattern and the index of the
+    first that passes, or None."""
+    patterns = [(1, *signs) for signs in itertools.product((1, -1), repeat=2 * g - 1)]
+    cyc = (chains * np.array(patterns, dtype=float)[:, None, :]) @ periods._cycle_basis(g).T
+    two_w, two_wp, two_e, two_ep = cyc[:, :g, :g], cyc[:, :g, g:], -cyc[:, g:, :g], -cyc[:, g:, g:]
+    if abs(np.linalg.det(two_w[0])) < 1e-12:
+        return cyc, None, None
+    tau = np.linalg.solve(two_w, two_wp)
+    m = np.empty(cyc.shape, dtype=complex)
+    m[:, :g, :g], m[:, :g, g:], m[:, g:, :g], m[:, g:, g:] = two_w / 2, two_wp / 2, two_e / 2, two_ep / 2
+    jj, half_pi_jj = periods._symplectic_j(g)
+    w_hat = 0.5 * np.max(np.abs(cyc[:, :g]), axis=(1, 2))
+    e_hat = 0.5 * np.max(np.abs(cyc[:, g:]), axis=(1, 2))
+    gates = {
+        "tau": 0.5 * (tau + tau.mT),
+        "tau_asymmetry": np.max(np.abs(tau - tau.mT), axis=(1, 2)),
+        "tau_gate": max(1e-10, 100.0 * quad_tol) * np.maximum(1.0, np.max(np.abs(tau), axis=(1, 2))),
+        "legendre_defect": np.max(np.abs(m @ jj @ m.mT + half_pi_jj), axis=(1, 2)),
+        "legendre_gate": periods._scaled_gate(max(1e-9, 1000.0 * quad_tol), w_hat * e_hat),
+    }
+    gates["im_tau_min_eig"] = np.linalg.eigvalsh(gates["tau"].imag)[:, 0]
+    passed = ((gates["tau_asymmetry"] <= gates["tau_gate"]) & (gates["im_tau_min_eig"] > 0.0)
+              & (gates["legendre_defect"] <= gates["legendre_gate"]))
+    return cyc, gates, int(np.argmax(passed)) if passed.any() else None
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _branch_sets(draw):
+    """2g + 1 branch points, g = 1 or 2, at least 0.1 apart in real part
+    (a signed zero where it is 0): real (with signed-zero imaginary parts),
+    complex, or complex with the last point moved 1e-3 to 1e-1 from the
+    first."""
+    g, kind = draw(st.sampled_from([1, 2])), draw(st.sampled_from(["real", "complex", "clustered"]))
+    n = 2 * g + 1
+    grid = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n, unique=True))
+    jitter = st.floats(min_value=-0.2, max_value=0.2)
+    imag = _SIGNED_ZERO if kind == "real" else st.one_of(_SIGNED_ZERO, st.floats(-2.0, 2.0))
+    pts = [complex(draw(_SIGNED_ZERO) if k == 0 else k / 2 + draw(jitter), draw(imag)) for k in grid]
+    if kind == "clustered":
+        sep = draw(st.floats(min_value=1e-3, max_value=1e-1))
+        pts[-1] = pts[0] + sep * cmath.exp(1j * draw(st.floats(min_value=0.0, max_value=6.3)))
+    return pts
+
+
+@settings(max_examples=80, deadline=None)
+@given(_branch_sets())
+def test_chain_inputs_keep_their_bits(points):
+    """The coefficients and the pattern search that feed and judge the
+    chains keep the bits of their earlier forms: lam of the npoly.polymul
+    product, and the cyc stack and gates of ``_reference_pattern_search``.
+    A change that moves a chain input fails here first."""
+    try:
+        curve = curve_from_branch_points(points)
+    except DegenerateCurve:
+        return
+    coeffs = np.array([4.0], dtype=complex)
+    for e in points:
+        coeffs = npoly.polymul(coeffs, np.array([-complex(e), 1.0], dtype=complex))
+    assert np.array(curve.lam, dtype=complex).tobytes() == coeffs[: len(points)].tobytes()
+
+    g, seen = curve.genus, []
+    patterns, signs = periods._sign_patterns(g)
+    assert list(patterns) == [(1, *p) for p in itertools.product((1, -1), repeat=2 * g - 1)]
+    assert signs.tobytes() == np.array(patterns, dtype=float).tobytes() and not signs.flags.writeable
+    with pytest.MonkeyPatch.context() as mp:
+        walk = periods.chain_integrals
+        mp.setattr(periods, "chain_integrals", lambda *args: seen.append(walk(*args)) or seen[-1])
+        try:
+            bundle = compute_periods(curve)
+        except (HomologyConstructionFailure, QuadratureNonConvergence) as exc:
+            bundle = exc
+    if not seen:  # refused before the chains were integrated
+        return
+    chains = 2.0 * seen[0]
+    cyc, gates, k = _reference_pattern_search(chains, g, periods.DEFAULT_QUAD_TOL)
+    assert ((chains * signs[:, None, :]) @ periods._cycle_basis(g).T).tobytes() == cyc.tobytes()
+    if k is None:
+        assert isinstance(bundle, HomologyConstructionFailure)
+        return
+    assert bundle.chain_signs == patterns[k]
+    blocks = (cyc[k, :g, :g], cyc[k, :g, g:], -cyc[k, g:, :g], -cyc[k, g:, g:])
+    for got, block in zip((bundle.omega, bundle.omega_prime, bundle.eta, bundle.eta_prime), blocks):
+        assert got.tobytes() == (block / 2).tobytes()
+    assert bundle.tau.tobytes() == gates.pop("tau")[k].tobytes()
+    for name, values in gates.items():
+        assert getattr(bundle, name) == values[k], name
+
+
 def test_legendre_defect_equals_the_block_form(standard_bundle, skew_bundle, lemniscatic_bundle,
                                                generic_g1_bundle):
     rng = np.random.default_rng(5)
@@ -194,7 +296,7 @@ def test_legendre_defect_equals_the_block_form(standard_bundle, skew_bundle, lem
         blocks = [b.omega, b.omega_prime, b.eta, b.eta_prime]
         assert legendre_defect(b) == _reference_legendre_defect(*blocks)
         nudged = [x + 1e-3 * rng.normal(size=x.shape) for x in blocks]
-        defect = periods._block_legendre_defect(*nudged)
+        defect = periods._block_legendre_defect(np.block([nudged[:2], nudged[2:]]))
         assert defect > 1e-4 and defect == _reference_legendre_defect(*nudged)
     assert not periods._symplectic_j(2)[0].flags.writeable
 

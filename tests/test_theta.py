@@ -303,28 +303,59 @@ def test_characteristic_code_is_its_index(g):
 
 
 @pytest.mark.parametrize("prefix, genus", [("standard", 2), ("generic_g1", 1)])
-def test_table_sums_each_lattice_once(prefix, genus, request):
-    # the tau-free arrays of a box are built once, read-only, and shared by
-    # every later table of the same radius, in a cache of bounded size
+def test_table_sums_each_lattice_once(prefix, genus, request, monkeypatch):
+    # one nested box is held per genus, its points ordered by shell; the box
+    # of any radius is a read-only prefix view of it, and it is rebuilt only
+    # when a larger radius is asked for
     bundle = request.getfixturevalue(f"{prefix}_bundle")
+    monkeypatch.setattr(theta_mod, "_LATTICES", {})
+    builds, monomials = [], theta_mod._monomials
+    monkeypatch.setattr(theta_mod, "_monomials", lambda q: builds.append(q.shape) or monomials(q))
     first = theta_table(bundle)
-    before = theta_mod._lattice.cache_info()
-    second = theta_table(bundle)
-    after = theta_mod._lattice.cache_info()
-    assert second.radius == first.radius
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    for arr in theta_mod._lattice(genus, first.radius):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[...] = 0
-    size = theta_mod.LATTICE_CACHE_SIZE
-    assert after.maxsize == size
-    for radius in range(first.radius + 1, first.radius + 1 + size):
-        theta_mod._lattice(genus, radius)
-    assert theta_mod._lattice.cache_info().currsize == size
-    misses = theta_mod._lattice.cache_info().misses
+    radius = first.radius
+    assert len(builds) == 1 and list(theta_mod._LATTICES) == [genus]
+    held = theta_mod._LATTICES[genus]
+    assert held[0] == radius
     theta_table(bundle)
-    assert theta_mod._lattice.cache_info().misses == misses + 1
+    for smaller in (radius, radius - 2, 0):
+        mono, phase, scale = theta_mod._lattice(genus, smaller)
+        size = (2 * smaller + 1) ** genus
+        assert mono.shape[1] == phase.shape[-1] == size
+        for arr, whole in zip((mono, phase, scale), held[1:]):
+            assert np.shares_memory(arr, whole) and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        # the prefix holds exactly the points n + eps with |n_k| <= smaller
+        bits = np.array(list(itertools.product((0, 1), repeat=genus))) / 2.0
+        n = np.rint(mono[:, :, 1 : 1 + genus] - bits[:, None, :])
+        assert np.abs(n).max() <= smaller and len(np.unique(n[0], axis=0)) == size
+    assert len(builds) == 1
+    theta_mod._lattice(genus, radius + 3)
+    assert len(builds) == 2 and theta_mod._LATTICES[genus][0] == radius + 3
+    theta_mod._lattice(3 - genus, 1)
+    assert sorted(theta_mod._LATTICES) == [1, 2] and len(builds) == 3
+    after = theta_table(bundle)
+    assert len(builds) == 3 and after.radius == radius
+    for a, b in zip(_table_arrays(first), _table_arrays(after)):
+        assert np.array_equal(a, b)
+
+
+def test_oversized_box_is_refused_before_the_lattice_grows(monkeypatch):
+    # lam_min = 1e-7 needs a box of radius about 13,000 at the default tolerance
+    builds, monomials = [], theta_mod._monomials
+    monkeypatch.setattr(theta_mod, "_monomials", lambda q: builds.append(q.shape) or monomials(q))
+    held = {g: entry[0] for g, entry in theta_mod._LATTICES.items()}
+    tau = np.diag([1j, 1e-7j])
+    bundle = SimpleNamespace(tau=tau, inv_two_omega=np.eye(2))
+    calls = (lambda: theta_table(bundle),
+             lambda: theta_eval(np.zeros(2), tau, char((0, 0), (0, 0))),
+             lambda: theta_jet(np.zeros(2), tau, char((0, 0), (0, 0))))
+    for call in calls:
+        with pytest.warns(UserWarning, match="ill-conditioned"):
+            with pytest.raises(NotSiegelPoint, match="exceeds 2000 at min eigenvalue of Im tau "
+                                                     "1.000e-07 and tolerance 1.0e-14"):
+                call()
+    assert builds == [] and {g: entry[0] for g, entry in theta_mod._LATTICES.items()} == held
 
 
 def reference_theta_table(bundle, tol):
