@@ -31,9 +31,14 @@ the branch point's distance from P (BESIDE), on both sheets; and ``abel_map``
 on the standard curve shifted by +300 (FAR_CURVES) from the far point 40
 max|e|^2 exp(i pi / 7), lifted on the principal sheet, whose legs are about
 3.6e6 long, to its branch points and to both lifts of P and of Q.  A change of piece layout or of the order
-in which pieces are added shows there.  Each is written as JSON [re, im]
-pairs (or as the refusal it raised) and judged like a named output.  A
-number moves by |a - b| relative to the largest modulus of the JSON array
+in which pieces are added shows there.  It adds the benchmark's curve_sweep
+mix (``sweep_outputs``) on seeded genus-1 and genus-2 draws and their
+affine images x -> s x + c (``sweep_draws``), each at the default
+tolerances and at quad_tol 1e-13 / theta_tol 1e-15: the ``compute_periods``
+bundle (omega, omega', eta, eta', tau, kappa and every gate) and, at genus
+2, the 18 matrices and the defects of ``kappa_report``.  Each is written as
+JSON [re, im] pairs (or as the refusal it raised) and judged like a named
+output.  A number moves by |a - b| relative to the largest modulus of the JSON array
 it belongs to, over both outputs: a field of a list of records, such as
 the theta command's characteristics, is one array over the records
 (``array_scales``); a number in no array is judged against itself.  The
@@ -51,9 +56,11 @@ code.  An output of those passes that moves at roundoff only is printed
 but does not fail the comparison.
 """
 
+import cmath
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -99,15 +106,52 @@ FAR_CURVES = {"shifted_300": {"branch_points": [298, 299, 300, 301, 302]}}
 #: points Q of ``deep_outputs`` lie, off the line from P.
 BESIDE = (1e-4, 1e-6)
 
-#: Defines library_outputs(curves) and deep_outputs(curves, far_curves,
-#: beside), each {"curve map": [0, JSON] or [2, error]}.
+#: The draws of ``sweep_draws`` by genus, each also as an affine image.
+SWEEP_DRAWS = {2: 12, 1: 6}
+
+#: Tolerances (quad_tol, theta_tol) of each draw: the defaults, and the
+#: refined pair of the benchmark's "fine" curves.
+SWEEP_TOLS = {"": (None, None), " fine": (1e-13, 1e-15)}
+
+
+def sweep_draws(seed: int = 0) -> dict:
+    """{name: [branch points as [re, im] pairs, quad_tol, theta_tol]}: for
+    each genus, SWEEP_DRAWS points sets in the annulus 0.3 <= |e| <= 2, at
+    least 0.2 apart, and the image of each under x -> s x + c with s
+    log-uniform in [0.1, 10] and real c, |c| <= min(5, 5 s), each at every
+    tolerance pair of SWEEP_TOLS (None for the default)."""
+    rng, out = random.Random(seed), {}
+    for g, count in SWEEP_DRAWS.items():
+        for k in range(count):
+            pts = []
+            while len(pts) < 2 * g + 1:
+                z = rng.uniform(0.3, 2.0) * cmath.exp(2j * math.pi * rng.random())
+                if all(abs(z - w) >= 0.2 for w in pts):
+                    pts.append(z)
+            s = 10.0 ** rng.uniform(-1.0, 1.0)
+            c = rng.uniform(-1.0, 1.0) * min(5.0, 5.0 * s)
+            for image, zs in (("", pts), (" affine", [s * z + c for z in pts])):
+                for label, tols in SWEEP_TOLS.items():
+                    out[f"g{g} draw {k}{image}{label}"] = [[[z.real, z.imag] for z in zs], *tols]
+    return out
+
+
+#: Defines library_outputs(curves), deep_outputs(curves, far_curves,
+#: beside) and sweep_outputs(draws), each {"curve map": [0, JSON] or [2,
+#: error]}.
 LIBRARY = """
 import cmath
 import json
-from secondkind import abel_from_infinity, abel_map, compute_periods
+from secondkind import (abel_from_infinity, abel_map, bolza_match, compute_periods,
+                        curve_from_branch_points, kappa_report, theta_table)
 from secondkind.cli import parse_curve
 from secondkind.curves import CurvePoint, branch_scale
 from secondkind.errors import SecondKindError
+from secondkind.periods import DEFAULT_QUAD_TOL
+from secondkind.theta import DEFAULT_THETA_TOL
+
+GATES = ("legendre_defect", "legendre_gate", "eta_prime_gate", "tau_asymmetry", "tau_gate",
+         "kappa_asymmetry", "im_tau_min_eig", "eta_prime_consistency")
 
 
 def _setup(spec):
@@ -163,13 +207,44 @@ def deep_outputs(curves, far_curves, beside):
                  for label, x, sheet in (("P", p.x, 1), ("P'", p.x, -1), ("Q", q, 1), ("Q'", q, -1))]
         _record(out, name, curve, bundle, maps)
     return out
+
+
+def _pairs(a):
+    return [[[z.real, z.imag] for z in row] for row in a.tolist()]
+
+
+def sweep_outputs(draws):
+    out = {}
+    for name, (points, quad_tol, theta_tol) in draws.items():
+        try:
+            curve = curve_from_branch_points([complex(*p) for p in points])
+            bundle = compute_periods(curve, quad_tol or DEFAULT_QUAD_TOL)
+            rec = {k: _pairs(getattr(bundle, k))
+                   for k in ("omega", "omega_prime", "eta", "eta_prime", "tau", "kappa")}
+            rec["gates"] = {k: getattr(bundle, k) for k in GATES}
+            rec["chain_signs"] = list(bundle.chain_signs)
+            if curve.genus == 2:
+                tt = theta_table(bundle, tol=theta_tol or DEFAULT_THETA_TOL)
+                m = bolza_match(tt, curve)
+                rep = kappa_report(curve, bundle, tt, m)
+                rec["kappa_direct"] = _pairs(rep.kappa_direct)
+                rec["routes"] = {
+                    **{f"even_pair_{i}{j}": _pairs(v) for (i, j), v in rep.kappa_by_even_pair.items()},
+                    "even_sum": _pairs(rep.kappa_even_sum),
+                    **{f"odd_{i}": _pairs(rep.kappa_by_odd[m.delta(i)]) for i in range(1, 6)},
+                    "odd_sum": _pairs(rep.kappa_odd_sum)}
+                rec["defects"] = rep.defect_table
+            out[name] = [0, json.dumps(rec)]
+        except SecondKindError as ex:
+            out[name] = [2, f"{type(ex).__name__}: {ex}"]
+    return out
 """
 
 RUNNER = """
 import contextlib, io, json, sys, warnings
 from secondkind.cli import main
 warnings.simplefilter("ignore")
-commands, curves, far_curves, beside = json.loads(sys.argv[1])
+commands, curves, far_curves, beside, draws = json.loads(sys.argv[1])
 out = {}
 for suite in ("quick", "full"):
     for seed in range(80):
@@ -184,14 +259,14 @@ for command, options in commands.items():
             with contextlib.redirect_stdout(io.StringIO()) as buf:
                 code = main([command, "--curve", json.dumps(curve), *extra])
             named[f"{command} {name}{variant}"] = [code, buf.getvalue()]
-json.dump([out, named, library_outputs(curves) | deep_outputs(curves, far_curves, beside)],
-          sys.stdout)
+json.dump([out, named, library_outputs(curves) | deep_outputs(curves, far_curves, beside)
+           | sweep_outputs(draws)], sys.stdout)
 """
 
 
 def reports(src: str) -> list:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    argv = json.dumps([COMMANDS, CURVES, FAR_CURVES, BESIDE])
+    argv = json.dumps([COMMANDS, CURVES, FAR_CURVES, BESIDE, sweep_draws()])
     run = subprocess.run([sys.executable, "-c", LIBRARY + RUNNER, argv],
                          env=env, check=True, stdout=subprocess.PIPE, text=True)
     return json.loads(run.stdout)

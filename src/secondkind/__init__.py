@@ -6,7 +6,7 @@ the branch-point correspondence, the kappa identities and the local
 expansions at infinity are built on top.
 """
 
-from .correspondence import BranchMatching, abel_consistency, bolza_match
+from .correspondence import BranchMatching, bolza_match
 from .curves import (
     CurvePoint,
     HyperellipticCurve,
@@ -54,7 +54,6 @@ __all__ = [
     "PeriodBundle",
     "ThetaTable",
     "TruncatedSeries",
-    "abel_consistency",
     "abel_from_infinity",
     "abel_map",
     "bolza_match",

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurvePoint, HyperellipticCurve, canonical_branch_order
+from .curves import HyperellipticCurve, canonical_branch_order
 from .errors import AmbiguousMatching, NoGamma
-from .periods import PeriodBundle, abel_from_infinity, lattice_distance
-from .theta import Characteristic, ThetaTable, classify_characteristics, half_period
+from .theta import Characteristic, ThetaTable, classify_characteristics
 
 #: Relative threshold on |Theta_2| below which a characteristic is gamma.
 GAMMA_THRESHOLD = 1e-8
@@ -140,23 +139,3 @@ def _code_index(odd: tuple) -> tuple:
     assert set(even_quads[BRANCH_ROWS, 3].tolist()) == evens, "pairs must exhaust even classes"
     odd_codes.flags.writeable = even_quads.flags.writeable = False
     return odd_codes, even_quads
-
-
-def abel_consistency(curve: HyperellipticCurve, bundle: PeriodBundle,
-                     matching: BranchMatching):
-    """Diagnostic: the matching against the branch points' half-periods.
-
-    For each finite branch point, its Abel image from infinity, the
-    half-period of its code in the chain basis (``abel_from_infinity``),
-    plus the Riemann-constant vector must equal the half-period of delta_i
-    modulo the lattice.  Returns the per-branch lattice distances; the
-    caller decides whether to warn.  Half-periods are 2-torsion, so the
-    check is insensitive to the overall sign of the image.
-    """
-    kvec = half_period(matching.gamma, bundle.tau)
-    out = []
-    for k, e in enumerate(bundle.canonical_points):
-        v = abel_from_infinity(curve, bundle, CurvePoint(e, 0.0))
-        target = half_period(matching.delta(k + 1), bundle.tau)
-        out.append(lattice_distance(v + kvec - target, bundle.tau))
-    return tuple(out)

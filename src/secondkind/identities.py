@@ -118,7 +118,8 @@ class IdentityDefects:
 
 @dataclass(frozen=True, eq=False)
 class KappaReport:
-    """kappa by every route, with max-norm deviations from the direct value."""
+    """kappa by every route, with max-norm deviations from the direct value;
+    the matrices are read-only views into one stack (``kappa_report``)."""
 
     kappa_direct: np.ndarray
     kappa_by_even_pair: dict
@@ -162,9 +163,10 @@ def _odd_ratios(tt: ThetaTable, m: BranchMatching) -> np.ndarray:
     return dthird[m.odd_codes[:5]] / dgrad[m.odd_codes[:5], 1, None, None, None]
 
 
-def _odd_ratio_sums(tt: ThetaTable, m: BranchMatching):
-    """(s112, s122, s222): sums of Theta_abc / Theta_2 over the admissible odds."""
-    s = _odd_ratios(tt, m).sum(axis=0)
+def _odd_ratio_sums(r: np.ndarray):
+    """(s112, s122, s222): the sums over the admissible odds of the ratios
+    Theta_abc / Theta_2 of ``_odd_ratios``."""
+    s = r.sum(axis=0)
     return s[0, 0, 1], s[0, 1, 1], s[1, 1, 1]
 
 
@@ -180,75 +182,17 @@ def _genus1_ratios(tt: ThetaTable) -> tuple:
             sum(h / v for h, v in zip(tt.hessians[even, 0, 0].tolist(), tt.values[even].tolist())))
 
 
-def kappa_even_pairs(bundle: PeriodBundle, tt: ThetaTable, m: BranchMatching) -> np.ndarray:
-    """kappa from the even characteristic of each branch pair, shape (10, 2, 2).
-
-    Uses the plain z-Hessians of theta conjugated by (2 omega)^{-1}, so the
-    routes are independent of the directional table.
-    """
-    ei, ej, sym11 = _branch_pairs(bundle)
-    sym = np.array([[sym11, -ei * ej], [-ei * ej, ei + ej]]).transpose(2, 0, 1)
-    codes = m.even_quads[BRANCH_ROWS, 3]
-    hess = tt.hessians[codes] / tt.values[codes, None, None]
-    w = bundle.inv_two_omega
-    return -0.5 * sym - 0.5 * (w.T @ hess @ w)
-
-
-def kappa_even_sum(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable) -> np.ndarray:
-    """kappa from the sum over all 10 even characteristics."""
-    lam2, lam3, lam4 = (curve.lam_at(k) for k in (2, 3, 4))
-    lead = np.array([[4 * lam2, lam3], [lam3, 4 * lam4]]) / 80.0
-    return lead - _even_ratio_sum(tt) / 20.0
-
-
-def kappa_odd_singles(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
-                      m: BranchMatching) -> np.ndarray:
-    """kappa from the admissible odd characteristic of each branch point, shape (5, 2, 2)."""
-    ei = np.asarray(bundle.canonical_points)
-    lam3, lam4 = curve.lam_at(3), curve.lam_at(4)
-    r = _odd_ratios(tt, m)
-    r112, r122, r222 = r[:, 0, 0, 1], r[:, 0, 1, 1], r[:, 1, 1, 1]
-    k22 = lam4 / 24.0 - ei / 6.0 - r222 / 6.0
-    k12 = -lam4 * ei / 24.0 - ei ** 2 / 3.0 - ei * r222 / 12.0 - r122 / 4.0
-    k11 = (
-        -(lam3 / 8.0) * ei
-        - (5.0 / 24.0) * lam4 * ei ** 2
-        - (7.0 / 6.0) * ei ** 3
-        - 0.5 * r112
-        - 0.5 * ei * r122
-        - (ei ** 2 / 6.0) * r222
-    )
-    return np.array([[k11, k12], [k12, k22]]).transpose(2, 0, 1)
-
-
-def kappa_odd_sum(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
-                  m: BranchMatching) -> np.ndarray:
-    """kappa from sums of third-derivative ratios over the 5 admissible odds."""
-    lam2, lam3, lam4 = (curve.lam_at(k) for k in (2, 3, 4))
-    s112, s122, s222 = _odd_ratio_sums(tt, m)
-    k22 = lam4 / 20.0 - s222 / 30.0
-    k12 = lam3 / 40.0 - lam4 ** 2 / 800.0 - s122 / 20.0 + lam4 * s222 / 1200.0
-    k11 = (
-        (3.0 / 40.0) * lam2
-        - lam4 * lam3 / 400.0
-        + lam4 ** 3 / 8000.0
-        - s112 / 10.0
-        + lam4 * s122 / 200.0
-        - lam4 ** 2 * s222 / 12000.0
-    )
-    return np.array([[k11, k12], [k12, k22]])
-
-
 def kappa_odd_sum_reduced(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
                           m: BranchMatching) -> np.ndarray:
     """The lam4 = 0 display of the odd-sum formula, implemented verbatim.
 
-    Only meaningful for curves with lam4 = 0; agreement with kappa_odd_sum
-    to machine precision is a consistency check of the two displays.
+    Only meaningful for curves with lam4 = 0; agreement with the odd-sum
+    route of kappa_report to machine precision is a consistency check of
+    the two displays.
     """
     lam2, lam3 = curve.lam_at(2), curve.lam_at(3)
     lead = np.array([[3 * lam2, lam3], [lam3, 0.0]]) / 40.0
-    s112, s122, s222 = _odd_ratio_sums(tt, m)
+    s112, s122, s222 = _odd_ratio_sums(_odd_ratios(tt, m))
     acc = np.array([[2.0 * s112, s122], [s122, (2.0 / 3.0) * s222]])
     return lead - acc / 20.0
 
@@ -264,23 +208,71 @@ _KAPPA_ROUTES = ([f"even_pair_{i}{j}" for i, j in _PAIR_LABELS] + ["even_sum"]
 
 def kappa_report(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTable,
                  m: BranchMatching) -> KappaReport:
-    """Assemble every kappa route and its deviation from the direct value."""
-    direct = bundle.kappa
-    by_pair = kappa_even_pairs(bundle, tt, m)
-    ks = kappa_even_sum(curve, bundle, tt)
-    by_odd = kappa_odd_singles(curve, bundle, tt, m)
-    kos = kappa_odd_sum(curve, bundle, tt, m)
-    mats = np.concatenate([[direct], by_pair, [ks], by_odd, [kos]])
-    big = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
-    asym = np.abs(mats - mats.transpose(0, 2, 1)).max(axis=(1, 2))
-    assert np.all(asym < 1e-9 * big), "kappa must be symmetric"
+    """kappa by every route and each route's deviation from the direct value.
+
+    The routes fill one read-only (18, 2, 2) stack in place, and every
+    matrix of the report is a view into it: the direct kappa; the even
+    characteristic of each branch pair, from its plain z-Hessian conjugated
+    by (2 omega)^{-1}, so independently of the directional table; the sum
+    over the 10 evens; the admissible odd characteristic of each branch
+    point; and the sum over those 5 odds.  The odd routes share one gather
+    of the ratios Theta_abc / Theta_2.  The defects are the max-norm
+    deviations from the direct kappa, in one reduction.
+    """
+    lam2, lam3, lam4 = (curve.lam_at(k) for k in (2, 3, 4))
+    out = np.empty((18, 2, 2), dtype=complex)
+    out[0] = bundle.kappa
+    pairs, even_sum, singles = out[1:11], out[11], out[12:17]
+
+    ei, ej, sym11 = _branch_pairs(bundle)
+    pairs[:, 0, 0], pairs[:, 1, 1] = sym11, ei + ej
+    pairs[:, 0, 1] = pairs[:, 1, 0] = -ei * ej
+    pairs *= -0.5
+    codes = m.even_quads[BRANCH_ROWS, 3]
+    w = bundle.inv_two_omega
+    pairs -= 0.5 * (w.T @ (tt.hessians[codes] / tt.values[codes, None, None]) @ w)
+
+    even_sum[...] = [[4 * lam2, lam3], [lam3, 4 * lam4]]
+    even_sum /= 80.0
+    even_sum -= _even_ratio_sum(tt) / 20.0
+
+    ei = np.asarray(bundle.canonical_points)
+    r = _odd_ratios(tt, m)
+    r112, r122, r222 = r[:, 0, 0, 1], r[:, 0, 1, 1], r[:, 1, 1, 1]
+    singles[:, 1, 1] = lam4 / 24.0 - ei / 6.0 - r222 / 6.0
+    singles[:, 0, 1] = singles[:, 1, 0] = (
+        -lam4 * ei / 24.0 - ei ** 2 / 3.0 - ei * r222 / 12.0 - r122 / 4.0)
+    singles[:, 0, 0] = (
+        -(lam3 / 8.0) * ei
+        - (5.0 / 24.0) * lam4 * ei ** 2
+        - (7.0 / 6.0) * ei ** 3
+        - 0.5 * r112
+        - 0.5 * ei * r122
+        - (ei ** 2 / 6.0) * r222
+    )
+
+    s112, s122, s222 = _odd_ratio_sums(r)
+    k22 = lam4 / 20.0 - s222 / 30.0
+    k12 = lam3 / 40.0 - lam4 ** 2 / 800.0 - s122 / 20.0 + lam4 * s222 / 1200.0
+    k11 = (
+        (3.0 / 40.0) * lam2
+        - lam4 * lam3 / 400.0
+        + lam4 ** 3 / 8000.0
+        - s112 / 10.0
+        + lam4 * s122 / 200.0
+        - lam4 ** 2 * s222 / 12000.0
+    )
+    out[17] = [[k11, k12], [k12, k22]]
+
+    out.flags.writeable = False
+    defects = np.abs(out[1:] - out[0]).reshape(17, 4).max(axis=1)
     return KappaReport(
-        kappa_direct=direct,
-        kappa_by_even_pair=dict(zip(_PAIR_LABELS, by_pair)),
-        kappa_even_sum=ks,
-        kappa_by_odd=dict(zip(m.chars, by_odd)),
-        kappa_odd_sum=kos,
-        defect_table=dict(zip(_KAPPA_ROUTES, np.abs(mats[1:] - direct).max(axis=(1, 2)).tolist())),
+        kappa_direct=out[0],
+        kappa_by_even_pair=dict(zip(_PAIR_LABELS, out[1:11])),
+        kappa_even_sum=out[11],
+        kappa_by_odd=dict(zip(m.chars, out[12:17])),
+        kappa_odd_sum=out[17],
+        defect_table=dict(zip(_KAPPA_ROUTES, defects.tolist())),
     )
 
 
@@ -298,7 +290,7 @@ def thomae_defects(curve: HyperellipticCurve, bundle: PeriodBundle, tt: ThetaTab
     """
     lam2, lam3, lam4 = (curve.lam_at(k) for k in (2, 3, 4))
     lam4_zero = _subleading_vanishes(lam4, bundle.canonical_points)
-    s112, s122, s222 = _odd_ratio_sums(tt, m)
+    s112, s122, s222 = _odd_ratio_sums(_odd_ratios(tt, m))
     (e11, e12), (_, e22) = _even_ratio_sum(tt)
     return identity_entries(
         ("thomae_222", "thomae_122", "thomae_112"),

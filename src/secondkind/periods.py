@@ -34,7 +34,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .curves import (
     CurvePoint,
@@ -84,18 +83,6 @@ def _cycle_basis(g: int) -> np.ndarray:
     return basis
 
 
-def chain_intersection_matrix(g: int) -> np.ndarray:
-    """Intersection matrix of (a_1..a_g, b_1..b_g) in the chain model.
-
-    Consecutive chain loops meet once (c_k . c_{k+1} = +1, coherent
-    orientation); all other pairs are disjoint.  A canonical basis must give
-    [[0, I], [-I, 0]].
-    """
-    n = 2 * g
-    basis = _cycle_basis(g)
-    return basis @ (np.eye(n, k=1) - np.eye(n, k=-1)) @ basis.T
-
-
 @functools.cache
 def _sign_patterns(g: int) -> tuple:
     """The chain sign patterns with chain 0 at +1, in ``itertools.product``
@@ -104,6 +91,15 @@ def _sign_patterns(g: int) -> tuple:
     array = np.array(patterns, dtype=float)
     array.flags.writeable = False
     return patterns, array
+
+
+@functools.cache
+def _halving(g: int) -> np.ndarray:
+    """The column of g halves then g negated halves, read-only: it takes the
+    rows (2 omega, -2 eta) of a cycle matrix to (omega, eta) exactly."""
+    column = np.repeat([0.5, -0.5], g)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 @functools.cache
@@ -184,7 +180,7 @@ def _block_legendre_defect(m):
     """Max-norm Legendre defect of each (2g, 2g) matrix [[omega, omega'],
     [eta, eta']] stacked on leading axes."""
     jj, half_pi_jj = _symplectic_j(m.shape[-1] // 2)
-    return np.abs(m @ jj @ m.mT + half_pi_jj).max(axis=(-2, -1))
+    return np.abs(m @ jj @ m.mT + half_pi_jj).reshape(*m.shape[:-2], -1).max(axis=-1)
 
 
 def legendre_defect(bundle: PeriodBundle) -> float:
@@ -229,13 +225,28 @@ def chain_integrals(points, segments, numerators_fn, quad_tol: float) -> np.ndar
 
 
 def _period_numerators(curve: HyperellipticCurve):
+    """The numerators of the chain integrands at an x array, one row each:
+    the first kind 1, ..., x^(g-1), then the second kind q_j(x) / 4 of
+    ``curves.second_kind_numerators``.  The q_j are evaluated together by
+    Horner's rule over their coefficients zero-padded to one length, with
+    the bits of ``numpy.polynomial.polynomial.polyval`` on each: a padded
+    leading zero gives (0 + 0 x) x, which is x * 0 bit for bit."""
     g = curve.genus
     qs = second_kind_numerators(curve)
+    coeffs = np.zeros((len(qs[0]), g, 1), dtype=complex)
+    for j, q in enumerate(qs):
+        coeffs[: len(q), j, 0] = q
+    coeffs = coeffs[::-1]
 
     def rows(x):
-        out = [x ** i for i in range(g)]
-        out.extend(npoly.polyval(x, q) / 4.0 for q in qs)
-        return np.vstack(out)
+        out = np.empty((2 * g, len(x)), dtype=complex)
+        out[0], out[1:g] = 1.0, x
+        acc = coeffs[0] + x * 0
+        for c in coeffs[1:]:
+            acc *= x
+            acc += c
+        np.divide(acc, 4.0, out=out[g:])
+        return out
 
     return rows
 
@@ -282,16 +293,17 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
         raise HomologyConstructionFailure("no chain orientation produced a certified canonical "
                                           f"basis; |det 2 omega| = {det:.2e} against 1e-12")
     tau = np.linalg.solve(two_w, two_wp)
-    tau_asym = np.abs(tau - tau.mT).max(axis=(1, 2))
-    tau_gate = sym_gate * np.maximum(1.0, np.abs(tau).max(axis=(1, 2)))
+    n = len(patterns)
+    tau_asym = np.abs(tau - tau.mT).reshape(n, -1).max(axis=1)
+    tau_gate = sym_gate * np.maximum(1.0, np.abs(tau).reshape(n, -1).max(axis=1))
     tau_sym = 0.5 * (tau + tau.mT)
     eig_min = np.linalg.eigvalsh(tau_sym.imag)[:, 0]
     # halving cyc and negating its eta rows gives [[omega, omega'], [eta, eta']] exactly
-    defect = _block_legendre_defect(cyc * np.repeat([0.5, -0.5], g)[:, None])
+    defect = _block_legendre_defect(cyc * _halving(g))
     # the relation is bilinear in (omega, omega') and (eta, eta'), so its
     # roundoff grows with the product of their magnitudes
-    w_hat = 0.5 * np.abs(cyc[:, :g]).max(axis=(1, 2))
-    e_hat = 0.5 * np.abs(cyc[:, g:]).max(axis=(1, 2))
+    w_hat = 0.5 * np.abs(cyc[:, :g]).reshape(n, -1).max(axis=1)
+    e_hat = 0.5 * np.abs(cyc[:, g:]).reshape(n, -1).max(axis=1)
     leg_gate = _scaled_gate(leg_base, w_hat * e_hat)
     passed = (tau_asym <= tau_gate) & (eig_min > 0.0) & (defect <= leg_gate)
     k = int(np.argmax(passed))

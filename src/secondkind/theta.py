@@ -81,13 +81,6 @@ def char(top, bottom) -> Characteristic:
     return Characteristic(tuple(int(v) for v in top), tuple(int(v) for v in bottom))
 
 
-def char_add(a: Characteristic, b: Characteristic) -> Characteristic:
-    """Entrywise sum mod 1 (XOR on the integer doubles)."""
-    if a.genus != b.genus:
-        raise ValueError("genus mismatch")
-    return all_characteristics(a.genus)[a.code ^ b.code]
-
-
 @functools.cache
 def all_characteristics(g: int = 2):
     """The 4^g half-integer characteristics in a fixed lexicographic order."""
@@ -281,8 +274,18 @@ class ThetaTable:
 
 
 #: The nested box of each genus: genus -> (radius, mono, phase, scale), as
-#: ``_lattice`` describes them, for the largest radius asked for so far.
+#: ``_lattice`` describes them, for the largest radius asked for so far whose
+#: box fits in LATTICE_HOLD_BYTES.
 _LATTICES: dict = {}
+
+#: Largest box, in bytes, that ``_lattice`` holds between tables: radius 74
+#: at g = 2.  A table whose box is larger builds it for itself alone.
+LATTICE_HOLD_BYTES = 16 * 2 ** 20
+
+
+def _box_bytes(g: int, radius: int) -> int:
+    """The bytes of the mono and phase arrays of ``_lattice``'s box."""
+    return 8 * (2 * radius + 1) ** g * 2 ** g * (1 + g + g * g + g ** 3 + 2 ** (g + 1))
 
 
 def _lattice(g: int, radius: int):
@@ -291,12 +294,15 @@ def _lattice(g: int, radius: int):
     mono[b] holds, for each point q = n + eps of lattice b (eps = bits of b
     over 2), the real monomials 1, q, q q, q q q as one row of 1 + g + g^2 +
     g^3 columns.  phase[b, c] is i^(2q . 2eps') with eps' the bits of c, and
-    scale the (2 pi i)^k of each column's order k.  One box is held per
-    genus, its points n ordered by shell max |n_k| (stably within a shell),
-    so the box of every smaller radius is a prefix of it; the arrays
-    returned are zero-copy prefix views.  The held box is rebuilt only when
-    a larger radius is asked for.  It takes 8 (2R+1)^g 2^g (1 + g + g^2 +
-    g^3 + 2^(g+1)) bytes, about 0.5 MB at g = 2 and R = 13.
+    scale the (2 pi i)^k of each column's order k.  The points n are
+    ordered by shell max |n_k|, lexicographically within a shell, so the
+    box of every smaller radius is a prefix of it, in the same order as if
+    it were built alone.  One box is held per genus; the arrays returned
+    are zero-copy prefix views of it.  The held box is rebuilt only when a
+    larger radius is asked for, and only up to LATTICE_HOLD_BYTES
+    (``_box_bytes``: 8 (2R+1)^g 2^g (1 + g + g^2 + g^3 + 2^(g+1)), about
+    0.5 MB at g = 2 and R = 13); a larger box is built for its one table
+    and not held.
     """
     held = _LATTICES.get(g)
     if held is None or held[0] < radius:
@@ -309,6 +315,8 @@ def _lattice(g: int, radius: int):
         phase = np.array([1, 1j, -1, -1j])[powers % 4]
         for arr in (mono, phase, scale):
             arr.flags.writeable = False
+        if _box_bytes(g, radius) > LATTICE_HOLD_BYTES:
+            return mono, phase, scale
         held = _LATTICES[g] = (radius, mono, phase, scale)
     _, mono, phase, scale = held
     size = (2 * radius + 1) ** g

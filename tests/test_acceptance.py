@@ -18,8 +18,8 @@ import time
 import numpy as np
 import pytest
 
+from diagnostics import abel_consistency
 from secondkind import (
-    abel_consistency,
     bolza_match,
     compute_periods,
     curve_from_branch_points,

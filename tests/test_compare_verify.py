@@ -318,3 +318,83 @@ def test_a_move_of_the_largest_entry_is_marked(cv, case, moved, at):
     old = _ROUNDOFF_FLIPS[case][0]
     move, where = cv.largest_move(json.dumps(old), json.dumps(moved))
     assert move > cv.ROUNDOFF_MOVE and at in where, (move, where)
+
+
+def test_sweep_draws_cover_the_curve_sweep_mix(cv):
+    """Genus-1 and genus-2 draws, each as drawn and as an affine image
+    x -> s x + c, each at the default and at the refined tolerances; the
+    same draws on every call, so both trees see the same curves."""
+    draws = cv.sweep_draws()
+    assert draws == cv.sweep_draws() and len(draws) == 4 * sum(cv.SWEEP_DRAWS.values())
+    for g, count in cv.SWEEP_DRAWS.items():
+        for k in range(count):
+            base, image = (np.array([complex(*p) for p in draws[f"g{g} draw {k}{a}"][0]])
+                           for a in ("", " affine"))
+            assert len(base) == 2 * g + 1
+            # image = s base + c with s in [0.1, 10] and real c
+            s = (image[1] - image[0]) / (base[1] - base[0])
+            assert abs(s.imag) < 1e-12 * abs(s) and 0.1 <= s.real <= 10.0
+            assert np.allclose(image, s.real * base + (image[0] - s.real * base[0]).real)
+            for image_label in ("", " affine"):
+                assert draws[f"g{g} draw {k}{image_label}"][1:] == [None, None]
+                assert draws[f"g{g} draw {k}{image_label} fine"][1:] == [1e-13, 1e-15]
+
+
+def test_sweep_outputs_record_the_bundle_and_every_route(cv):
+    """Each sweep output holds the bundle's matrices, gates and chain
+    signs, and at genus 2 the direct kappa, the 17 routes and their
+    defects, with the values ``kappa_report`` returns."""
+    from secondkind import bolza_match, compute_periods, curve_from_branch_points, kappa_report
+    from secondkind import theta_table
+
+    draws = cv.sweep_draws()
+    names = ["g2 draw 0 affine fine", "g1 draw 0"]
+    namespace = {}
+    exec(cv.LIBRARY, namespace)
+    out = namespace["sweep_outputs"]({name: draws[name] for name in names})
+    assert all(code == 0 for code, _ in out.values()), out
+    g2, g1 = (json.loads(out[name][1]) for name in names)
+    assert set(g1) == {"omega", "omega_prime", "eta", "eta_prime", "tau", "kappa", "gates",
+                       "chain_signs"}
+    assert set(g2) == set(g1) | {"kappa_direct", "routes", "defects"}
+    assert set(g2["gates"]) == set(namespace["GATES"]) and len(g2["routes"]) == 17
+    points, quad_tol, theta_tol = draws[names[0]]
+    curve = curve_from_branch_points([complex(*p) for p in points])
+    bundle = compute_periods(curve, quad_tol)
+    tt = theta_table(bundle, tol=theta_tol)
+    m = bolza_match(tt, curve)
+    rep = kappa_report(curve, bundle, tt, m)
+    assert g2["defects"] == rep.defect_table
+    assert g2["gates"]["legendre_defect"] == bundle.legendre_defect
+    assert g2["chain_signs"] == list(bundle.chain_signs)
+    routes = [g2["kappa_direct"], *g2["routes"].values()]
+    want = [rep.kappa_direct, *rep.kappa_by_even_pair.values(), rep.kappa_even_sum,
+            *(rep.kappa_by_odd[m.delta(i)] for i in range(1, 6)), rep.kappa_odd_sum]
+    for got, matrix in zip(routes, want, strict=True):
+        assert np.array_equal(np.array(got)[..., 0] + 1j * np.array(got)[..., 1], matrix)
+
+
+@pytest.mark.parametrize("where, new, flagged", [
+    (("routes", "odd_3", 0, 1, 0), -0.3980140010374382, False),  # an ulp of the route
+    (("routes", "odd_3", 0, 1, 0), -0.3980140010374381 * (1 + 1e-9), True),
+    (("defects", "odd_3"), 7.771561172376096e-16, False),         # roundoff of kappa
+    (("defects", "odd_3"), 3e-9, True),
+    (("gates", "legendre_defect"), 6.661338147750939e-16, False),  # absolute, at roundoff
+    (("gates", "legendre_gate"), 1e-9 * (1 + 1e-9), True),          # a gate, against itself
+])
+def test_sweep_outputs_are_judged_on_their_scales(cv, where, new, flagged):
+    """A route is judged on its matrix, a defect on the direct kappa, a
+    defect-named gate as it stands and any other gate against itself."""
+    kappa = [[[0.9368120974466403, 0], [-0.3980140010374381, 0]],
+             [[-0.3980140010374381, 0], [0.46840604872332026, 0]]]
+    old = {"kappa": kappa, "gates": {"legendre_defect": 4.4e-16, "legendre_gate": 1e-9},
+           "chain_signs": [1, -1, 1, 1], "kappa_direct": kappa,
+           "routes": {"odd_3": copy.deepcopy(kappa)}, "defects": {"odd_3": 6.661338147750939e-16}}
+    moved = copy.deepcopy(old)
+    *path, last = where
+    node = moved
+    for key in path:
+        node = node[key]
+    node[last] = new
+    move, at = cv.largest_move(json.dumps(old), json.dumps(moved))
+    assert (move > cv.ROUNDOFF_MOVE) == flagged and where[1] in at, (move, at)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from diagnostics import abel_consistency, char_add
 from secondkind import (
-    abel_consistency,
     abel_from_infinity,
     abel_map,
     bolza_match,
@@ -17,7 +17,7 @@ from secondkind.correspondence import BRANCH_ROWS, ODD_PAIRS
 from secondkind.curves import CurvePoint, branch_scale
 from secondkind.errors import AmbiguousMatching, NoGamma
 from secondkind.periods import lattice_distance
-from secondkind.theta import ThetaTable, char_add, classify_characteristics
+from secondkind.theta import ThetaTable, classify_characteristics
 
 
 def test_standard_matching_shape(standard_matching):

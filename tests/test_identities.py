@@ -1,11 +1,14 @@
 """Theta-constant identities: kappa routes, Thomae, Rosenhain, Jacobi, omega."""
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
+from diagnostics import char_add
+from kappa_reference import kappa_routes
 from secondkind import (
     bolza_match,
     compute_periods,
@@ -27,7 +30,7 @@ from secondkind.cli import random_curve
 from secondkind.curves import branch_scale, kleinian_polar
 from secondkind.errors import StencilDegenerate
 from secondkind.identities import IdentityEntry, kappa_odd_sum_reduced, relative_defect
-from secondkind.theta import char_add, half_period
+from secondkind.theta import half_period
 
 
 def _D(tt, ch, key):
@@ -49,6 +52,63 @@ def test_kappa_routes_agree_standard(standard_curve, standard_bundle,
 def test_kappa_routes_agree_skew(skew_curve, skew_bundle, skew_table, skew_matching):
     rep = kappa_report(skew_curve, skew_bundle, skew_table, skew_matching)
     assert max(rep.defect_table.values()) < 1e-9
+
+
+def _kappa_curves() -> dict:
+    """The standard and skew curves and 30 ``random_curve`` draws, half of
+    them with zero trace."""
+    rng = np.random.default_rng(31)
+    curves = {"standard": curve_from_branch_points([-2.0, -1.0, 0.0, 1.0, 2.0]),
+              "skew": curve_from_branch_points(
+                  [-1.7 + 0.4j, -0.6 - 0.9j, 0.2 + 0.8j, 1.1 - 0.3j, 1.8 + 0.6j])}
+    for k in range(30):
+        curves[f"random_{k}"] = random_curve(rng, zero_trace=k % 2 == 1)
+    return curves
+
+
+KAPPA_CURVES = _kappa_curves()
+
+
+@functools.cache
+def _kappa_case(name):
+    curve = KAPPA_CURVES[name]
+    bundle = compute_periods(curve)
+    tt = theta_table(bundle)
+    m = bolza_match(tt, curve)
+    return curve, bundle, tt, m, kappa_report(curve, bundle, tt, m)
+
+
+def _report_routes(rep, m) -> np.ndarray:
+    """The report's matrices in the order of ``kappa_reference.kappa_routes``."""
+    return np.array([rep.kappa_direct, *rep.kappa_by_even_pair.values(), rep.kappa_even_sum,
+                     *(rep.kappa_by_odd[m.delta(i)] for i in range(1, 6)), rep.kappa_odd_sum])
+
+
+@pytest.mark.parametrize("name", list(KAPPA_CURVES))
+def test_kappa_report_equals_the_route_reference(name):
+    """Every route equals its per-route formula byte for byte, every defect
+    is the max-norm deviation of that formula from the direct kappa, and
+    the matrices are views into one read-only stack."""
+    curve, bundle, tt, m, rep = _kappa_case(name)
+    want = kappa_routes(curve, bundle, tt, m)
+    assert _report_routes(rep, m).tobytes() == want.tobytes()
+    assert list(rep.kappa_by_even_pair) == list(itertools.combinations(range(1, 6), 2))
+    assert list(rep.kappa_by_odd) == list(m.chars)
+    assert list(rep.defect_table.values()) == np.abs(want[1:] - bundle.kappa).max(axis=(1, 2)).tolist()
+    stack = rep.kappa_direct.base
+    assert stack.shape == (18, 2, 2) and not stack.flags.writeable
+    assert all(v.base is stack and not v.flags.writeable
+               for v in (rep.kappa_even_sum, rep.kappa_odd_sum, *rep.kappa_by_even_pair.values(),
+                         *rep.kappa_by_odd.values()))
+
+
+@pytest.mark.parametrize("name", list(KAPPA_CURVES))
+def test_kappa_routes_are_symmetric(name):
+    """Each route is symmetric to 1e-12 of max(1, max |route|)."""
+    _, _, _, m, rep = _kappa_case(name)
+    routes = _report_routes(rep, m)
+    asym = np.abs(routes - routes.mT).max(axis=(1, 2))
+    assert np.all(asym <= 1e-12 * np.maximum(1.0, np.abs(routes).max(axis=(1, 2)))), asym
 
 
 def test_reduced_odd_sum_matches_when_trace_vanishes(standard_curve, standard_bundle,

@@ -23,7 +23,7 @@ from secondkind import (
 )
 from secondkind import periods
 from secondkind.cli import random_curve
-from secondkind.curves import CurvePoint
+from secondkind.curves import CurvePoint, second_kind_numerators
 from secondkind.errors import (
     DegenerateCurve,
     HomologyConstructionFailure,
@@ -31,7 +31,7 @@ from secondkind.errors import (
     QuadratureNonConvergence,
     SecondKindError,
 )
-from secondkind.periods import LEGENDRE_GATE_CAP, a_cycle_integrals, chain_intersection_matrix
+from secondkind.periods import LEGENDRE_GATE_CAP, a_cycle_integrals
 
 
 # y^2 = 4x^3 - 4x has square symmetry: tau = i and the real half-period
@@ -45,6 +45,18 @@ def test_lemniscatic_closed_form(lemniscatic_bundle):
     assert abs(abs(b.omega[0, 0]) - LEMNISCATIC_OMEGA) < 1e-12
     # eta * omega = pi/4 at the square point
     assert abs(b.eta[0, 0] * b.omega[0, 0] - math.pi / 4.0) < 1e-12
+
+
+def chain_intersection_matrix(g: int) -> np.ndarray:
+    """Intersection matrix of (a_1..a_g, b_1..b_g) in the chain model.
+
+    Consecutive chain loops meet once (c_k . c_{k+1} = +1, coherent
+    orientation); all other pairs are disjoint.  A canonical basis must give
+    [[0, I], [-I, 0]].
+    """
+    n = 2 * g
+    basis = periods._cycle_basis(g)
+    return basis @ (np.eye(n, k=1) - np.eye(n, k=-1)) @ basis.T
 
 
 def test_intersection_matrix_is_symplectic_form():
@@ -287,6 +299,48 @@ def test_chain_inputs_keep_their_bits(points):
     assert bundle.tau.tobytes() == gates.pop("tau")[k].tobytes()
     for name, values in gates.items():
         assert getattr(bundle, name) == values[k], name
+
+
+#: Curves whose chain numerators keep their bits: genus 1 and 2, real
+#: points with signed-zero imaginary parts, the standard curve shifted by
+#: +1000 (which certifies only by rounding), and a clustered pair.
+NUMERATOR_CURVES = {
+    "lemniscatic": [-1.0, 0.0, 1.0],
+    "generic_g1": [-1.3 + 0.2j, 0.5 - 0.1j, 0.9 - 0.3j],
+    "standard": [-2.0, -1.0, 0.0, 1.0, 2.0],
+    "signed_zero": [complex(e, -0.0) for e in (-2.0, -1.0, 0.0, 1.0, 2.0)],
+    "skew": [-1.7 + 0.4j, -0.6 - 0.9j, 0.2 + 0.8j, 1.1 - 0.3j, 1.8 + 0.6j],
+    "standard_1000": [998.0, 999.0, 1000.0, 1001.0, 1002.0],
+    "clustered": [-1.7 + 0.4j, -0.6 - 0.9j, 0.2 + 0.8j, 1.1 - 0.3j, -1.7 + 0.4j + 2e-3 * cmath.exp(1j)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERATOR_CURVES))
+def test_chain_numerators_keep_their_bits(name, monkeypatch):
+    """The rows of ``_period_numerators`` equal, byte for byte, x ** i for
+    the first kind and ``npoly.polyval(x, q) / 4.0`` for each second-kind
+    q, stacked: at the first-level chain nodes and at random complex and
+    real x, scaled and shifted like the branch points."""
+    curve = curve_from_branch_points(NUMERATOR_CURVES[name])
+    g, qs = curve.genus, second_kind_numerators(curve)
+    nodes, make = [], periods._period_numerators
+
+    def recording(c):
+        rows = make(c)
+        return lambda x: nodes.append(x.copy()) or rows(x)
+
+    monkeypatch.setattr(periods, "_period_numerators", recording)
+    compute_periods(curve)
+    rng = np.random.default_rng(7)
+    e = np.array(curve.branch_points)
+    center, radius = e.mean(), np.abs(e - e.mean()).max()
+    real = (center.real + radius * rng.normal(size=40)).astype(complex)
+    real.imag = np.tile([0.0, -0.0], 20)
+    xs = [nodes[0], center + radius * (rng.normal(size=40) + 1j * rng.normal(size=40)), real]
+    rows = make(curve)
+    for x in xs:
+        want = np.vstack([x ** i for i in range(g)] + [npoly.polyval(x, q) / 4.0 for q in qs])
+        assert rows(x).tobytes() == want.tobytes()
 
 
 def test_legendre_defect_equals_the_block_form(standard_bundle, skew_bundle, lemniscatic_bundle,

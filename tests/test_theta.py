@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagnostics import char_add
 import secondkind.theta as theta_mod
 from secondkind import char, theta_eval, theta_table
 from secondkind.errors import NotSiegelPoint
-from secondkind.theta import all_characteristics, char_add, half_period, theta_jet
+from secondkind.theta import all_characteristics, half_period, theta_jet
 
 BRUTE_RADIUS = 12
 
@@ -338,6 +339,31 @@ def test_table_sums_each_lattice_once(prefix, genus, request, monkeypatch):
     assert len(builds) == 3 and after.radius == radius
     for a, b in zip(_table_arrays(first), _table_arrays(after)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_a_box_above_the_hold_limit_is_not_held(genus, monkeypatch):
+    """A table whose box exceeds LATTICE_HOLD_BYTES builds it for itself:
+    the held box stays within the limit, and the table has the bits it has
+    when its box is a prefix of a larger held one."""
+    tau = np.array([[0.1 + 0.3j, 0.05], [0.05, -0.2 + 0.4j]])[:genus, :genus]
+    bundle = SimpleNamespace(tau=tau, inv_two_omega=np.eye(genus)[::-1] + 0.5)
+    monkeypatch.setattr(theta_mod, "_LATTICES", {})
+    radius = theta_table(bundle, tol=1e-15).radius
+    theta_mod._lattice(genus, radius + 4)
+    want = theta_table(bundle, tol=1e-15)
+    assert theta_mod._LATTICES[genus][0] == radius + 4
+    small = theta_mod._box_bytes(genus, radius - 3)
+    monkeypatch.setattr(theta_mod, "_LATTICES", {})
+    monkeypatch.setattr(theta_mod, "LATTICE_HOLD_BYTES", small)
+    theta_mod._lattice(genus, radius - 5)
+    got = theta_table(bundle, tol=1e-15)
+    held = theta_mod._LATTICES[genus]
+    assert held[0] == radius - 5 and held[1].nbytes + held[2].nbytes <= small
+    assert got.radius == radius
+    for a, b in zip((got.values, got.grads, got.hessians, got.thirds),
+                    (want.values, want.grads, want.hessians, want.thirds)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_oversized_box_is_refused_before_the_lattice_grows(monkeypatch):
