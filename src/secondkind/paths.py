@@ -11,23 +11,22 @@ all its legs in one pass over its vertices, and with them the sheet of each
 leg and of its end, before any quadrature runs; its legs are integrated from
 the same arrays, y from that continued product alone, never a root of y^2.
 
-Every rule here is the 32-node Gauss-Legendre panel.  ``leg_integrals``
-splits each straight leg into pieces fixed by the branch points alone,
-halving a piece while a branch point lies inside its Bernstein ellipse
-(Molin-Neurohr's rule for their Abel-Jacobi map), and takes one panel per
-piece: all pieces of a route are one integrand call, with no estimate of
-the error and no second evaluation.  A route has a few vertices, a leg a
-few pieces and a curve at most five branch points, fewer than numpy's cost
-per call repays: the bookkeeping of vertices and pieces (the crossings and
-signs of a ``Route``, each leg's depth-first halving and the sums of its
-pieces) runs on Python scalars, and the work per node on arrays.
+Every rule here is the 32-node Gauss-Legendre panel.  Every Abel leg,
+straight (``leg_integrals``) or the s^2 leg into a branch point
+(``integrate_rows_to_branch_point``), is split into pieces fixed by the
+branch points alone, halving a piece while a branch point lies inside its
+Bernstein ellipse (Molin-Neurohr's rule for their Abel-Jacobi map), with
+one panel per piece, one integrand call, no error estimate and one gate on
+the rounding of x (``_piece_integrals``).  A route has a few vertices, a
+leg a few pieces and a curve at most five branch points, fewer than
+numpy's cost per call repays: the bookkeeping of vertices and pieces runs
+on Python scalars, and the work per node on arrays.
 
 ``adaptive_gl`` bisects panels until two refinement levels agree, one
 level per integrand call, and walks the intervals of one call as one
-forest; it integrates the period chains and the s^2 leg into a branch
-point.
-Every integrand here is a handful of numpy operations on a node array, so
-one call on many panels costs about what one call on a single panel did.
+forest; it integrates the period chains only.  Every integrand here is a
+handful of numpy operations on a node array, so one call on many panels
+costs about what one call on a single panel did.
 """
 
 from __future__ import annotations
@@ -48,25 +47,26 @@ _GL_NODES, _GL_WEIGHTS = nleg.leggauss(32)
 PATH_CLEARANCE = 1e-3
 
 #: The deepest bisection of ``adaptive_gl`` and the most halvings of a leg's
-#: piece (``leg_integrals``).
+#: piece (``_leg_pieces``).
 _MAX_DEPTH = 26
 
-#: Panels one ``adaptive_gl`` call may evaluate, in the manner of QUADPACK's
-#: subinterval limit.  The breadth-first walk doubles the panels of a level
+#: Panels one ``adaptive_gl`` call (the period chains) may evaluate, in the
+#: manner of QUADPACK's subinterval limit.  The breadth-first walk doubles the panels of a level
 #: that keeps moving, so without a budget an integrand that never converges
 #: would be evaluated on up to 2^26 panels before the depth limit stops it.
 #: The most one call took on working curves was 191 panels (the tier-1
 #: tests while the path clearance was absolute; 59 with it relative to the
 #: leg) and 47 over the benchmark workloads and verify seeds 0-79.  2048 is
 #: more than ten times that, and it stops a call after at most 65,536 nodes.
-#: It is also the most pieces one straight leg may take (``leg_integrals``):
-#: a leg took at most 15 on the ``abel_paths`` inputs and 23 on 3.6e6-long
+#: It is also the most pieces one Abel leg may take (``_leg_pieces``): a
+#: leg took at most 15 on the ``abel_paths`` inputs and 23 on 3.6e6-long
 #: legs into the standard curve shifted by 300.
 _MAX_PANELS = 2048
 
 
 def adaptive_gl(f, a, b, tol: float):
-    """Integrate the row-vector function f over each interval [a_k, b_k] adaptively.
+    """Integrate the row-vector function f over each interval [a_k, b_k]
+    adaptively: the period chains (``periods.chain_integrals``).
 
     f maps a 1-D array of nodes to an array (rows, nodes).  Panels are
     bisected until two refinement levels agree within the locally allocated
@@ -268,8 +268,9 @@ class CutCrossings:
         return 2.0 * self.roots(w, rows).prod(axis=-1)
 
 
-def _sign_toward(v: complex, target: complex) -> float:
-    return 1.0 if abs(v - target) <= abs(v + target) else -1.0
+def on_sheet(v: complex, target: complex) -> bool:
+    """Whether v lies on the sheet of target, nearer it than -target."""
+    return abs(v - target) <= abs(v + target)
 
 
 def _legs_x(z0, z1, t, back):
@@ -314,7 +315,8 @@ class Route:
         self.y0 = complex(y0)
         e = self.e.tolist()
         ends = 2.0 * np.sqrt(np.array([z[0], z[-1]])[:, None] - self.e).prod(axis=1)
-        sign, cut = [_sign_toward(ends[0], self.y0)], []  # cut: (upper0, crossed) per factor
+        sign = [1.0 if on_sheet(ends[0], self.y0) else -1.0]
+        cut = []  # (upper0, crossed) per factor
         w0 = [z[0] - ek for ek in e]
         for a, b in zip(z, z[1:]):
             w1, dw = [b - ek for ek in e], b - a
@@ -363,9 +365,10 @@ def _leg_pieces(tau, tol: float, where):
     the list of its pieces (j, depth), [j, j + 1] 2^-depth, from left to
     right.
 
-    tau (legs, branch points) holds the parameter t of each branch point on
-    the line of each leg.  A piece [a, b] is halved while some branch point
-    lies inside its Bernstein ellipse E_rho* (foci a and b): with
+    tau (legs, points) holds the parameter t of each branch point on the
+    line of each leg (on an s^2 leg, both roots s of each).  A piece [a, b]
+    is halved while some branch point lies inside its Bernstein ellipse
+    E_rho* (foci a and b): with
     u = (2 tau - a - b) / (b - a), the parameter rho = |u + sqrt(u - 1)
     sqrt(u + 1)|, folded to rho >= 1, is below rho* exactly when
     |u - 1| + |u + 1| = rho + 1/rho is below rho* + 1/rho*, which is
@@ -447,65 +450,36 @@ def _add_pieces(layout, est):
     return np.array(columns, dtype=complex).T
 
 
-def leg_integrals(route: Route, rows_fn, tol):
-    """Integral vector of rows_fn(x, y) dx along each leg of a built
-    ``Route``, one column per leg (rows, legs), rows_fn mapping (x_nodes,
-    y_nodes) to an array (rows, nodes).
+def _piece_integrals(tau, tol, where, integrand):
+    """The integrals (rows, legs) of legs [0, 1] in t, branch points at the
+    parameters tau (legs, points): one 32-node panel per piece of
+    ``_leg_pieces``, all pieces in one call of integrand(k, t, back, h),
+    added back by ``_add_pieces``, so each column has the bits of its leg
+    integrated alone.  Each node carries its leg k, t, back = 1 - t (exact:
+    1 - mid is, on dyadic pieces) and the half width h of its piece.
 
-    Each leg [0, 1] in t is split into pieces by the geometry of the branch
-    points alone (``_leg_pieces``), each piece takes one 32-node
-    Gauss-Legendre panel, all pieces of all legs in one call of rows_fn, and
-    the pieces are added back in the order of their halving, a halved
-    piece the sum of its halves (``_add_pieces``).  The layout and the sums
-    run on Python scalars, a few per piece; the work per node (the nodes,
-    x, y, rows_fn, the panel sums and the rounding bound below) runs on
-    arrays.  A leg's pieces and its sum depend on that leg alone, so each
-    column has the bits of its leg integrated alone.
-
-    The rounding of x bounds what the rule can certify.  A node
-    t = mid + h s of a piece of half width h, and 1 - t formed as
-    (1 - mid) - h s (1 - mid is exact on dyadic pieces), carry up to
-    u (h + min(t, 1 - t)) of rounding, u = eps / 2.  x, formed from the
-    nearer end as z0 + d t or z1 - d (1 - t), d the leg, then carries up to
-    u (|x| + |d| (h + 2 min(t, 1 - t))), at most eps (|x| + |d| (min(t,
-    1 - t) + h / 2)), and 1/y moves by |1/y| times that times
-    sum_k 1 / (2 |x - e_k|), its logarithmic derivative (the numerators'
-    share, g eps relative at most, and the few eps of the evaluation
-    itself are left out).  That density, with the largest |row| in place
-    of |1/y|, is integrated on the same panels; a leg whose total exceeds
+    integrand returns (vals, dx, w): the integrand with its Jacobian (rows,
+    nodes), a bound on the rounding of x in units of eps, and the factors
+    x - e_k (nodes, factors) whose roots y takes.  dx moves 1/y by
+    |1/y| dx sum_k 1 / (2 |x - e_k|), its logarithmic derivative (the
+    numerators' share, g eps relative at most, and the few eps of the
+    evaluation are left out).  That density, with the largest |row| for
+    |1/y|, is integrated on the same panels; a leg whose total exceeds
     quad_tol max(1, max |integral|) raises ``QuadratureNonConvergence``
-    naming the leg and its piece that moves most, as do the caps of
-    ``_leg_pieces``.
+    naming it and its piece that moves most, as do ``_leg_pieces``' caps.
     """
-    n = len(route.legs)
-    if not n:
-        return np.zeros((np.shape(rows_fn(route.z, np.array([route.y0])))[0], 0), dtype=complex)
-    z0, z1, sign, e, cuts = route.z[:-1], route.z[1:], route.sign, route.e, route.cuts
-    d = z1 - z0
-    tau = (e - z0[:, None]) / d[:, None]
-
-    def where(k, a, b):
-        return f"piece [{a:.10g}, {b:.10g}] of leg {k} [{z0[k]:.6g}, {z1[k]:.6g}]"
-
     layout = _leg_pieces(tau, tol, where)
-    # every piece, leg after leg, in one call of rows_fn
+    # every piece, leg after leg, in one call of integrand
     flat = [(k, j, 0.5 ** depth) for k, pieces in enumerate(layout) for j, depth in pieces]
     leg, j, width = (np.array(v) for v in zip(*flat))
-    # each node also as its distance from the leg's end, 1 - mid exact on
-    # dyadic pieces, so x formed from the nearer end carries no rounding of t
     half, mid = 0.5 * width, (j + 0.5) * width
     t, back = _panel_nodes(mid, half), _panel_nodes(1.0 - mid, -half)
-    k = np.repeat(leg, len(_GL_NODES))
-    x = _legs_x(z0[k], z1[k], t, back)
-    w = x[:, None] - e
-    vals = np.asarray(rows_fn(x, sign[k] * cuts.product(w, k))) * d[k]
-    est = _panel_sums(vals, half)
-    total = _add_pieces(layout, est)
-    # the rounding of x, node by node (docstring)
-    dx = np.abs(x) + np.abs(d[k]) * (np.minimum(t, back) + np.repeat(0.5 * half, len(_GL_NODES)))
-    drift = np.abs(vals).max(axis=0) * dx * ((1.0 / np.abs(w)) @ np.full(len(e), 0.5))
+    k, h = (np.repeat(v, len(_GL_NODES)) for v in (leg, half))
+    vals, dx, w = integrand(k, t, back, h)
+    total = _add_pieces(layout, _panel_sums(vals, half))
+    drift = np.abs(vals).max(axis=0) * dx * ((1.0 / np.abs(w)) @ np.full(w.shape[1], 0.5))
     moves = np.finfo(float).eps * half * (drift.reshape(len(half), len(_GL_NODES)) @ _GL_WEIGHTS)
-    bound = np.bincount(leg, weights=moves, minlength=n)
+    bound = np.bincount(leg, weights=moves, minlength=len(layout))
     over = bound > tol * np.fmax(1.0, np.max(np.abs(total), axis=0))
     if over.any():
         i = int(np.argmax(over))
@@ -514,6 +488,33 @@ def leg_integrals(route: Route, rows_fn, tol):
             f"{where(i, mid[p] - half[p], mid[p] + half[p])}: the rounding of x moves the "
             f"integral by up to {bound[i]:.2e}, above quad_tol {tol:.1e}")
     return total
+
+
+def leg_integrals(route: Route, rows_fn, tol):
+    """Integral vector of rows_fn(x, y) dx along each leg of a built
+    ``Route``, one column per leg (rows, legs), rows_fn mapping (x_nodes,
+    y_nodes) to an array (rows, nodes), by ``_piece_integrals``.
+
+    x is formed from the nearer end (``_legs_x``).  A node t = mid + h s
+    and 1 - t = (1 - mid) - h s carry up to u (h + min(t, 1 - t)) of
+    rounding, u = eps / 2, so x = z0 + d t or z1 - d (1 - t) carries up to
+    eps (|x| + |d| (min(t, 1 - t) + h / 2)), the dx of the gate.
+    """
+    if not route.legs:
+        return np.zeros((np.shape(rows_fn(route.z, np.array([route.y0])))[0], 0), dtype=complex)
+    z0, z1, sign, e, cuts = route.z[:-1], route.z[1:], route.sign, route.e, route.cuts
+    d = z1 - z0
+
+    def where(k, a, b):
+        return f"piece [{a:.10g}, {b:.10g}] of leg {k} [{z0[k]:.6g}, {z1[k]:.6g}]"
+
+    def integrand(k, t, back, h):
+        x = _legs_x(z0[k], z1[k], t, back)
+        w = x[:, None] - e
+        vals = np.asarray(rows_fn(x, sign[k] * cuts.product(w, k))) * d[k]
+        return vals, np.abs(x) + np.abs(d[k]) * (np.minimum(t, back) + 0.5 * h), w
+
+    return _piece_integrals((e - z0[:, None]) / d[:, None], tol, where, integrand)
 
 
 def add_legs(parts):
@@ -540,18 +541,16 @@ class BranchLegPath:
         self.e = complex(curve.branch_points[e_index])
         self.others = np.array([p for k, p in enumerate(curve.branch_points) if k != e_index])
         self.x0 = complex(x0)
-        w1, w_e = self._x(np.array([1.0, 0.0]))[:, None] - self.others
+        w1, w_e = (self.e + (self.x0 - self.e) * np.array([1.0, 0.0]))[:, None] - self.others
         self.cuts = CutCrossings(w1, self.x0 - self.e, w_e)
         lead = np.sqrt(self.x0 - self.e)
-        self.lead = lead * _sign_toward(lead * self.cuts.product(w1), complex(y0))  # y(1) = w(1)
-
-    def _x(self, s):
-        return self.e + (self.x0 - self.e) * s ** 2
+        y1 = lead * self.cuts.product(w1)  # y(1) = w(1)
+        self.lead = lead * (1.0 if on_sheet(y1, complex(y0)) else -1.0)
 
     def xy_at(self, s):
         """(x, y) arrays at parameters s in [0, 1]."""
         s = np.asarray(s, dtype=float)
-        x = self._x(s)
+        x = self.e + (self.x0 - self.e) * s ** 2
         return x, s * (self.lead * self.cuts.product(x[..., None] - self.others))
 
 
@@ -561,14 +560,21 @@ def integrate_rows_to_branch_point(curve, e_index, x0, y0, rows_fn, tol):
     Uses x = e + (x0 - e) s^2, so dx = 2 (x0 - e) s ds and the 1/y endpoint
     singularity cancels against the Jacobian for first-kind rows.  rows_fn
     receives (x, y) with y = s w; it must stay bounded after the s-Jacobian,
-    which holds for any numerator/(y) integrand.
+    which holds for any numerator/(y) integrand.  s in [0, 1] is integrated
+    by ``_piece_integrals``, the other branch points p at s = +-sqrt((p - e)
+    / (x0 - e)); x carries up to eps (|x| + |x0 - e| s (s + h)) of rounding.
     """
     bp = BranchLegPath(curve, e_index, x0, y0)
-    jac = 2 * (complex(x0) - bp.e)
+    c = bp.x0 - bp.e
+    tau = np.sqrt((bp.others - bp.e) / c)
 
-    def f(nodes):
-        s = nodes.real
-        return np.asarray(rows_fn(*bp.xy_at(s))) * (jac * s)
+    def where(k, a, b):
+        return f"piece [{a:.10g}, {b:.10g}] of the s^2 leg from {bp.x0:.6g} into {bp.e:.6g}"
+
+    def integrand(k, s, back, h):
+        x, y = bp.xy_at(s)
+        vals = np.asarray(rows_fn(x, y)) * (2 * c * s)
+        return vals, np.abs(x) + abs(c) * s * (s + h), x[:, None] - bp.others
 
     # orientation: s runs 1 -> 0 going into the branch point
-    return -adaptive_gl(f, np.zeros(1), np.ones(1), tol)[:, 0]
+    return -_piece_integrals(np.concatenate([tau, -tau])[None, :], tol, where, integrand)[:, 0]

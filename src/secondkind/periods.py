@@ -51,6 +51,7 @@ from .paths import (
     integrate_rows_along,
     integrate_rows_to_branch_point,
     leg_integrals,
+    on_sheet,
     polyline_with_clearance,
     segment_distance,
 )
@@ -444,11 +445,6 @@ def _branch_index(curve: HyperellipticCurve, p: CurvePoint, spread: float):
     return int(np.argmin([abs(p.x - e) for e in curve.branch_points]))
 
 
-def _on_sheet(y_end: complex, y: complex) -> bool:
-    """Whether a route ending at y_end ends on the sheet of y."""
-    return abs(y_end - y) <= abs(y_end + y)
-
-
 def abel_map(curve: HyperellipticCurve, bundle: PeriodBundle, frm: CurvePoint, to: CurvePoint):
     """(2 omega)^{-1} integral of the u-basis from ``frm`` to ``to``, at the
     bundle's quadrature tolerance.
@@ -499,12 +495,12 @@ def _route_integral(curve, routes: _AbelRoutes, frm: CurvePoint, to: CurvePoint,
     """
     for pts in itertools.islice(_candidate_routes(curve, frm.x, to.x), 2):
         route = Route(curve, pts, frm.y)
-        if _on_sheet(route.y_end, to.y):
+        if on_sheet(route.y_end, to.y):
             return integrate_rows_along(route, rows, tol)
     loop, p = routes.loop_legs(curve, rows, tol)
     # the loop route ends at the far route's y_end times (-1)^p, so past
     # this test p is odd and the tail legs are the far route's negated
-    if not _on_sheet(-route.y_end if p else route.y_end, to.y):
+    if not on_sheet(-route.y_end if p else route.y_end, to.y):
         raise PathThroughBranchPoint("endpoint sheet does not match continuation "
                                      "along any route")
     parts = leg_integrals(route, rows, tol)
@@ -535,17 +531,13 @@ def _candidate_routes(curve: HyperellipticCurve, z0: complex, z1: complex):
 
 
 def _integral_into_branch(curve, start: CurvePoint, e_index: int, rows, tol):
+    """Integral of the u-basis from ``start`` into e: straight legs along
+    ``polyline_with_clearance`` to its last waypoint, then the s^2 leg."""
     e = curve.branch_points[e_index]
     others = [p for k, p in enumerate(curve.branch_points) if k != e_index]
-    gap = min(abs(e - p) for p in others)
-    if abs(start.x - e) < 1e-13:
-        raise PathThroughBranchPoint("zero-length regularized leg")
-    direction = (start.x - e) / abs(start.x - e)
-    stage_dist = min(0.35 * gap, abs(start.x - e))
-    x_stage = e + direction * stage_dist
-    route = Route(curve, polyline_with_clearance(start.x, x_stage, others), start.y)
+    route = Route(curve, polyline_with_clearance(start.x, e, others)[:-1], start.y)
     return (integrate_rows_along(route, rows, tol)
-            + integrate_rows_to_branch_point(curve, e_index, x_stage, route.y_end, rows, tol))
+            + integrate_rows_to_branch_point(curve, e_index, route.z[-1], route.y_end, rows, tol))
 
 
 def abel_from_infinity(curve: HyperellipticCurve, bundle: PeriodBundle, to: CurvePoint) -> np.ndarray:

@@ -60,10 +60,12 @@ def test_quadrature_keeps_the_traced_contract(monkeypatch):
     call: a map along the loop route integrates the far route's legs on
     their pieces, and the first such map on a curve the loop's 8 legs, so
     ``paths.quad_calls`` stays 1 through both maps while ``paths.legs``
-    counts the legs integrated.  An s^2 leg into a branch point is one call:
-    ``abel_from_infinity`` takes one, out of the branch point nearest its
-    target, and ``abel_map`` into a branch point another.  The nodes
-    counted are those of the recursion run interval by interval."""
+    counts the legs integrated.  An s^2 leg into a branch point takes its
+    pieces too: ``abel_from_infinity``, out of the branch point nearest its
+    target, and ``abel_map`` into a branch point leave ``paths.quad_calls``
+    at 1, and each of their ``BranchLegPath`` legs counts in
+    ``paths.legs``.  The nodes counted are those of the recursion run
+    interval by interval."""
     paths = _module("paths")
     assert list(inspect.signature(paths.adaptive_gl).parameters) == ["f", "a", "b", "tol"]
     sizes, calls = [], []
@@ -96,9 +98,11 @@ def test_quadrature_keeps_the_traced_contract(monkeypatch):
         assert tracer.counts["paths.legs"] == 2 * far_legs + 8
         # the s^2 leg out of e_0, which ties with e_1 as the nearest
         abel_from_infinity(curve, bundle, curve.lift(-1.5))
-        assert tracer.counts["paths.quad_calls"] == 2
+        assert tracer.counts["paths.quad_calls"] == 1
+        assert tracer.counts["paths.legs"] == 2 * far_legs + 9
         abel_map(curve, bundle, p, curve.lift(1.0))
-        assert tracer.counts["paths.quad_calls"] == 3
+        assert tracer.counts["paths.quad_calls"] == 1
+        assert tracer.counts["paths.legs"] == 2 * far_legs + 10
     finally:
         tracer.uninstall()
     counts = tracer.summary(1)

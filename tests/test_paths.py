@@ -16,13 +16,11 @@ the sheet at every node and in value to rounding, not in bits.
 
 ``adaptive_gl`` walks its bisection trees a level at a time, all the
 intervals of a call (the chains of a curve, the a-chains) as one forest;
-its only other caller is the s^2 leg into a branch point, which
-``abel_from_infinity`` takes out of the branch point nearest its target.
-The recursion it replaced, one integrand call per 32-node panel and one
+it has no other caller.  The recursion it replaced, one integrand call per 32-node panel and one
 call per interval, is kept here as the reference.  Interval by interval,
 both evaluate the same nodes and give the same bits.  ``leg_integrals``
-integrates the legs of a route on pieces fixed by the branch points, all
-in one integrand call, each leg halved depth first and its pieces added
+integrates the legs of a route on pieces fixed by the branch points (as
+the s^2 leg into a branch point is integrated), all in one integrand call, each leg halved depth first and its pieces added
 back on Python scalars; a recursion over each leg's pieces on arrays, one
 integrand call per piece, is its reference, and gives the same bits.
 """
@@ -145,7 +143,7 @@ class _ChainLeg:
         w0, w1 = self.z0 - self.e, self.z1 - self.e
         self.cuts = CutCrossings(w0, self.z1 - self.z0, w1)
         self.crossed = self.cuts.crossed
-        self.sign = paths._sign_toward(self.cuts.product(w0), complex(y0))
+        self.sign = 1.0 if paths.on_sheet(self.cuts.product(w0), complex(y0)) else -1.0
         self.y_end = complex(self.sign * self.cuts.product(w1))
 
     def xy_at(self, t):
@@ -433,7 +431,7 @@ def _array_route(e, points, y0):
     w = z[:, None] - e
     cuts = CutCrossings(w[:-1], (z[1:] - z[:-1])[:, None], w[1:])
     flips = np.concatenate(([0], np.cumsum(cuts.crossed.sum(axis=1)))) % 2
-    sign = paths._sign_toward(2.0 * np.sqrt(w[0]).prod(), y0) * (1.0 - 2.0 * flips)
+    sign = (1.0 if paths.on_sheet(2.0 * np.sqrt(w[0]).prod(), y0) else -1.0) * (1.0 - 2.0 * flips)
     y_end = complex(sign[-1] * (2.0 * np.sqrt(w[-1]).prod())) if len(z) > 1 else y0
     return z, cuts, sign, y_end
 
@@ -777,10 +775,11 @@ def _reference_legs(route, rows_fn, tol):
 
 
 def test_leg_quadrature_matches_the_recursion(against_reference):
-    """The s^2 leg of ``abel_from_infinity`` out of the branch point nearest
-    its target, a leg into a branch point and one-row numerators over every
-    a-chain each take one ``adaptive_gl`` call, checked against the
-    recursion; Abel legs, straight, genus 2 and genus 1, take none.  Every candidate route (the direct one, the one via
+    """One-row numerators over every a-chain take one ``adaptive_gl`` call,
+    checked against the recursion; Abel legs, straight and s^2 legs into a
+    branch point (out of the one nearest the target of
+    ``abel_from_infinity``, and into one by ``abel_map``), genus 2 and
+    genus 1, take none.  Every candidate route (the direct one, the one via
     the far point, and that one with its loop) has, leg by leg, the bits of
     the recursion over its pieces."""
     cases = [(curve_from_branch_points(STANDARD_POINTS), (0.5 + 1.0j, 2.6 + 0.3j, -1.5 + 0.5j)),
@@ -794,13 +793,12 @@ def test_leg_quadrature_matches_the_recursion(against_reference):
         p, q, r = curve.lift(x0), curve.lift(x1, -1), curve.lift(x2)
         abel_map(curve, bundle, p, q)
         abel_map(curve, bundle, q, r)
-        into_branch = int(x2 in curve.branch_points)
-        assert len(against_reference) == into_branch
+        assert len(against_reference) == 0
         abel_from_infinity(curve, bundle, p)
         abel_map(curve, bundle, q, curve.lift(curve.branch_points[1]))
         periods.a_cycle_integrals(bundle, lambda x: (x * x)[None, :])
         rows = [n for n, _, _, _ in against_reference]
-        assert rows == [curve.genus] * (2 + into_branch) + [1], rows
+        assert rows == [1], rows
         routes = _routes(curve, p, q)
         for tol in (bundle.quad_tol, 1e-6):
             for pts in routes:

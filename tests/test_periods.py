@@ -417,17 +417,32 @@ def test_abel_map_from_a_branch_point(standard_curve, standard_bundle):
 
 
 def test_abel_map_refuses_a_path_it_cannot_regularise(standard_curve, standard_bundle):
-    """Both endpoints on branch points, and a start 1e-14 from the branch
-    point it runs into, whose regularised leg would have length 0."""
+    """Both endpoints on branch points."""
     curve, b = standard_curve, standard_bundle
     e = curve.branch_points
     with pytest.raises(PathThroughBranchPoint, match="^both endpoints on branch points"):
         abel_map(curve, b, CurvePoint(e[0], 0.0), CurvePoint(e[3], 0.0))
+
+
+@pytest.mark.parametrize("d", [1e-12, 5e-14, 1e-15])
+def test_maps_from_a_hair_beside_a_branch_point(standard_curve, standard_bundle, d):
+    """A point P at x = e + delta, |delta| about d, is no branch point, and
+    its maps into e and from infinity certify: the s^2 leg runs the whole
+    hair.  A(oo -> P) is h_e - A(P -> e), and A(P -> e) is
+    -(2 omega)^-1 (2 delta / y_P) (1, e) to first order in delta (x - e =
+    delta s^2 and y = y_P s on the leg), so |A(P -> e)| / sqrt(|delta|)
+    stays fixed as the hair shrinks (0.38 on the second row at e = 1)."""
+    curve, b = standard_curve, standard_bundle
     for k in (0, 3):
-        near = curve.lift(e[k] + 1e-14)
-        assert abs(near.y) > 1e-8  # not itself taken for the branch point
-        with pytest.raises(PathThroughBranchPoint, match="^zero-length regularized leg$"):
-            abel_map(curve, b, near, CurvePoint(e[k], 0.0))
+        e = curve.branch_points[k]
+        half = abel_from_infinity(curve, b, CurvePoint(e, 0j))
+        for sheet in (1, -1):
+            p = curve.lift(e + d * np.exp(0.7j), sheet)
+            delta = p.x - e
+            into = abel_map(curve, b, p, CurvePoint(e, 0j))
+            want = b.inv_two_omega @ (-2.0 * delta / p.y * np.array([1.0, e]))
+            assert np.max(np.abs(into - want)) <= 1e-11 * np.max(np.abs(want)), (k, sheet)
+            assert lattice_distance(abel_from_infinity(curve, b, p) - (half - into), b.tau) < 1e-14
 
 
 def test_lattice_distance_basics():
