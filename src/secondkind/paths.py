@@ -20,7 +20,12 @@ one panel per piece, one integrand call, no error estimate and one gate on
 the rounding of x (``_piece_integrals``).  A route has a few vertices, a
 leg a few pieces and a curve at most five branch points, fewer than
 numpy's cost per call repays: the bookkeeping of vertices and pieces runs
-on Python scalars, and the work per node on arrays.
+on Python scalars, and the work per node on arrays.  A map integrates
+about 140 nodes, so what a call costs apart from its nodes is most of
+its time: a piece tests only the branch points inside its parent's
+ellipse (``_leg_pieces``), the nodes of a piece are held read-only in a
+bounded cache (``_piece_nodes``), and the leg integrand gathers the d
+of each node once.  None of this moves a bit.
 
 ``adaptive_gl`` bisects panels until two refinement levels agree, one
 level per integrand call, and walks the intervals of one call as one
@@ -257,6 +262,8 @@ class CutCrossings:
         ``rows`` gives the set of each point.  A line meets the real axis
         once, so only the factors crossed by w1 can be flipped."""
         out = np.sqrt(w)
+        if not self.crossed.any():
+            return out
         sel = ... if rows is None else rows
         crossed = self.crossed[sel]
         if crossed.any():
@@ -273,10 +280,9 @@ def on_sheet(v: complex, target: complex) -> bool:
     return abs(v - target) <= abs(v + target)
 
 
-def _legs_x(z0, z1, t, back):
-    """x at parameters t on straight legs from z0 to z1, from the nearer end
-    of the leg: z0 + d t, or z1 - d back with back = 1 - t."""
-    d = z1 - z0
+def _legs_x(z0, z1, d, t, back):
+    """x at parameters t on straight legs from z0 to z1, d = z1 - z0, from
+    the nearer end of the leg: z0 + d t, or z1 - d back with back = 1 - t."""
     return np.where(t <= 0.5, z0 + d * t, z1 - d * back)
 
 
@@ -285,7 +291,7 @@ def _legs_xy(z0, z1, sign, e, cuts, t, back, rows):
     with the z0, z1, sign and ``cuts`` row of its leg: x from the nearer end
     of the leg (``_legs_x``) and y = sign 2 prod_k sqrt(x - e_k) continued
     along it."""
-    x = _legs_x(z0, z1, t, back)
+    x = _legs_x(z0, z1, z1 - z0, t, back)
     return x, sign * cuts.product(x[..., None] - e, rows)
 
 
@@ -314,19 +320,21 @@ class Route:
         self.e = np.asarray(curve.branch_points, dtype=complex)
         self.y0 = complex(y0)
         e = self.e.tolist()
-        ends = 2.0 * np.sqrt(np.array([z[0], z[-1]])[:, None] - self.e).prod(axis=1)
+        ends = (2.0 * np.sqrt(np.array([z[0], z[-1]])[:, None] - self.e).prod(axis=1)).tolist()
         sign = [1.0 if on_sheet(ends[0], self.y0) else -1.0]
-        cut = []  # (upper0, crossed) per factor
+        ups, crs = [], []  # upper0 and crossed of each factor, leg after leg
         w0 = [z[0] - ek for ek in e]
         for a, b in zip(z, z[1:]):
             w1, dw = [b - ek for ek in e], b - a
-            cut += [_cut_crossing(p, dw, q) for p, q in zip(w0, w1)]
-            sign.append(-sign[-1] if sum(c for _, c in cut[-len(e):]) % 2 else sign[-1])
+            up, cr = zip(*[_cut_crossing(p, dw, q) for p, q in zip(w0, w1)])
+            ups += up
+            crs += cr
+            sign.append(-sign[-1] if sum(cr) % 2 else sign[-1])
             w0 = w1
-        masks = np.array(cut, dtype=bool).reshape(len(z) - 1, len(e), 2)
-        self.cuts = CutCrossings.from_masks(masks[..., 0], masks[..., 1])
+        upper0, crossed = (np.array(v, dtype=bool).reshape(len(z) - 1, len(e)) for v in (ups, crs))
+        self.cuts = CutCrossings.from_masks(upper0, crossed)
         self.sign = np.array(sign)
-        self.y_end = complex(self.sign[-1] * ends[1]) if len(z) > 1 else self.y0
+        self.y_end = sign[-1] * ends[1] if len(z) > 1 else self.y0
 
     @functools.cached_property
     def legs(self) -> list:
@@ -397,6 +405,14 @@ def _leg_pieces(tau, tol: float, where):
     leg is halved depth first, left half before right.  Piece [j h,
     (j + 1) h], h = 2^-depth, is halved while |c| + |c - 1| < reach for
     some c = tau 2^depth - j, tau - a and tau - b in units of its width.
+    A half tests only the branch points inside its parent's ellipse, which
+    holds the half's: for z in the half's ellipse, |z - a| + |z - b| <=
+    |z - a| + |z - m| + |m - b| < L reach / 2 + L / 2 <= L reach (L the
+    parent's width, m its midpoint, reach >= 1).  A point outside the
+    parent's ellipse has |2c| + |2c - 1| >= 2 reach - 1 in the half's
+    units, a margin of reach - 1 >= 0.065 over the quad_tol range the
+    period gates allow and far above the rounding of c, so the layout and
+    the refusals are those of testing every branch point at every piece.
 
     ``where(leg, a, b)`` names a piece.  The legs are laid out in order,
     and the first piece of a leg that breaks a cap refuses it with
@@ -409,11 +425,14 @@ def _leg_pieces(tau, tol: float, where):
     reach = 0.5 * (rho + 1.0 / rho)
     layout = []
     for k, taus in enumerate(tau.tolist()):
-        pieces, todo = [], [(0.0, 0)]  # the pieces still to test, the next one last
+        # the pieces still to test, the next one last, each with the
+        # branch points inside its parent's ellipse
+        pieces, todo = [], [(0.0, 0, taus)]
         while todo:
-            j, depth = todo.pop()
+            j, depth, near = todo.pop()
             s = 2.0 ** depth
-            if not any(abs(c) + abs(c - 1.0) < reach for c in [t * s - j for t in taus]):
+            near = [t for t in near if abs(c := t * s - j) + abs(c - 1.0) < reach]
+            if not near:
                 pieces.append((j, depth))
                 continue
             h = 0.5 ** depth
@@ -425,9 +444,43 @@ def _leg_pieces(tau, tol: float, where):
                 raise QuadratureNonConvergence(f"piece budget of {_MAX_PANELS} spent: "
                                                f"{where(k, j * h, (j + 1.0) * h)} "
                                                "still to be halved")
-            todo += [(2.0 * j + 1.0, depth + 1), (2.0 * j, depth + 1)]
+            todo += [(2.0 * j + 1.0, depth + 1, near), (2.0 * j, depth + 1, near)]
         layout.append(pieces)
     return layout
+
+
+#: Most pieces whose nodes ``_piece_nodes`` holds.  Over the ``abel_paths``
+#: inputs of one seed the legs use about 100 to 130 distinct pieces.
+_PIECE_NODES_HELD = 256
+
+
+@functools.lru_cache(maxsize=_PIECE_NODES_HELD)
+def _piece_nodes(j: float, depth: int) -> tuple:
+    """(t, back, h) at the 32 nodes of piece [j, j + 1] 2^-depth, read-only:
+    t = mid + half s by ``_panel_nodes``, back = 1 - t as (1 - mid) - half s
+    (exact: 1 - mid is, on dyadic pieces) and the half width h = half."""
+    width = 0.5 ** depth
+    half, mid = np.array([0.5 * width]), np.array([(j + 0.5) * width])
+    nodes = _panel_nodes(mid, half), _panel_nodes(1.0 - mid, -half), np.repeat(half, len(_GL_NODES))
+    for v in nodes:
+        v.flags.writeable = False
+    return nodes
+
+
+#: The leg index 0 of every node of a layout of one piece.
+_ONE_PIECE_LEGS = np.zeros(len(_GL_NODES), dtype=np.intp)
+_ONE_PIECE_LEGS.flags.writeable = False
+
+#: eps of float, the unit of the rounding of x in ``_piece_integrals``.
+_EPS = float(np.finfo(float).eps)
+
+
+@functools.cache
+def _halves(n: int) -> np.ndarray:
+    """n entries 0.5, read-only: 1 / |w| @ _halves(n) is sum_k 1 / (2 |w_k|)."""
+    v = np.full(n, 0.5)
+    v.flags.writeable = False
+    return v
 
 
 def _add_pieces(layout, est):
@@ -455,8 +508,9 @@ def _piece_integrals(tau, tol, where, integrand):
     parameters tau (legs, points): one 32-node panel per piece of
     ``_leg_pieces``, all pieces in one call of integrand(k, t, back, h),
     added back by ``_add_pieces``, so each column has the bits of its leg
-    integrated alone.  Each node carries its leg k, t, back = 1 - t (exact:
-    1 - mid is, on dyadic pieces) and the half width h of its piece.
+    integrated alone.  Each node carries its leg k, t, back = 1 - t and the
+    half width h of its piece, from ``_piece_nodes``; a layout of one piece
+    passes its held arrays as they are, read-only.
 
     integrand returns (vals, dx, w): the integrand with its Jacobian (rows,
     nodes), a bound on the rounding of x in units of eps, and the factors
@@ -470,23 +524,31 @@ def _piece_integrals(tau, tol, where, integrand):
     """
     layout = _leg_pieces(tau, tol, where)
     # every piece, leg after leg, in one call of integrand
-    flat = [(k, j, 0.5 ** depth) for k, pieces in enumerate(layout) for j, depth in pieces]
-    leg, j, width = (np.array(v) for v in zip(*flat))
-    half, mid = 0.5 * width, (j + 0.5) * width
-    t, back = _panel_nodes(mid, half), _panel_nodes(1.0 - mid, -half)
-    k, h = (np.repeat(v, len(_GL_NODES)) for v in (leg, half))
+    flat = [(k, j, depth) for k, pieces in enumerate(layout) for j, depth in pieces]
+    leg = np.array([k for k, _, _ in flat])
+    if len(flat) == 1:
+        t, back, h = _piece_nodes(flat[0][1], flat[0][2])
+        k = _ONE_PIECE_LEGS
+    else:
+        # a list, not a generator: with a generator star-unpacked into zip
+        # here, the memory in use grew round after round of abel_paths
+        t, back, h = (np.concatenate(v) for v in zip(*[_piece_nodes(j, d) for _, j, d in flat]))
+        k = np.repeat(leg, len(_GL_NODES))
+    half = np.array([0.5 ** (depth + 1) for _, _, depth in flat])
     vals, dx, w = integrand(k, t, back, h)
-    total = _add_pieces(layout, _panel_sums(vals, half))
-    drift = np.abs(vals).max(axis=0) * dx * ((1.0 / np.abs(w)) @ np.full(w.shape[1], 0.5))
-    moves = np.finfo(float).eps * half * (drift.reshape(len(half), len(_GL_NODES)) @ _GL_WEIGHTS)
-    bound = np.bincount(leg, weights=moves, minlength=len(layout))
-    over = bound > tol * np.fmax(1.0, np.max(np.abs(total), axis=0))
-    if over.any():
-        i = int(np.argmax(over))
-        p = int(np.argmax(np.where(leg == i, moves, -1.0)))
-        raise QuadratureNonConvergence(
-            f"{where(i, mid[p] - half[p], mid[p] + half[p])}: the rounding of x moves the "
-            f"integral by up to {bound[i]:.2e}, above quad_tol {tol:.1e}")
+    est = _panel_sums(vals, half)
+    # a leg of one piece is its piece (a (rows, legs) array of either order)
+    total = est if len(flat) == len(layout) else _add_pieces(layout, est)
+    drift = np.abs(vals).max(axis=0) * dx * ((1.0 / np.abs(w)) @ _halves(w.shape[1]))
+    moves = _EPS * half * (drift.reshape(len(half), len(_GL_NODES)) @ _GL_WEIGHTS)
+    bound = np.bincount(leg, weights=moves, minlength=len(layout)).tolist()
+    # quad_tol max(1, max |integral|) per leg, on Python floats
+    for i, (b, m) in enumerate(zip(bound, np.abs(total).max(axis=0).tolist())):
+        if b > tol * max(1.0, m):
+            _, j, depth = flat[int(np.argmax(np.where(leg == i, moves, -1.0)))]
+            raise QuadratureNonConvergence(
+                f"{where(i, j * 0.5 ** depth, (j + 1.0) * 0.5 ** depth)}: the rounding of x "
+                f"moves the integral by up to {b:.2e}, above quad_tol {tol:.1e}")
     return total
 
 
@@ -498,7 +560,8 @@ def leg_integrals(route: Route, rows_fn, tol):
     x is formed from the nearer end (``_legs_x``).  A node t = mid + h s
     and 1 - t = (1 - mid) - h s carry up to u (h + min(t, 1 - t)) of
     rounding, u = eps / 2, so x = z0 + d t or z1 - d (1 - t) carries up to
-    eps (|x| + |d| (min(t, 1 - t) + h / 2)), the dx of the gate.
+    eps (|x| + |d| (min(t, 1 - t) + h / 2)), the dx of the gate.  Each
+    node's d is gathered once, for x, the Jacobian and dx.
     """
     if not route.legs:
         return np.zeros((np.shape(rows_fn(route.z, np.array([route.y0])))[0], 0), dtype=complex)
@@ -509,10 +572,11 @@ def leg_integrals(route: Route, rows_fn, tol):
         return f"piece [{a:.10g}, {b:.10g}] of leg {k} [{z0[k]:.6g}, {z1[k]:.6g}]"
 
     def integrand(k, t, back, h):
-        x = _legs_x(z0[k], z1[k], t, back)
+        dk = d[k]
+        x = _legs_x(z0[k], z1[k], dk, t, back)
         w = x[:, None] - e
-        vals = np.asarray(rows_fn(x, sign[k] * cuts.product(w, k))) * d[k]
-        return vals, np.abs(x) + np.abs(d[k]) * (np.minimum(t, back) + 0.5 * h), w
+        vals = np.asarray(rows_fn(x, sign[k] * cuts.product(w, k))) * dk
+        return vals, np.abs(x) + np.abs(dk) * (np.minimum(t, back) + 0.5 * h), w
 
     return _piece_integrals((e - z0[:, None]) / d[:, None], tol, where, integrand)
 
@@ -533,25 +597,34 @@ class BranchLegPath:
 
     y = s w with w(s) = +-sqrt((x0 - e) Q(x(s))) and Q = P / (x - e); w is
     smooth and nonvanishing through s = 0.  Each factor x(s) - p of Q is
-    linear in u = s^2, so w is sqrt(x0 - e) times their product, each root
-    continued across its cut from s = 1, where y0 fixes the sign.
+    linear in u = s^2 and is formed from the branch point, (e - p) +
+    (x0 - e) u, so near e it carries the rounding of (x0 - e) u, not of x;
+    w is sqrt(x0 - e) times their product, each root continued across its
+    cut from s = 1, where y0 fixes the sign.
     """
 
     def __init__(self, curve: HyperellipticCurve, e_index: int, x0: complex, y0: complex):
         self.e = complex(curve.branch_points[e_index])
         self.others = np.array([p for k, p in enumerate(curve.branch_points) if k != e_index])
         self.x0 = complex(x0)
-        w1, w_e = (self.e + (self.x0 - self.e) * np.array([1.0, 0.0]))[:, None] - self.others
-        self.cuts = CutCrossings(w1, self.x0 - self.e, w_e)
+        self.gaps = self.e - self.others  # the factors at s = 0
+        w1 = self.gaps + (self.x0 - self.e)
+        self.cuts = CutCrossings(w1, self.x0 - self.e, self.gaps)
         lead = np.sqrt(self.x0 - self.e)
         y1 = lead * self.cuts.product(w1)  # y(1) = w(1)
         self.lead = lead * (1.0 if on_sheet(y1, complex(y0)) else -1.0)
 
+    def xwy_at(self, s):
+        """(x, w, y) at a float array s of parameters in [0, 1], w the
+        factors x - p of the other branch points p, one row per s."""
+        u = (self.x0 - self.e) * s ** 2
+        w = self.gaps + u[..., None]
+        return self.e + u, w, s * (self.lead * self.cuts.product(w))
+
     def xy_at(self, s):
         """(x, y) arrays at parameters s in [0, 1]."""
-        s = np.asarray(s, dtype=float)
-        x = self.e + (self.x0 - self.e) * s ** 2
-        return x, s * (self.lead * self.cuts.product(x[..., None] - self.others))
+        x, _, y = self.xwy_at(np.asarray(s, dtype=float))
+        return x, y
 
 
 def integrate_rows_to_branch_point(curve, e_index, x0, y0, rows_fn, tol):
@@ -562,7 +635,10 @@ def integrate_rows_to_branch_point(curve, e_index, x0, y0, rows_fn, tol):
     receives (x, y) with y = s w; it must stay bounded after the s-Jacobian,
     which holds for any numerator/(y) integrand.  s in [0, 1] is integrated
     by ``_piece_integrals``, the other branch points p at s = +-sqrt((p - e)
-    / (x0 - e)); x carries up to eps (|x| + |x0 - e| s (s + h)) of rounding.
+    / (x0 - e)).  Each factor (e - p) + (x0 - e) s^2 carries the rounding
+    of its u-term, up to eps |x0 - e| s (s + h) at a node s = mid + h r,
+    the dx of the gate; e - p is one rounding of the branch points
+    themselves, whatever the path.
     """
     bp = BranchLegPath(curve, e_index, x0, y0)
     c = bp.x0 - bp.e
@@ -572,9 +648,9 @@ def integrate_rows_to_branch_point(curve, e_index, x0, y0, rows_fn, tol):
         return f"piece [{a:.10g}, {b:.10g}] of the s^2 leg from {bp.x0:.6g} into {bp.e:.6g}"
 
     def integrand(k, s, back, h):
-        x, y = bp.xy_at(s)
+        x, w, y = bp.xwy_at(s)
         vals = np.asarray(rows_fn(x, y)) * (2 * c * s)
-        return vals, np.abs(x) + abs(c) * s * (s + h), x[:, None] - bp.others
+        return vals, abs(c) * s * (s + h), w
 
     # orientation: s runs 1 -> 0 going into the branch point
     return -_piece_integrals(np.concatenate([tau, -tau])[None, :], tol, where, integrand)[:, 0]

@@ -360,10 +360,16 @@ def lattice_distance(v: np.ndarray, tau: np.ndarray) -> float:
 
 
 def _u_rows(curve: HyperellipticCurve):
+    """rows(x, y): the u-basis x^i / y, i < g, one row per i, each divided
+    into its row in place; row 0 is 1 / y, which has the bits of x^0 / y."""
     g = curve.genus
 
     def rows(x, y):
-        return np.array([x ** i / y for i in range(g)])
+        out = np.empty((g,) + np.shape(y), dtype=complex)
+        np.divide(1.0, y, out=out[0])
+        for i in range(1, g):
+            np.divide(x ** i, y, out=out[i])
+        return out
 
     return rows
 
