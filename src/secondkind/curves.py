@@ -82,8 +82,13 @@ class CurvePoint:
 
 
 def branch_scale(points) -> float:
-    """max(1, max |e|): the length scale every relative gate is measured against."""
+    """max(1, max |e|): a length scale of the branch points, at least 1."""
     return max(1.0, max(abs(e) for e in points))
+
+
+def branch_spread(points) -> float:
+    """d = max |e_i - e_j|: a length scale that scales with the branch points."""
+    return max(abs(a - b) for a in points for b in points)
 
 
 def _check_finite(values, what: str) -> None:

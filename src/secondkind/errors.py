@@ -25,7 +25,7 @@ class RootFindingFailure(SecondKindError):
 # periods and path integration
 
 class HomologyConstructionFailure(SecondKindError):
-    """No chain orientation produced a certified canonical homology basis."""
+    """The periods could not be certified (the gates of ``periods``)."""
 
 
 class QuadratureNonConvergence(SecondKindError):

@@ -8,12 +8,19 @@ is the k-th chain cycle.  The basis
 
 is symplectic whenever the chain orientations are coherent.  Orientations
 are not assumed: all sign patterns, up to a global sign, are judged in one
-array pass, and the first whose period matrices pass the Legendre relation,
-tau symmetry, and Im tau > 0 is accepted.  Negating every chain negates all
-four period blocks exactly and leaves every gate's bits unchanged, so chain
-0 is kept at +1.  These certificates are exactly the properties every
-downstream formula relies on, so a certified bundle is correct by
-construction regardless of how the branch points sit in the plane.
+array pass, and the first that passes the gates below is accepted.  Negating
+every chain negates all four period blocks exactly and leaves every gate's
+bits unchanged, so chain 0 is kept at +1.
+
+Certified means passing gates that are all free of the curve's scale.  A
+curve is refused when a branch point lies within 1e-6 d of a chain segment,
+d = max |e_i - e_j|, by the shift rule (``SHIFT_LOSS``), or when |det 2
+omega| is below 1e-8 of the product of its row norms.  A pattern passes
+when Im tau > 0, tau is symmetric within max(1e-10, 100 quad_tol) max(1,
+max |tau|), and each entry of the Legendre relation M J M^T = -(pi i / 2) J,
+M = [[omega, omega'], [eta, eta']], holds within 10 quad_tol of the products
+that cancel in it (``_block_legendre_defect``): the properties every
+downstream formula relies on.
 
 Segment integrals remove the endpoint square-root singularities with the
 substitution x = m + h cos(theta), under which
@@ -38,7 +45,7 @@ import numpy as np
 from .curves import (
     CurvePoint,
     HyperellipticCurve,
-    branch_scale,
+    branch_spread,
     canonical_branch_order,
     second_kind_numerators,
 )
@@ -61,15 +68,11 @@ DEFAULT_QUAD_TOL = 1e-12
 
 _QUAD_TOL_RANGE = (1e-14, 1e-6)
 
-#: Ceiling of the scaled Legendre and eta' gates.  A wrong chain orientation
-#: moves the right-hand side of the relation by a multiple of pi/2, so the
-#: gate must stay far below that whatever the period scale.
-LEGENDRE_GATE_CAP = 1e-3
-
-
-def _scaled_gate(base: float, magnitude):
-    """The base gate grown with the magnitude of what it checks, capped, elementwise."""
-    return np.minimum(base * np.maximum(1.0, magnitude), LEGENDRE_GATE_CAP)
+#: C of the shift rule: forming tau loses about eps |c| / d, c the centroid
+#: of the branch points (0.2 to 4.5 times that on the standard curve shifted
+#: by +48 to +4e4, up to 9.6 on random genus-2 draws, relative to max(1,
+#: max |tau|)); a curve is refused where C eps |c| / d exceeds the gate.
+SHIFT_LOSS = 4.0
 
 
 @functools.cache
@@ -92,15 +95,6 @@ def _sign_patterns(g: int) -> tuple:
     array = np.array(patterns, dtype=float)
     array.flags.writeable = False
     return patterns, array
-
-
-@functools.cache
-def _halving(g: int) -> np.ndarray:
-    """The column of g halves then g negated halves, read-only: it takes the
-    rows (2 omega, -2 eta) of a cycle matrix to (omega, eta) exactly."""
-    column = np.repeat([0.5, -0.5], g)[:, None]
-    column.flags.writeable = False
-    return column
 
 
 @functools.cache
@@ -129,8 +123,10 @@ class PeriodBundle:
     for genus 2.  ``chain_signs`` are the certified orientations of the
     chains of the homology basis: chain k joins canonical branch points k
     and k+1, a_j is chain 2j and b_j is chains 2j+1, 2j+3, ... (module
-    docstring).  ``tau_gate``, ``legendre_gate`` and ``eta_prime_gate`` are
-    the thresholds the certification applied.
+    docstring).  Certified: it passed the module docstring's gates, at the
+    ``tau_gate`` and ``legendre_gate`` recorded.  ``eta_prime_consistency``,
+    |kappa 2 omega' - pi i (2 omega)^-T - eta'| / (|kappa| |2 omega'| + pi
+    |(2 omega)^-T|) entry by entry, is reported against ``eta_prime_gate``.
     """
 
     omega: np.ndarray
@@ -167,27 +163,32 @@ class PeriodBundle:
 
 @functools.cache
 def _symplectic_j(g: int) -> tuple:
-    """J = [[0, -I], [I, 0]] of size 2g and (i pi / 2) J, read-only."""
+    """J = [[0, -I], [I, 0]] of size 2g and 2 pi i J, read-only."""
     jj = np.block(
         [[np.zeros((g, g)), -np.eye(g)], [np.eye(g), np.zeros((g, g))]]
     ).astype(complex)
-    out = (jj, (0.5j * np.pi) * jj)
+    out = (jj, (2j * np.pi) * jj)
     for a in out:
         a.flags.writeable = False
     return out
 
 
-def _block_legendre_defect(m):
-    """Max-norm Legendre defect of each (2g, 2g) matrix [[omega, omega'],
-    [eta, eta']] stacked on leading axes."""
-    jj, half_pi_jj = _symplectic_j(m.shape[-1] // 2)
-    return np.abs(m @ jj @ m.mT + half_pi_jj).reshape(*m.shape[:-2], -1).max(axis=-1)
+def _block_legendre_defect(c):
+    """Largest entry of |M J M^T + (pi i / 2) J| / (|M| |J| |M|^T), M =
+    [[omega, omega'], [eta, eta']], from each C = [[2 omega, 2 omega'], [-2
+    eta, -2 eta']] on leading axes.  C is diag(2, -2) M, which turns the
+    relation into C J C^T = 2 pi i J and scales both sides of each entry's
+    ratio by 4 exactly; |C| |J| is |C J|, J being a signed permutation."""
+    jj, two_pi_jj = _symplectic_j(c.shape[-1] // 2)
+    cj = c @ jj
+    ratio = np.abs(cj @ c.mT - two_pi_jj) / (np.abs(cj) @ np.abs(c).mT)
+    return ratio.reshape(*c.shape[:-2], -1).max(axis=-1)
 
 
 def legendre_defect(bundle: PeriodBundle) -> float:
-    """Max-norm deviation of the generalized Legendre relation."""
-    return float(_block_legendre_defect(np.block(
-        [[bundle.omega, bundle.omega_prime], [bundle.eta, bundle.eta_prime]])))
+    """The entrywise Legendre defect of the bundle (``_block_legendre_defect``)."""
+    return float(_block_legendre_defect(2.0 * np.block(
+        [[bundle.omega, bundle.omega_prime], [-bundle.eta, -bundle.eta_prime]])))
 
 
 def _chain_integrand(points, segments, numerators_fn):
@@ -255,10 +256,9 @@ def _period_numerators(curve: HyperellipticCurve):
 def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TOL) -> PeriodBundle:
     """Compute 2omega, 2omega', 2eta, 2eta', tau, kappa with certification.
 
-    Raises HomologyConstructionFailure when no chain orientation passes the
-    Legendre/symmetry/positivity gates (pathological configurations), with
-    |det 2 omega| or the gates of the pattern closest to passing, and
-    QuadratureNonConvergence when a segment integral cannot reach quad_tol.
+    Raises HomologyConstructionFailure, naming the gate, when a gate of the
+    module docstring refuses the curve, and QuadratureNonConvergence when a
+    segment integral cannot reach quad_tol.
     """
     if not (_QUAD_TOL_RANGE[0] <= quad_tol <= _QUAD_TOL_RANGE[1]):
         raise ValueError(f"quad_tol must lie in {_QUAD_TOL_RANGE}")
@@ -266,53 +266,50 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
     if g not in (1, 2):
         raise ValueError("periods implemented for genus 1 and 2 only")
     pts = canonical_branch_order(curve.branch_points)
-    scale = branch_scale(pts)
+    spread = branch_spread(pts)
     n_chains = 2 * g
     for k in range(n_chains):
         for j, e in enumerate(pts):
             if j in (k, k + 1):
                 continue
             d = segment_distance(pts[k], pts[k + 1], e)
-            if d < 1e-6 * scale:
+            if d < 1e-6 * spread:
                 raise HomologyConstructionFailure(
                     f"branch point {j} sits on segment ({k}, {k + 1}) (distance {d:.2e})")
+    gate = 10.0 * quad_tol
+    shift = abs(sum(pts) / len(pts)) / spread
+    if (loss := SHIFT_LOSS * np.finfo(float).eps * shift) > gate:
+        raise HomologyConstructionFailure(
+            f"shift rule: the centroid of the branch points lies {shift:.3g} spreads from the "
+            f"origin, where forming tau loses about {loss:.2e}, above gate {gate:.2e}")
     rows = _period_numerators(curve)
     chains = 2.0 * chain_integrals(pts, [(k, k + 1) for k in range(n_chains)], rows, quad_tol)
-
-    # the tau symmetry gate grows with max |tau|, the base Legendre gate with
-    # the magnitudes it checks (``_scaled_gate``); the bundle records each gate
-    sym_gate, leg_base = max(1e-10, 100.0 * quad_tol), max(1e-9, 1000.0 * quad_tol)
 
     # every sign pattern at once (``_sign_patterns``); columns a_1..a_g,
     # b_1..b_g and rows (2 omega, -2 eta) over them, one stack entry per pattern
     patterns, signs = _sign_patterns(g)
     cyc = (chains * signs[:, None, :]) @ _cycle_basis(g).T
     two_w, two_wp, two_e, two_ep = cyc[:, :g, :g], cyc[:, :g, g:], -cyc[:, g:, :g], -cyc[:, g:, g:]
-    # a pattern only negates columns of 2 omega, which leaves |det| unchanged
-    det = abs(np.linalg.det(two_w[0]))
-    if det < 1e-12:
-        raise HomologyConstructionFailure("no chain orientation produced a certified canonical "
-                                          f"basis; |det 2 omega| = {det:.2e} against 1e-12")
+    # a pattern only negates columns of 2 omega: |det| and row norms stay
+    det = abs(np.linalg.det(two_w[0])) / np.hypot.reduce(np.abs(two_w[0]), axis=1).prod()
+    if det < 1e-8:
+        raise HomologyConstructionFailure(
+            "no chain orientation produced a certified canonical basis; |det 2 omega| / prod "
+            f"of its row norms = {det:.2e} against 1e-08")
     tau = np.linalg.solve(two_w, two_wp)
     n = len(patterns)
     tau_asym = np.abs(tau - tau.mT).reshape(n, -1).max(axis=1)
-    tau_gate = sym_gate * np.maximum(1.0, np.abs(tau).reshape(n, -1).max(axis=1))
+    tau_gate = max(1e-10, 100.0 * quad_tol) * np.maximum(1.0, np.abs(tau).reshape(n, -1).max(axis=1))
     tau_sym = 0.5 * (tau + tau.mT)
     eig_min = np.linalg.eigvalsh(tau_sym.imag)[:, 0]
-    # halving cyc and negating its eta rows gives [[omega, omega'], [eta, eta']] exactly
-    defect = _block_legendre_defect(cyc * _halving(g))
-    # the relation is bilinear in (omega, omega') and (eta, eta'), so its
-    # roundoff grows with the product of their magnitudes
-    w_hat = 0.5 * np.abs(cyc[:, :g]).reshape(n, -1).max(axis=1)
-    e_hat = 0.5 * np.abs(cyc[:, g:]).reshape(n, -1).max(axis=1)
-    leg_gate = _scaled_gate(leg_base, w_hat * e_hat)
-    passed = (tau_asym <= tau_gate) & (eig_min > 0.0) & (defect <= leg_gate)
+    defect = _block_legendre_defect(cyc)
+    passed = (tau_asym <= tau_gate) & (eig_min > 0.0) & (defect <= gate)
     k = int(np.argmax(passed))
     if not passed[k]:
-        k = int(np.argmin(defect / leg_gate))
+        k = int(np.argmin(defect))
         raise HomologyConstructionFailure(
             "no chain orientation produced a certified canonical basis; closest signs "
-            f"{patterns[k]}: Legendre defect {defect[k]:.2e} against gate {leg_gate[k]:.2e}, tau "
+            f"{patterns[k]}: Legendre defect {defect[k]:.2e} against gate {gate:.2e}, tau "
             f"asymmetry {tau_asym[k]:.1e} against {tau_gate[k]:.2e}, min eig Im tau {eig_min[k]:.2g}")
     two_w, two_wp, two_e, two_ep = two_w[k], two_wp[k], two_e[k], two_ep[k]
     inv_two_w = np.linalg.inv(two_w)
@@ -320,10 +317,8 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
     kappa_asym = float(np.abs(kappa_raw - kappa_raw.T).max())
     kappa = 0.5 * (kappa_raw + kappa_raw.T)
     eta_p_pred = kappa @ two_wp - 1j * np.pi * inv_two_w.T
-    eta_p_cons = float(np.abs(eta_p_pred - two_ep / 2).max())
-    # the roundoff of the consistency grows with |eta'| as the
-    # Legendre roundoff grows with the products of the periods
-    eta_p_gate = float(_scaled_gate(leg_base, 0.5 * float(np.abs(two_ep).max())))
+    eta_p_cons = float((np.abs(eta_p_pred - two_ep / 2) / (
+        np.abs(kappa) @ np.abs(two_wp) + np.pi * np.abs(inv_two_w.T))).max())
     return PeriodBundle(
         omega=two_w / 2,
         omega_prime=two_wp / 2,
@@ -333,8 +328,8 @@ def compute_periods(curve: HyperellipticCurve, quad_tol: float = DEFAULT_QUAD_TO
         kappa=kappa,
         inv_two_omega=inv_two_w,
         legendre_defect=float(defect[k]),
-        legendre_gate=float(leg_gate[k]),
-        eta_prime_gate=eta_p_gate,
+        legendre_gate=gate,
+        eta_prime_gate=gate,
         tau_asymmetry=float(tau_asym[k]),
         tau_gate=float(tau_gate[k]),
         kappa_asymmetry=kappa_asym,
@@ -390,7 +385,7 @@ class _AbelRoutes:
     ``Route``."""
 
     def __init__(self, branch):
-        self.spread = max(abs(a - b) for a in branch for b in branch)
+        self.spread = branch_spread(branch)
         center = sum(branch) / len(branch)
         rad = 1.6 * max(abs(e - center) for e in branch) + 1.0
         self.far = center + rad * np.exp(1j * np.pi / 7)

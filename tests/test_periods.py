@@ -31,7 +31,7 @@ from secondkind.errors import (
     QuadratureNonConvergence,
     SecondKindError,
 )
-from secondkind.periods import LEGENDRE_GATE_CAP, a_cycle_integrals
+from secondkind.periods import a_cycle_integrals
 
 
 # y^2 = 4x^3 - 4x has square symmetry: tau = i and the real half-period
@@ -99,14 +99,24 @@ def _linalg_calls(monkeypatch) -> dict:
     return calls
 
 
+def _moved_chains(monkeypatch, move):
+    """Make ``periods.chain_integrals`` return move(its integrals)."""
+    walk = periods.chain_integrals
+    monkeypatch.setattr(periods, "chain_integrals", lambda *args: move(walk(*args)))
+
+
+#: Chain 1 moved by 1e-3 of itself: no sign pattern passes.
+_CHAIN_1_MOVED = np.array([1.0, 1.001, 1.0, 1.0])
+
+
 def test_a_refusal_tries_half_the_sign_patterns(standard_curve, monkeypatch):
-    """All 2^(2g-1) = 8 patterns of the +500 refusal are judged in one pass:
-    one |det 2 omega|, which a pattern cannot move, and one solve on a stack
-    of 8 systems."""
-    shifted = curve_from_branch_points([e + 500.0 for e in standard_curve.branch_points])
+    """All 2^(2g-1) = 8 patterns of a refusal are judged in one pass: one
+    |det 2 omega|, which a pattern cannot move, and one solve on a stack of
+    8 systems.  Chain 1 is moved so that no pattern passes."""
+    _moved_chains(monkeypatch, lambda chains: chains * _CHAIN_1_MOVED)
     calls = _linalg_calls(monkeypatch)
     with pytest.raises(HomologyConstructionFailure, match="no chain orientation"):
-        compute_periods(shifted)
+        compute_periods(standard_curve)
     assert [a.shape for a, _ in calls["det"]] == [(2, 2)]
     assert [a.shape for a, _ in calls["solve"]] == [(8, 2, 2)]
 
@@ -118,6 +128,11 @@ def test_a_genus1_curve_judges_both_sign_patterns(generic_g1_curve, monkeypatch)
     assert [a.shape for a, _ in calls["solve"]] == [(2, 1, 1)]
 
 
+#: A branch point 1.05e-8 from the middle of the near-vertical segment
+#: (-1j, 1e-9 + 1j), between them in neither real nor imaginary order.
+ON_SEGMENT_POINTS = (-2.0, -1e-8, -1j, 1e-9 + 1j, 2.0)
+
+
 def test_a_branch_point_on_a_segment_is_refused():
     curve = curve_from_branch_points([-2, -1, 0, 1e-7, 2])
     message = r"branch point 3 sits on segment \(1, 2\)"
@@ -125,27 +140,58 @@ def test_a_branch_point_on_a_segment_is_refused():
         compute_periods(curve)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-7])
+def test_the_segment_gate_follows_the_branch_spread(standard_curve, scale):
+    """The gate is 1e-6 of the branch spread max |e_i - e_j|: the standard
+    curve scaled by 1e-7 certifies (it was refused at 1e-6 of max(1,
+    max |e|), with a branch point 1e-7 from a segment), and a branch point
+    on a segment is refused at either scale."""
+    scaled = curve_from_branch_points([scale * e for e in standard_curve.branch_points])
+    assert compute_periods(scaled).chain_signs == compute_periods(standard_curve).chain_signs
+    curve = curve_from_branch_points([scale * e for e in ON_SEGMENT_POINTS])
+    with pytest.raises(HomologyConstructionFailure, match=r"branch point 1 sits on segment \(2, 3\)"):
+        compute_periods(curve)
+
+
 def test_a_scaled_curve_is_refused_by_the_determinant(standard_curve, monkeypatch):
-    """|det 2 omega| = 2.37 / s^2 on the standard curve scaled by s, so the
-    absolute 1e-12 gate refuses from s ~ 1.54e6, before any other gate."""
+    """|det 2 omega| = 2.63e-13 on the standard curve scaled by 3e6, which an
+    absolute gate of 1e-12 refused, but relative to the product of its row
+    norms it reads 0.99, and the curve certifies.  With the chain of a_2
+    moved to 1 + 1e-10 times the chain of a_1, the columns of 2 omega are
+    parallel to 1e-10, and the determinant refuses the curve before any
+    solve."""
     scaled = curve_from_branch_points([3e6 * e for e in standard_curve.branch_points])
+    assert compute_periods(scaled).chain_signs == (1, 1, 1, 1)
+
+    def parallel(chains):
+        chains = chains.copy()
+        chains[:2, 2] = chains[:2, 0] * (1.0 + 1e-10)
+        return chains
+
+    _moved_chains(monkeypatch, parallel)
     calls = _linalg_calls(monkeypatch)
-    with pytest.raises(HomologyConstructionFailure, match="no chain orientation"):
-        compute_periods(scaled)
-    assert calls["det"] and not calls["solve"]
-    assert all(abs(d) == pytest.approx(2.63e-13, rel=1e-2) for _, d in calls["det"])
-
-
-@pytest.mark.parametrize("shift, scale, why", [
-    # the rounding of the Legendre relation on a shifted curve (ROADMAP item 3)
-    (500.0, 1.0, r"; closest signs \(1, 1, 1, 1\): Legendre defect 7\.8\de-03 against gate "
-                 r"1\.00e-03, tau asymmetry 4\.\de-14 against 1\.25e-10, min eig Im tau 0\.61$"),
-    (0.0, 3e6, r"; \|det 2 omega\| = 2\.6\de-13 against 1e-12$"),
-], ids=["shifted", "scaled"])
-def test_a_refusal_says_why(standard_curve, shift, scale, why):
-    curve = curve_from_branch_points([scale * e + shift for e in standard_curve.branch_points])
     with pytest.raises(HomologyConstructionFailure,
-                       match="^no chain orientation produced a certified canonical basis" + why):
+                       match=r"\|det 2 omega\| / prod of its row norms = \S+ against 1e-08$"):
+        compute_periods(scaled)
+    assert [a.shape for a, _ in calls["det"]] == [(2, 2)] and not calls["solve"]
+
+
+@pytest.mark.parametrize("shift, scale, moved, why", [
+    # the shift rule, before any quadrature: +3e5 is 7.5e4 spreads out
+    (3e5, 1.0, None, r"^shift rule: the centroid of the branch points lies 7\.5e\+04 spreads "
+                     r"from the origin, where forming tau loses about 6\.66e-11, above gate "
+                     r"1\.00e-11$"),
+    # chain 1 moved on a scaled curve: the defects read as on the standard curve
+    (0.0, 1e7, _CHAIN_1_MOVED,
+     r"^no chain orientation produced a certified canonical basis; closest signs "
+     r"\(1, 1, 1, 1\): Legendre defect 7\.49e-04 against gate 1\.00e-11, tau asymmetry "
+     r"5\.0e-04 against 1\.25e-10, min eig Im tau 0\.61$"),
+], ids=["shifted", "scaled"])
+def test_a_refusal_says_why(standard_curve, monkeypatch, shift, scale, moved, why):
+    if moved is not None:
+        _moved_chains(monkeypatch, lambda chains: chains * moved)
+    curve = curve_from_branch_points([scale * e + shift for e in standard_curve.branch_points])
+    with pytest.raises(HomologyConstructionFailure, match=why):
         compute_periods(curve)
 
 
@@ -182,7 +228,10 @@ def test_seeded_random_curves_certify(rng):
 def test_legendre_gate_follows_the_period_scale(standard_curve, standard_bundle):
     # a shift leaves tau and the chain orientation unchanged but multiplies
     # |eta|, and with it the Legendre roundoff (1.2e-7 at +50); an absolute
-    # gate refused the standard curve from +21.5 and most random ones at +20
+    # gate refused the standard curve from +21.5 and most random ones at +20.
+    # Each entry of the relation is now judged against the size of the terms
+    # that cancel in it, so the defect follows the period scale and the gate
+    # is 10 quad_tol on every curve
     rng = np.random.default_rng(0)
     cases = [(standard_bundle, tuple(e + c for e in standard_curve.branch_points))
              for c in (30.0, 50.0, 1000.0)]
@@ -193,42 +242,103 @@ def test_legendre_gate_follows_the_period_scale(standard_curve, standard_bundle)
         b = compute_periods(curve_from_branch_points(shifted))
         assert b.chain_signs == ref.chain_signs
         assert np.max(np.abs(b.tau - ref.tau)) < 1e-10
-        assert b.legendre_defect <= b.legendre_gate <= LEGENDRE_GATE_CAP
-        assert b.eta_prime_consistency <= b.eta_prime_gate <= LEGENDRE_GATE_CAP
+        assert b.legendre_gate == b.eta_prime_gate == 10.0 * b.quad_tol
+        assert b.legendre_defect <= b.legendre_gate
+        assert b.eta_prime_consistency <= b.eta_prime_gate
+
+
+def _scaling_bases():
+    """The standard curve, then 30 genus-2 and 10 genus-1 draws of one
+    ``np.random.default_rng(17)``."""
+    rng = np.random.default_rng(17)
+    return ([curve_from_branch_points([-2.0, -1.0, 0.0, 1.0, 2.0])]
+            + [random_curve(rng) for _ in range(30)]
+            + [random_curve(rng, genus=1) for _ in range(10)])
+
+
+def test_scaled_images_certify_with_their_base_tau_and_carried_kappa():
+    """Every image s e, s = 1e-7, 1e-5, ..., 1e7, of the 41 bases certifies
+    (132 of these 328 were refused by the gates scaled by the period
+    magnitudes).  tau is invariant: it lies within 1e-14 of its base,
+    relative to max(1, max |tau|) (worst 1.2e-15).  kappa carries as
+    s^(2g-1) A^-T kappa_base A^-1, A = diag(1, s, .., s^(g-1)): within
+    4e-14 of the carry, entry by entry (worst 4.2e-15)."""
+    for curve in _scaling_bases():
+        base, g = compute_periods(curve), curve.genus
+        for s in 10.0 ** np.arange(-7, 8, 2):
+            b = compute_periods(curve_from_branch_points([s * e for e in curve.branch_points]))
+            tau_move = np.abs(b.tau - base.tau).max() / max(1.0, np.abs(base.tau).max())
+            assert tau_move <= 1e-14, (curve.branch_points, s, tau_move)
+            a_inv = np.diag(s ** -np.arange(g))
+            carry = s ** (2 * g - 1) * a_inv @ base.kappa @ a_inv
+            assert (np.abs(b.kappa - carry) / np.abs(carry)).max() <= 4e-14, (curve.branch_points, s)
+
+
+def test_one_ulp_nudges_keep_the_pattern_of_a_far_curve(monkeypatch):
+    """The standard curve shifted by +1000 certifies the same chain signs
+    when the real and imaginary part of every chain integral is moved one
+    ulp up or down at random, in each of 20 draws.  With the Legendre gate
+    scaled by the period magnitudes, 14 of these 20 draws were refused:
+    that curve certified only by rounding, and the chain bits were frozen."""
+    curve = curve_from_branch_points([e + 1000.0 for e in (-2.0, -1.0, 0.0, 1.0, 2.0)])
+    signs = compute_periods(curve).chain_signs
+    rng, walk = np.random.default_rng(0), periods.chain_integrals
+
+    def nudged(*args):
+        chains = walk(*args)
+        up = rng.random((2,) + chains.shape) < 0.5
+        return (np.nextafter(chains.real, np.where(up[0], np.inf, -np.inf))
+                + 1j * np.nextafter(chains.imag, np.where(up[1], np.inf, -np.inf)))
+
+    monkeypatch.setattr(periods, "chain_integrals", nudged)
+    for _ in range(20):
+        assert compute_periods(curve).chain_signs == signs
+
+
+@pytest.mark.parametrize("shift", [500.0, 1000.0, 2000.0, 3e4])
+def test_shifted_images_certify_within_the_shift_loss(standard_curve, standard_bundle, shift):
+    """The standard curve shifted by c certifies its base pattern, and tau
+    lies within 10 eps |c| / d of its base, d = 4 the branch spread and tau
+    judged relative to max(1, max |tau|): the loss of forming tau far from
+    the origin (``periods.SHIFT_LOSS``; worst 4.5 eps |c| / d, at +1000).
+    +3e5 is refused by the shift rule (``test_a_refusal_says_why``)."""
+    b = compute_periods(curve_from_branch_points([e + shift for e in standard_curve.branch_points]))
+    assert b.chain_signs == standard_bundle.chain_signs
+    tau_move = np.abs(b.tau - standard_bundle.tau).max() / max(1.0, np.abs(b.tau).max())
+    assert tau_move <= 10.0 * np.finfo(float).eps * shift / 4.0
 
 
 def _reference_legendre_defect(omega, omega_prime, eta, eta_prime):
-    """The defect as computed before J was held once per genus."""
+    """The entrywise defect of the four blocks, with J built per call: the
+    largest entry of |M J M^T + (pi i / 2) J| / (|M| |J| |M|^T)."""
     g = omega.shape[0]
     m = np.block([[omega, omega_prime], [eta, eta_prime]])
     jj = np.block([[np.zeros((g, g)), -np.eye(g)], [np.eye(g), np.zeros((g, g))]]).astype(complex)
-    return float(np.max(np.abs(m @ jj @ m.T + (0.5j * np.pi) * jj)))
+    return float(np.max(np.abs(m @ jj @ m.T + (0.5j * np.pi) * jj)
+                        / (np.abs(m) @ np.abs(jj) @ np.abs(m).T)))
 
 
 def _reference_pattern_search(chains, g, quad_tol):
     """compute_periods' search over the chain orientations as written before
     its sign patterns were held per genus: the patterns from
     itertools.product and their float array built per call, the gates
-    reduced with np.max, the Legendre defect from the four (g, g) blocks.
-    Returns the cyc stack, the gates of every pattern and the index of the
-    first that passes, or None."""
+    reduced with np.max, the Legendre defect from the four (g, g) blocks,
+    entry by entry.  Returns the cyc stack, the gates of every pattern and
+    the index of the first that passes, or None."""
     patterns = [(1, *signs) for signs in itertools.product((1, -1), repeat=2 * g - 1)]
     cyc = (chains * np.array(patterns, dtype=float)[:, None, :]) @ periods._cycle_basis(g).T
     two_w, two_wp, two_e, two_ep = cyc[:, :g, :g], cyc[:, :g, g:], -cyc[:, g:, :g], -cyc[:, g:, g:]
-    if abs(np.linalg.det(two_w[0])) < 1e-12:
+    if abs(np.linalg.det(two_w[0])) / np.prod(np.linalg.norm(two_w[0], axis=1)) < 1e-8:
         return cyc, None, None
     tau = np.linalg.solve(two_w, two_wp)
-    m = np.empty(cyc.shape, dtype=complex)
-    m[:, :g, :g], m[:, :g, g:], m[:, g:, :g], m[:, g:, g:] = two_w / 2, two_wp / 2, two_e / 2, two_ep / 2
-    jj, half_pi_jj = periods._symplectic_j(g)
-    w_hat = 0.5 * np.max(np.abs(cyc[:, :g]), axis=(1, 2))
-    e_hat = 0.5 * np.max(np.abs(cyc[:, g:]), axis=(1, 2))
+    defect = [_reference_legendre_defect(*blocks)
+              for blocks in zip(two_w / 2, two_wp / 2, two_e / 2, two_ep / 2)]
     gates = {
         "tau": 0.5 * (tau + tau.mT),
         "tau_asymmetry": np.max(np.abs(tau - tau.mT), axis=(1, 2)),
         "tau_gate": max(1e-10, 100.0 * quad_tol) * np.maximum(1.0, np.max(np.abs(tau), axis=(1, 2))),
-        "legendre_defect": np.max(np.abs(m @ jj @ m.mT + half_pi_jj), axis=(1, 2)),
-        "legendre_gate": periods._scaled_gate(max(1e-9, 1000.0 * quad_tol), w_hat * e_hat),
+        "legendre_defect": np.array(defect),
+        "legendre_gate": np.full(len(patterns), 10.0 * quad_tol),
     }
     gates["im_tau_min_eig"] = np.linalg.eigvalsh(gates["tau"].imag)[:, 0]
     passed = ((gates["tau_asymmetry"] <= gates["tau_gate"]) & (gates["im_tau_min_eig"] > 0.0)
@@ -345,12 +455,15 @@ def test_chain_numerators_keep_their_bits(name, monkeypatch):
 
 def test_legendre_defect_equals_the_block_form(standard_bundle, skew_bundle, lemniscatic_bundle,
                                                generic_g1_bundle):
+    """The defect judged on the cycle form [[2 omega, 2 omega'], [-2 eta,
+    -2 eta']] has the bits of the block form, on certified and on nudged
+    blocks."""
     rng = np.random.default_rng(5)
     for b in (standard_bundle, skew_bundle, lemniscatic_bundle, generic_g1_bundle):
         blocks = [b.omega, b.omega_prime, b.eta, b.eta_prime]
         assert legendre_defect(b) == _reference_legendre_defect(*blocks)
-        nudged = [x + 1e-3 * rng.normal(size=x.shape) for x in blocks]
-        defect = periods._block_legendre_defect(np.block([nudged[:2], nudged[2:]]))
+        w, wp, e, ep = nudged = [x + 1e-3 * rng.normal(size=x.shape) for x in blocks]
+        defect = periods._block_legendre_defect(2.0 * np.block([[w, wp], [-e, -ep]]))
         assert defect > 1e-4 and defect == _reference_legendre_defect(*nudged)
     assert not periods._symplectic_j(2)[0].flags.writeable
 
